@@ -80,8 +80,11 @@ def _parse_operator(text: str, exact: bool) -> QuadOperator:
 
 
 def _cfg(args) -> FockConfig:
-    c = Fraction(args.c).limit_denominator(10 ** 12) if args.mode == "exact" else args.c
-    return FockConfig(c=c, depth=args.depth, tol=args.tol)
+    try:
+        c = Fraction(args.c).limit_denominator(10 ** 12) if args.mode == "exact" else args.c
+        return FockConfig(c=c, depth=args.depth, tol=args.tol)
+    except (ValueError, OverflowError) as exc:
+        raise CliInputError(f"invalid configuration: {exc}") from exc
 
 
 def _cpx(z: complex) -> list[float]:
@@ -138,7 +141,7 @@ def cmd_selfadjoint(args) -> int:
     op = _parse_operator(args.op, exact)
     struct = check_selfadjoint_structure(op, tol=0.0 if exact else 1e-12)
     doc = struct.to_dict()
-    family = _resolve_family(args, exact)
+    family = _resolve_family(args, exact, random.Random(args.seed))
     if family:
         numeric = check_selfadjoint_numeric(op, family, cfg)
         doc["numeric"] = numeric.to_dict()
@@ -166,7 +169,7 @@ def cmd_contraction(args) -> int:
     cfg = _cfg(args)
     exact = args.mode == "exact"
     op = _parse_operator(args.op, exact)
-    family = _resolve_family(args, exact)
+    family = _resolve_family(args, exact, random.Random(args.seed))
     if not family:
         raise CliInputError("provide --family or --random K")
     gram_rep = check_contraction_gram(op, family, cfg, t=args.t)
@@ -180,17 +183,20 @@ def cmd_contraction(args) -> int:
 def cmd_lemma4(args) -> int:
     cfg = _cfg(args)
     exact = args.mode == "exact"
+    rng = random.Random(args.seed)
+    family = _resolve_family(args, exact, rng)
     if args.random:
-        rng = random.Random(args.seed)
-        family = random_family(rng, args.random, exact=exact)
         coeffs = [complex(rng.uniform(0.4, 1.0), rng.uniform(-0.5, 0.5))
                   for _ in range(args.random)]
+    elif family and args.coeffs:
+        try:
+            coeffs = [complex(re, im) for re, im in _load_json(args.coeffs)]
+        except (TypeError, ValueError) as exc:
+            raise CliInputError(f"invalid --coeffs: {exc}") from exc
     else:
-        if not (args.family and args.coeffs):
-            raise CliInputError("provide --family and --coeffs, or --random K")
-        family = [StepFunction.from_json(item, exact=exact)
-                  for item in _load_json(args.family)]
-        coeffs = [complex(re, im) for re, im in _load_json(args.coeffs)]
+        raise CliInputError("provide --family and --coeffs, or --random K")
+    if len(coeffs) != len(family):
+        raise CliInputError(f"{len(coeffs)} coefficients for {len(family)} functions")
     rep = lemma4_derivative_check(family, coeffs, cfg)
     doc = rep.to_dict()
     doc["pass"] = rep.rel_error <= 1e-6
@@ -204,14 +210,24 @@ def cmd_verify_all(args) -> int:
     return EXIT_PASS if res["passed"] else EXIT_CHECK_FAILED
 
 
-def _resolve_family(args, exact: bool):
-    if getattr(args, "random", None):
-        rng = random.Random(args.seed)
+def _resolve_family(args, exact: bool, rng: random.Random):
+    if args.random:
         return random_family(rng, args.random, exact=exact)
-    if getattr(args, "family", None):
-        return [StepFunction.from_json(item, exact=exact)
-                for item in _load_json(args.family)]
+    if args.family:
+        data = _load_json(args.family)
+        try:
+            return [StepFunction.from_json(item, exact=exact) for item in data]
+        except (TypeError, ValueError) as exc:
+            raise CliInputError(f"invalid --family: {exc}") from exc
     return []
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type of --n and --random: a nonnegative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 # --- parser ----------------------------------------------------------------
@@ -241,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nparticle", help="n-particle inner product")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
     p.add_argument("--formula", choices=["corrected", "as_printed"],
                    default="corrected")
     p.set_defaults(func=cmd_nparticle)
@@ -250,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True,
                    help='operator JSON {"E": ..., "h": ..., "phi": ...}')
     p.add_argument("--family", help="JSON list of step functions")
-    p.add_argument("--random", type=int, metavar="K",
+    p.add_argument("--random", type=_nonnegative_int, metavar="K",
                    help="use K seeded random test functions")
     p.set_defaults(func=cmd_selfadjoint)
 
@@ -262,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contraction", help="Gram-domination contraction certificate")
     p.add_argument("--op", required=True)
     p.add_argument("--family")
-    p.add_argument("--random", type=int, metavar="K")
+    p.add_argument("--random", type=_nonnegative_int, metavar="K")
     p.add_argument("--t", type=float, default=1.0, help="Gram scale parameter")
     p.set_defaults(func=cmd_contraction)
 
     p = sub.add_parser("lemma4", help="derivative identity of the Gram form")
     p.add_argument("--family")
     p.add_argument("--coeffs", help="JSON list of [re, im]")
-    p.add_argument("--random", type=int, metavar="K")
+    p.add_argument("--random", type=_nonnegative_int, metavar="K")
     p.set_defaults(func=cmd_lemma4)
 
     p = sub.add_parser("verify-all", help="run the full acceptance suite")

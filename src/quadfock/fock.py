@@ -1,7 +1,11 @@
 """Inner products in the quadratic Fock space.
 
-The scalars ``m_k = <f^k, g^k>`` determine everything.  The n-particle
-inner products ``a_n`` obey the recursion
+Every quantity of a pair (f, g) here depends on it only through
+``stepfn.value_signature(f, g)``: the total length L_u carrying each value
+u of conj(f) * g.  The moments are ``m_k = <f^k, g^k> = sum L_u u^k``, the
+closed form below integrates ``log(1 - 4u)`` against it, and the series
+tail uses its total length.  The n-particle inner products ``a_n`` obey
+the recursion
 
     n * b_n = c * sum_{k=0}^{n-1} 2^(2k+1) * m_{k+1} * b_{n-k-1},
     b_n = a_n / (n!)^2,   b_0 = 1,
@@ -20,15 +24,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NotHermitianError, UnconvergedError
-from .scalars import conj_value
-from .stepfn import StepFunction, inner, refine
+from .stepfn import StepFunction, value_signature
+from .stepfn import inner  # noqa: F401  perfbench/test_trace.py reads quadfock.fock.inner
 
 ADMISSIBLE_SUP_SQ = Fraction(1, 4)  # existence radius: sup norm < 1/2
 
@@ -56,11 +60,9 @@ class FockConfig:
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """The scalars m_k = <f^k, g^k> for k = 1..K, with provenance."""
+    """The scalars m_k = <f^k, g^k> for k = 1..K."""
 
     entries: tuple
-    f: StepFunction = field(default_factory=StepFunction.zero)
-    g: StepFunction = field(default_factory=StepFunction.zero)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -73,16 +75,16 @@ class MomentSequence:
 
 
 def moments(f: StepFunction, g: StepFunction, K: int) -> MomentSequence:
-    """m_k = <f^k, g^k> for k = 1..K, evaluated exactly on the refinement."""
+    """m_k = <f^k, g^k> = sum over the value signature of L_u * u^k, k = 1..K."""
     if K < 1:
         raise ValueError("K must be >= 1")
+    sig = value_signature(f, g)
+    us, terms = list(sig), list(sig.values())
     entries = []
-    fk, gk = f, g
-    for k in range(1, K + 1):
-        if k > 1:
-            fk, gk = fk * f, gk * g
-        entries.append(inner(fk, gk))
-    return MomentSequence(tuple(entries), f, g)
+    for _ in range(K):
+        terms = [t * u for t, u in zip(terms, us)]
+        entries.append(sum(terms, 0))
+    return MomentSequence(tuple(entries))
 
 
 def _b_sequence(m: MomentSequence, n: int, cfg: FockConfig) -> list:
@@ -218,13 +220,7 @@ def exp_vector_exists(f: StepFunction) -> bool:
 
     The boundary sup|f| = 1/2 is rejected; that keeps every logarithm
     strictly off the branch point."""
-    return abs_lt(f.sup_norm_sq(), ADMISSIBLE_SUP_SQ)
-
-
-def abs_lt(value, bound) -> bool:
-    if isinstance(value, Fraction) and isinstance(bound, Fraction):
-        return value < bound
-    return float(value) < float(bound)
+    return f.sup_norm_sq() < ADMISSIBLE_SUP_SQ
 
 
 def _require_admissible(*fs: StepFunction) -> None:
@@ -237,13 +233,11 @@ def _require_admissible(*fs: StepFunction) -> None:
 def _log_integral(f: StepFunction, g: StepFunction, t: float = 1.0) -> complex:
     """integral of log(1 - 4 t conj(f) g), principal branch, exact lengths."""
     total = 0.0 + 0.0j
-    for l, r, vf, vg in refine(f, g):
-        if vf == 0 or vg == 0:
-            continue
-        arg = 1 - 4 * t * complex(conj_value(vf) * vg)
+    for u, length in value_signature(f, g).items():
+        arg = 1 - 4 * t * complex(u)
         if arg == 0 or arg.real < 0 and arg.imag == 0:
             raise DomainError("log argument on the branch cut; inputs inadmissible")
-        total += float(r - l) * cmath.log(arg)
+        total += float(length) * cmath.log(arg)
     return total
 
 
@@ -284,7 +278,7 @@ def exp_inner_series(f: StepFunction, g: StepFunction,
     b = _b_sequence(m, N, cfg)
     value = sum((complex(bn) for bn in b), 0j)
 
-    overlap = f.support().intersect(g.support()).measure()
+    overlap = sum(value_signature(f, g).values())
     beta = float(cfg.c) * float(overlap) / 2.0
     # dominating scalar series: d_n = [t^n] (1 - x t)^(-beta)
     d, partial = 1.0, 1.0

@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fock import FockConfig, exp_inner_closed, exp_inner_series, gram_matrix, gram_min_eig
+from .fock import (FockConfig, exp_inner_closed, exp_inner_series, exp_vector_exists,
+                   gram_matrix, gram_min_eig, moments)
 from .scalars import ExactComplex
 from .stepfn import (
     IntervalSet,
@@ -120,17 +121,12 @@ def window_radius(*fs: StepFunction, minimum=2) -> Fraction:
 def gamma2_matrix_element(T: QuadOperator, f: StepFunction, g: StepFunction,
                           cfg: FockConfig) -> complex:
     """<Gamma_2(T) Psi(f), Psi(g)> = <Psi(T f), Psi(g)>."""
-    if not _admissible(f):
+    if not exp_vector_exists(f):
         raise DomainError("sup norm of f >= 1/2")
     tf = apply_operator(T, f)
-    if not _admissible(tf):
+    if not exp_vector_exists(tf):
         raise DomainError("sup norm of T f >= 1/2; Gamma_2(T) Psi(f) undefined")
     return exp_inner_closed(tf, g, cfg)
-
-
-def _admissible(f: StepFunction) -> bool:
-    from .fock import exp_vector_exists
-    return exp_vector_exists(f)
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +220,12 @@ class SelfAdjointNumericReport:
         }
 
 
-def _log_signatures_equal(u: StepFunction, w: StepFunction) -> bool:
-    # equal value->length signatures force equal integrals of log(1 - 4 v)
-    return value_signature(u) == value_signature(w)
-
-
 def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
                               cfg: FockConfig, depth: int = 8) -> SelfAdjointNumericReport:
     """Moment-identity and matrix-element defects of Gamma_2(T) over a family."""
     tf = [apply_operator(T, f) for f in family]
     for i, (f, g) in enumerate(zip(family, tf)):
-        if not (_admissible(f) and _admissible(g)):
+        if not (exp_vector_exists(f) and exp_vector_exists(g)):
             raise DomainError(f"family member {i} or its image is inadmissible")
 
     T_star = adjoint_operator(T)
@@ -242,6 +233,7 @@ def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
 
     herm = 0.0
     adj = 0.0
+    moment = 0.0
     exact_zero = True
     n = len(family)
     M = np.empty((n, n), dtype=complex)
@@ -249,31 +241,23 @@ def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
     for i in range(n):
         for j in range(n):
             M[i, j] = exp_inner_closed(tf[i], family[j], cfg)
-            if not _admissible(tsf[j]):
+            if not exp_vector_exists(tsf[j]):
                 raise DomainError(f"adjoint image of member {j} is inadmissible")
             Ms[i, j] = exp_inner_closed(tsf[j], family[i], cfg)
     for i in range(n):
         for j in range(n):
             herm = max(herm, float(abs(M[i, j] - M[j, i].conjugate())))
             adj = max(adj, float(abs(M[i, j] - Ms[i, j].conjugate())))
-            u_ij = tf[i].conj() * family[j]
-            if not _log_signatures_equal(u_ij, (tf[j].conj() * family[i]).conj()):
+            # equal signatures force equal moments and log integrals
+            if not (value_signature(tf[i], family[j]) == value_signature(family[i], tf[j])
+                    == value_signature(family[i], tsf[j])):
                 exact_zero = False
-            if not _log_signatures_equal(u_ij, (tsf[j].conj() * family[i]).conj()):
-                exact_zero = False
+            lhs = moments(tf[i], family[j], depth).entries
+            rhs = moments(family[i], tf[j], depth).entries
+            for a, b in zip(lhs, rhs):
+                moment = max(moment, abs(complex(a - b)))
 
-    moment = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(1, depth + 1):
-                lhs = inner(tf[i] ** k, family[j] ** k)
-                rhs = inner(family[i] ** k, tf[j] ** k)
-                diff = lhs - rhs
-                if diff != 0:
-                    exact_zero = False
-                moment = max(moment, abs(complex(diff)))
-
-    return SelfAdjointNumericReport(herm, adj, float(moment), exact_zero)
+    return SelfAdjointNumericReport(herm, adj, moment, exact_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +342,10 @@ def lemma4_derivative_check(family: Sequence[StepFunction],
     richardson = [(4 * d1 - d0) / 3 for d0, d1 in zip(central, central[1:])]
     deriv = richardson[-1]
 
-    combo = StepFunction.zero()
-    for a, f in zip(coeffs, family):
-        combo = combo + f.scale(complex(a))
-    norm_sq = float(combo.l2_norm_sq())
+    # ||sum a_i f_i||^2 as the same quadratic form as q(t), valid in both backends
+    norm_sq = float(sum(a.conjugate() * b * complex(inner(fi, fj))
+                        for a, fi in zip(alpha, family)
+                        for b, fj in zip(alpha, family)).real)
 
     c = float(cfg.c)
     expected = 2 * c * norm_sq

@@ -136,11 +136,3 @@ def abs_sq_value(v):
     if isinstance(v, complex):
         return v.real * v.real + v.imag * v.imag
     return v * v
-
-
-def as_complex(v) -> complex:
-    return complex(v)
-
-
-def is_exact(v) -> bool:
-    return isinstance(v, (ExactComplex, int, Fraction))

@@ -17,6 +17,7 @@ version.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -81,20 +82,12 @@ class StepFunction:
             pts.append(r)
         return pts
 
-    def value_at(self, x) -> object:
-        x = _frac(x)
-        for l, r, v in self.segments:
-            if l <= x < r:
-                return v
-        return 0
-
     def support(self) -> "IntervalSet":
         return IntervalSet.from_intervals([(l, r) for l, r, _ in self.segments])
 
     def sup_norm(self) -> float:
         if not self.segments:
             return 0.0
-        import math
         return max(math.sqrt(float(abs_sq_value(v))) for _, _, v in self.segments)
 
     def sup_norm_sq(self):
@@ -111,7 +104,6 @@ class StepFunction:
         return total
 
     def l2_norm(self) -> float:
-        import math
         return math.sqrt(float(self.l2_norm_sq()))
 
     # --- pointwise algebra -------------------------------------------------
@@ -163,36 +155,63 @@ class StepFunction:
         return StepFunction.from_segments(segs)
 
 
+_END = (math.inf, math.inf, 0)
+
+
+def _sweep(a: Sequence[tuple], b: Sequence[tuple]) -> Iterator[tuple]:
+    """Cells of the common refinement of two sorted sequences of disjoint
+    ``(l, r, v)`` segments, in one linear two-pointer pass.
+
+    Yields ``(l, r, va, vb)`` for every cell on which a or b has a segment,
+    with 0 where one of them has none.
+    """
+    a, b = (*a, _END), (*b, _END)
+    i = j = 0
+    x = min(a[0][0], b[0][0])
+    while a[i] is not _END or b[j] is not _END:
+        (al, ar, av), (bl, br, bv) = a[i], b[j]
+        lo = max(x, min(al, bl))
+        in_a, in_b = al <= lo, bl <= lo
+        x = min(ar if in_a else al, br if in_b else bl)
+        yield (lo, x, av if in_a else 0, bv if in_b else 0)
+        if in_a and ar == x:
+            i += 1
+        if in_b and br == x:
+            j += 1
+
+
 def refine(f: StepFunction, g: StepFunction) -> Iterator[tuple[Fraction, Fraction, object, object]]:
     """Cells of the common breakpoint refinement over the union of supports.
 
     Yields ``(l, r, vf, vg)``; at least one of the values is nonzero.
     """
-    pts = sorted(set(f.breakpoints()) | set(g.breakpoints()))
-    for l, r in zip(pts, pts[1:]):
-        vf = f.value_at(l)
-        vg = g.value_at(l)
-        if vf != 0 or vg != 0:
-            yield (l, r, vf, vg)
+    yield from _sweep(f.segments, g.segments)
+
+
+def value_signature(f: StepFunction, g: StepFunction) -> dict:
+    """Map u = conj(f) * g -> total length carrying u, over the set where
+    both f and g are nonzero.
+
+    This is the one object every pairwise Fock-space quantity reads:
+    ``inner``, the moments m_k = sum L u^k, the log integral
+    sum L log(1 - 4 t u), the overlap length sum L.  It is invariant under
+    any measure-preserving rearrangement, so equal signatures certify
+    equality of all of them exactly.
+    """
+    sig: dict = {}
+    for l, r, vf, vg in refine(f, g):
+        if vf != 0 and vg != 0:
+            u = conj_value(vf) * vg
+            sig[u] = sig.get(u, 0) + (r - l)
+    return sig
 
 
 def inner(f: StepFunction, g: StepFunction):
     """Exact L^2 pairing  integral of conj(f) * g, conjugate-linear in f."""
     total = 0
-    for l, r, vf, vg in refine(f, g):
-        if vf != 0 and vg != 0:
-            total = total + (r - l) * (conj_value(vf) * vg)
+    for u, length in value_signature(f, g).items():
+        total = total + length * u
     return total
-
-
-def value_signature(f: StepFunction) -> dict:
-    """Map value -> total length carrying it.  Invariant under any
-    measure-preserving rearrangement, which makes it an exact certificate
-    for equality of integrals of the form sum(len * log(1 - 4v))."""
-    sig: dict = {}
-    for l, r, v in f.segments:
-        sig[v] = sig.get(v, 0) + (r - l)
-    return sig
 
 
 def step_allclose(f: StepFunction, g: StepFunction, tol: float) -> bool:
@@ -237,13 +256,12 @@ class IntervalSet:
         return IntervalSet.from_intervals(list(self.intervals) + list(other.intervals))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        for al, ar in self.intervals:
-            for bl, br in other.intervals:
-                l, r = max(al, bl), min(ar, br)
-                if l < r:
-                    out.append((l, r))
-        return IntervalSet.from_intervals(out)
+        return IntervalSet.from_intervals(
+            (l, r) for l, r, x, y in _sweep(self._segments(), other._segments())
+            if x and y)
+
+    def _segments(self) -> list[tuple]:
+        return [(l, r, True) for l, r in self.intervals]
 
     def contains_set(self, other: "IntervalSet") -> bool:
         """other subset of self, up to null sets (exact on rationals)."""
@@ -261,13 +279,9 @@ class IntervalSet:
 
 
 def restrict(f: StepFunction, e: IntervalSet) -> StepFunction:
-    segs = []
-    for l, r, v in f.segments:
-        for el, er in e.intervals:
-            lo, hi = max(l, el), min(r, er)
-            if lo < hi:
-                segs.append((lo, hi, v))
-    return StepFunction(_canonical_segments(segs))
+    return StepFunction(_canonical_segments(
+        (l, r, v) for l, r, v, inside in _sweep(f.segments, e._segments())
+        if v and inside))
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +337,10 @@ class PiecewiseAffineMap:
         return IntervalSet.from_intervals([p.image() for p in self.pieces])
 
     def restrict(self, e: IntervalSet) -> "PiecewiseAffineMap":
-        ps = []
-        for p in self.pieces:
-            for el, er in e.intervals:
-                lo, hi = max(p.left, el), min(p.right, er)
-                if lo < hi:
-                    ps.append((lo, hi, p.slope, p.intercept))
-        return PiecewiseAffineMap.from_pieces(ps)
+        pieces = [(p.left, p.right, p) for p in self.pieces]
+        return PiecewiseAffineMap.from_pieces(
+            (l, r, p.slope, p.intercept)
+            for l, r, p, inside in _sweep(pieces, e._segments()) if p and inside)
 
     def is_identity(self) -> bool:
         return all(p.slope == 1 and p.intercept == 0 for p in self.pieces)

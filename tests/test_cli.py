@@ -113,6 +113,39 @@ class TestContractionAndLemma4:
         code, _ = run_cli(["lemma4"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("inputs", [
+        ["--random", "3"],
+        ["--family", '[[[0,1,0.125,0]]]', "--coeffs", "[[1,0]]"],
+    ])
+    def test_lemma4_exact_agrees_with_float(self, inputs, capsys):
+        docs = {}
+        for mode in ("exact", "float"):
+            code, docs[mode] = run_cli(["--mode", mode, "--tol", "1e-10", "lemma4", *inputs],
+                                       capsys)
+            assert code == 0
+        for key in ("derivative", "expected", "rel_error"):
+            assert abs(docs["exact"][key] - docs["float"][key]) <= 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ["--c", "-1", "inner", "--f", QUARTER, "--g", QUARTER],
+    ["--tol", "0", "inner", "--f", QUARTER, "--g", QUARTER],
+    ["--depth", "0", "inner", "--f", QUARTER, "--g", QUARTER],
+    ["nparticle", "--f", QUARTER, "--g", QUARTER, "--n", "-1"],
+    ["lemma4", "--random", "-1"],
+    ["lemma4", "--family", '[[[0,1,0.125,0]]]', "--coeffs", "[[1,0],[1,0]]"],
+    ["lemma4", "--family", '[[[0,1,0.125,0]]]', "--coeffs", "[[1]]"],
+    ["lemma4", "--family", '[[[1,0,0.125,0]]]', "--coeffs", "[[1,0]]"],
+    ["contraction", "--op", DILATION, "--family", '[[[1,0,0.125,0]]]'],
+    ["selfadjoint", "--op", REFLECTION, "--family", '[[[0,1,0.125]]]'],
+])
+def test_usage_errors_exit_3(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
 
 class TestDeterminism:
     def test_identical_seeds_identical_bytes(self):

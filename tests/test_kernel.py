@@ -1,0 +1,200 @@
+"""Reference tests for the value-signature kernel of ``stepfn``.
+
+``refine``, ``IntervalSet.intersect`` and ``restrict`` are linear sweeps,
+and every pairwise Fock quantity is read off ``value_signature``.  The
+references here are the direct quadratic constructions they replace.
+"""
+
+import cmath
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from quadfock import (
+    FockConfig,
+    IntervalSet,
+    PiecewiseAffineMap,
+    StepFunction,
+    counterexample_report,
+    exp_inner_closed,
+    inner,
+    moments,
+    restrict,
+)
+from quadfock.families import random_family
+from quadfock.scalars import ExactComplex
+from quadfock.stepfn import refine, value_signature
+
+
+def value_at(f: StepFunction, x):
+    """The value of f at x by a linear scan of its segments."""
+    for l, r, v in f.segments:
+        if l <= x < r:
+            return v
+    return 0
+
+
+def reference_cells(f: StepFunction, g: StepFunction) -> list:
+    """Cells between consecutive breakpoints of f or g where one is nonzero."""
+    pts = sorted(set(f.breakpoints()) | set(g.breakpoints()))
+    cells = []
+    for l, r in zip(pts, pts[1:]):
+        vf, vg = value_at(f, l), value_at(g, l)
+        if vf != 0 or vg != 0:
+            cells.append((l, r, vf, vg))
+    return cells
+
+
+def ec(re, im=0):
+    return ExactComplex(Fraction(re), Fraction(im))
+
+
+values = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(
+    lambda t: ExactComplex(Fraction(t[0], 16), Fraction(t[1], 16)))
+
+
+@st.composite
+def step_functions(draw):
+    """Up to 4 segments on the grid k/4 in [0, 6]; consecutive segments may
+    touch, and a zero value (dropped by canonicalization) may leave the zero
+    function."""
+    n = draw(st.integers(0, 4))
+    cuts = draw(st.lists(st.integers(0, 24), min_size=n + 1, max_size=n + 1,
+                         unique=True).map(sorted)) if n else []
+    segs = []
+    for l, r in zip(cuts, cuts[1:]):
+        if draw(st.booleans()):  # otherwise a gap
+            segs.append((Fraction(l, 4), Fraction(r, 4), draw(values)))
+    return StepFunction.from_segments(segs)
+
+
+def chi(l, r, v):
+    return StepFunction.indicator(l, r, v)
+
+
+DISJOINT = (chi(0, 1, ec(Fraction(1, 4))), chi(2, 3, ec(0, Fraction(1, 8))))
+TOUCHING = (chi(0, 1, ec(Fraction(1, 4))), chi(1, 2, ec(Fraction(1, 8))))
+NESTED = (StepFunction.from_segments([(0, 1, ec(Fraction(1, 4))),
+                                      (1, 3, ec(Fraction(-1, 8), Fraction(1, 16)))]),
+          chi(Fraction(1, 2), 2, ec(Fraction(3, 16))))
+ZERO = (StepFunction.zero(), chi(0, 1, ec(Fraction(1, 4))))
+
+
+@given(step_functions(), step_functions())
+@example(*DISJOINT)
+@example(*TOUCHING)
+@example(*NESTED)
+@example(*ZERO)
+@example(StepFunction.zero(), StepFunction.zero())
+def test_refine_matches_value_at_scan(f, g):
+    assert list(refine(f, g)) == reference_cells(f, g)
+    assert list(refine(g, f)) == reference_cells(g, f)
+
+
+@given(step_functions(), step_functions(), st.integers(1, 6))
+@example(*DISJOINT, 3)
+@example(*NESTED, 5)
+@example(*ZERO, 2)
+@settings(max_examples=60)
+def test_exact_moments_match_cell_sum(f, g, K):
+    m = moments(f, g, K)
+    for k in range(1, K + 1):
+        expected = 0
+        for l, r, vf, vg in reference_cells(f, g):
+            if vf != 0 and vg != 0:
+                expected = expected + (r - l) * ((vf ** k).conjugate() * vg ** k)
+        assert m[k] == expected
+        assert type(m[k]) is type(expected)
+
+
+@given(step_functions(), step_functions())
+@example(*NESTED)
+@example(*ZERO)
+def test_signature_total_length_is_overlap(f, g):
+    overlap = f.support().intersect(g.support()).measure()
+    assert sum(value_signature(f, g).values()) == overlap
+
+
+def _intersect_reference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    return IntervalSet.from_intervals(
+        (max(al, bl), min(ar, br)) for al, ar in a.intervals for bl, br in b.intervals)
+
+
+@given(step_functions(), step_functions())
+@example(*TOUCHING)
+@example(*ZERO)
+def test_intersect_and_restrict_match_double_loop(f, g):
+    e = g.support()
+    assert f.support().intersect(e) == _intersect_reference(f.support(), e)
+    segs = [(max(l, el), min(r, er), v)
+            for l, r, v in f.segments for el, er in e.intervals if max(l, el) < min(r, er)]
+    assert restrict(f, e) == StepFunction.from_segments(segs)
+    phi = PiecewiseAffineMap.from_pieces([(l, r, -1, 7) for l, r, _ in f.segments])
+    assert phi.restrict(e).domain() == _intersect_reference(phi.domain(), e)
+
+
+def as_float(f: StepFunction) -> StepFunction:
+    return StepFunction.from_json(f.to_json())
+
+
+@given(step_functions(), step_functions())
+@example(*NESTED)
+@settings(max_examples=60)
+def test_exact_and_float_backends_agree_on_dyadic_inputs(f, g):
+    # values k/16 with |k| <= 5 keep sup|f| < 1/2, so the closed form exists
+    ff, gf = as_float(f), as_float(g)
+    assert complex(inner(f, g)) == pytest.approx(inner(ff, gf), rel=1e-13, abs=1e-15)
+    for a, b in zip(moments(f, g, 8).entries, moments(ff, gf, 8).entries):
+        assert complex(a) == pytest.approx(b, rel=1e-12, abs=1e-15)
+    cfg = FockConfig()
+    assert exp_inner_closed(f, g, FockConfig(c=Fraction(1))) == \
+        pytest.approx(exp_inner_closed(ff, gf, cfg), rel=1e-13)
+
+
+# --- 50-digit oracle ---------------------------------------------------------
+
+C_VALUES = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
+
+
+def _mp_closed(mpmath, f, g, c):
+    """exp(-(c/2) * sum over cells of L * log(1 - 4 conj(f) g)), 50 digits."""
+    def mpc(v):
+        v = ExactComplex.of(v)
+        return mpmath.mpc(mpmath.mpf(v.re.numerator) / v.re.denominator,
+                          mpmath.mpf(v.im.numerator) / v.im.denominator)
+
+    total = mpmath.mpc(0)
+    for l, r, vf, vg in reference_cells(f, g):
+        if vf != 0 and vg != 0:
+            u = mpc(vf).conjugate() * mpc(vg)
+            total += mpmath.mpf((r - l).numerator) / (r - l).denominator * mpmath.log(1 - 4 * u)
+    return mpmath.exp(-mpmath.mpf(c.numerator) / c.denominator / 2 * total)
+
+
+@pytest.mark.parametrize("c", C_VALUES)
+def test_closed_form_against_mpmath(c):
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(int(4 * c))
+    cfg = FockConfig(c=float(c))
+    for _ in range(10):
+        f, g = random_family(rng, 2, max_abs=0.45)
+        with mpmath.workdps(50):
+            want = complex(_mp_closed(mpmath, f, g, c))
+        assert cmath.isclose(exp_inner_closed(f, g, cfg), want, rel_tol=1e-13), (f, g)
+
+
+@pytest.mark.parametrize("c", C_VALUES)
+def test_counterexample_against_mpmath(c):
+    mpmath = pytest.importorskip("mpmath")
+    rep = counterexample_report(FockConfig(c=float(c)))
+    with mpmath.workdps(50):
+        cm = mpmath.mpf(c.numerator) / c.denominator
+        lhs = mpmath.power(mpmath.mpf(3) / 4, -cm / 4)
+        rhs = mpmath.power(mpmath.mpf(7) / 8, -cm / 2)
+        gap = float(abs(lhs - rhs))
+    assert cmath.isclose(rep.lhs, complex(lhs), rel_tol=1e-14)
+    assert cmath.isclose(rep.rhs, complex(rhs), rel_tol=1e-14)
+    assert rep.gap == pytest.approx(gap, rel=1e-9)
