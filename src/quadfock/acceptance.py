@@ -22,7 +22,7 @@ from .fock import (
     gram_min_eig,
     moments,
     n_particle_inner_partition,
-    n_particle_inner_rec,
+    n_particle_table,
     partition_coefficient,
     partitions_multiplicity,
 )
@@ -74,9 +74,9 @@ def criterion_2(seed: int = 0, pairs: int = 50) -> dict:
         fe = random_family(rng, 1, exact=True)[0]
         ge = random_family(rng, 1, exact=True)[0]
         m = moments(fe, ge, 8)
+        table = n_particle_table(m, 8, cfg_exact)
         for n in range(9):
-            if n_particle_inner_rec(m, n, cfg_exact) != \
-                    n_particle_inner_partition(m, n, cfg_exact, "corrected"):
+            if table.a[n] != n_particle_inner_partition(m, n, cfg_exact, "corrected"):
                 exact_ok = False
         f = StepFunction.from_json(fe.to_json())
         g = StepFunction.from_json(ge.to_json())

@@ -9,6 +9,7 @@ text, a file path, or ``-`` for stdin.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import random
 import sys
@@ -67,7 +68,7 @@ def _parse_step(text: str, exact: bool) -> StepFunction:
     data = _load_json(text)
     try:
         return StepFunction.from_json(data, exact=exact)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliInputError(f"invalid step function: {exc}") from exc
 
 
@@ -75,7 +76,7 @@ def _parse_operator(text: str, exact: bool) -> QuadOperator:
     data = _load_json(text)
     try:
         return QuadOperator.from_json(data, exact=exact)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliInputError(f"invalid operator: {exc}") from exc
 
 
@@ -191,7 +192,9 @@ def cmd_lemma4(args) -> int:
     elif family and args.coeffs:
         try:
             coeffs = [complex(re, im) for re, im in _load_json(args.coeffs)]
-        except (TypeError, ValueError) as exc:
+            if not all(map(cmath.isfinite, coeffs)):
+                raise ValueError("non-finite coefficient")
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CliInputError(f"invalid --coeffs: {exc}") from exc
     else:
         raise CliInputError("provide --family and --coeffs, or --random K")
@@ -217,9 +220,17 @@ def _resolve_family(args, exact: bool, rng: random.Random):
         data = _load_json(args.family)
         try:
             return [StepFunction.from_json(item, exact=exact) for item in data]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CliInputError(f"invalid --family: {exc}") from exc
     return []
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of --c, --tol and --t: a finite float."""
+    x = float(text)
+    if not cmath.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
 
 
 def _nonnegative_int(text: str) -> int:
@@ -237,11 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadfock",
         description="Verification CLI for quadratic Fock space identities.")
-    parser.add_argument("--c", type=float, default=1.0,
+    parser.add_argument("--c", type=_finite_float, default=1.0,
                         help="representation constant (default 1.0)")
     parser.add_argument("--depth", type=int, default=40,
                         help="series truncation depth (default 40)")
-    parser.add_argument("--tol", type=float, default=1e-10,
+    parser.add_argument("--tol", type=_finite_float, default=1e-10,
                         help="numeric tolerance (default 1e-10)")
     parser.add_argument("--mode", choices=["exact", "float"], default="float",
                         help="scalar backend (default float)")
@@ -279,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True)
     p.add_argument("--family")
     p.add_argument("--random", type=_nonnegative_int, metavar="K")
-    p.add_argument("--t", type=float, default=1.0, help="Gram scale parameter")
+    p.add_argument("--t", type=_finite_float, default=1.0, help="Gram scale parameter")
     p.set_defaults(func=cmd_contraction)
 
     p = sub.add_parser("lemma4", help="derivative identity of the Gram form")

@@ -78,7 +78,11 @@ def moments(f: StepFunction, g: StepFunction, K: int) -> MomentSequence:
     """m_k = <f^k, g^k> = sum over the value signature of L_u * u^k, k = 1..K."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    sig = value_signature(f, g)
+    return _signature_moments(value_signature(f, g), K)
+
+
+def _signature_moments(sig: dict, K: int) -> MomentSequence:
+    """m_k = sum L_u u^k, k = 1..K, from a value signature u -> L_u."""
     us, terms = list(sig), list(sig.values())
     entries = []
     for _ in range(K):
@@ -157,34 +161,31 @@ def partition_coefficient(multi: dict[int, int], n: int, mode: str) -> Fraction:
 
     The two differ per multi-index by exactly 2^{(sum_j i_j) - 1}.
     """
-    fact_sq = Fraction(math.factorial(n)) ** 2
-    denom_fact = 1
-    for j, ij in multi.items():
-        denom_fact *= math.factorial(ij)
     if mode == "corrected":
-        coef = fact_sq * (4 ** n)
-        for j, ij in multi.items():
-            coef *= Fraction(1, (2 * j) ** ij)
-        return coef / denom_fact
-    if mode == "as_printed":
-        denom_pow = 1
-        for j, ij in multi.items():
-            if j >= 2:
-                denom_pow *= j ** ij
-        return fact_sq * (2 ** (2 * n - 1)) / Fraction(denom_fact * denom_pow)
-    raise ValueError(f"unknown mode {mode!r}")
+        base, den = 2, 1
+    elif mode == "as_printed":
+        base, den = 1, 2
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    for j, ij in multi.items():
+        den *= (base * j) ** ij * math.factorial(ij)
+    return Fraction(math.factorial(n) ** 2 << (2 * n), den)
 
 
 def partition_terms(m: MomentSequence, n: int, cfg: FockConfig,
                     mode: str = "corrected"):
     """Yields (multi_index, coefficient, term) in deterministic order."""
     c = cfg.c
+    powers: dict = {}
     for multi in partitions_multiplicity(n):
         coef = partition_coefficient(multi, n, mode)
         q = sum(multi.values())
         term = coef * (c ** q)
         for j, ij in multi.items():
-            term = term * (m[j] ** ij)
+            mj = powers.get((j, ij))
+            if mj is None:
+                mj = powers[(j, ij)] = m[j] ** ij
+            term = term * mj
         yield multi, coef, term
 
 
@@ -241,10 +242,21 @@ def _log_integral(f: StepFunction, g: StepFunction, t: float = 1.0) -> complex:
     return total
 
 
+def _exp_closed(log_integral: complex, cfg: FockConfig) -> complex:
+    """exp(-c/2 * log_integral); a DomainError where that leaves the doubles."""
+    exponent = -float(cfg.c) / 2 * log_integral
+    if cmath.isfinite(exponent):
+        try:
+            return cmath.exp(exponent)
+        except OverflowError:
+            pass
+    raise DomainError(f"closed form exp({exponent}) overflows double precision")
+
+
 def exp_inner_closed(f: StepFunction, g: StepFunction, cfg: FockConfig) -> complex:
     """<Psi(f), Psi(g)> = exp(-c/2 * integral of log(1 - 4 conj(f) g))."""
     _require_admissible(f, g)
-    return cmath.exp(-float(cfg.c) / 2 * _log_integral(f, g))
+    return _exp_closed(_log_integral(f, g), cfg)
 
 
 def exp_inner_closed_scaled(f: StepFunction, g: StepFunction, t: float,
@@ -255,7 +267,7 @@ def exp_inner_closed_scaled(f: StepFunction, g: StepFunction, t: float,
     negative t (used for centered difference quotients at t = 0)."""
     if abs(t) * f.sup_norm() * g.sup_norm() >= 0.25:
         raise DomainError(f"scale t = {t} leaves the admissible region")
-    return cmath.exp(-float(cfg.c) / 2 * _log_integral(f, g, t))
+    return _exp_closed(_log_integral(f, g, t), cfg)
 
 
 def exp_inner_series(f: StepFunction, g: StepFunction,
@@ -272,21 +284,24 @@ def exp_inner_series(f: StepFunction, g: StepFunction,
     if x >= 1.0:
         raise DomainError("sup|f| * sup|g| >= 1/4; series does not converge")
     N = cfg.depth
-    m = moments(f, g, N) if not (f.is_zero() or g.is_zero()) else None
-    if m is None:
+    if f.is_zero() or g.is_zero():
         return (1.0 + 0.0j, 0.0)
-    b = _b_sequence(m, N, cfg)
+    sig = value_signature(f, g)
+    b = _b_sequence(_signature_moments(sig, N), N, cfg)
     value = sum((complex(bn) for bn in b), 0j)
 
-    overlap = sum(value_signature(f, g).values())
+    overlap = sum(sig.values())
     beta = float(cfg.c) * float(overlap) / 2.0
     # dominating scalar series: d_n = [t^n] (1 - x t)^(-beta)
     d, partial = 1.0, 1.0
     for nn in range(1, N + 1):
         d = d * x * (nn - 1 + beta) / nn
         partial += d
-    tail = max((1.0 - x) ** (-beta) - partial, 0.0)
-    if tail > cfg.tol:
+    try:
+        tail = max((1.0 - x) ** (-beta) - partial, 0.0)
+    except OverflowError:
+        tail = math.inf
+    if not tail <= cfg.tol:  # also when the dominating series overflowed to nan
         raise UnconvergedError(
             f"tail bound {tail:.3e} exceeds tol {cfg.tol:.3e} at depth {N}")
     return (value, tail)

@@ -2,8 +2,11 @@
 
 Two interchangeable scalar types flow through the step-function algebra:
 
-* ``ExactComplex`` -- a Gaussian rational (rational real and imaginary
-  parts), used when identities must hold with zero tolerance.
+* ``ExactComplex`` -- a Gaussian rational, used when identities must hold
+  with zero tolerance.  It is stored as three ints ``(a, b, d)`` meaning
+  ``(a + b*i) / d``, with ``d > 0`` and ``gcd(a, b, d) == 1``, so every
+  value has exactly one representation and ``==`` and ``hash`` compare the
+  ints directly.
 * Python ``complex`` -- the double-precision backend.
 
 Library code stays generic by using the helpers below instead of touching
@@ -12,8 +15,8 @@ the concrete type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
 
 
@@ -25,21 +28,51 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot convert {x!r} to Fraction")
 
 
-def _as_exact_or_none(x):
-    """Coerce ints and rationals for mixed arithmetic; None if not exact."""
-    if isinstance(x, ExactComplex):
-        return x
-    if isinstance(x, int) or isinstance(x, Rational):
-        return ExactComplex(Fraction(x), Fraction(0))
+def _new(a: int, b: int, d: int) -> "ExactComplex":
+    """(a + b*i) / d for d > 0, reduced by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    z = object.__new__(ExactComplex)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _parts(x):
+    """(a, b, d) of an ExactComplex, int or rational; None if not exact."""
+    if type(x) is ExactComplex:
+        return x._a, x._b, x._d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Rational):
+        return int(x.numerator), 0, int(x.denominator)
     return None
 
 
-@dataclass(frozen=True)
 class ExactComplex:
     """Complex number with exact rational real and imaginary parts."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re, im):
+        re, im = _frac(re), _frac(im)
+        p, q = re.denominator, im.denominator
+        d = p // gcd(p, q) * q
+        self._a = re.numerator * (d // p)
+        self._b = im.numerator * (d // q)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def of(x) -> "ExactComplex":
@@ -47,76 +80,93 @@ class ExactComplex:
         if isinstance(x, ExactComplex):
             return x
         if isinstance(x, complex):
-            return ExactComplex(Fraction(x.real), Fraction(x.imag))
-        return ExactComplex(_frac(x), Fraction(0))
+            return ExactComplex(x.real, x.imag)
+        return ExactComplex(x, 0)
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
+        return _new(self._a, -self._b, self._d)
 
     def abs_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __add__(self, other):
-        o = _as_exact_or_none(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return ExactComplex(self.re + o.re, self.im + o.im)
+        a, b, d = o
+        e = self._d
+        if d == e:
+            return _new(self._a + a, self._b + b, d)
+        return _new(self._a * d + a * e, self._b * d + b * e, e * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _as_exact_or_none(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return ExactComplex(self.re - o.re, self.im - o.im)
+        a, b, d = o
+        e = self._d
+        if d == e:
+            return _new(self._a - a, self._b - b, d)
+        return _new(self._a * d - a * e, self._b * d - b * e, e * d)
 
     def __rsub__(self, other):
-        o = _as_exact_or_none(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return ExactComplex(o.re - self.re, o.im - self.im)
+        a, b, d = o
+        e = self._d
+        if d == e:
+            return _new(a - self._a, b - self._b, d)
+        return _new(a * e - self._a * d, b * e - self._b * d, e * d)
 
     def __neg__(self) -> "ExactComplex":
-        return ExactComplex(-self.re, -self.im)
+        return _new(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = _as_exact_or_none(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return ExactComplex(self.re * o.re - self.im * o.im,
-                            self.re * o.im + self.im * o.re)
+        a, b, d = o
+        sa, sb = self._a, self._b
+        return _new(sa * a - sb * b, sa * b + sb * a, self._d * d)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = ExactComplex(Fraction(1), Fraction(0))
-        base = self
+        a, b = 1, 0
+        ba, bb = self._a, self._b
+        d = self._d ** k
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                a, b = a * ba - b * bb, a * bb + b * ba
+            ba, bb = ba * ba - bb * bb, 2 * ba * bb
             k >>= 1
-        return out
+        return _new(a, b, d)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, ExactComplex):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, Rational) or isinstance(other, int):
-            return self.im == 0 and self.re == other
+        if type(other) is ExactComplex:
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, int) or isinstance(other, Rational):
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
         if isinstance(other, (float, complex)):
             return complex(self) == complex(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def __repr__(self) -> str:
         return f"ExactComplex({self.re!s}, {self.im!s})"

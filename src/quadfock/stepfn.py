@@ -150,7 +150,9 @@ class StepFunction:
         segs = []
         for item in data:
             l, r, re, im = item
-            v = ExactComplex(_frac(re), _frac(im)) if exact else complex(re, im)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in item):
+                raise ValueError(f"non-finite number in segment {item!r}")
+            v = ExactComplex(re, im) if exact else complex(re, im)
             segs.append((l, r, v))
         return StepFunction.from_segments(segs)
 

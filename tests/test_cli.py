@@ -138,11 +138,34 @@ class TestContractionAndLemma4:
     ["lemma4", "--family", '[[[1,0,0.125,0]]]', "--coeffs", "[[1,0]]"],
     ["contraction", "--op", DILATION, "--family", '[[[1,0,0.125,0]]]'],
     ["selfadjoint", "--op", REFLECTION, "--family", '[[[0,1,0.125]]]'],
+    ["inner", "--f", '[[0,1,NaN,0]]', "--g", QUARTER],
+    ["inner", "--f", '[[0,1,Infinity,0]]', "--g", QUARTER],
+    ["inner", "--f", '[[0,Infinity,0.1,0]]', "--g", QUARTER],
+    ["contraction", "--op", DILATION, "--random", "2", "--t", "nan"],
+    ["--c", "inf", "inner", "--f", QUARTER, "--g", QUARTER],
+    ["selfadjoint", "--op", '{"E": [[0,Infinity]], "h": [[0,1,0.9,0]], "phi": [[0,1,-1,1]]}'],
+    ["selfadjoint", "--op", '{"E": [[0,1]], "h": [[0,1,NaN,0]], "phi": [[0,1,-1,1]]}'],
+    ["selfadjoint", "--op", REFLECTION, "--family", '[[[0,1,-Infinity,0]]]'],
+    ["lemma4", "--family", '[[[0,1,0.125,0]]]', "--coeffs", "[[NaN,0]]"],
 ])
 def test_usage_errors_exit_3(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 3
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    # exp(-(1/2) * 1e308 * log(3/4)) overflows double precision
+    (["inner", "--f", '[[0,1e308,0.25,0]]', "--g", '[[0,1e308,0.25,0]]'], 2),
+    (["--c", "1e300", "counterexample"], 2),
+    # the closed form underflows to 0, and the series tail bound overflows
+    (["inner", "--f", '[[0,1e308,0.25,0]]', "--g", '[[0,1e308,-0.25,0]]'], 1),
+])
+def test_overflow_is_reported_not_raised(argv, code, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
 

@@ -128,7 +128,56 @@ class TestNParticle:
             assert table.a[n].im == 0 and table.a[n].re >= 0 if n else True
 
 
+    @pytest.mark.parametrize("cfg", [CFG_EXACT, FockConfig(c=Fraction(3, 2)), CFG])
+    def test_table_matches_recursion(self, cfg):
+        rng = random.Random(3)
+        for _ in range(5):
+            f, g = random_family(rng, 2, exact=cfg is not CFG)
+            m = moments(f, g, 12)
+            table = n_particle_table(m, 12, cfg)
+            for n in range(13):
+                assert table.a[n] == n_particle_inner_rec(m, n, cfg)
+
+    def test_partition_sum_equals_recursion_at_n20(self):
+        rng = random.Random(20)
+        f, g = random_family(rng, 2, exact=True)
+        m = moments(f, g, 20)
+        assert n_particle_inner_partition(m, 20, CFG_EXACT) == \
+            n_particle_inner_rec(m, 20, CFG_EXACT)
+
+
+def reference_partition_coefficient(multi, n, mode):
+    """The coefficient as a product of Fraction factors, term by term."""
+    fact_sq = Fraction(math.factorial(n)) ** 2
+    denom_fact = 1
+    for ij in multi.values():
+        denom_fact *= math.factorial(ij)
+    if mode == "corrected":
+        coef = fact_sq * (4 ** n)
+        for j, ij in multi.items():
+            coef *= Fraction(1, (2 * j) ** ij)
+        return coef / denom_fact
+    denom_pow = 1
+    for j, ij in multi.items():
+        if j >= 2:
+            denom_pow *= j ** ij
+    return fact_sq * Fraction(2) ** (2 * n - 1) / Fraction(denom_fact * denom_pow)
+
+
 class TestPartitions:
+    @pytest.mark.parametrize("mode", ["corrected", "as_printed"])
+    def test_coefficient_matches_fraction_products(self, mode):
+        for n in range(11):
+            for multi in partitions_multiplicity(n):
+                got = partition_coefficient(multi, n, mode)
+                assert type(got) is Fraction
+                assert got == reference_partition_coefficient(multi, n, mode)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            partition_coefficient({1: 1}, 1, "printed")
+
+
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 3), (4, 5),
                                          (5, 7), (6, 11), (8, 22)])
     def test_partition_counts(self, n, count):

@@ -1,0 +1,100 @@
+"""Reference tests for the exact scalar backend.
+
+``ExactComplex`` stores (a + b*i) / d as three ints.  The reference here is
+the representation it replaces: a pair of ``Fraction``s, with the textbook
+formulas for every operation.
+"""
+
+import operator
+from fractions import Fraction
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from quadfock.scalars import ExactComplex
+
+
+def ref(x) -> tuple:
+    """(re, im) as Fractions of an ExactComplex, int or Fraction."""
+    if isinstance(x, ExactComplex):
+        return (x.re, x.im)
+    return (Fraction(x), Fraction(0))
+
+
+def ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def ref_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_pow(x, k):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = ref_mul(out, x)
+    return out
+
+
+REF = {operator.add: ref_add, operator.sub: ref_sub, operator.mul: ref_mul}
+
+fractions_ = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 48))
+exacts = st.builds(ExactComplex, fractions_, fractions_)
+operands = st.one_of(exacts, st.integers(-5, 5), fractions_,
+                     st.just(0), st.just(Fraction(0)))
+ZERO = ExactComplex(0, 0)
+HALF_I = ExactComplex(0, Fraction(1, 2))
+
+
+@given(exacts, operands, st.sampled_from(sorted(REF, key=repr)))
+@example(ZERO, 0, operator.mul)
+@example(ZERO, ZERO, operator.sub)
+@example(HALF_I, Fraction(2), operator.mul)
+@example(ExactComplex(Fraction(1, 2), Fraction(1, 2)),
+         ExactComplex(Fraction(1, 2), Fraction(-1, 2)), operator.add)
+def test_arithmetic_matches_fraction_pairs(x, y, op):
+    for a, b in ((x, y), (y, x)):  # both the forward and the reflected method
+        got = op(a, b)
+        assert type(got) is ExactComplex
+        assert (got.re, got.im) == REF[op](ref(a), ref(b))
+
+
+@given(exacts, st.integers(0, 7))
+@example(ZERO, 0)
+@example(ExactComplex(Fraction(1, 2), Fraction(1, 2)), 2)
+def test_pow_matches_repeated_product(x, k):
+    got = x ** k
+    assert (got.re, got.im) == ref_pow(ref(x), k)
+
+
+@given(exacts, operands)
+@example(ZERO, 0)
+@example(ExactComplex(Fraction(3, 6), 0), Fraction(1, 2))
+@example(ExactComplex(2, 0), 2)
+@example(HALF_I, Fraction(1, 2))
+def test_unary_and_comparisons_match_fraction_pairs(x, y):
+    re, im = ref(x)
+    assert (x.conjugate().re, x.conjugate().im) == (re, -im)
+    assert ((-x).re, (-x).im) == (-re, -im)
+    assert x.abs_sq() == re * re + im * im
+    assert type(x.abs_sq()) is Fraction
+    assert bool(x) == bool(re or im)
+    assert complex(x) == complex(float(re), float(im))
+    assert (x == y) == (ref(x) == ref(y))
+    assert (y == x) == (ref(x) == ref(y))
+    assert (x != y) == (ref(x) != ref(y))
+    if isinstance(y, ExactComplex) and x == y:
+        assert hash(x) == hash(y)
+
+
+@given(exacts, exacts)
+def test_one_representation_per_value(x, y):
+    """The same value reached by different routes is equal and hashes equal."""
+    for other in ((x + y) - y, x * 3 * Fraction(1, 3), (x * y - x * y) + x):
+        assert other == x and hash(other) == hash(x)
+    re, im = ref(x)
+    assert repr(x) == f"ExactComplex({re!s}, {im!s})"
