@@ -4,8 +4,12 @@ Every quantity of a pair (f, g) here depends on it only through
 ``stepfn.value_signature(f, g)``: the total length L_u carrying each value
 u of conj(f) * g.  The moments are ``m_k = <f^k, g^k> = sum L_u u^k``, the
 closed form below integrates ``log(1 - 4u)`` against it, and the series
-tail uses its total length.  The n-particle inner products ``a_n`` obey
-the recursion
+tail uses its total length.  Each pair's signature is built once per call
+and every quantity is read off it: a Gram matrix sweeps only the pairs
+i <= j, because the signature of (g, f) is that of (f, g) with conjugated
+keys, and fills the rest by Hermitian symmetry.
+
+The n-particle inner products ``a_n`` obey the recursion
 
     n * b_n = c * sum_{k=0}^{n-1} 2^(2k+1) * m_{k+1} * b_{n-k-1},
     b_n = a_n / (n!)^2,   b_0 = 1,
@@ -23,6 +27,7 @@ the coefficient of F directly; see ``n_particle_inner_partition`` for the
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +40,7 @@ from .stepfn import StepFunction, value_signature
 from .stepfn import inner  # noqa: F401  perfbench/test_trace.py reads quadfock.fock.inner
 
 ADMISSIBLE_SUP_SQ = Fraction(1, 4)  # existence radius: sup norm < 1/2
+MAX_DEPTH = 2000  # moments and the series recursion hold and loop over every term
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,8 @@ class FockConfig:
     def __post_init__(self):
         if not (float(self.c) > 0):
             raise ValueError("c must be positive")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise ValueError(f"depth must be in 1..{MAX_DEPTH}")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
 
@@ -91,14 +97,19 @@ def _signature_moments(sig: dict, K: int) -> MomentSequence:
     return MomentSequence(tuple(entries))
 
 
-def _b_sequence(m: MomentSequence, n: int, cfg: FockConfig) -> list:
-    """Normalized coefficients b_0..b_n of the generating function."""
-    c = cfg.c
+def _moment_weights(m: MomentSequence, n: int) -> list:
+    """w_k = 2^(2k+1) m_{k+1} for k = 0..n-1, the weights of the recursion."""
+    return [(2 ** (2 * k + 1)) * mk for k, mk in enumerate(m.entries[:n])]
+
+
+def _b_sequence(w: Sequence, n: int, c) -> list:
+    """Normalized coefficients b_0..b_n of the generating function from the
+    weights w_k = 2^(2k+1) m_{k+1}:  n b_n = c * sum_k w_k b_{n-k-1}."""
     b = [1]
     for nn in range(1, n + 1):
         acc = 0
         for k in range(nn):
-            acc = acc + (2 ** (2 * k + 1)) * (m[k + 1] * b[nn - k - 1])
+            acc = acc + w[k] * b[nn - k - 1]
         b.append((c / nn) * acc)
     return b
 
@@ -111,12 +122,12 @@ def n_particle_inner_rec(m: MomentSequence, n: int, cfg: FockConfig):
         return 1
     if len(m) < n:
         raise ValueError(f"need at least {n} moments, got {len(m)}")
-    b = _b_sequence(m, n, cfg)
+    b = _b_sequence(_moment_weights(m, n), n, cfg.c)
     return (math.factorial(n) ** 2) * b[n]
 
 
 def n_particle_table(m: MomentSequence, n_max: int, cfg: FockConfig) -> "NParticleTable":
-    b = _b_sequence(m, n_max, cfg)
+    b = _b_sequence(_moment_weights(m, n_max), n_max, cfg.c)
     a = tuple((math.factorial(n) ** 2) * b[n] for n in range(n_max + 1))
     return NParticleTable(a, tuple(b))
 
@@ -172,21 +183,30 @@ def partition_coefficient(multi: dict[int, int], n: int, mode: str) -> Fraction:
     return Fraction(math.factorial(n) ** 2 << (2 * n), den)
 
 
+@functools.lru_cache(maxsize=16)
+def _partition_table(n: int, mode: str) -> tuple:
+    """(multi-index items, coefficient, q = sum_j i_j) for every partition of
+    n, in ``partitions_multiplicity`` order; it depends on n and mode only."""
+    return tuple((tuple(multi.items()), partition_coefficient(multi, n, mode),
+                  sum(multi.values()))
+                 for multi in partitions_multiplicity(n))
+
+
 def partition_terms(m: MomentSequence, n: int, cfg: FockConfig,
                     mode: str = "corrected"):
-    """Yields (multi_index, coefficient, term) in deterministic order."""
+    """Yields (multi_index, coefficient, term) in deterministic order.
+
+    Each multi-index is a fresh dict, so a caller may change it."""
     c = cfg.c
     powers: dict = {}
-    for multi in partitions_multiplicity(n):
-        coef = partition_coefficient(multi, n, mode)
-        q = sum(multi.values())
+    for items, coef, q in _partition_table(n, mode):
         term = coef * (c ** q)
-        for j, ij in multi.items():
+        for j, ij in items:
             mj = powers.get((j, ij))
             if mj is None:
                 mj = powers[(j, ij)] = m[j] ** ij
             term = term * mj
-        yield multi, coef, term
+        yield dict(items), coef, term
 
 
 def n_particle_inner_partition(m: MomentSequence, n: int, cfg: FockConfig,
@@ -231,20 +251,16 @@ def _require_admissible(*fs: StepFunction) -> None:
                           "exponential vector does not exist")
 
 
-def _log_integral(f: StepFunction, g: StepFunction, t: float = 1.0) -> complex:
-    """integral of log(1 - 4 t conj(f) g), principal branch, exact lengths."""
+def _closed_form(sig: dict, cfg: FockConfig, t: float = 1.0) -> complex:
+    """exp(-c/2 * sum L_u log(1 - 4 t u)) over a value signature, principal
+    branch; a DomainError where the exponent leaves the doubles."""
     total = 0.0 + 0.0j
-    for u, length in value_signature(f, g).items():
+    for u, length in sig.items():
         arg = 1 - 4 * t * complex(u)
         if arg == 0 or arg.real < 0 and arg.imag == 0:
             raise DomainError("log argument on the branch cut; inputs inadmissible")
         total += float(length) * cmath.log(arg)
-    return total
-
-
-def _exp_closed(log_integral: complex, cfg: FockConfig) -> complex:
-    """exp(-c/2 * log_integral); a DomainError where that leaves the doubles."""
-    exponent = -float(cfg.c) / 2 * log_integral
+    exponent = -float(cfg.c) / 2 * total
     if cmath.isfinite(exponent):
         try:
             return cmath.exp(exponent)
@@ -256,7 +272,7 @@ def _exp_closed(log_integral: complex, cfg: FockConfig) -> complex:
 def exp_inner_closed(f: StepFunction, g: StepFunction, cfg: FockConfig) -> complex:
     """<Psi(f), Psi(g)> = exp(-c/2 * integral of log(1 - 4 conj(f) g))."""
     _require_admissible(f, g)
-    return _exp_closed(_log_integral(f, g), cfg)
+    return _closed_form(value_signature(f, g), cfg)
 
 
 def exp_inner_closed_scaled(f: StepFunction, g: StepFunction, t: float,
@@ -267,16 +283,37 @@ def exp_inner_closed_scaled(f: StepFunction, g: StepFunction, t: float,
     negative t (used for centered difference quotients at t = 0)."""
     if abs(t) * f.sup_norm() * g.sup_norm() >= 0.25:
         raise DomainError(f"scale t = {t} leaves the admissible region")
-    return _exp_closed(_log_integral(f, g, t), cfg)
+    return _closed_form(value_signature(f, g), cfg, t)
+
+
+def _up(x: float) -> float:
+    """The next float above x: it bounds from above every real that rounds to x."""
+    return math.nextafter(x, math.inf)
+
+
+def _dominating_tail(x: float, beta: float, N: int) -> float:
+    """Upper bound on sum_{n>N} d_n, d_n = [t^n] (1 - x t)^(-beta), for
+    0 <= x < 1 and beta >= 0, rounding every step up."""
+    r = _up(x * max(1.0, _up(_up(N + 1 + beta) / (N + 2))))
+    gap = math.nextafter(1.0 - r, -math.inf)
+    if not gap > 0:
+        return math.inf
+    d = 1.0
+    for n in range(1, N + 2):
+        d = _up(_up(_up(d * x) * _up(n - 1 + beta)) / n)
+    return _up(d / gap)
 
 
 def exp_inner_series(f: StepFunction, g: StepFunction,
                      cfg: FockConfig) -> tuple[complex, float]:
-    """Truncated series sum_{n<=N} b_n with a rigorous geometric tail bound.
+    """Truncated series sum_{n<=N} b_n with a rigorous tail bound.
 
-    |m_k| <= (sup|f| sup|g|)^k * S with S the overlap length, so |b_n| is
-    dominated by the n-th Taylor coefficient of (1 - 4*rho)^(-c*S/2) at
-    rho = sup|f| sup|g|; the tail bound is the tail of that scalar series.
+    |m_k| <= rho^k * S with rho = sup|f| sup|g| and S the overlap length, so
+    |b_n| <= d_n = [t^n] (1 - x t)^(-beta) with x = 4 rho, beta = c S / 2.
+    For n > N the ratio d_{n+1} / d_n = x (n + beta) / (n + 1) is at most
+    r = x * max(1, (N + 1 + beta) / (N + 2)), so the tail is at most
+    d_{N+1} / (1 - r).  That bound is evaluated rounding every step up, and
+    the float rounding error of summing b_0..b_N is added to it.
     """
     _require_admissible(f, g)
     rho = f.sup_norm() * g.sup_norm()
@@ -287,21 +324,19 @@ def exp_inner_series(f: StepFunction, g: StepFunction,
     if f.is_zero() or g.is_zero():
         return (1.0 + 0.0j, 0.0)
     sig = value_signature(f, g)
-    b = _b_sequence(_signature_moments(sig, N), N, cfg)
-    value = sum((complex(bn) for bn in b), 0j)
+    # w_k = 2^(2k+1) m_{k+1} = sum (L/2) (4u)^(k+1): |4u| < 1 keeps these in
+    # range at any depth, where the factor 2^(2k+1) alone leaves the doubles
+    w = _signature_moments({4 * u: length / 2 for u, length in sig.items()}, N).entries
+    terms = [complex(bn) for bn in _b_sequence(w, N, cfg.c)]
+    value = sum(terms, 0j)
 
-    overlap = sum(sig.values())
-    beta = float(cfg.c) * float(overlap) / 2.0
-    # dominating scalar series: d_n = [t^n] (1 - x t)^(-beta)
-    d, partial = 1.0, 1.0
-    for nn in range(1, N + 1):
-        d = d * x * (nn - 1 + beta) / nn
-        partial += d
-    try:
-        tail = max((1.0 - x) ** (-beta) - partial, 0.0)
-    except OverflowError:
-        tail = math.inf
-    if not tail <= cfg.tol:  # also when the dominating series overflowed to nan
+    beta = _up(float(Fraction(cfg.c) * sum(sig.values()) / 2))
+    # rho carries at most 5 roundings of 2^-53 (two sup norms and their
+    # product); the factor 1 + 2^-50 covers them
+    x = _up(x * (1 + 2.0 ** -50))
+    sum_error = _up((N + 2) * 2.0 ** -52 * sum(abs(z.real) + abs(z.imag) for z in terms))
+    tail = _up(_dominating_tail(x, beta, N) + sum_error)
+    if not tail <= cfg.tol:  # also when the bound overflowed to inf or nan
         raise UnconvergedError(
             f"tail bound {tail:.3e} exceeds tol {cfg.tol:.3e} at depth {N}")
     return (value, tail)
@@ -315,16 +350,33 @@ def exp_inner_series(f: StepFunction, g: StepFunction,
 def gram_matrix(family: Sequence[StepFunction], cfg: FockConfig,
                 t: float = 1.0) -> np.ndarray:
     """G_ij = <Psi(sqrt(t) f_i), Psi(sqrt(t) f_j)>, Hermitian by construction."""
-    bad = [i for i, f in enumerate(family)
-           if abs(t) * f.sup_norm() ** 2 >= 0.25]
-    if bad:
-        raise DomainError(f"sqrt(t)-scaled sup norm >= 1/2 at indices {bad}")
+    return _gram_matrices(family, [t], cfg)[1][0]
+
+
+def _gram_matrices(family: Sequence[StepFunction], ts: Sequence[float],
+                   cfg: FockConfig) -> tuple[dict, list]:
+    """The signature of every pair i <= j of the family, keyed (i, j), and
+    the Gram matrix at each t in ts read off them.
+
+    Only the pairs i <= j are swept: sig(f_j, f_i) is sig(f_i, f_j) with
+    conjugated keys, so G_ji = conj(G_ij)."""
+    sup_sq = [f.sup_norm() ** 2 for f in family]
+    for t in ts:
+        bad = [i for i, s in enumerate(sup_sq) if abs(t) * s >= 0.25]
+        if bad:
+            raise DomainError(f"sqrt(t)-scaled sup norm >= 1/2 at indices {bad}")
     n = len(family)
-    G = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = exp_inner_closed_scaled(family[i], family[j], t, cfg)
-    return G
+    sigs = {(i, j): value_signature(family[i], family[j])
+            for i in range(n) for j in range(i, n)}
+    grams = []
+    for t in ts:
+        G = np.empty((n, n), dtype=complex)
+        for (i, j), sig in sigs.items():
+            z = _closed_form(sig, cfg, t)
+            G[j, i] = z.conjugate()
+            G[i, j] = z  # after the conjugate, so the diagonal keeps z
+        grams.append(G)
+    return sigs, grams
 
 
 def gram_min_eig(G: np.ndarray, tol: float = 1e-10) -> float:

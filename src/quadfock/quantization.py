@@ -18,15 +18,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fock import (FockConfig, exp_inner_closed, exp_inner_series, exp_vector_exists,
-                   gram_matrix, gram_min_eig, moments)
+from .fock import (FockConfig, _closed_form, _gram_matrices, _signature_moments,
+                   exp_inner_closed, exp_inner_series, exp_vector_exists, gram_matrix,
+                   gram_min_eig)
 from .scalars import ExactComplex
 from .stepfn import (
     IntervalSet,
     PiecewiseAffineMap,
     StepFunction,
     compose,
-    inner,
     is_measure_preserving,
     map_compose,
     map_invert,
@@ -222,7 +222,12 @@ class SelfAdjointNumericReport:
 
 def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
                               cfg: FockConfig, depth: int = 8) -> SelfAdjointNumericReport:
-    """Moment-identity and matrix-element defects of Gamma_2(T) over a family."""
+    """Moment-identity and matrix-element defects of Gamma_2(T) over a family.
+
+    Two signatures per ordered pair carry everything: S_ij of (T f_i, f_j)
+    and S*_ij of (T* f_j, f_i).  The signature of (f_i, T f_j) is S_ji with
+    conjugated keys, and that of (f_i, T* f_j) is S*_ij with conjugated keys.
+    """
     tf = [apply_operator(T, f) for f in family]
     for i, (f, g) in enumerate(zip(family, tf)):
         if not (exp_vector_exists(f) and exp_vector_exists(g)):
@@ -230,34 +235,42 @@ def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
 
     T_star = adjoint_operator(T)
     tsf = [apply_operator(T_star, f) for f in family]
+    for j, g in enumerate(tsf):
+        if not exp_vector_exists(g):
+            raise DomainError(f"adjoint image of member {j} is inadmissible")
+
+    n = len(family)
+    S = [[value_signature(tf[i], family[j]) for j in range(n)] for i in range(n)]
+    S_star = [[value_signature(tsf[j], family[i]) for j in range(n)] for i in range(n)]
+
+    def closed(sigs):
+        return np.array([[_closed_form(s, cfg) for s in row] for row in sigs],
+                        dtype=complex).reshape(n, n)
+
+    M, Ms = closed(S), closed(S_star)
+    # m_k of (T f_i, f_j); those of (f_i, T f_j) are their conjugates at (j, i)
+    mom = [[_signature_moments(s, depth).entries for s in row] for row in S]
 
     herm = 0.0
     adj = 0.0
     moment = 0.0
     exact_zero = True
-    n = len(family)
-    M = np.empty((n, n), dtype=complex)
-    Ms = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            M[i, j] = exp_inner_closed(tf[i], family[j], cfg)
-            if not exp_vector_exists(tsf[j]):
-                raise DomainError(f"adjoint image of member {j} is inadmissible")
-            Ms[i, j] = exp_inner_closed(tsf[j], family[i], cfg)
     for i in range(n):
         for j in range(n):
             herm = max(herm, float(abs(M[i, j] - M[j, i].conjugate())))
             adj = max(adj, float(abs(M[i, j] - Ms[i, j].conjugate())))
             # equal signatures force equal moments and log integrals
-            if not (value_signature(tf[i], family[j]) == value_signature(family[i], tf[j])
-                    == value_signature(family[i], tsf[j])):
+            if exact_zero and not (S[i][j] == _conj_keys(S[j][i]) == _conj_keys(S_star[i][j])):
                 exact_zero = False
-            lhs = moments(tf[i], family[j], depth).entries
-            rhs = moments(family[i], tf[j], depth).entries
-            for a, b in zip(lhs, rhs):
-                moment = max(moment, abs(complex(a - b)))
+            for a, b in zip(mom[i][j], mom[j][i]):
+                moment = max(moment, abs(complex(a - b.conjugate())))
 
     return SelfAdjointNumericReport(herm, adj, moment, exact_zero)
+
+
+def _conj_keys(sig: dict) -> dict:
+    """The value signature of (g, f) from that of (f, g)."""
+    return {u.conjugate(): length for u, length in sig.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +346,23 @@ def lemma4_derivative_check(family: Sequence[StepFunction],
         raise ValueError("family and coeffs must have equal length")
     alpha = np.asarray([complex(a) for a in coeffs])
 
-    def q(t: float) -> float:
-        G = gram_matrix(family, cfg, t)
-        return float((alpha.conj() @ G @ alpha).real)
-
     hs = [t0 * 2.0 ** (-6), t0 * 2.0 ** (-7), t0 * 2.0 ** (-8)]
-    central = [(q(h) - q(-h)) / (2 * h) for h in hs]
+    sigs, grams = _gram_matrices(family, [t for h in hs for t in (h, -h)], cfg)
+    q = [float((alpha.conj() @ G @ alpha).real) for G in grams]
+    central = [(q[2 * k] - q[2 * k + 1]) / (2 * h) for k, h in enumerate(hs)]
     richardson = [(4 * d1 - d0) / 3 for d0, d1 in zip(central, central[1:])]
     deriv = richardson[-1]
 
+    # <f_i, f_j> = sum L u over the same signatures, conjugated for j < i
+    def pair_inner(i: int, j: int) -> complex:
+        if j < i:
+            return pair_inner(j, i).conjugate()
+        return complex(sum((length * u for u, length in sigs[i, j].items()), 0))
+
     # ||sum a_i f_i||^2 as the same quadratic form as q(t), valid in both backends
-    norm_sq = float(sum(a.conjugate() * b * complex(inner(fi, fj))
-                        for a, fi in zip(alpha, family)
-                        for b, fj in zip(alpha, family)).real)
+    norm_sq = float(sum(a.conjugate() * b * pair_inner(i, j)
+                        for i, a in enumerate(alpha)
+                        for j, b in enumerate(alpha)).real)
 
     c = float(cfg.c)
     expected = 2 * c * norm_sq

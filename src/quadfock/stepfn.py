@@ -86,16 +86,16 @@ class StepFunction:
         return IntervalSet.from_intervals([(l, r) for l, r, _ in self.segments])
 
     def sup_norm(self) -> float:
-        if not self.segments:
-            return 0.0
-        return max(math.sqrt(float(abs_sq_value(v))) for _, _, v in self.segments)
+        try:
+            return math.sqrt(self.sup_norm_sq())
+        except OverflowError:  # an exact value beyond the doubles
+            return math.inf
 
     def sup_norm_sq(self):
         """max |v|^2, exact when the values are exact."""
         if not self.segments:
             return 0
-        return max((abs_sq_value(v) for _, _, v in self.segments),
-                   key=lambda s: float(s) if isinstance(s, Fraction) else s)
+        return max(abs_sq_value(v) for _, _, v in self.segments)
 
     def l2_norm_sq(self):
         total = 0
@@ -152,7 +152,9 @@ class StepFunction:
             l, r, re, im = item
             if any(isinstance(x, float) and not math.isfinite(x) for x in item):
                 raise ValueError(f"non-finite number in segment {item!r}")
-            v = ExactComplex(re, im) if exact else complex(re, im)
+            v = complex(re, im)  # OverflowError for an int beyond the doubles
+            if exact:
+                v = ExactComplex(re, im)
             segs.append((l, r, v))
         return StepFunction.from_segments(segs)
 

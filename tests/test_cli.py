@@ -9,6 +9,7 @@ from quadfock.cli import main
 QUARTER = '[[0,1,0.25,0]]'
 DILATION = '{"E": [[-8,8]], "h": [[-8,8,1,0]], "phi": [[-8,8,2,0]]}'
 REFLECTION = '{"E": [[0,1]], "h": [[0,1,0.9,0]], "phi": [[0,1,-1,1]]}'
+BIG = "1" + "0" * 400
 
 
 def run_cli(args, capsys):
@@ -147,6 +148,12 @@ class TestContractionAndLemma4:
     ["selfadjoint", "--op", '{"E": [[0,1]], "h": [[0,1,NaN,0]], "phi": [[0,1,-1,1]]}'],
     ["selfadjoint", "--op", REFLECTION, "--family", '[[[0,1,-Infinity,0]]]'],
     ["lemma4", "--family", '[[[0,1,0.125,0]]]', "--coeffs", "[[NaN,0]]"],
+    # exact values must be finite floats too: BIG is 1 followed by 400 zeros
+    ["--mode", "exact", "inner", "--f", f"[[0,1,{BIG},0]]", "--g", '[[0,1,0.1,0]]'],
+    ["--mode", "exact", "nparticle", "--n", "2", "--f", f"[[0,1,{BIG},0]]",
+     "--g", '[[0,1,0.1,0]]'],
+    ["--mode", "exact", "selfadjoint", "--op", REFLECTION, "--family", f"[[[0,1,{BIG},0]]]"],
+    ["--depth", "2001", "inner", "--f", QUARTER, "--g", QUARTER],
 ])
 def test_usage_errors_exit_3(argv, capsys):
     code = main(argv)
@@ -168,6 +175,21 @@ def test_overflow_is_reported_not_raised(argv, code, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+def test_largest_depth_runs(capsys):
+    # MAX_DEPTH terms: the weights 2^(2k+1) m_{k+1} stay in the doubles
+    code, doc = run_cli(["--depth", "2000", "inner", "--f", QUARTER, "--g", QUARTER],
+                        capsys)
+    assert code == 0 and doc["agree"] is True
+
+
+def test_tail_bound_is_positive(capsys):
+    # the true tail is about (4e-4)^61; the old bound cancelled it to 0.0
+    code, doc = run_cli(["--depth", "60", "inner", "--f", '[[0,1,0.01,0]]',
+                         "--g", '[[0,1,0.01,0]]'], capsys)
+    assert code == 0
+    assert doc["tail_bound"] > 0
 
 
 class TestDeterminism:

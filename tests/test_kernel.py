@@ -6,6 +6,7 @@ references here are the direct quadratic constructions they replace.
 """
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -15,13 +16,16 @@ from hypothesis import strategies as st
 
 from quadfock import (
     FockConfig,
+    UnconvergedError,
     IntervalSet,
     PiecewiseAffineMap,
     StepFunction,
     counterexample_report,
     exp_inner_closed,
+    exp_inner_series,
     inner,
     moments,
+    n_particle_table,
     restrict,
 )
 from quadfock.families import random_family
@@ -198,3 +202,45 @@ def test_counterexample_against_mpmath(c):
     assert cmath.isclose(rep.lhs, complex(lhs), rel_tol=1e-14)
     assert cmath.isclose(rep.rhs, complex(rhs), rel_tol=1e-14)
     assert rep.gap == pytest.approx(gap, rel=1e-9)
+
+
+def _mp(mpmath, v):
+    v = ExactComplex.of(v)
+    return mpmath.mpc(mpmath.mpf(v.re.numerator) / v.re.denominator,
+                      mpmath.mpf(v.im.numerator) / v.im.denominator)
+
+
+# the probe whose tail the old bound (1 - x)^(-beta) - partial cancelled to 0.0
+PROBE = (chi(0, 1, ec(Fraction(1, 100))), chi(0, 1, ec(Fraction(1, 100))))
+# a constant pair: b_n equal the dominating coefficients d_n, so the tail
+# bound is tight, and with beta = 9 the ratio d_{n+1} / d_n exceeds x
+CONSTANT = (chi(0, 6, ec(Fraction(5, 16))), chi(0, 6, ec(Fraction(5, 16))))
+
+
+@given(step_functions(), step_functions(), st.sampled_from(C_VALUES), st.integers(1, 30))
+@example(*PROBE, Fraction(1), 30)
+@example(*CONSTANT, Fraction(3), 20)
+@example(*NESTED, Fraction(3), 4)
+@example(*DISJOINT, Fraction(1), 2)
+@settings(max_examples=60, deadline=None)
+def test_series_tail_bound_is_an_upper_bound(f, g, c, N):
+    """The tail bound is at least the true tail sum_{n>N} b_n, in both
+    backends, and in exact mode it also covers the rounding of the sum."""
+    mpmath = pytest.importorskip("mpmath")
+    b = n_particle_table(moments(f, g, N), N, FockConfig(c=c)).b
+    results = {}
+    for backend, x, y, cc in [("exact", f, g, c), ("float", as_float(f), as_float(g), float(c))]:
+        try:
+            results[backend] = exp_inner_series(x, y, FockConfig(c=cc, depth=N, tol=1e300))
+        except UnconvergedError:  # only when the bound is infinite
+            results[backend] = (None, math.inf)
+    with mpmath.workdps(50):
+        closed = _mp_closed(mpmath, f, g, c)
+        true_tail = abs(closed - mpmath.fsum(_mp(mpmath, bn) for bn in b))
+        slack = mpmath.mpf(10) ** -45 * max(1, abs(closed))
+        for _, tail in results.values():
+            assert tail >= true_tail - slack
+            assert tail > 0 or f.is_zero() or g.is_zero()
+        value, tail = results["exact"]
+        if value is not None:
+            assert abs(closed - _mp(mpmath, value)) <= tail + slack

@@ -1,0 +1,221 @@
+"""Reference tests for the one-signature-per-pair sweeps.
+
+``gram_matrix`` sweeps each unordered pair once and fills the lower
+triangle by conjugation; ``check_selfadjoint_numeric`` builds two value
+signatures per ordered pair instead of seven; ``lemma4_derivative_check``
+reads every t and the norm off one signature per unordered pair; and
+``partition_terms`` reads a table of partitions built once per (n, mode).
+The references below are the direct constructions they replace, and the
+results must agree bit for bit in both scalar backends.
+"""
+
+import dataclasses
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadfock import (
+    DomainError,
+    FockConfig,
+    SelfAdjointNumericReport,
+    adjoint_operator,
+    apply_operator,
+    check_contraction_gram,
+    check_selfadjoint_numeric,
+    dilation_operator,
+    exp_inner_closed,
+    exp_inner_closed_scaled,
+    exp_vector_exists,
+    gram_matrix,
+    gram_min_eig,
+    inner,
+    lemma4_derivative_check,
+    moments,
+    partition_terms,
+    partitions_multiplicity,
+    window_radius,
+)
+from quadfock.families import random_family, random_injective_operator, reflection_operator
+from quadfock.quantization import DerivativeCheckReport
+from quadfock.scalars import ExactComplex
+from quadfock.stepfn import value_signature
+
+CFG = {"exact": FockConfig(c=Fraction(1)), "float": FockConfig()}
+
+
+# --- references --------------------------------------------------------------
+
+
+def reference_gram(family, cfg, t=1.0):
+    """The full double loop: one closed form per ordered pair."""
+    bad = [i for i, f in enumerate(family) if abs(t) * f.sup_norm() ** 2 >= 0.25]
+    if bad:
+        raise DomainError(f"sqrt(t)-scaled sup norm >= 1/2 at indices {bad}")
+    n = len(family)
+    G = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            G[i, j] = exp_inner_closed_scaled(family[i], family[j], t, cfg)
+    return G
+
+
+def reference_selfadjoint_numeric(T, family, cfg, depth=8):
+    """Seven signature sweeps per (i, j): two closed forms, three signatures
+    and two moment sequences."""
+    tf = [apply_operator(T, f) for f in family]
+    for i, (f, g) in enumerate(zip(family, tf)):
+        if not (exp_vector_exists(f) and exp_vector_exists(g)):
+            raise DomainError(f"family member {i} or its image is inadmissible")
+    T_star = adjoint_operator(T)
+    tsf = [apply_operator(T_star, f) for f in family]
+    herm = adj = moment = 0.0
+    exact_zero = True
+    n = len(family)
+    M = np.empty((n, n), dtype=complex)
+    Ms = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            M[i, j] = exp_inner_closed(tf[i], family[j], cfg)
+            if not exp_vector_exists(tsf[j]):
+                raise DomainError(f"adjoint image of member {j} is inadmissible")
+            Ms[i, j] = exp_inner_closed(tsf[j], family[i], cfg)
+    for i in range(n):
+        for j in range(n):
+            herm = max(herm, float(abs(M[i, j] - M[j, i].conjugate())))
+            adj = max(adj, float(abs(M[i, j] - Ms[i, j].conjugate())))
+            if not (value_signature(tf[i], family[j]) == value_signature(family[i], tf[j])
+                    == value_signature(family[i], tsf[j])):
+                exact_zero = False
+            lhs = moments(tf[i], family[j], depth).entries
+            rhs = moments(family[i], tf[j], depth).entries
+            for a, b in zip(lhs, rhs):
+                moment = max(moment, abs(complex(a - b)))
+    return SelfAdjointNumericReport(herm, adj, moment, exact_zero)
+
+
+def reference_lemma4(family, coeffs, cfg, t0=1.0):
+    """A full Gram matrix at each of the six t, and the norm from ``inner``."""
+    alpha = np.asarray([complex(a) for a in coeffs])
+
+    def q(t):
+        return float((alpha.conj() @ reference_gram(family, cfg, t) @ alpha).real)
+
+    hs = [t0 * 2.0 ** (-6), t0 * 2.0 ** (-7), t0 * 2.0 ** (-8)]
+    central = [(q(h) - q(-h)) / (2 * h) for h in hs]
+    deriv = [(4 * d1 - d0) / 3 for d0, d1 in zip(central, central[1:])][-1]
+    norm_sq = float(sum(a.conjugate() * b * complex(inner(fi, fj))
+                        for a, fi in zip(alpha, family)
+                        for b, fj in zip(alpha, family)).real)
+    c = float(cfg.c)
+    expected, stated = 2 * c * norm_sq, c * norm_sq
+    abs_err = abs(deriv - expected)
+    return DerivativeCheckReport(deriv, expected, stated, abs_err,
+                                 abs_err / max(abs(expected), 1e-300),
+                                 deriv / stated if stated != 0 else math.nan)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the DomainError it raised."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+def same_report(a, b) -> bool:
+    """Field-wise equality of two reports, NaN matching NaN."""
+    if not dataclasses.is_dataclass(a):
+        return a == b
+    return all(x == y or (x != x and y != y)
+               for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)))
+
+
+# --- inputs --------------------------------------------------------------------
+
+seeds = st.integers(0, 2 ** 32 - 1)
+backends = st.sampled_from(["exact", "float"])
+
+
+def family(seed, size, backend, max_abs=0.3):
+    return random_family(random.Random(seed), size, exact=backend == "exact",
+                         max_abs=max_abs)
+
+
+def operator(kind, seed, fam, backend):
+    exact = backend == "exact"
+    if kind == "injective":
+        return random_injective_operator(random.Random(seed), exact=exact)
+    if kind == "reflection":
+        return reflection_operator(Fraction(9, 10) if exact else 0.9, exact=exact)
+    one = ExactComplex.of(1) if exact else 1.0 + 0j
+    return dilation_operator(window_radius(*fam), 2, one)
+
+
+# --- tests ---------------------------------------------------------------------
+
+
+@given(seeds, st.integers(0, 5), backends,
+       st.sampled_from([1.0, 0.5, 2 ** -6, -2 ** -7, 3.0]))
+@settings(max_examples=60, deadline=None)
+def test_gram_matrix_matches_double_loop(seed, size, backend, t):
+    fam = family(seed, size, backend)
+    got = outcome(gram_matrix, fam, CFG[backend], t)
+    want = outcome(reference_gram, fam, CFG[backend], t)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, got.conj().T)
+
+
+@given(st.sampled_from(["injective", "reflection", "dilation"]), seeds,
+       st.integers(0, 4), backends)
+@settings(max_examples=60, deadline=None)
+def test_selfadjoint_numeric_matches_seven_sweeps(kind, seed, size, backend):
+    fam = family(seed, size, backend)
+    T = operator(kind, seed, fam, backend)
+    assert outcome(check_selfadjoint_numeric, T, fam, CFG[backend]) == \
+        outcome(reference_selfadjoint_numeric, T, fam, CFG[backend])
+
+
+@given(seeds, st.integers(0, 4), backends, st.sampled_from([1.0, 0.5, 4.0]))
+@settings(max_examples=60, deadline=None)
+def test_lemma4_matches_per_t_gram(seed, size, backend, t0):
+    rng = random.Random(seed)
+    fam = family(seed, size, backend, max_abs=0.45)
+    coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in fam]
+    got = outcome(lemma4_derivative_check, fam, coeffs, CFG[backend], t0)
+    want = outcome(reference_lemma4, fam, coeffs, CFG[backend], t0)
+    assert same_report(got, want)
+
+
+@given(st.sampled_from(["injective", "dilation"]), seeds, st.integers(1, 4), backends)
+@settings(max_examples=30, deadline=None)
+def test_contraction_gram_matches_double_loop(kind, seed, size, backend):
+    fam = family(seed, size, backend, max_abs=0.45)
+    T = operator(kind, seed, fam, backend)
+    rep = outcome(check_contraction_gram, T, fam, CFG[backend])
+    G = gram_matrix(fam, CFG[backend])
+    G_T = outcome(reference_gram, [apply_operator(T, f) for f in fam], CFG[backend])
+    if isinstance(G_T, tuple):
+        assert rep == G_T
+    else:
+        assert rep.min_eig == gram_min_eig(G - G_T, tol=1e-10)
+
+
+def test_partition_terms_yield_fresh_multi_indices():
+    cfg = CFG["exact"]
+    f, g = family(3, 2, "exact")
+    m = moments(f, g, 6)
+    for mode in ("corrected", "as_printed"):
+        first = [(dict(multi), coef, term) for multi, coef, term
+                 in partition_terms(m, 6, cfg, mode)]
+        assert [multi for multi, _, _ in first] == list(partitions_multiplicity(6))
+        for multi, _, _ in partition_terms(m, 6, cfg, mode):
+            multi[1] = multi.get(1, 0) + 7
+            multi.pop(2, None)
+        assert list(partition_terms(m, 6, cfg, mode)) == first
