@@ -27,9 +27,8 @@ from .fock import (
     partitions_multiplicity,
 )
 from .quantization import (
+    _contraction_reports,
     apply_operator,
-    check_contraction_gram,
-    check_l2_contraction,
     check_selfadjoint_numeric,
     check_selfadjoint_structure,
     counterexample_report,
@@ -209,9 +208,8 @@ def criterion_7(seed: int = 7, n_families: int = 20) -> dict:
     for _ in range(n_families):
         fam = random_family(rng, rng.randint(2, 5), max_abs=0.45)
         T = dilation_operator(window_radius(*fam), 2, 1.0 + 0j)
-        gram_rep = check_contraction_gram(T, fam, cfg)
+        gram_rep, l2_rep = _contraction_reports(T, fam, cfg)
         worst_eig = min(worst_eig, gram_rep.min_eig)
-        l2_rep = check_l2_contraction(T, fam)
         for r in l2_rep.ratios:
             worst_ratio_dev = max(worst_ratio_dev, abs(r - 2 ** -0.5))
     checks = {

@@ -19,6 +19,7 @@ from .acceptance import run_all
 from .errors import DomainError, QuadFockError
 from .families import random_family
 from .fock import (
+    MAX_PARTICLES,
     FockConfig,
     exp_inner_closed,
     exp_inner_series,
@@ -29,8 +30,7 @@ from .fock import (
 )
 from .quantization import (
     QuadOperator,
-    check_contraction_gram,
-    check_l2_contraction,
+    _contraction_reports,
     check_selfadjoint_numeric,
     check_selfadjoint_structure,
     counterexample_report,
@@ -119,6 +119,8 @@ def cmd_nparticle(args) -> int:
     f = _parse_step(args.f, exact)
     g = _parse_step(args.g, exact)
     n = args.n
+    if n > MAX_PARTICLES:
+        raise CliInputError(f"--n must be at most {MAX_PARTICLES}, got {n}")
     m = moments(f, g, max(n, 1))
     rec = n_particle_inner_rec(m, n, cfg)
     value = n_particle_inner_partition(m, n, cfg, args.formula)
@@ -173,8 +175,7 @@ def cmd_contraction(args) -> int:
     family = _resolve_family(args, exact, random.Random(args.seed))
     if not family:
         raise CliInputError("provide --family or --random K")
-    gram_rep = check_contraction_gram(op, family, cfg, t=args.t)
-    l2_rep = check_l2_contraction(op, family)
+    gram_rep, l2_rep = _contraction_reports(op, family, cfg, t=args.t)
     doc = {"gram": gram_rep.to_dict(), "l2": l2_rep.to_dict()}
     ok = gram_rep.psd and l2_rep.contraction
     _emit(doc)

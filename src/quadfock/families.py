@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import ExactComplex
+from .scalars import ExactComplex, _frac
 from .stepfn import IntervalSet, PiecewiseAffineMap, StepFunction
 
 
@@ -29,14 +29,14 @@ def random_step_function(rng: random.Random, max_abs: float = 0.3,
     cuts = sorted(rng.sample(range(0, 4 * span + 1), 2 * n_segs))
     segs = []
     for i in range(n_segs):
-        l = Fraction(cuts[2 * i], 4)
-        r = Fraction(cuts[2 * i + 1], 4)
+        l = _frac(cuts[2 * i]) / 4
+        r = _frac(cuts[2 * i + 1]) / 4
         if l == r:
             continue
-        re = Fraction(rng.randint(-bound, bound), denom)
-        im = Fraction(rng.randint(-bound, bound), denom) if complex_values else Fraction(0)
+        re = _frac(rng.randint(-bound, bound)) / denom
+        im = _frac(rng.randint(-bound, bound)) / denom if complex_values else _frac(0)
         if re == 0 and im == 0:
-            re = Fraction(1, denom)
+            re = _frac(1) / denom
         v = ExactComplex(re, im) if exact else complex(re, im)
         segs.append((l, r, v))
     if not segs:
@@ -72,7 +72,7 @@ def random_injective_operator(rng: random.Random, *, exact: bool = False,
         cuts = sorted(rng.sample(range(-8, 9), 2 * n))
         pieces = []
         for i in range(n):
-            l, r = Fraction(cuts[2 * i]), Fraction(cuts[2 * i + 1])
+            l, r = _frac(cuts[2 * i]), _frac(cuts[2 * i + 1])
             if l == r:
                 break
             a = rng.choice(_SLOPES)
@@ -87,10 +87,10 @@ def random_injective_operator(rng: random.Random, *, exact: bool = False,
         E = phi.domain()
         h_segs = []
         for l, r in E.intervals:
-            re = Fraction(rng.randint(-8, 8), 16)
-            im = Fraction(rng.randint(-8, 8), 16)
+            re = _frac(rng.randint(-8, 8)) / 16
+            im = _frac(rng.randint(-8, 8)) / 16
             if re == 0 and im == 0:
-                re = Fraction(1, 2)
+                re = _frac(1) / 2
             v = ExactComplex(re, im) if exact else complex(re, im)
             h_segs.append((l, r, v))
         h = StepFunction.from_segments(h_segs)

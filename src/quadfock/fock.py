@@ -36,11 +36,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, NotHermitianError, UnconvergedError
+from .scalars import _frac
 from .stepfn import StepFunction, value_signature
 from .stepfn import inner  # noqa: F401  perfbench/test_trace.py reads quadfock.fock.inner
 
 ADMISSIBLE_SUP_SQ = Fraction(1, 4)  # existence radius: sup norm < 1/2
 MAX_DEPTH = 2000  # moments and the series recursion hold and loop over every term
+MAX_PARTICLES = 40  # the partition sum holds a table of all p(n) terms: 37338 at n = 40
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,9 @@ def partition_coefficient(multi: dict[int, int], n: int, mode: str) -> Fraction:
 def _partition_table(n: int, mode: str) -> tuple:
     """(multi-index items, coefficient, q = sum_j i_j) for every partition of
     n, in ``partitions_multiplicity`` order; it depends on n and mode only."""
-    return tuple((tuple(multi.items()), partition_coefficient(multi, n, mode),
+    if n > MAX_PARTICLES:
+        raise ValueError(f"n must be at most {MAX_PARTICLES}")
+    return tuple((tuple(multi.items()), _frac(partition_coefficient(multi, n, mode)),
                   sum(multi.values()))
                  for multi in partitions_multiplicity(n))
 
@@ -198,14 +202,18 @@ def partition_terms(m: MomentSequence, n: int, cfg: FockConfig,
 
     Each multi-index is a fresh dict, so a caller may change it."""
     c = cfg.c
+    c_powers: dict = {}
     powers: dict = {}
     for items, coef, q in _partition_table(n, mode):
-        term = coef * (c ** q)
+        cq = c_powers.get(q)
+        if cq is None:  # c^q as a lean rational when c is exact
+            cq = c_powers[q] = _frac(c ** q) if isinstance(c, Fraction) else c ** q
+        term = coef * cq
         for j, ij in items:
             mj = powers.get((j, ij))
             if mj is None:
                 mj = powers[(j, ij)] = m[j] ** ij
-            term = term * mj
+            term = mj * term  # ExactComplex.__mul__ reads a rational's ints directly
         yield dict(items), coef, term
 
 
@@ -251,6 +259,15 @@ def _require_admissible(*fs: StepFunction) -> None:
                           "exponential vector does not exist")
 
 
+def _length_double(length) -> float:
+    """float(length), or a DomainError for a length beyond the doubles: the
+    difference of two breakpoints can be, though each breakpoint is one."""
+    try:
+        return float(length)
+    except OverflowError:
+        raise DomainError("a length exceeds double precision") from None
+
+
 def _closed_form(sig: dict, cfg: FockConfig, t: float = 1.0) -> complex:
     """exp(-c/2 * sum L_u log(1 - 4 t u)) over a value signature, principal
     branch; a DomainError where the exponent leaves the doubles."""
@@ -259,7 +276,7 @@ def _closed_form(sig: dict, cfg: FockConfig, t: float = 1.0) -> complex:
         arg = 1 - 4 * t * complex(u)
         if arg == 0 or arg.real < 0 and arg.imag == 0:
             raise DomainError("log argument on the branch cut; inputs inadmissible")
-        total += float(length) * cmath.log(arg)
+        total += _length_double(length) * cmath.log(arg)
     exponent = -float(cfg.c) / 2 * total
     if cmath.isfinite(exponent):
         try:
@@ -330,7 +347,7 @@ def exp_inner_series(f: StepFunction, g: StepFunction,
     terms = [complex(bn) for bn in _b_sequence(w, N, cfg.c)]
     value = sum(terms, 0j)
 
-    beta = _up(float(Fraction(cfg.c) * sum(sig.values()) / 2))
+    beta = _up(_length_double(Fraction(cfg.c) * sum(sig.values()) / 2))
     # rho carries at most 5 roundings of 2^-53 (two sup norms and their
     # product); the factor 1 + 2^-50 covers them
     x = _up(x * (1 + 2.0 ** -50))

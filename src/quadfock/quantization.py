@@ -21,7 +21,7 @@ from .errors import DomainError
 from .fock import (FockConfig, _closed_form, _gram_matrices, _signature_moments,
                    exp_inner_closed, exp_inner_series, exp_vector_exists, gram_matrix,
                    gram_min_eig)
-from .scalars import ExactComplex
+from .scalars import ExactComplex, _frac
 from .stepfn import (
     IntervalSet,
     PiecewiseAffineMap,
@@ -106,7 +106,7 @@ def dilation_operator(radius, factor=2, one=1.0) -> QuadOperator:
 def window_radius(*fs: StepFunction, minimum=2) -> Fraction:
     """Window half-width making chi_E act as the identity on the inputs:
     at least twice the largest breakpoint magnitude."""
-    r = Fraction(minimum)
+    r = _frac(minimum)
     for f in fs:
         for p in f.breakpoints():
             r = max(r, 2 * abs(p))
@@ -357,7 +357,10 @@ def lemma4_derivative_check(family: Sequence[StepFunction],
     def pair_inner(i: int, j: int) -> complex:
         if j < i:
             return pair_inner(j, i).conjugate()
-        return complex(sum((length * u for u, length in sigs[i, j].items()), 0))
+        try:
+            return complex(sum((length * u for u, length in sigs[i, j].items()), 0))
+        except OverflowError:
+            raise DomainError("an inner product exceeds double precision") from None
 
     # ||sum a_i f_i||^2 as the same quadratic form as q(t), valid in both backends
     norm_sq = float(sum(a.conjugate() * b * pair_inner(i, j)
@@ -386,9 +389,11 @@ def check_contraction_gram(T: QuadOperator, family: Sequence[StepFunction],
                            cfg: FockConfig, t: float = 1.0) -> ContractionGramReport:
     """Finite-family certificate that Gamma_2(T) contracts the sampled span:
     the difference of Gram matrices G(f_i) - G(T f_i) must be PSD."""
-    G = gram_matrix(family, cfg, t)
-    G_T = gram_matrix([apply_operator(T, f) for f in family], cfg, t)
-    D = G - G_T
+    return _gram_report(family, [apply_operator(T, f) for f in family], cfg, t)
+
+
+def _gram_report(family, images, cfg, t) -> ContractionGramReport:
+    D = gram_matrix(family, cfg, t) - gram_matrix(images, cfg, t)
     me = gram_min_eig(D, tol=max(cfg.tol, 1e-10))
     return ContractionGramReport(me, me >= -cfg.tol)
 
@@ -407,14 +412,26 @@ class L2ContractionReport:
 def check_l2_contraction(T: QuadOperator, samples: Sequence[StepFunction],
                          tol: float = 1e-12) -> L2ContractionReport:
     """max ||T f||_2 / ||f||_2 over the nonzero samples."""
+    return _l2_report(samples, [apply_operator(T, f) for f in samples], tol)
+
+
+def _l2_report(samples, images, tol) -> L2ContractionReport:
     ratios = []
-    for f in samples:
+    for f, tf in zip(samples, images):
         nf = f.l2_norm()
         if nf == 0:
             continue
-        ratios.append(apply_operator(T, f).l2_norm() / nf)
+        ratios.append(tf.l2_norm() / nf)
     mx = max(ratios, default=0.0)
     return L2ContractionReport(mx, tuple(ratios), mx <= 1 + tol)
+
+
+def _contraction_reports(T: QuadOperator, family: Sequence[StepFunction],
+                         cfg: FockConfig, t: float = 1.0):
+    """``check_contraction_gram`` and ``check_l2_contraction`` of one family,
+    applying T once per member."""
+    images = [apply_operator(T, f) for f in family]
+    return _gram_report(family, images, cfg, t), _l2_report(family, images, 1e-12)
 
 
 # ---------------------------------------------------------------------------

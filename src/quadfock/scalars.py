@@ -11,6 +11,10 @@ Two interchangeable scalar types flow through the step-function algebra:
 
 Library code stays generic by using the helpers below instead of touching
 the concrete type.
+
+Breakpoints, slopes and lengths are ``_Rat``: a ``Fraction`` subclass with
+the same normal form, whose arithmetic and comparisons with another
+``_Rat`` or an ``int`` work on the int pairs directly.
 """
 
 from __future__ import annotations
@@ -20,12 +24,156 @@ from math import gcd
 from numbers import Rational
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _frac(x) -> "_Rat":
+    """x as a ``_Rat``: from an int, a float (exactly) or any rational."""
+    if type(x) is _Rat:
         return x
-    if isinstance(x, (int, float)) or isinstance(x, Rational):
-        return Fraction(x)
+    if type(x) is int:
+        return _rat(x, 1)
+    if isinstance(x, float):
+        return _rat(*x.as_integer_ratio())
+    if isinstance(x, Rational):
+        return _rat(int(x.numerator), int(x.denominator))
     raise TypeError(f"cannot convert {x!r} to Fraction")
+
+
+def _rat(n: int, d: int) -> "_Rat":
+    """n / d for d > 0, reduced by one gcd."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    q = object.__new__(_Rat)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _quotient(n: int, d: int) -> "_Rat":
+    """n / d for any int d."""
+    if d < 0:
+        n, d = -n, -d
+    elif not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    return _rat(n, d)
+
+
+class _Rat(Fraction):
+    """A ``Fraction`` with int fast paths, for breakpoints and lengths.
+
+    It keeps ``Fraction``'s normal form (denominator > 0, gcd 1), so it is
+    equal to, and hashes like, the ``Fraction`` of the same value.  When the
+    other operand is a ``_Rat`` or an ``int``, the comparisons and
+    ``+ - * /`` work on the int pairs and return a ``_Rat``; any other
+    operand goes to ``Fraction``'s own method.  ``!=`` is the negation of
+    ``__eq__``, as for every type without its own ``__ne__``.
+    """
+
+    __slots__ = ()
+    __hash__ = Fraction.__hash__
+
+    def __eq__(a, b):
+        if type(b) is _Rat:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if type(b) is int:
+            return a._denominator == 1 and a._numerator == b
+        return Fraction.__eq__(a, b)
+
+    def __lt__(a, b):
+        if type(b) is _Rat:
+            return a._numerator * b._denominator < b._numerator * a._denominator
+        if type(b) is int:
+            return a._numerator < b * a._denominator
+        return Fraction.__lt__(a, b)
+
+    def __le__(a, b):
+        if type(b) is _Rat:
+            return a._numerator * b._denominator <= b._numerator * a._denominator
+        if type(b) is int:
+            return a._numerator <= b * a._denominator
+        return Fraction.__le__(a, b)
+
+    def __gt__(a, b):
+        if type(b) is _Rat:
+            return a._numerator * b._denominator > b._numerator * a._denominator
+        if type(b) is int:
+            return a._numerator > b * a._denominator
+        return Fraction.__gt__(a, b)
+
+    def __ge__(a, b):
+        if type(b) is _Rat:
+            return a._numerator * b._denominator >= b._numerator * a._denominator
+        if type(b) is int:
+            return a._numerator >= b * a._denominator
+        return Fraction.__ge__(a, b)
+
+    # The reflected methods see an int on the left, never a _Rat.
+
+    def __add__(a, b):
+        if type(b) is _Rat:
+            da, db = a._denominator, b._denominator
+            if da == db:
+                return _rat(a._numerator + b._numerator, da)
+            return _rat(a._numerator * db + b._numerator * da, da * db)
+        if type(b) is int:
+            return _rat(a._numerator + b * a._denominator, a._denominator)
+        return Fraction.__add__(a, b)
+
+    def __radd__(a, b):
+        if type(b) is int:
+            return _rat(b * a._denominator + a._numerator, a._denominator)
+        return Fraction.__radd__(a, b)
+
+    def __sub__(a, b):
+        if type(b) is _Rat:
+            da, db = a._denominator, b._denominator
+            if da == db:
+                return _rat(a._numerator - b._numerator, da)
+            return _rat(a._numerator * db - b._numerator * da, da * db)
+        if type(b) is int:
+            return _rat(a._numerator - b * a._denominator, a._denominator)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(a, b):
+        if type(b) is int:
+            return _rat(b * a._denominator - a._numerator, a._denominator)
+        return Fraction.__rsub__(a, b)
+
+    def __mul__(a, b):
+        if type(b) is _Rat:
+            return _rat(a._numerator * b._numerator, a._denominator * b._denominator)
+        if type(b) is int:
+            return _rat(a._numerator * b, a._denominator)
+        return Fraction.__mul__(a, b)
+
+    def __rmul__(a, b):
+        if type(b) is int:
+            return _rat(b * a._numerator, a._denominator)
+        return Fraction.__rmul__(a, b)
+
+    def __truediv__(a, b):
+        if type(b) is _Rat:
+            return _quotient(a._numerator * b._denominator, a._denominator * b._numerator)
+        if type(b) is int:
+            return _quotient(a._numerator, a._denominator * b)
+        return Fraction.__truediv__(a, b)
+
+    def __rtruediv__(a, b):
+        if type(b) is int:
+            return _quotient(b * a._denominator, a._numerator)
+        return Fraction.__rtruediv__(a, b)
+
+    def __neg__(a):
+        return _rat(-a._numerator, a._denominator)
+
+    def __abs__(a):
+        return a if a._numerator >= 0 else _rat(-a._numerator, a._denominator)
+
+    def __bool__(a):
+        return a._numerator != 0
+
+    def __float__(a):
+        return a._numerator / a._denominator
 
 
 def _new(a: int, b: int, d: int) -> "ExactComplex":
@@ -46,6 +194,8 @@ def _parts(x):
     """(a, b, d) of an ExactComplex, int or rational; None if not exact."""
     if type(x) is ExactComplex:
         return x._a, x._b, x._d
+    if type(x) is _Rat:
+        return x._numerator, 0, x._denominator
     if isinstance(x, int):
         return x, 0, 1
     if isinstance(x, Rational):

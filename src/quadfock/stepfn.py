@@ -2,10 +2,11 @@
 
 Every function here is piecewise constant with compact support and every
 map is affine on finitely many intervals, so all the integrals appearing
-in the inner-product formulas evaluate in closed form.  Breakpoints and
-affine coefficients are always exact rationals (``Fraction``); only the
-*values* of a step function choose between the exact and the float scalar
-backend.
+in the inner-product formulas evaluate in closed form.  Breakpoints,
+affine coefficients and lengths are always exact rationals, of the lean
+``Fraction`` subclass ``scalars._Rat``: it compares and adds on its int
+pairs without ``Fraction``'s generic dispatch.  Only the *values* of a step
+function choose between the exact and the float scalar backend.
 
 Intervals are half-open ``[l, r)`` throughout.  All statements the library
 verifies are almost-everywhere statements, so endpoint membership never
@@ -159,9 +160,6 @@ class StepFunction:
         return StepFunction.from_segments(segs)
 
 
-_END = (math.inf, math.inf, 0)
-
-
 def _sweep(a: Sequence[tuple], b: Sequence[tuple]) -> Iterator[tuple]:
     """Cells of the common refinement of two sorted sequences of disjoint
     ``(l, r, v)`` segments, in one linear two-pointer pass.
@@ -169,19 +167,30 @@ def _sweep(a: Sequence[tuple], b: Sequence[tuple]) -> Iterator[tuple]:
     Yields ``(l, r, va, vb)`` for every cell on which a or b has a segment,
     with 0 where one of them has none.
     """
-    a, b = (*a, _END), (*b, _END)
+    na, nb = len(a), len(b)
     i = j = 0
-    x = min(a[0][0], b[0][0])
-    while a[i] is not _END or b[j] is not _END:
+    x = min(a[0][0], b[0][0]) if na and nb else None  # right end of the last cell
+    while i < na and j < nb:
         (al, ar, av), (bl, br, bv) = a[i], b[j]
-        lo = max(x, min(al, bl))
+        lo = al if al < bl else bl
+        if lo < x:
+            lo = x
         in_a, in_b = al <= lo, bl <= lo
-        x = min(ar if in_a else al, br if in_b else bl)
+        x = ar if in_a else al
+        y = br if in_b else bl
+        if y < x:
+            x = y
         yield (lo, x, av if in_a else 0, bv if in_b else 0)
         if in_a and ar == x:
             i += 1
         if in_b and br == x:
             j += 1
+    # one side is exhausted; the last cell may have cut into the other's segment
+    from_a = i < na
+    for l, r, v in (a[i:] if from_a else b[j:]):
+        if x is not None and l < x:
+            l = x
+        yield (l, r, v, 0) if from_a else (l, r, 0, v)
 
 
 def refine(f: StepFunction, g: StepFunction) -> Iterator[tuple[Fraction, Fraction, object, object]]:
@@ -241,7 +250,8 @@ class IntervalSet:
 
     @staticmethod
     def from_intervals(intervals: Iterable[tuple]) -> "IntervalSet":
-        ivs = sorted((_frac(l), _frac(r)) for l, r in intervals if _frac(l) < _frac(r))
+        ivs = sorted(iv for iv in ((_frac(l), _frac(r)) for l, r in intervals)
+                     if iv[0] < iv[1])
         out: list[tuple[Fraction, Fraction]] = []
         for l, r in ivs:
             if out and l <= out[-1][1]:
@@ -254,7 +264,7 @@ class IntervalSet:
         return not self.intervals
 
     def measure(self) -> Fraction:
-        return sum((r - l for l, r in self.intervals), Fraction(0))
+        return sum((r - l for l, r in self.intervals), _frac(0))
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet.from_intervals(list(self.intervals) + list(other.intervals))
@@ -358,6 +368,15 @@ class PiecewiseAffineMap:
         return PiecewiseAffineMap.from_pieces([tuple(item) for item in data])
 
 
+def _pull_back(p: AffinePiece, l: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
+    """The x in p's domain with p(x) in [l, r), as (lo, hi); empty unless lo < hi."""
+    x0 = (l - p.intercept) / p.slope
+    x1 = (r - p.intercept) / p.slope
+    if x1 < x0:
+        x0, x1 = x1, x0
+    return (p.left if x0 < p.left else x0), (p.right if p.right < x1 else x1)
+
+
 def compose(f: StepFunction, phi: PiecewiseAffineMap) -> StepFunction:
     """f after phi; zero wherever phi is undefined.
 
@@ -368,11 +387,7 @@ def compose(f: StepFunction, phi: PiecewiseAffineMap) -> StepFunction:
     segs: list[Segment] = []
     for p in phi.pieces:
         for l, r, v in f.segments:
-            x0 = (l - p.intercept) / p.slope
-            x1 = (r - p.intercept) / p.slope
-            if x1 < x0:
-                x0, x1 = x1, x0
-            lo, hi = max(x0, p.left), min(x1, p.right)
+            lo, hi = _pull_back(p, l, r)
             if lo < hi:
                 segs.append((lo, hi, v))
     return StepFunction(_canonical_segments(segs))
@@ -383,12 +398,7 @@ def map_compose(phi: PiecewiseAffineMap, psi: PiecewiseAffineMap) -> PiecewiseAf
     pieces = []
     for q in psi.pieces:
         for p in phi.pieces:
-            # x in q's domain with psi(x) in p's domain
-            x0 = (p.left - q.intercept) / q.slope
-            x1 = (p.right - q.intercept) / q.slope
-            if x1 < x0:
-                x0, x1 = x1, x0
-            lo, hi = max(x0, q.left), min(x1, q.right)
+            lo, hi = _pull_back(q, p.left, p.right)
             if lo < hi:
                 pieces.append((lo, hi, p.slope * q.slope,
                                p.slope * q.intercept + p.intercept))

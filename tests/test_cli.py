@@ -5,11 +5,14 @@ import sys
 import pytest
 
 from quadfock.cli import main
+from quadfock.fock import MAX_PARTICLES
 
 QUARTER = '[[0,1,0.25,0]]'
 DILATION = '{"E": [[-8,8]], "h": [[-8,8,1,0]], "phi": [[-8,8,2,0]]}'
 REFLECTION = '{"E": [[0,1]], "h": [[0,1,0.9,0]], "phi": [[0,1,-1,1]]}'
 BIG = "1" + "0" * 400
+# a segment longer than the largest double, between two breakpoints that are doubles
+LONG = '[[-1e308,1e308,0.25,0]]'
 
 
 def run_cli(args, capsys):
@@ -154,6 +157,11 @@ class TestContractionAndLemma4:
      "--g", '[[0,1,0.1,0]]'],
     ["--mode", "exact", "selfadjoint", "--op", REFLECTION, "--family", f"[[[0,1,{BIG},0]]]"],
     ["--depth", "2001", "inner", "--f", QUARTER, "--g", QUARTER],
+    ["nparticle", "--f", QUARTER, "--g", QUARTER, "--n", str(MAX_PARTICLES + 1)],
+    ["--mode", "exact", "nparticle", "--f", QUARTER, "--g", QUARTER,
+     "--n", str(MAX_PARTICLES + 1)],
+    # (n!)^2 is beyond the doubles from n = 171 on
+    ["nparticle", "--f", QUARTER, "--g", QUARTER, "--n", "200"],
 ])
 def test_usage_errors_exit_3(argv, capsys):
     code = main(argv)
@@ -169,6 +177,10 @@ def test_usage_errors_exit_3(argv, capsys):
     (["--c", "1e300", "counterexample"], 2),
     # the closed form underflows to 0, and the series tail bound overflows
     (["inner", "--f", '[[0,1e308,0.25,0]]', "--g", '[[0,1e308,-0.25,0]]'], 1),
+    (["inner", "--f", LONG, "--g", LONG], 2),
+    (["--mode", "exact", "inner", "--f", LONG, "--g", LONG], 2),
+    (["lemma4", "--family", f"[{LONG}]", "--coeffs", "[[1,0]]"], 2),
+    (["--mode", "exact", "lemma4", "--family", f"[{LONG}]", "--coeffs", "[[1,0]]"], 2),
 ])
 def test_overflow_is_reported_not_raised(argv, code, capsys):
     assert main(argv) == code
@@ -182,6 +194,12 @@ def test_largest_depth_runs(capsys):
     code, doc = run_cli(["--depth", "2000", "inner", "--f", QUARTER, "--g", QUARTER],
                         capsys)
     assert code == 0 and doc["agree"] is True
+
+
+def test_largest_particle_number_runs(capsys):
+    code, doc = run_cli(["nparticle", "--f", QUARTER, "--g", QUARTER,
+                         "--n", str(MAX_PARTICLES)], capsys)
+    assert code == 0 and doc["match"] is True
 
 
 def test_tail_bound_is_positive(capsys):

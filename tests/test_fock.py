@@ -302,3 +302,27 @@ class TestGram:
         G = np.array([[1, 1j], [1j, 1]], dtype=complex)
         with pytest.raises(NotHermitianError):
             gram_min_eig(G)
+
+
+class TestLengthsBeyondTheDoubles:
+    """Every breakpoint is a double, but a length r - l or a sum of lengths
+    need not be one: converting it is a DomainError, not an OverflowError."""
+
+    LONG = StepFunction.from_json([[-1e308, 1e308, 0.25, 0]])
+
+    def test_closed_form(self):
+        with pytest.raises(DomainError):
+            exp_inner_closed(self.LONG, self.LONG, CFG)
+
+    def test_series_beta(self):
+        # the overlap is 2e308 and beta = c * overlap / 2
+        f = StepFunction.from_json([[0, 1e308, 0.01, 0]])
+        with pytest.raises(DomainError):
+            exp_inner_series(f, f, FockConfig(c=1e300))
+
+    def test_lemma4_norm(self):
+        from quadfock.quantization import lemma4_derivative_check
+        # a tiny c keeps the Gram entries finite; ||f||^2 = 9 * 1.5e308 is not
+        f = StepFunction.from_json([[0, 1.5e308, 3, 0]], exact=True)
+        with pytest.raises(DomainError):
+            lemma4_derivative_check([f], [1], FockConfig(c=Fraction(1, 10 ** 306)))
