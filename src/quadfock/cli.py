@@ -82,14 +82,19 @@ def _parse_operator(text: str, exact: bool) -> QuadOperator:
 
 def _cfg(args) -> FockConfig:
     try:
-        c = Fraction(args.c).limit_denominator(10 ** 12) if args.mode == "exact" else args.c
+        c = args.c
+        if args.mode == "exact":  # a c that rounds to 0 is kept exactly, so it stays positive
+            c = Fraction(c).limit_denominator(10 ** 12) or Fraction(c)
         return FockConfig(c=c, depth=args.depth, tol=args.tol)
     except (ValueError, OverflowError) as exc:
         raise CliInputError(f"invalid configuration: {exc}") from exc
 
 
 def _cpx(z: complex) -> list[float]:
-    z = complex(z)
+    try:
+        z = complex(z)
+    except OverflowError:  # an exact value beyond the doubles
+        raise DomainError("a result exceeds double precision") from None
     return [z.real, z.imag]
 
 

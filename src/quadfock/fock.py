@@ -22,6 +22,20 @@ whose value at t = 1 is the closed-form exponential-vector inner product
 exp(-c/2 * integral of log(1 - 4 conj(f) g)).  The partition sum expresses
 the coefficient of F directly; see ``n_particle_inner_partition`` for the
 ``corrected`` versus ``as_printed`` coefficient conventions.
+
+In exact mode (exact moments and a rational c = c_num / c_den) both routes
+run on Gaussian integers.  The signature is scaled once: u = (a + b i) / D
+and L_u = l_u / Lambda with one common D and Lambda, so
+
+    m_k = N_k / (Lambda * D^k),   N_k = sum l_u (a + b i)^k,
+
+and, with E = c_den * Lambda, the recursion holds B_n = n! (D E)^n b_n:
+
+    B_n = c_num * sum_{k=0}^{n-1} 2^(2k+1) (n-1)!/(n-k-1)! E^k N_{k+1} B_{n-k-1}.
+
+Then a_n = n! B_n / (D E)^n.  A partition term is an integer over
+den_n * (D E)^n, den_n the common denominator of the coefficients at n.
+Each result is reduced once; the two routes share the N_k only.
 """
 
 from __future__ import annotations
@@ -29,14 +43,15 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NotHermitianError, UnconvergedError
-from .scalars import _frac
+from .scalars import ExactComplex, _frac, _new, _parts
 from .stepfn import StepFunction, value_signature
 from .stepfn import inner  # noqa: F401  perfbench/test_trace.py reads quadfock.fock.inner
 
@@ -50,7 +65,8 @@ class FockConfig:
     """Representation constant, series truncation depth and tolerance.
 
     ``c`` may be a Fraction for fully exact n-particle computations; it is
-    never assumed to be 1.
+    never assumed to be 1, and it is checked positive exactly, so a c
+    below the smallest double is accepted.
     """
 
     c: object = 1.0
@@ -58,7 +74,7 @@ class FockConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not (float(self.c) > 0):
+        if not (self.c > 0):
             raise ValueError("c must be positive")
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ValueError(f"depth must be in 1..{MAX_DEPTH}")
@@ -68,9 +84,15 @@ class FockConfig:
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """The scalars m_k = <f^k, g^k> for k = 1..K."""
+    """The scalars m_k = <f^k, g^k> for k = 1..K.
+
+    ``_scaled`` is the exact sequence as ``(N, D, Lambda)`` with
+    m_k = N[k-1] / (Lambda * D^k) and each N[k-1] a Gaussian integer
+    (re, im); ``None`` for a sequence that was not built from an exact value
+    signature."""
 
     entries: tuple
+    _scaled: tuple | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -91,12 +113,57 @@ def moments(f: StepFunction, g: StepFunction, K: int) -> MomentSequence:
 
 def _signature_moments(sig: dict, K: int) -> MomentSequence:
     """m_k = sum L_u u^k, k = 1..K, from a value signature u -> L_u."""
+    if _is_exact(sig):
+        return _scaled_moments(sig, K)
     us, terms = list(sig), list(sig.values())
     entries = []
-    for _ in range(K):
-        terms = [t * u for t, u in zip(terms, us)]
-        entries.append(sum(terms, 0))
+    try:
+        for _ in range(K):
+            terms = [t * u for t, u in zip(terms, us)]
+            entries.append(sum(terms, 0))
+    except OverflowError:  # a length beyond the doubles times a float value
+        raise DomainError("a length exceeds double precision") from None
     return MomentSequence(tuple(entries))
+
+
+def _is_exact(sig: dict) -> bool:
+    """True for a nonempty signature of ExactComplex values."""
+    return bool(sig) and all(type(u) is ExactComplex for u in sig)
+
+
+def _scaled_moments(sig: dict, K: int) -> MomentSequence:
+    """The exact moments of a signature, scaled once: u = (a + b i) / D and
+    L_u = l_u / Lambda, so N_k = sum l_u (a + b i)^k."""
+    us = [_parts(u) for u in sig]
+    D = math.lcm(*(d for _, _, d in us))
+    lam = math.lcm(*(length.denominator for length in sig.values()))
+    us = [(a * (D // d), b * (D // d)) for a, b, d in us]
+    terms = [(length.numerator * (lam // length.denominator), 0) for length in sig.values()]
+    N, entries, den = [], [], lam
+    for _ in range(K):
+        terms = [(tr * ur - ti * ui, tr * ui + ti * ur) for (tr, ti), (ur, ui) in zip(terms, us)]
+        re, im = sum(t[0] for t in terms), sum(t[1] for t in terms)
+        den *= D
+        N.append((re, im))
+        entries.append(_new(re, im, den))
+    return MomentSequence(tuple(entries), (tuple(N), D, lam))
+
+
+def _exact(m: MomentSequence, c):
+    """(N, D, E, c_num) with E = c_den * Lambda when both the moments and c
+    are exact, else None.  A sequence without a scaled form is scaled here,
+    with D = 1 and Lambda the lcm of its entries' denominators."""
+    if not isinstance(c, Rational):
+        return None
+    scaled = m._scaled
+    if scaled is None:
+        parts = [_parts(mk) for mk in m.entries]
+        if None in parts:
+            return None
+        lam = math.lcm(*(d for _, _, d in parts))
+        scaled = (tuple((a * (lam // d), b * (lam // d)) for a, b, d in parts), 1, lam)
+    N, D, lam = scaled
+    return N, D, c.denominator * lam, c.numerator
 
 
 def _moment_weights(m: MomentSequence, n: int) -> list:
@@ -116,6 +183,30 @@ def _b_sequence(w: Sequence, n: int, c) -> list:
     return b
 
 
+def _scaled_b(ex: tuple, n: int) -> list:
+    """B_0..B_n = n! (D E)^n b_n as Gaussian integers (re, im):
+    B_n = c_num * sum_k 2^(2k+1) (n-1)!/(n-k-1)! E^k N_{k+1} B_{n-k-1}."""
+    N, _, E, c_num = ex
+    w, ek = [], 1
+    for k in range(n):
+        s = ek << (2 * k + 1)
+        w.append((s * N[k][0], s * N[k][1]))
+        ek *= E
+    B = [(1, 0)]
+    for nn in range(1, n + 1):
+        re = im = 0
+        ff = 1  # (nn-1)! / (nn-k-1)!
+        for k in range(nn):
+            if k:
+                ff *= nn - k
+            wr, wi = w[k]
+            br, bi = B[nn - k - 1]
+            re += ff * (wr * br - wi * bi)
+            im += ff * (wr * bi + wi * br)
+        B.append((c_num * re, c_num * im))
+    return B
+
+
 def n_particle_inner_rec(m: MomentSequence, n: int, cfg: FockConfig):
     """a_n = <B+^n_f Phi, B+^n_g Phi> via the moment recursion; a_0 = 1."""
     if n < 0:
@@ -124,14 +215,31 @@ def n_particle_inner_rec(m: MomentSequence, n: int, cfg: FockConfig):
         return 1
     if len(m) < n:
         raise ValueError(f"need at least {n} moments, got {len(m)}")
-    b = _b_sequence(_moment_weights(m, n), n, cfg.c)
-    return (math.factorial(n) ** 2) * b[n]
+    ex = _exact(m, cfg.c)
+    if ex is None:
+        b = _b_sequence(_moment_weights(m, n), n, cfg.c)
+        return (math.factorial(n) ** 2) * b[n]
+    _, D, E, _ = ex
+    re, im = _scaled_b(ex, n)[n]
+    fact = math.factorial(n)
+    return _new(fact * re, fact * im, (D * E) ** n)
 
 
 def n_particle_table(m: MomentSequence, n_max: int, cfg: FockConfig) -> "NParticleTable":
-    b = _b_sequence(_moment_weights(m, n_max), n_max, cfg.c)
-    a = tuple((math.factorial(n) ** 2) * b[n] for n in range(n_max + 1))
-    return NParticleTable(a, tuple(b))
+    ex = _exact(m, cfg.c)
+    if ex is None:
+        b = _b_sequence(_moment_weights(m, n_max), n_max, cfg.c)
+        a = tuple((math.factorial(n) ** 2) * b[n] for n in range(n_max + 1))
+        return NParticleTable(a, tuple(b))
+    _, D, E, _ = ex
+    a, b = [1], [1]
+    fact = den = 1
+    for n, (re, im) in enumerate(_scaled_b(ex, n_max)[1:], 1):
+        fact *= n
+        den *= D * E
+        a.append(_new(fact * re, fact * im, den))
+        b.append(_new(re, im, fact * den))
+    return NParticleTable(tuple(a), tuple(b))
 
 
 @dataclass(frozen=True)
@@ -187,13 +295,36 @@ def partition_coefficient(multi: dict[int, int], n: int, mode: str) -> Fraction:
 
 @functools.lru_cache(maxsize=16)
 def _partition_table(n: int, mode: str) -> tuple:
-    """(multi-index items, coefficient, q = sum_j i_j) for every partition of
-    n, in ``partitions_multiplicity`` order; it depends on n and mode only."""
+    """(den, rows) for the partitions of n in ``partitions_multiplicity``
+    order; a row is (multi-index items, coefficient, q = sum_j i_j,
+    den * coefficient), den is the lcm of the coefficients' denominators.
+    It depends on n and mode only."""
     if n > MAX_PARTICLES:
         raise ValueError(f"n must be at most {MAX_PARTICLES}")
-    return tuple((tuple(multi.items()), _frac(partition_coefficient(multi, n, mode)),
-                  sum(multi.values()))
-                 for multi in partitions_multiplicity(n))
+    rows = [(tuple(multi.items()), _frac(partition_coefficient(multi, n, mode)),
+             sum(multi.values()))
+            for multi in partitions_multiplicity(n)]
+    den = math.lcm(*(coef.denominator for _, coef, _ in rows))
+    return den, tuple((items, coef, q, coef.numerator * (den // coef.denominator))
+                      for items, coef, q in rows)
+
+
+def _scaled_terms(ex: tuple, n: int, rows: tuple) -> Iterator[tuple[int, int]]:
+    """den * coefficient * prod_j N_j^{i_j} of each row, as Gaussian integers."""
+    powers = [None]  # powers[j][i] = N_j^i for i * j <= n
+    for j in range(1, n + 1):
+        zr, zi = ex[0][j - 1]
+        pj = [(1, 0)]
+        for _ in range(n // j):
+            re, im = pj[-1]
+            pj.append((re * zr - im * zi, re * zi + im * zr))
+        powers.append(pj)
+    for items, _, _, num in rows:
+        re, im = num, 0
+        for j, ij in items:
+            pr, pi = powers[j][ij]
+            re, im = re * pr - im * pi, re * pi + im * pr
+        yield re, im
 
 
 def partition_terms(m: MomentSequence, n: int, cfg: FockConfig,
@@ -202,9 +333,18 @@ def partition_terms(m: MomentSequence, n: int, cfg: FockConfig,
 
     Each multi-index is a fresh dict, so a caller may change it."""
     c = cfg.c
+    den, rows = _partition_table(n, mode)
+    ex = _exact(m, c)
+    if ex is not None:
+        _, D, E, c_num = ex
+        den *= (D * E) ** n
+        for (items, coef, q, _), (re, im) in zip(rows, _scaled_terms(ex, n, rows)):
+            s = c_num ** q * E ** (n - q)
+            yield dict(items), coef, _new(s * re, s * im, den)
+        return
     c_powers: dict = {}
     powers: dict = {}
-    for items, coef, q in _partition_table(n, mode):
+    for items, coef, q, _ in rows:
         cq = c_powers.get(q)
         if cq is None:  # c^q as a lean rational when c is exact
             cq = c_powers[q] = _frac(c ** q) if isinstance(c, Fraction) else c ** q
@@ -213,7 +353,7 @@ def partition_terms(m: MomentSequence, n: int, cfg: FockConfig,
             mj = powers.get((j, ij))
             if mj is None:
                 mj = powers[(j, ij)] = m[j] ** ij
-            term = mj * term  # ExactComplex.__mul__ reads a rational's ints directly
+            term = mj * term
         yield dict(items), coef, term
 
 
@@ -233,10 +373,25 @@ def n_particle_inner_partition(m: MomentSequence, n: int, cfg: FockConfig,
         return 1
     if len(m) < n:
         raise ValueError(f"need at least {n} moments, got {len(m)}")
-    total = 0
-    for _, _, term in partition_terms(m, n, cfg, mode):
-        total = total + term
-    return total
+    ex = _exact(m, cfg.c)
+    if ex is None:
+        total = 0
+        for _, _, term in partition_terms(m, n, cfg, mode):
+            total = total + term
+        return total
+    den, rows = _partition_table(n, mode)
+    _, D, E, c_num = ex
+    by_q = [[0, 0] for _ in range(n + 1)]  # the terms with q parts share c^q
+    for (_, _, q, _), (re, im) in zip(rows, _scaled_terms(ex, n, rows)):
+        acc = by_q[q]
+        acc[0] += re
+        acc[1] += im
+    re = im = 0
+    for q, (qr, qi) in enumerate(by_q):
+        s = c_num ** q * E ** (n - q)
+        re += s * qr
+        im += s * qi
+    return _new(re, im, den * (D * E) ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +496,14 @@ def exp_inner_series(f: StepFunction, g: StepFunction,
     if f.is_zero() or g.is_zero():
         return (1.0 + 0.0j, 0.0)
     sig = value_signature(f, g)
-    # w_k = 2^(2k+1) m_{k+1} = sum (L/2) (4u)^(k+1): |4u| < 1 keeps these in
-    # range at any depth, where the factor 2^(2k+1) alone leaves the doubles
-    w = _signature_moments({4 * u: length / 2 for u, length in sig.items()}, N).entries
-    terms = [complex(bn) for bn in _b_sequence(w, N, cfg.c)]
+    if _is_exact(sig) and isinstance(cfg.c, Rational):
+        b = n_particle_table(_scaled_moments(sig, N), N, cfg).b
+    else:
+        # w_k = 2^(2k+1) m_{k+1} = sum (L/2) (4u)^(k+1): |4u| < 1 keeps these in
+        # range at any depth, where the factor 2^(2k+1) alone leaves the doubles
+        w = _signature_moments({4 * u: length / 2 for u, length in sig.items()}, N).entries
+        b = _b_sequence(w, N, cfg.c)
+    terms = [complex(bn) for bn in b]
     value = sum(terms, 0j)
 
     beta = _up(_length_double(Fraction(cfg.c) * sum(sig.values()) / 2))

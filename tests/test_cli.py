@@ -181,12 +181,28 @@ def test_usage_errors_exit_3(argv, capsys):
     (["--mode", "exact", "inner", "--f", LONG, "--g", LONG], 2),
     (["lemma4", "--family", f"[{LONG}]", "--coeffs", "[[1,0]]"], 2),
     (["--mode", "exact", "lemma4", "--family", f"[{LONG}]", "--coeffs", "[[1,0]]"], 2),
+    (["nparticle", "--n", "2", "--f", LONG, "--g", LONG], 2),
+    (["--mode", "exact", "nparticle", "--n", "2", "--f", LONG, "--g", LONG], 2),
 ])
 def test_overflow_is_reported_not_raised(argv, code, capsys):
     assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["inner", "--f", QUARTER, "--g", QUARTER],
+    ["nparticle", "--n", "6", "--f", QUARTER, "--g", '[[0,1,0.25,0.125]]'],
+])
+def test_exact_c_below_the_rounding_grid_stays_positive(command, capsys):
+    # limit_denominator(10**12) rounds 1e-13 to 0; the exact double is kept
+    code, exact = run_cli(["--mode", "exact", "--c", "1e-13", *command], capsys)
+    assert code == 0
+    _, flt = run_cli(["--mode", "float", "--c", "1e-13", *command], capsys)
+    for key in ("closed", "value"):
+        if key in flt:
+            assert exact[key] == pytest.approx(flt[key], rel=1e-12, abs=0)
 
 
 def test_largest_depth_runs(capsys):

@@ -1,0 +1,194 @@
+"""Differential tests of the exact n-particle kernel.
+
+In exact mode ``fock`` scales a pair's value signature once, u = (a + b i)/D
+and L_u = l_u / Lambda, and runs the moments, the recursion and the
+partition sum on Gaussian integers, with one reduction per result.  The
+references below are the generic ``ExactComplex`` loops that kernel
+replaces: every moment, weight, product and sum is one scalar operation.
+Every result must be ``==`` to the reference, in every c and n tried.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from quadfock import (
+    FockConfig,
+    MomentSequence,
+    StepFunction,
+    moments,
+    n_particle_inner_partition,
+    n_particle_inner_rec,
+    n_particle_table,
+    partition_coefficient,
+    partition_terms,
+    partitions_multiplicity,
+)
+from quadfock.scalars import ExactComplex
+from quadfock.stepfn import value_signature
+
+C_VALUES = [Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(1, 10 ** 13)]
+MODES = ("corrected", "as_printed")
+
+
+# --- references --------------------------------------------------------------
+
+
+def reference_moments(f, g, K):
+    """m_k = sum over the signature of L_u * u^k, one scalar operation each."""
+    sig = value_signature(f, g)
+    return [sum((length * u ** k for u, length in sig.items()), 0) for k in range(1, K + 1)]
+
+
+def reference_b(entries, n, c):
+    """b_0..b_n of  nn * b_nn = c * sum_k 2^(2k+1) m_{k+1} b_{nn-k-1}."""
+    w = [2 ** (2 * k + 1) * mk for k, mk in enumerate(entries[:n])]
+    b = [1]
+    for nn in range(1, n + 1):
+        acc = 0
+        for k in range(nn):
+            acc = acc + w[k] * b[nn - k - 1]
+        b.append((c / nn) * acc)
+    return b
+
+
+def reference_a(entries, n, c):
+    return [math.factorial(k) ** 2 * bk for k, bk in enumerate(reference_b(entries, n, c))]
+
+
+def reference_partition_terms(entries, n, c, mode):
+    for multi in partitions_multiplicity(n):
+        coef = partition_coefficient(multi, n, mode)
+        term = coef * c ** sum(multi.values())
+        for j, ij in multi.items():
+            term = entries[j - 1] ** ij * term
+        yield multi, coef, term
+
+
+def reference_partition(entries, n, c, mode):
+    total = 0
+    for _, _, term in reference_partition_terms(entries, n, c, mode):
+        total = total + term
+    return total
+
+
+# --- inputs --------------------------------------------------------------------
+
+
+def exact_pair(seed):
+    """Two step functions of 1 to 3 segments; breakpoints k/q and values
+    (a + b i)/d with q and d drawn from small integers, so D and Lambda are
+    not powers of two."""
+    rng = random.Random(seed)
+
+    def one():
+        q = rng.choice([1, 2, 3, 4, 10])
+        cuts = sorted(rng.sample(range(0, 8 * q + 1), 2 * rng.randint(1, 3)))
+        segs = []
+        for l, r in zip(cuts[::2], cuts[1::2]):
+            d = rng.choice([2, 3, 5, 7, 16])
+            v = ExactComplex(Fraction(rng.randint(-d // 2, d // 2), 2 * d),
+                             Fraction(rng.randint(-d // 2, d // 2), 2 * d))
+            segs.append((Fraction(l, q), Fraction(r, q), v if v else ExactComplex(Fraction(1, d), 0)))
+        return StepFunction.from_segments(segs)
+
+    return one(), one()
+
+
+def check_all(m, entries, n, c):
+    """Every exact route at n against its reference, on the same moments."""
+    cfg = FockConfig(c=c)
+    table = n_particle_table(m, n, cfg)
+    assert list(table.b) == reference_b(entries, n, c)
+    assert list(table.a) == reference_a(entries, n, c)
+    assert n_particle_inner_rec(m, n, cfg) == table.a[n]
+    for mode in MODES:
+        if n or mode == "corrected":
+            assert n_particle_inner_partition(m, n, cfg, mode) == \
+                reference_partition(entries, n, c, mode)
+        assert list(partition_terms(m, n, cfg, mode)) == \
+            list(reference_partition_terms(entries, n, c, mode))
+
+
+# --- tests ---------------------------------------------------------------------
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(C_VALUES), st.integers(0, 16))
+@example(0, Fraction(3, 7), 16)
+@example(1, Fraction(1, 10 ** 13), 12)
+@settings(max_examples=40, deadline=None)
+def test_exact_routes_match_reference(seed, c, n):
+    f, g = exact_pair(seed)
+    K = max(n, 1)
+    m = moments(f, g, K)
+    entries = reference_moments(f, g, K)
+    assert list(m.entries) == entries
+    assert all(type(a) is type(b) for a, b in zip(m.entries, entries))
+    check_all(m, entries, n, c)
+
+
+def test_n24_matches_reference():
+    f, g = exact_pair(24)
+    m = moments(f, g, 24)
+    entries = reference_moments(f, g, 24)
+    c = Fraction(3, 7)
+    cfg = FockConfig(c=c)
+    a24 = reference_a(entries, 24, c)[24]
+    assert n_particle_inner_rec(m, 24, cfg) == a24
+    assert n_particle_table(m, 24, cfg).a[24] == a24
+    assert n_particle_inner_partition(m, 24, cfg) == a24
+    assert n_particle_inner_partition(m, 24, cfg, "as_printed") == \
+        reference_partition(entries, 24, c, "as_printed")
+
+
+def test_zero_function():
+    f = StepFunction.zero()
+    g = StepFunction.indicator(0, 1, ExactComplex(Fraction(1, 4), 0))
+    m = moments(f, g, 6)
+    assert m.entries == (0,) * 6
+    for c in C_VALUES:
+        check_all(m, [0] * 6, 6, c)
+
+
+def test_one_value_signature():
+    v = ExactComplex(Fraction(1, 3), Fraction(-1, 5))
+    f = StepFunction.indicator(Fraction(1, 7), Fraction(9, 7), v)
+    g = StepFunction.indicator(0, 1, ExactComplex(Fraction(2, 9), Fraction(1, 11)))
+    assert len(value_signature(f, g)) == 1
+    m = moments(f, g, 10)
+    entries = reference_moments(f, g, 10)
+    for c in C_VALUES:
+        check_all(m, entries, 10, c)
+
+
+def test_hand_built_sequence_with_unrelated_denominators():
+    entries = [ExactComplex(Fraction(1, 3), Fraction(2, 7)), Fraction(5, 11), 2,
+               ExactComplex(Fraction(-1, 13), 0), ExactComplex(0, Fraction(9, 17)),
+               Fraction(-4, 1001), 0, ExactComplex(Fraction(1, 2 ** 60), Fraction(-3, 19))]
+    m = MomentSequence(tuple(entries))
+    for c in C_VALUES:
+        check_all(m, entries, 8, c)
+
+
+def test_float_path_is_the_generic_loop():
+    f, g = exact_pair(5)
+    ff = StepFunction.from_json(f.to_json())
+    gf = StepFunction.from_json(g.to_json())
+    m = moments(ff, gf, 10)
+    for c in (1.0, 3 / 7):
+        cfg = FockConfig(c=c)
+        assert n_particle_inner_rec(m, 10, cfg) == reference_a(m.entries, 10, c)[10]
+        assert n_particle_inner_partition(m, 10, cfg) == \
+            reference_partition(m.entries, 10, c, "corrected")
+
+
+def test_c_beyond_the_doubles():
+    # float(c) is 0.0, but c is positive: FockConfig accepts it
+    c = Fraction(1, 10 ** 400)
+    f, g = exact_pair(7)
+    m = moments(f, g, 6)
+    entries = reference_moments(f, g, 6)
+    check_all(m, entries, 6, c)
