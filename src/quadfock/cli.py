@@ -31,6 +31,7 @@ from .fock import (
 from .quantization import (
     QuadOperator,
     _contraction_reports,
+    _json_value,
     check_selfadjoint_numeric,
     check_selfadjoint_structure,
     counterexample_report,
@@ -90,22 +91,16 @@ def _cfg(args) -> FockConfig:
         raise CliInputError(f"invalid configuration: {exc}") from exc
 
 
-def _cpx(z: complex) -> list[float]:
-    try:
-        z = complex(z)
-    except OverflowError:  # an exact value beyond the doubles
-        raise DomainError("a result exceeds double precision") from None
-    return [z.real, z.imag]
-
-
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
 # --- subcommands -----------------------------------------------------------
+# Each returns (document, passed); main emits the document and maps passed
+# to the exit code.
 
 
-def cmd_inner(args) -> int:
+def cmd_inner(args) -> tuple[dict, bool]:
     cfg = _cfg(args)
     exact = args.mode == "exact"
     f = _parse_step(args.f, exact)
@@ -113,12 +108,11 @@ def cmd_inner(args) -> int:
     closed = exp_inner_closed(f, g, cfg)
     series, tail = exp_inner_series(f, g, cfg)
     agree = abs(closed - series) <= max(tail, cfg.tol)
-    _emit({"closed": _cpx(closed), "series": _cpx(series),
-           "tail_bound": tail, "agree": agree})
-    return EXIT_PASS if agree else EXIT_CHECK_FAILED
+    return _json_value({"closed": closed, "series": series,
+                        "tail_bound": tail, "agree": agree}), agree
 
 
-def cmd_nparticle(args) -> int:
+def cmd_nparticle(args) -> tuple[dict, bool]:
     cfg = _cfg(args)
     exact = args.mode == "exact"
     f = _parse_step(args.f, exact)
@@ -126,6 +120,8 @@ def cmd_nparticle(args) -> int:
     n = args.n
     if n > MAX_PARTICLES:
         raise CliInputError(f"--n must be at most {MAX_PARTICLES}, got {n}")
+    if n == 0 and args.formula == "as_printed":
+        raise CliInputError("--formula as_printed is undefined at --n 0")
     m = moments(f, g, max(n, 1))
     rec = n_particle_inner_rec(m, n, cfg)
     value = n_particle_inner_partition(m, n, cfg, args.formula)
@@ -133,17 +129,18 @@ def cmd_nparticle(args) -> int:
         match = value == rec
     else:
         match = abs(complex(value) - complex(rec)) <= cfg.tol * max(1.0, abs(complex(rec)))
-    doc = {"value": _cpx(value), "rec_value": _cpx(rec), "match": match}
-    if args.formula == "as_printed" and n >= 1:
+    if n == 0:  # a_0 is the int 1 in both routes; it is reported as a complex number
+        value = rec = 1 + 0j
+    doc = {"value": value, "rec_value": rec, "match": match}
+    if args.formula == "as_printed":
         doc["partition_ratios"] = [
-            {"partition": {str(j): i for j, i in sorted(multi.items())},
+            {"partition": dict(sorted(multi.items())),
              "printed_over_corrected": float(2 ** (sum(multi.values()) - 1))}
             for multi, _, _ in partition_terms(m, n, cfg, "as_printed")]
-    _emit(doc)
-    return EXIT_PASS if match else EXIT_CHECK_FAILED
+    return _json_value(doc), match
 
 
-def cmd_selfadjoint(args) -> int:
+def cmd_selfadjoint(args) -> tuple[dict, bool]:
     cfg = _cfg(args)
     exact = args.mode == "exact"
     op = _parse_operator(args.op, exact)
@@ -151,13 +148,11 @@ def cmd_selfadjoint(args) -> int:
     doc = struct.to_dict()
     family = _resolve_family(args, exact, random.Random(args.seed))
     if family:
-        numeric = check_selfadjoint_numeric(op, family, cfg)
-        doc["numeric"] = numeric.to_dict()
-    _emit(doc)
-    return EXIT_PASS if struct.verdict else EXIT_CHECK_FAILED
+        doc["numeric"] = check_selfadjoint_numeric(op, family, cfg).to_dict()
+    return doc, struct.verdict
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args) -> tuple[dict, bool]:
     cfg = _cfg(args)
     exact = args.mode == "exact"
     f = _parse_step(args.f, exact) if args.f else None
@@ -169,11 +164,10 @@ def cmd_counterexample(args) -> int:
     expected_gap = f is None or not f.is_zero()
     doc["pass"] = (closed_vs_series <= max(rep.lhs_tail, rep.rhs_tail, cfg.tol)
                    and (rep.gap > 5e-3 if expected_gap else True))
-    _emit(doc)
-    return EXIT_PASS if doc["pass"] else EXIT_CHECK_FAILED
+    return doc, doc["pass"]
 
 
-def cmd_contraction(args) -> int:
+def cmd_contraction(args) -> tuple[dict, bool]:
     cfg = _cfg(args)
     exact = args.mode == "exact"
     op = _parse_operator(args.op, exact)
@@ -181,13 +175,11 @@ def cmd_contraction(args) -> int:
     if not family:
         raise CliInputError("provide --family or --random K")
     gram_rep, l2_rep = _contraction_reports(op, family, cfg, t=args.t)
-    doc = {"gram": gram_rep.to_dict(), "l2": l2_rep.to_dict()}
-    ok = gram_rep.psd and l2_rep.contraction
-    _emit(doc)
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+    return ({"gram": gram_rep.to_dict(), "l2": l2_rep.to_dict()},
+            gram_rep.psd and l2_rep.contraction)
 
 
-def cmd_lemma4(args) -> int:
+def cmd_lemma4(args) -> tuple[dict, bool]:
     cfg = _cfg(args)
     exact = args.mode == "exact"
     rng = random.Random(args.seed)
@@ -209,14 +201,12 @@ def cmd_lemma4(args) -> int:
     rep = lemma4_derivative_check(family, coeffs, cfg)
     doc = rep.to_dict()
     doc["pass"] = rep.rel_error <= 1e-6
-    _emit(doc)
-    return EXIT_PASS if doc["pass"] else EXIT_CHECK_FAILED
+    return doc, doc["pass"]
 
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args) -> tuple[dict, bool]:
     res = run_all(seed=args.seed)
-    _emit(res)
-    return EXIT_PASS if res["passed"] else EXIT_CHECK_FAILED
+    return res, res["passed"]
 
 
 def _resolve_family(args, exact: bool, rng: random.Random):
@@ -318,7 +308,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        doc, passed = args.func(args)
+        _emit(doc)
+        return EXIT_PASS if passed else EXIT_CHECK_FAILED
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -45,7 +45,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -150,11 +149,10 @@ def _scaled_moments(sig: dict, K: int) -> MomentSequence:
 
 
 def _exact(m: MomentSequence, c):
-    """(N, D, E, c_num) with E = c_den * Lambda when both the moments and c
-    are exact, else None.  A sequence without a scaled form is scaled here,
-    with D = 1 and Lambda the lcm of its entries' denominators."""
-    if not isinstance(c, Rational):
-        return None
+    """(N, D, E, c_num) with E = c_den * Lambda when the moments are exact,
+    else None: the values alone choose the backend, and c is read exactly
+    (a float is a dyadic rational).  A sequence without a scaled form is
+    scaled here, with D = 1 and Lambda the lcm of its entries' denominators."""
     scaled = m._scaled
     if scaled is None:
         parts = [_parts(mk) for mk in m.entries]
@@ -163,6 +161,7 @@ def _exact(m: MomentSequence, c):
         lam = math.lcm(*(d for _, _, d in parts))
         scaled = (tuple((a * (lam // d), b * (lam // d)) for a, b, d in parts), 1, lam)
     N, D, lam = scaled
+    c = _frac(c)
     return N, D, c.denominator * lam, c.numerator
 
 
@@ -344,17 +343,20 @@ def partition_terms(m: MomentSequence, n: int, cfg: FockConfig,
         return
     c_powers: dict = {}
     powers: dict = {}
-    for items, coef, q, _ in rows:
-        cq = c_powers.get(q)
-        if cq is None:  # c^q as a lean rational when c is exact
-            cq = c_powers[q] = _frac(c ** q) if isinstance(c, Fraction) else c ** q
-        term = coef * cq
-        for j, ij in items:
-            mj = powers.get((j, ij))
-            if mj is None:
-                mj = powers[(j, ij)] = m[j] ** ij
-            term = mj * term
-        yield dict(items), coef, term
+    try:
+        for items, coef, q, _ in rows:
+            cq = c_powers.get(q)
+            if cq is None:  # c^q as a lean rational when c is exact
+                cq = c_powers[q] = _frac(c ** q) if isinstance(c, Fraction) else c ** q
+            term = coef * cq
+            for j, ij in items:
+                mj = powers.get((j, ij))
+                if mj is None:
+                    mj = powers[(j, ij)] = m[j] ** ij
+                term = mj * term
+            yield dict(items), coef, term
+    except OverflowError:  # a float c^q or m_j^i beyond the doubles
+        raise DomainError("a partition term exceeds double precision") from None
 
 
 def n_particle_inner_partition(m: MomentSequence, n: int, cfg: FockConfig,
@@ -496,7 +498,7 @@ def exp_inner_series(f: StepFunction, g: StepFunction,
     if f.is_zero() or g.is_zero():
         return (1.0 + 0.0j, 0.0)
     sig = value_signature(f, g)
-    if _is_exact(sig) and isinstance(cfg.c, Rational):
+    if _is_exact(sig):
         b = n_particle_table(_scaled_moments(sig, N), N, cfg).b
     else:
         # w_k = 2^(2k+1) m_{k+1} = sum (L/2) (4u)^(k+1): |4u| < 1 keeps these in

@@ -11,7 +11,7 @@ quantizing the adjoint differs from the adjoint of the quantization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -123,10 +123,43 @@ def gamma2_matrix_element(T: QuadOperator, f: StepFunction, g: StepFunction,
     """<Gamma_2(T) Psi(f), Psi(g)> = <Psi(T f), Psi(g)>."""
     if not exp_vector_exists(f):
         raise DomainError("sup norm of f >= 1/2")
-    tf = apply_operator(T, f)
+    return _image_pairing(apply_operator(T, f), g, cfg)
+
+
+def _image_pairing(tf: StepFunction, g: StepFunction, cfg: FockConfig) -> complex:
+    """<Psi(T f), Psi(g)> from the image tf = T f of an admissible f."""
     if not exp_vector_exists(tf):
         raise DomainError("sup norm of T f >= 1/2; Gamma_2(T) Psi(f) undefined")
     return exp_inner_closed(tf, g, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Reports
+# ---------------------------------------------------------------------------
+
+
+def _json_value(v):
+    """v in JSON form: a complex or ExactComplex as [re, im], a tuple as a
+    list, dict keys as str; a DomainError for a value beyond the doubles."""
+    if isinstance(v, (complex, ExactComplex)):
+        try:
+            v = complex(v)
+        except OverflowError:  # an exact value beyond the doubles
+            raise DomainError("a result exceeds double precision") from None
+        return [v.real, v.imag]
+    if isinstance(v, dict):
+        return {str(k): _json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    return v
+
+
+class _Report:
+    """A dataclass report whose JSON form is its fields, each through
+    ``_json_value``."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -135,29 +168,21 @@ def gamma2_matrix_element(T: QuadOperator, f: StepFunction, g: StepFunction,
 
 
 @dataclass(frozen=True)
-class SelfAdjointReport:
-    """Structural conditions for Gamma_2(T) = Gamma_2(T)*."""
+class SelfAdjointReport(_Report):
+    """Structural conditions for Gamma_2(T) = Gamma_2(T)*; ``verdict`` is
+    their conjunction."""
 
     involutive: bool
     maps_into: bool
     measure_preserving: bool
     weight_bounded: bool
     weight_symmetric: bool
+    verdict: bool = field(init=False)
 
-    @property
-    def verdict(self) -> bool:
-        return (self.involutive and self.maps_into and self.measure_preserving
-                and self.weight_bounded and self.weight_symmetric)
-
-    def to_dict(self) -> dict:
-        return {
-            "involutive": self.involutive,
-            "maps_into": self.maps_into,
-            "measure_preserving": self.measure_preserving,
-            "weight_bounded": self.weight_bounded,
-            "weight_symmetric": self.weight_symmetric,
-            "verdict": self.verdict,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "verdict", (
+            self.involutive and self.maps_into and self.measure_preserving
+            and self.weight_bounded and self.weight_symmetric))
 
 
 def check_selfadjoint_structure(T: QuadOperator, tol: float = 0.0) -> SelfAdjointReport:
@@ -188,7 +213,7 @@ def check_selfadjoint_structure(T: QuadOperator, tol: float = 0.0) -> SelfAdjoin
 
 
 @dataclass(frozen=True)
-class SelfAdjointNumericReport:
+class SelfAdjointNumericReport(_Report):
     """Numeric evidence for / against self-adjointness of Gamma_2(T).
 
     ``hermitian_defect`` is max |M_ij - conj(M_ji)| for the matrix
@@ -198,26 +223,18 @@ class SelfAdjointNumericReport:
     test function, where the plain Hermitian defect vanishes.
     ``moment_defect`` is max_n,i,j |<(T f_i)^n, f_j^n> - <f_i^n, (T f_j)^n>|.
     ``exact_zero`` certifies a zero defect through exact value-signature
-    rearrangement, independent of floating point.
+    rearrangement, independent of floating point.  ``defect`` is the larger
+    of the Hermitian and the adjoint defect.
     """
 
     hermitian_defect: float
     adjoint_defect: float
     moment_defect: float
     exact_zero: bool
+    defect: float = field(init=False)
 
-    @property
-    def defect(self) -> float:
-        return max(self.hermitian_defect, self.adjoint_defect)
-
-    def to_dict(self) -> dict:
-        return {
-            "hermitian_defect": self.hermitian_defect,
-            "adjoint_defect": self.adjoint_defect,
-            "moment_defect": self.moment_defect,
-            "exact_zero": self.exact_zero,
-            "defect": self.defect,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "defect", max(self.hermitian_defect, self.adjoint_defect))
 
 
 def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
@@ -279,17 +296,11 @@ def _conj_keys(sig: dict) -> dict:
 
 
 @dataclass(frozen=True)
-class PowerCheckReport:
+class PowerCheckReport(_Report):
     """Whether (T f)^m = T(f^m) for m = 2..M, and the same for T*."""
 
     operator_equal: dict[int, bool]
     adjoint_equal: dict[int, bool]
-
-    def to_dict(self) -> dict:
-        return {
-            "operator_equal": {str(k): v for k, v in self.operator_equal.items()},
-            "adjoint_equal": {str(k): v for k, v in self.adjoint_equal.items()},
-        }
 
 
 def check_homomorphism_powers(T: QuadOperator, f: StepFunction,
@@ -297,11 +308,13 @@ def check_homomorphism_powers(T: QuadOperator, f: StepFunction,
     if M < 2:
         raise ValueError("M must be >= 2")
     T_star = adjoint_operator(T)
+    tf, tsf = apply_operator(T, f), apply_operator(T_star, f)
     op_eq: dict[int, bool] = {}
     adj_eq: dict[int, bool] = {}
     for m in range(2, M + 1):
-        op_eq[m] = (apply_operator(T, f) ** m) == apply_operator(T, f ** m)
-        adj_eq[m] = (apply_operator(T_star, f) ** m) == apply_operator(T_star, f ** m)
+        fm = f ** m
+        op_eq[m] = tf ** m == apply_operator(T, fm)
+        adj_eq[m] = tsf ** m == apply_operator(T_star, fm)
     return PowerCheckReport(op_eq, adj_eq)
 
 
@@ -311,23 +324,13 @@ def check_homomorphism_powers(T: QuadOperator, f: StepFunction,
 
 
 @dataclass(frozen=True)
-class DerivativeCheckReport:
+class DerivativeCheckReport(_Report):
     derivative: float
     expected: float            # 2c ||sum alpha_i f_i||^2
     expected_as_stated: float  # the uncorrected constant c
     abs_error: float
     rel_error: float
     ratio_to_stated: float
-
-    def to_dict(self) -> dict:
-        return {
-            "derivative": self.derivative,
-            "expected": self.expected,
-            "expected_as_stated": self.expected_as_stated,
-            "abs_error": self.abs_error,
-            "rel_error": self.rel_error,
-            "ratio_to_stated": self.ratio_to_stated,
-        }
 
 
 def lemma4_derivative_check(family: Sequence[StepFunction],
@@ -377,12 +380,9 @@ def lemma4_derivative_check(family: Sequence[StepFunction],
 
 
 @dataclass(frozen=True)
-class ContractionGramReport:
+class ContractionGramReport(_Report):
     min_eig: float
     psd: bool
-
-    def to_dict(self) -> dict:
-        return {"min_eig": self.min_eig, "psd": self.psd}
 
 
 def check_contraction_gram(T: QuadOperator, family: Sequence[StepFunction],
@@ -399,14 +399,10 @@ def _gram_report(family, images, cfg, t) -> ContractionGramReport:
 
 
 @dataclass(frozen=True)
-class L2ContractionReport:
+class L2ContractionReport(_Report):
     max_ratio: float
     ratios: tuple[float, ...]
     contraction: bool
-
-    def to_dict(self) -> dict:
-        return {"max_ratio": self.max_ratio, "ratios": list(self.ratios),
-                "contraction": self.contraction}
 
 
 def check_l2_contraction(T: QuadOperator, samples: Sequence[StepFunction],
@@ -440,7 +436,7 @@ def _contraction_reports(T: QuadOperator, family: Sequence[StepFunction],
 
 
 @dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(_Report):
     """Evidence that quantizing T* differs from the adjoint of Gamma_2(T)
     for the dilation (T f)(x) = f(2x)."""
 
@@ -453,22 +449,6 @@ class CounterexampleReport:
     rhs_tail: float
     adjoint_power_witness: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs": [self.lhs.real, self.lhs.imag],
-            "rhs": [self.rhs.real, self.rhs.imag],
-            "gap": self.gap,
-            "lhs_series": [self.lhs_series.real, self.lhs_series.imag],
-            "lhs_tail": self.lhs_tail,
-            "rhs_series": [self.rhs_series.real, self.rhs_series.imag],
-            "rhs_tail": self.rhs_tail,
-            "adjoint_power_witness": self.adjoint_power_witness,
-        }
-
-
-def default_counterexample_input() -> StepFunction:
-    return StepFunction.indicator(0, 1, 0.25 + 0j)
-
 
 def counterexample_report(cfg: FockConfig,
                           f: Optional[StepFunction] = None,
@@ -477,30 +457,36 @@ def counterexample_report(cfg: FockConfig,
 
     The right-hand side <Psi(f), Gamma_2(T*) Psi(g)> is evaluated through
     conjugate symmetry as conj(<Psi(T* g), Psi(f)>), so no adjoint on Fock
-    space is ever needed.
+    space is ever needed.  A missing input is (1/4) chi_[0,1), in the
+    backend of the other one.
     """
-    if f is None:
-        f = default_counterexample_input()
-    if g is None:
-        g = default_counterexample_input()
-    R = window_radius(f, g)
-    one = _unit_like(f, g)
-    T = dilation_operator(R, 2, one)
+    one = _unit_like(*(h for h in (f, g) if h is not None))
+    default = StepFunction.indicator(0, 1, one * Fraction(1, 4))
+    f = default if f is None else f
+    g = default if g is None else g
+    if not exp_vector_exists(f):
+        raise DomainError("sup norm of f >= 1/2")
+    T = dilation_operator(window_radius(f, g), 2, one)
     T_star = adjoint_operator(T)
+    tf, tsg = apply_operator(T, f), apply_operator(T_star, g)
 
-    lhs = gamma2_matrix_element(T, f, g, cfg)
-    rhs = gamma2_matrix_element(T_star, g, f, cfg).conjugate()
+    lhs = _image_pairing(tf, g, cfg)  # requires g admissible
+    rhs = _image_pairing(tsg, f, cfg).conjugate()
 
-    lhs_series, lhs_tail = exp_inner_series(apply_operator(T, f), g, cfg)
-    rs, rhs_tail = exp_inner_series(apply_operator(T_star, g), f, cfg)
+    lhs_series, lhs_tail = exp_inner_series(tf, g, cfg)
+    rs, rhs_tail = exp_inner_series(tsg, f, cfg)
     rhs_series = rs.conjugate()
 
     # k = 2 power witness: T*(g^2) = (1/2) g^2(./2) but (T* g)^2 = (1/4) g^2(./2)
-    witness = {
-        "adjoint_of_square": apply_operator(T_star, g ** 2).to_json(),
-        "square_of_adjoint": (apply_operator(T_star, g) ** 2).to_json(),
-        "equal": apply_operator(T_star, g ** 2) == apply_operator(T_star, g) ** 2,
-    }
+    adjoint_of_square, square_of_adjoint = apply_operator(T_star, g ** 2), tsg ** 2
+    try:
+        witness = {
+            "adjoint_of_square": adjoint_of_square.to_json(),
+            "square_of_adjoint": square_of_adjoint.to_json(),
+            "equal": adjoint_of_square == square_of_adjoint,
+        }
+    except OverflowError:  # T* doubles the breakpoints of g
+        raise DomainError("a witness breakpoint exceeds double precision") from None
 
     return CounterexampleReport(
         lhs=lhs, rhs=rhs, gap=abs(lhs - rhs),

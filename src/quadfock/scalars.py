@@ -9,8 +9,8 @@ Two interchangeable scalar types flow through the step-function algebra:
   ints directly.
 * Python ``complex`` -- the double-precision backend.
 
-Library code stays generic by using the helpers below instead of touching
-the concrete type.
+Library code stays generic by calling ``conjugate()``, which every numeric
+type has, and ``abs_sq_value`` below instead of touching the concrete type.
 
 Breakpoints, slopes and lengths are ``_Rat``: a ``Fraction`` subclass with
 the same normal form, whose arithmetic and comparisons with another
@@ -320,13 +320,6 @@ class ExactComplex:
 
     def __repr__(self) -> str:
         return f"ExactComplex({self.re!s}, {self.im!s})"
-
-
-def conj_value(v):
-    """Complex conjugate working for both backends (and plain numbers)."""
-    if isinstance(v, (ExactComplex, complex)):
-        return v.conjugate()
-    return v
 
 
 def abs_sq_value(v):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NonInjectiveError
-from .scalars import ExactComplex, _frac, abs_sq_value, conj_value
+from .scalars import ExactComplex, _frac, abs_sq_value
 
 Segment = tuple[Fraction, Fraction, object]  # (left, right, value)
 
@@ -129,7 +129,7 @@ class StepFunction:
             [(l, r, alpha * v) for l, r, v in self.segments]))
 
     def conj(self) -> "StepFunction":
-        return StepFunction(tuple((l, r, conj_value(v)) for l, r, v in self.segments))
+        return StepFunction(tuple((l, r, v.conjugate()) for l, r, v in self.segments))
 
     def __pow__(self, k: int) -> "StepFunction":
         if not isinstance(k, int) or k < 1:
@@ -214,7 +214,7 @@ def value_signature(f: StepFunction, g: StepFunction) -> dict:
     sig: dict = {}
     for l, r, vf, vg in refine(f, g):
         if vf != 0 and vg != 0:
-            u = conj_value(vf) * vg
+            u = vf.conjugate() * vg
             sig[u] = sig.get(u, 0) + (r - l)
     return sig
 
@@ -260,14 +260,8 @@ class IntervalSet:
                 out.append((l, r))
         return IntervalSet(tuple(out))
 
-    def is_empty(self) -> bool:
-        return not self.intervals
-
     def measure(self) -> Fraction:
         return sum((r - l for l, r in self.intervals), _frac(0))
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.from_intervals(list(self.intervals) + list(other.intervals))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet.from_intervals(

@@ -1,8 +1,12 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from quadfock.cli import main
 from quadfock.fock import MAX_PARTICLES
@@ -162,6 +166,10 @@ class TestContractionAndLemma4:
      "--n", str(MAX_PARTICLES + 1)],
     # (n!)^2 is beyond the doubles from n = 171 on
     ["nparticle", "--f", QUARTER, "--g", QUARTER, "--n", "200"],
+    # the as_printed coefficient is undefined at n = 0
+    ["nparticle", "--f", QUARTER, "--g", QUARTER, "--n", "0", "--formula", "as_printed"],
+    ["--mode", "exact", "nparticle", "--f", QUARTER, "--g", QUARTER, "--n", "0",
+     "--formula", "as_printed"],
 ])
 def test_usage_errors_exit_3(argv, capsys):
     code = main(argv)
@@ -183,6 +191,13 @@ def test_usage_errors_exit_3(argv, capsys):
     (["--mode", "exact", "lemma4", "--family", f"[{LONG}]", "--coeffs", "[[1,0]]"], 2),
     (["nparticle", "--n", "2", "--f", LONG, "--g", LONG], 2),
     (["--mode", "exact", "nparticle", "--n", "2", "--f", LONG, "--g", LONG], 2),
+    # c^2 of the partition sum is beyond the doubles
+    (["--c", "1e300", "nparticle", "--n", "2", "--f", QUARTER, "--g", QUARTER], 2),
+    # m_1^2 of the partition sum is beyond the doubles
+    (["nparticle", "--n", "2", "--f", '[[0,1,1e308,0]]', "--g", '[[0,1,0.125,0]]'], 2),
+    # T* doubles the breakpoints of g, and the witness prints them as doubles
+    (["counterexample", "--g", LONG], 2),
+    (["--mode", "exact", "counterexample", "--g", LONG], 2),
 ])
 def test_overflow_is_reported_not_raised(argv, code, capsys):
     assert main(argv) == code
@@ -203,6 +218,17 @@ def test_exact_c_below_the_rounding_grid_stays_positive(command, capsys):
     for key in ("closed", "value"):
         if key in flt:
             assert exact[key] == pytest.approx(flt[key], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("given", [["--f", '[[0,1,0.3,0]]'], ["--g", '[[0,2,0.125,0.0625]]']])
+def test_counterexample_default_input_follows_the_mode(given, capsys):
+    # a missing --f or --g is the default (1/4) chi_[0,1) in the backend of the other
+    default = ["--f" if given[0] == "--g" else "--g", QUARTER]
+    for mode in ("exact", "float"):
+        one = run_cli(["--mode", mode, "counterexample", *given], capsys)
+        both = run_cli(["--mode", mode, "counterexample", *given, *default], capsys)
+        assert one == both
+        assert one[1] is not None
 
 
 def test_largest_depth_runs(capsys):
@@ -257,3 +283,103 @@ def test_verify_all(capsys):
     assert code == 0
     assert doc["passed"] is True
     assert len(doc["criteria"]) == 10
+
+
+# --- argv fuzz ---------------------------------------------------------------
+# Mostly valid argvs, so that every command runs to its end, with garbage
+# mixed in at every position.
+
+
+def mostly(valid, garbage):
+    """valid, or one of garbage about one time in ten"""
+    return st.floats(0, 1).flatmap(lambda x: st.sampled_from(garbage) if x > 0.9 else valid)
+
+
+def adjacent_segments(start, cells):
+    """One segment per (width, re, im), laid end to end from start."""
+    segments = []
+    for width, re, im in cells:
+        segments.append([start, start + width, re, im])
+        start += width
+    return segments
+
+
+def operator_json(left, width, weight, slope, shift):
+    interval = [left, left + width]
+    return json.dumps({"E": [interval], "h": [[*interval, weight, 0]],
+                       "phi": [[*interval, slope, shift]]})
+
+
+VALUE = st.sampled_from([0.125, -0.25, 0.0625, 0.3, 0.2, 0.49, 0.6, 1e308, 0])
+STEPS = st.builds(adjacent_segments, st.integers(-2, 2), st.lists(
+    st.tuples(st.integers(1, 3), VALUE, st.sampled_from([0, 0.0625, -0.125])), max_size=3))
+GARBAGE = ["", "[[", "{}", "[1, 2]", "null", '[["a",1,2,3]]', "[[0,1,NaN,0]]", "[[0,1,0.1]]",
+           "[[1,0,0.1,0]]", "no-such-file.json"]
+STEP = mostly(STEPS.map(json.dumps) | st.just(LONG), GARBAGE)
+OPTIONS = {
+    "--f": STEP,
+    "--g": STEP,
+    "--n": mostly(st.integers(0, 12).map(str), ["-1", "x"]),
+    "--formula": mostly(st.sampled_from(["corrected", "as_printed"]), ["bogus"]),
+    "--op": mostly(st.sampled_from([REFLECTION, DILATION, REFLECTION.replace("0.9", "2")])
+                   | st.builds(operator_json, st.integers(-2, 1), st.integers(1, 3), VALUE,
+                               st.sampled_from([-2, -1, 0.5, 1, 2]), st.integers(-1, 1)),
+                   GARBAGE),
+    "--family": mostly(st.lists(STEPS, min_size=1, max_size=3).map(json.dumps), GARBAGE + ["[]"]),
+    "--random": mostly(st.integers(1, 4).map(str), ["0", "-1", "x"]),
+    "--coeffs": mostly(st.lists(st.tuples(st.sampled_from([1, 0.5, -0.75, 0]),
+                                          st.sampled_from([0, 0.25])),
+                                min_size=1, max_size=3).map(json.dumps), GARBAGE),
+    "--t": mostly(st.sampled_from(["1", "0.5", "-0.5", "3"]), ["nan", "x"]),
+}
+GLOBALS = {
+    "--c": mostly(st.sampled_from(["1", "0.5", "2", "0.25", "1e-13", "1e300"]),
+                  ["0", "-1", "nan", "inf", "x"]),
+    "--tol": mostly(st.sampled_from(["1e-10", "1e-3", "0.5"]), ["0", "nan", "x"]),
+    "--depth": mostly(st.integers(1, 60).map(str), ["0", "-1", "x"]),
+    "--mode": mostly(st.sampled_from(["float", "exact"]), ["bogus"]),
+    "--seed": mostly(st.integers(0, 9).map(str), ["x"]),
+}
+# each command's required and optional options; verify-all is left out: it
+# takes no input and is the slowest command
+COMMANDS = {
+    "inner": (["--f", "--g"], []),
+    "nparticle": (["--f", "--g", "--n"], ["--formula"]),
+    "selfadjoint": (["--op"], ["--family", "--random"]),
+    "counterexample": ([], ["--f", "--g"]),
+    "contraction": (["--op"], ["--family", "--random", "--t"]),
+    "lemma4": ([], ["--family", "--coeffs", "--random"]),
+    "bogus": ([], []),
+}
+
+
+@st.composite
+def argvs(draw):
+    argv = []
+    for name in draw(st.lists(st.sampled_from(list(GLOBALS)), unique=True)):
+        argv += [name, draw(GLOBALS[name])]
+    command = draw(st.sampled_from(list(COMMANDS)))
+    required, optional = COMMANDS[command]
+    argv.append(command)
+    if optional:
+        required = required + draw(st.lists(st.sampled_from(optional), unique=True))
+    for name in required:
+        argv += [name, draw(OPTIONS[name])]
+    return argv
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs())
+@example(argv=["nparticle", "--n", "0", "--formula", "as_printed", "--f", QUARTER,
+               "--g", QUARTER])
+@example(argv=["--depth", "5", "counterexample"])
+def test_every_argv_keeps_the_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    stdout = out.getvalue()
+    if stdout:
+        json.loads(stdout)  # exactly one document
+    assert code != 3 or stdout == ""
+    assert "Traceback" not in err.getvalue()

@@ -19,6 +19,7 @@ from quadfock import (
     FockConfig,
     MomentSequence,
     StepFunction,
+    exp_inner_series,
     moments,
     n_particle_inner_partition,
     n_particle_inner_rec,
@@ -27,6 +28,7 @@ from quadfock import (
     partition_terms,
     partitions_multiplicity,
 )
+from quadfock.families import random_family
 from quadfock.scalars import ExactComplex
 from quadfock.stepfn import value_signature
 
@@ -192,3 +194,17 @@ def test_c_beyond_the_doubles():
     m = moments(f, g, 6)
     entries = reference_moments(f, g, 6)
     check_all(m, entries, 6, c)
+
+
+def test_float_c_on_exact_values_is_read_exactly():
+    # the values choose the backend: a float c is the dyadic rational it stands for
+    f, g = random_family(random.Random(1), 2, exact=True)
+    m = moments(f, g, 8)
+    for flt, ex in ((FockConfig(), FockConfig(c=Fraction(1))),
+                    (FockConfig(c=0.1), FockConfig(c=Fraction(0.1)))):
+        assert n_particle_inner_rec(m, 8, flt) == n_particle_inner_rec(m, 8, ex)
+        assert n_particle_table(m, 8, flt) == n_particle_table(m, 8, ex)
+        for mode in MODES:
+            assert n_particle_inner_partition(m, 8, flt, mode) == \
+                n_particle_inner_partition(m, 8, ex, mode)
+        assert exp_inner_series(f, g, flt) == exp_inner_series(f, g, ex)
