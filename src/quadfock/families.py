@@ -10,38 +10,31 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional
 
 from .scalars import ExactComplex, _frac
 from .stepfn import IntervalSet, PiecewiseAffineMap, StepFunction
 
 
 def random_step_function(rng: random.Random, max_abs: float = 0.3,
-                         max_segments: int = 3, span: int = 4,
-                         exact: bool = False,
-                         complex_values: bool = True) -> StepFunction:
-    """Random rational step function with sup norm strictly below max_abs."""
+                         span: int = 4, exact: bool = False) -> StepFunction:
+    """Random rational step function of 1 to 3 segments, complex values,
+    with sup norm strictly below max_abs."""
     denom = 32
     # largest numerator keeping |re + i*im| < max_abs
-    bound = int(max_abs * denom / (1.4142135623730951 if complex_values else 1.0))
-    bound = max(bound, 1)
-    n_segs = rng.randint(1, max_segments)
+    bound = max(int(max_abs * denom / 1.4142135623730951), 1)
+    n_segs = rng.randint(1, 3)
+    # distinct sorted cuts, so every segment is nonempty
     cuts = sorted(rng.sample(range(0, 4 * span + 1), 2 * n_segs))
     segs = []
     for i in range(n_segs):
         l = _frac(cuts[2 * i]) / 4
         r = _frac(cuts[2 * i + 1]) / 4
-        if l == r:
-            continue
         re = _frac(rng.randint(-bound, bound)) / denom
-        im = _frac(rng.randint(-bound, bound)) / denom if complex_values else _frac(0)
+        im = _frac(rng.randint(-bound, bound)) / denom
         if re == 0 and im == 0:
             re = _frac(1) / denom
         v = ExactComplex(re, im) if exact else complex(re, im)
         segs.append((l, r, v))
-    if not segs:
-        return random_step_function(rng, max_abs, max_segments, span,
-                                    exact, complex_values)
     return StepFunction.from_segments(segs)
 
 
@@ -60,26 +53,22 @@ _SLOPES = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
            Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2)]
 
 
-def random_injective_operator(rng: random.Random, *, exact: bool = False,
-                              max_pieces: int = 2,
-                              max_attempts: int = 200):
+def random_injective_operator(rng: random.Random, *, exact: bool = False):
     """Random weighted-composition operator with injective piecewise-affine
-    map (disjoint piece images).  Returns a QuadOperator."""
+    map (disjoint piece images) of 1 or 2 pieces, redrawn while the images
+    overlap, at most 200 times.  Returns a QuadOperator."""
     from .quantization import QuadOperator
 
-    for _ in range(max_attempts):
-        n = rng.randint(1, max_pieces)
+    for _ in range(200):
+        n = rng.randint(1, 2)
+        # distinct sorted cuts, so every piece is nonempty
         cuts = sorted(rng.sample(range(-8, 9), 2 * n))
         pieces = []
         for i in range(n):
             l, r = _frac(cuts[2 * i]), _frac(cuts[2 * i + 1])
-            if l == r:
-                break
             a = rng.choice(_SLOPES)
             b = Fraction(rng.randint(-4, 4))
             pieces.append((l, r, a, b))
-        if len(pieces) != n:
-            continue
         phi = PiecewiseAffineMap.from_pieces(pieces)
         images = sorted(p.image() for p in phi.pieces)
         if any(b0 < a1 for (_, a1), (b0, _) in zip(images, images[1:])):
@@ -104,8 +93,7 @@ def reflection_operator(weight=0.9, exact: bool = False):
     from .quantization import QuadOperator
 
     E = IntervalSet.from_intervals([(0, 1)])
-    v = ExactComplex.of(Fraction(weight) if not isinstance(weight, float)
-                        else Fraction(weight)) if exact else complex(weight)
+    v = ExactComplex.of(Fraction(weight)) if exact else complex(weight)
     h = StepFunction.from_segments([(0, 1, v)])
     phi = PiecewiseAffineMap.from_pieces([(0, 1, -1, 1)])
     return QuadOperator(E, h, phi)

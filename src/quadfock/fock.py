@@ -36,6 +36,9 @@ and, with E = c_den * Lambda, the recursion holds B_n = n! (D E)^n b_n:
 Then a_n = n! B_n / (D E)^n.  A partition term is an integer over
 den_n * (D E)^n, den_n the common denominator of the coefficients at n.
 Each result is reduced once; the two routes share the N_k only.
+
+The recursion has one body in each backend, ``n_particle_table``:
+``n_particle_inner_rec`` returns its entry a_n, and the series reads its b_n.
 """
 
 from __future__ import annotations
@@ -165,11 +168,6 @@ def _exact(m: MomentSequence, c):
     return N, D, c.denominator * lam, c.numerator
 
 
-def _moment_weights(m: MomentSequence, n: int) -> list:
-    """w_k = 2^(2k+1) m_{k+1} for k = 0..n-1, the weights of the recursion."""
-    return [(2 ** (2 * k + 1)) * mk for k, mk in enumerate(m.entries[:n])]
-
-
 def _b_sequence(w: Sequence, n: int, c) -> list:
     """Normalized coefficients b_0..b_n of the generating function from the
     weights w_k = 2^(2k+1) m_{k+1}:  n b_n = c * sum_k w_k b_{n-k-1}."""
@@ -210,24 +208,17 @@ def n_particle_inner_rec(m: MomentSequence, n: int, cfg: FockConfig):
     """a_n = <B+^n_f Phi, B+^n_g Phi> via the moment recursion; a_0 = 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
     if len(m) < n:
         raise ValueError(f"need at least {n} moments, got {len(m)}")
-    ex = _exact(m, cfg.c)
-    if ex is None:
-        b = _b_sequence(_moment_weights(m, n), n, cfg.c)
-        return (math.factorial(n) ** 2) * b[n]
-    _, D, E, _ = ex
-    re, im = _scaled_b(ex, n)[n]
-    fact = math.factorial(n)
-    return _new(fact * re, fact * im, (D * E) ** n)
+    return n_particle_table(m, n, cfg).a[n]
 
 
 def n_particle_table(m: MomentSequence, n_max: int, cfg: FockConfig) -> "NParticleTable":
+    """a_n and b_n for n = 0..n_max: the one body of the moment recursion."""
     ex = _exact(m, cfg.c)
     if ex is None:
-        b = _b_sequence(_moment_weights(m, n_max), n_max, cfg.c)
+        w = [(2 ** (2 * k + 1)) * mk for k, mk in enumerate(m.entries[:n_max])]
+        b = _b_sequence(w, n_max, cfg.c)
         a = tuple((math.factorial(n) ** 2) * b[n] for n in range(n_max + 1))
         return NParticleTable(a, tuple(b))
     _, D, E, _ = ex
@@ -252,24 +243,27 @@ class NParticleTable:
 def partitions_multiplicity(n: int) -> Iterator[dict[int, int]]:
     """All multi-indices {j: i_j} with sum(j * i_j) = n, deterministic order.
 
-    Enumeration is lexicographic in the part sizes chosen largest-first.
+    Enumeration is lexicographic in the part sizes chosen largest-first, and
+    each dict lists its parts j in descending order.
     """
-
-    def rec(remaining: int, largest: int, current: dict[int, int]):
-        if remaining == 0:
-            yield dict(current)
-            return
-        for j in range(min(remaining, largest), 0, -1):
-            current[j] = current.get(j, 0) + 1
-            yield from rec(remaining - j, j, current)
-            if current[j] == 1:
-                del current[j]
-            else:
-                current[j] -= 1
-
     if n < 0:
         raise ValueError("n must be nonnegative")
-    yield from rec(n, n, {})
+    parts = [[n, 1]] if n else []  # [j, i_j], j descending
+    while True:
+        yield dict(parts)
+        rem = parts.pop()[1] if parts and parts[-1][0] == 1 else 0
+        if not parts:
+            return
+        # take one part k > 1 and refill k + rem with parts of size k - 1 and less
+        last = parts[-1]
+        k = last[0]
+        last[1] -= 1
+        if not last[1]:
+            parts.pop()
+        q, r = divmod(k + rem, k - 1)
+        parts.append([k - 1, q])
+        if r:
+            parts.append([r, 1])
 
 
 def partition_coefficient(multi: dict[int, int], n: int, mode: str) -> Fraction:

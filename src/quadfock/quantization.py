@@ -140,13 +140,16 @@ def _image_pairing(tf: StepFunction, g: StepFunction, cfg: FockConfig) -> comple
 
 def _json_value(v):
     """v in JSON form: a complex or ExactComplex as [re, im], a tuple as a
-    list, dict keys as str; a DomainError for a value beyond the doubles."""
+    list, dict keys as str, a NaN or infinite float as None (null); a
+    DomainError for a value beyond the doubles."""
     if isinstance(v, (complex, ExactComplex)):
         try:
             v = complex(v)
         except OverflowError:  # an exact value beyond the doubles
             raise DomainError("a result exceeds double precision") from None
-        return [v.real, v.imag]
+        return [_json_value(v.real), _json_value(v.imag)]
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
     if isinstance(v, dict):
         return {str(k): _json_value(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -260,11 +263,8 @@ def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
     S = [[value_signature(tf[i], family[j]) for j in range(n)] for i in range(n)]
     S_star = [[value_signature(tsf[j], family[i]) for j in range(n)] for i in range(n)]
 
-    def closed(sigs):
-        return np.array([[_closed_form(s, cfg) for s in row] for row in sigs],
-                        dtype=complex).reshape(n, n)
-
-    M, Ms = closed(S), closed(S_star)
+    M = [[_closed_form(s, cfg) for s in row] for row in S]
+    Ms = [[_closed_form(s, cfg) for s in row] for row in S_star]
     # m_k of (T f_i, f_j); those of (f_i, T f_j) are their conjugates at (j, i)
     mom = [[_signature_moments(s, depth).entries for s in row] for row in S]
 
@@ -274,8 +274,8 @@ def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
     exact_zero = True
     for i in range(n):
         for j in range(n):
-            herm = max(herm, float(abs(M[i, j] - M[j, i].conjugate())))
-            adj = max(adj, float(abs(M[i, j] - Ms[i, j].conjugate())))
+            herm = max(herm, abs(M[i][j] - M[j][i].conjugate()))
+            adj = max(adj, abs(M[i][j] - Ms[i][j].conjugate()))
             # equal signatures force equal moments and log integrals
             if exact_zero and not (S[i][j] == _conj_keys(S[j][i]) == _conj_keys(S_star[i][j])):
                 exact_zero = False

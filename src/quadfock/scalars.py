@@ -252,31 +252,15 @@ class ExactComplex:
             return NotImplemented
         a, b, d = o
         e = self._d
-        if d == e:
-            return _new(self._a + a, self._b + b, d)
         return _new(self._a * d + a * e, self._b * d + b * e, e * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        a, b, d = o
-        e = self._d
-        if d == e:
-            return _new(self._a - a, self._b - b, d)
-        return _new(self._a * d - a * e, self._b * d - b * e, e * d)
+        return self.__add__(-other)
 
     def __rsub__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        a, b, d = o
-        e = self._d
-        if d == e:
-            return _new(a - self._a, b - self._b, d)
-        return _new(a * e - self._a * d, b * e - self._b * d, e * d)
+        return (-self).__add__(other)
 
     def __neg__(self) -> "ExactComplex":
         return _new(-self._a, -self._b, self._d)
@@ -295,14 +279,9 @@ class ExactComplex:
         if not isinstance(k, int) or k < 0:
             return NotImplemented
         a, b = 1, 0
-        ba, bb = self._a, self._b
-        d = self._d ** k
-        while k:
-            if k & 1:
-                a, b = a * ba - b * bb, a * bb + b * ba
-            ba, bb = ba * ba - bb * bb, 2 * ba * bb
-            k >>= 1
-        return _new(a, b, d)
+        for _ in range(k):
+            a, b = a * self._a - b * self._b, a * self._b + b * self._a
+        return _new(a, b, self._d ** k)
 
     def __eq__(self, other) -> bool:
         if type(other) is ExactComplex:

@@ -423,9 +423,6 @@ class MeasurePreservingReport:
     def ok(self) -> bool:
         return self.injective and self.unit_slopes and self.maps_into
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def is_measure_preserving(phi: PiecewiseAffineMap, e: IntervalSet,
                           tol: float = 0.0) -> MeasurePreservingReport:

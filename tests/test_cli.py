@@ -353,6 +353,11 @@ COMMANDS = {
 }
 
 
+def reject_constant(name):
+    """json.loads hook for NaN, Infinity and -Infinity, which RFC 8259 has not."""
+    raise ValueError(f"{name} is not JSON")
+
+
 @st.composite
 def argvs(draw):
     argv = []
@@ -373,6 +378,7 @@ def argvs(draw):
 @example(argv=["nparticle", "--n", "0", "--formula", "as_printed", "--f", QUARTER,
                "--g", QUARTER])
 @example(argv=["--depth", "5", "counterexample"])
+@example(argv=["lemma4", "--family", "[[]]", "--coeffs", "[[1,0]]"])
 def test_every_argv_keeps_the_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -380,6 +386,6 @@ def test_every_argv_keeps_the_contract(argv):
     assert code in (0, 1, 2, 3)
     stdout = out.getvalue()
     if stdout:
-        json.loads(stdout)  # exactly one document
+        json.loads(stdout, parse_constant=reject_constant)  # exactly one RFC 8259 document
     assert code != 3 or stdout == ""
     assert "Traceback" not in err.getvalue()

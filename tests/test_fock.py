@@ -164,6 +164,25 @@ def reference_partition_coefficient(multi, n, mode):
     return fact_sq * Fraction(2) ** (2 * n - 1) / Fraction(denom_fact * denom_pow)
 
 
+def reference_partitions(n):
+    """The multi-indices of n by recursion: the largest part first, each
+    size from the largest allowed down, each dict keyed in insertion order."""
+
+    def rec(remaining, largest, current):
+        if remaining == 0:
+            yield dict(current)
+            return
+        for j in range(min(remaining, largest), 0, -1):
+            current[j] = current.get(j, 0) + 1
+            yield from rec(remaining - j, j, current)
+            if current[j] == 1:
+                del current[j]
+            else:
+                current[j] -= 1
+
+    yield from rec(n, n, {})
+
+
 class TestPartitions:
     @pytest.mark.parametrize("mode", ["corrected", "as_printed"])
     def test_coefficient_matches_fraction_products(self, mode):
@@ -197,6 +216,17 @@ class TestPartitions:
                 ratio = (partition_coefficient(multi, n, "as_printed")
                          / partition_coefficient(multi, n, "corrected"))
                 assert ratio == Fraction(2) ** (sum(multi.values()) - 1)
+
+    def test_order_matches_the_recursive_reference(self):
+        """The same partitions in the same order, and the same key order in
+        each dict: the float partition product reads items() in that order."""
+        for n in range(31):
+            assert [list(d.items()) for d in partitions_multiplicity(n)] == \
+                [list(d.items()) for d in reference_partitions(n)], n
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError):
+            next(partitions_multiplicity(-1))
 
 
 class TestExpVectors:
