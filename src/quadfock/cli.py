@@ -155,15 +155,15 @@ def cmd_selfadjoint(args) -> tuple[dict, bool]:
 def cmd_counterexample(args) -> tuple[dict, bool]:
     cfg = _cfg(args)
     exact = args.mode == "exact"
-    f = _parse_step(args.f, exact) if args.f else None
-    g = _parse_step(args.g, exact) if args.g else None
+    default = "[[0, 1, 0.25, 0]]"  # (1/4) chi_[0,1), in the backend of the mode
+    f = _parse_step(args.f or default, exact)
+    g = _parse_step(args.g or default, exact)
     rep = counterexample_report(cfg, f, g)
     doc = rep.to_dict()
     closed_vs_series = max(abs(rep.lhs - rep.lhs_series), abs(rep.rhs - rep.rhs_series))
-    # with nonzero default inputs the gap must be strictly positive
-    expected_gap = f is None or not f.is_zero()
+    # with a nonzero f the gap must be strictly positive
     doc["pass"] = (closed_vs_series <= max(rep.lhs_tail, rep.rhs_tail, cfg.tol)
-                   and (rep.gap > 5e-3 if expected_gap else True))
+                   and (rep.gap > 5e-3 or f.is_zero()))
     return doc, doc["pass"]
 
 

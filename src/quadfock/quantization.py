@@ -30,7 +30,6 @@ from .stepfn import (
     is_measure_preserving,
     map_compose,
     map_invert,
-    restrict,
     step_allclose,
     value_signature,
 )
@@ -40,9 +39,10 @@ from .stepfn import (
 class QuadOperator:
     """T(f) = chi_E * h * (f o phi).
 
-    supp(h) must lie in E and phi's domain must cover E.  ||h||_inf <= 1 is
-    *not* required at construction; it is one of the self-adjointness
-    conditions checked later.
+    supp(h) must lie in E and phi's domain must cover E.  The constructor
+    is the one place that enforces this; the functions below rely on it.
+    ||h||_inf <= 1 is *not* required at construction; it is one of the
+    self-adjointness conditions checked later.
     """
 
     E: IntervalSet
@@ -67,30 +67,27 @@ class QuadOperator:
 
 
 def apply_operator(T: QuadOperator, f: StepFunction) -> StepFunction:
-    """Exact evaluation of chi_E * h * (f o phi)."""
-    return restrict(T.h * compose(f, T.phi), T.E)
+    """Exact evaluation of chi_E * h * (f o phi), which is h * (f o phi):
+    the constructor guarantees supp(h) inside E."""
+    return T.h * compose(f, T.phi)
 
 
 def adjoint_operator(T: QuadOperator) -> QuadOperator:
-    """Exact L^2 adjoint, computed per affine piece by change of variables.
+    """Exact L^2 adjoint by change of variables.
 
-    On the image of a piece with slope a:  (T* g)(y) =
-    (1/|a|) * conj(h)(phi^-1(y)) * g(phi^-1(y)), so the adjoint is again a
-    weighted-composition operator with map phi^-1 and weight
-    |1/a| * conj(h) o phi^-1.  Requires phi injective on E.
+    (T* g)(y) = |(phi^-1)'(y)| * conj(h)(phi^-1(y)) * g(phi^-1(y)), so the
+    adjoint is again a weighted-composition operator, with map phi^-1 and
+    weight (conj(h) o phi^-1) * |(phi^-1)'|; the derivative is the step
+    function equal to |slope| on each piece of phi^-1, a float unless h is
+    exact.  Requires phi injective on E.
     """
-    phi_e = T.phi.restrict(T.E)
-    phi_inv = map_invert(phi_e)
-    e_star = phi_inv.domain()
-    weight = StepFunction.zero()
-    h_conj = T.h.conj()
+    phi_inv = map_invert(T.phi.restrict(T.E))
     exact = any(isinstance(v, ExactComplex) for _, _, v in T.h.segments)
-    for p in phi_inv.pieces:
-        piece_map = PiecewiseAffineMap((p,))
-        w = abs(p.slope)
-        scale = w if exact else float(w)
-        weight = weight + compose(h_conj, piece_map).scale(scale)
-    return QuadOperator(e_star, weight, phi_inv)
+    jacobian = StepFunction.from_segments(
+        (p.left, p.right, abs(p.slope) if exact else float(abs(p.slope)))
+        for p in phi_inv.pieces)
+    weight = compose(T.h.conj(), phi_inv) * jacobian
+    return QuadOperator(phi_inv.domain(), weight, phi_inv)
 
 
 def dilation_operator(radius, factor=2, one=1.0) -> QuadOperator:
@@ -192,26 +189,20 @@ def check_selfadjoint_structure(T: QuadOperator, tol: float = 0.0) -> SelfAdjoin
     """Evaluate the five structural conditions, exactly where possible:
     phi involutive on E, phi(E) inside E, phi measure preserving,
     ||h||_inf <= 1, and conj(h) = h o phi on E."""
+    mp = is_measure_preserving(T.phi, T.E, tol)
     phi_e = T.phi.restrict(T.E)
-    maps_into = T.E.contains_set(phi_e.image())
 
     involutive = False
-    if maps_into:
+    if mp.maps_into:
         phi2 = map_compose(phi_e, phi_e)
         involutive = phi2.is_identity() and phi2.domain().contains_set(T.E)
 
-    mp = is_measure_preserving(T.phi, T.E, tol)
+    # an exact |h|^2 is a Fraction, and its comparison with a float is exact
+    weight_bounded = T.h.sup_norm_sq() <= 1 + tol
+    # h o phi_e vanishes off E, since phi_e is phi restricted to E
+    weight_symmetric = step_allclose(T.h.conj(), compose(T.h, phi_e), tol)
 
-    sup_sq = T.h.sup_norm_sq()
-    if isinstance(sup_sq, Fraction):
-        weight_bounded = sup_sq <= 1
-    else:
-        weight_bounded = float(sup_sq) <= 1 + tol
-
-    h_pulled = restrict(compose(T.h, phi_e), T.E)
-    weight_symmetric = step_allclose(T.h.conj(), h_pulled, tol)
-
-    return SelfAdjointReport(involutive, maps_into, mp.ok,
+    return SelfAdjointReport(involutive, mp.maps_into, mp.ok,
                              weight_bounded, weight_symmetric)
 
 

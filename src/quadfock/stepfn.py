@@ -429,7 +429,8 @@ def is_measure_preserving(phi: PiecewiseAffineMap, e: IntervalSet,
     """Check that phi restricted to e preserves Lebesgue measure into e.
 
     For a piecewise-affine map this means: injective up to null overlap,
-    |slope| = 1 on every piece meeting e, and phi(e) inside e.
+    |slope| = 1 on every piece meeting e, and phi(e) inside e.  The slopes
+    are compared exactly, so tol == 0 asks for |slope| = 1.
     """
     phi_e = phi.restrict(e)
     try:
@@ -437,6 +438,6 @@ def is_measure_preserving(phi: PiecewiseAffineMap, e: IntervalSet,
         injective = True
     except NonInjectiveError:
         injective = False
-    unit = all(abs(float(abs(p.slope)) - 1.0) <= tol for p in phi_e.pieces)
+    unit = all(abs(abs(p.slope) - 1) <= tol for p in phi_e.pieces)
     into = e.contains_set(phi_e.image())
     return MeasurePreservingReport(injective, unit, into)

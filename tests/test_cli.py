@@ -8,8 +8,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from quadfock import cli
 from quadfock.cli import main
 from quadfock.fock import MAX_PARTICLES
+from quadfock.quantization import counterexample_report
+from quadfock.scalars import ExactComplex
 
 QUARTER = '[[0,1,0.25,0]]'
 DILATION = '{"E": [[-8,8]], "h": [[-8,8,1,0]], "phi": [[-8,8,2,0]]}'
@@ -229,6 +232,22 @@ def test_counterexample_default_input_follows_the_mode(given, capsys):
         both = run_cli(["--mode", mode, "counterexample", *given, *default], capsys)
         assert one == both
         assert one[1] is not None
+
+
+@pytest.mark.parametrize("mode, scalar", [("exact", ExactComplex), ("float", complex)])
+def test_counterexample_default_inputs_take_the_mode_backend(mode, scalar, capsys,
+                                                             monkeypatch):
+    received = []
+
+    def report(cfg, f, g):
+        received.extend((f, g))
+        return counterexample_report(cfg, f, g)
+
+    monkeypatch.setattr(cli, "counterexample_report", report)
+    code, _ = run_cli(["--mode", mode, "counterexample"], capsys)
+    assert code == 0
+    assert len(received) == 2
+    assert all(type(v) is scalar for h in received for _, _, v in h.segments)
 
 
 def test_largest_depth_runs(capsys):

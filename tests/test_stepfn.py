@@ -145,6 +145,11 @@ class TestMeasurePreserving:
         rep = is_measure_preserving(phi, self.E)
         assert rep.unit_slopes and not rep.maps_into
 
+    def test_slopes_are_compared_exactly(self):
+        phi = PiecewiseAffineMap.from_pieces([(0, 1, 1 - Fraction(1, 10 ** 20), 0)])
+        assert not is_measure_preserving(phi, self.E).unit_slopes
+        assert is_measure_preserving(phi, self.E, tol=1e-12).unit_slopes
+
 
 class TestIntervalSet:
     def test_normalization_merges(self):
