@@ -21,8 +21,9 @@ from .families import random_family
 from .fock import (
     MAX_PARTICLES,
     FockConfig,
-    exp_inner_closed,
-    exp_inner_series,
+    _admissible_signature,
+    _closed_form,
+    _series_form,
     moments,
     n_particle_inner_partition,
     n_particle_inner_rec,
@@ -105,8 +106,9 @@ def cmd_inner(args) -> tuple[dict, bool]:
     exact = args.mode == "exact"
     f = _parse_step(args.f, exact)
     g = _parse_step(args.g, exact)
-    closed = exp_inner_closed(f, g, cfg)
-    series, tail = exp_inner_series(f, g, cfg)
+    sig = _admissible_signature(f, g)  # one sweep of the pair for both routes
+    closed = _closed_form(sig, cfg)
+    series, tail = _series_form(sig, f, g, cfg)
     agree = abs(closed - series) <= max(tail, cfg.tol)
     return _json_value({"closed": closed, "series": series,
                         "tail_bound": tail, "agree": agree}), agree
@@ -301,10 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: parse_args keeps no state between calls, so every
+# main call in a process shares this parser.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -53,7 +53,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, NotHermitianError, UnconvergedError
-from .scalars import ExactComplex, _frac, _new, _parts
+from .scalars import ExactComplex, _frac, _new, _parts, _rat
 from .stepfn import StepFunction, value_signature
 from .stepfn import inner  # noqa: F401  perfbench/test_trace.py reads quadfock.fock.inner
 
@@ -275,6 +275,12 @@ def partition_coefficient(multi: dict[int, int], n: int, mode: str) -> Fraction:
 
     The two differ per multi-index by exactly 2^{(sum_j i_j) - 1}.
     """
+    return Fraction(math.factorial(n) ** 2 << (2 * n), _coefficient_denominator(multi, mode))
+
+
+def _coefficient_denominator(multi: dict[int, int], mode: str) -> int:
+    """The unreduced denominator of ``partition_coefficient``; its numerator,
+    (n!)^2 * 4^n, is the same for every multi-index of n."""
     if mode == "corrected":
         base, den = 2, 1
     elif mode == "as_printed":
@@ -283,7 +289,7 @@ def partition_coefficient(multi: dict[int, int], n: int, mode: str) -> Fraction:
         raise ValueError(f"unknown mode {mode!r}")
     for j, ij in multi.items():
         den *= (base * j) ** ij * math.factorial(ij)
-    return Fraction(math.factorial(n) ** 2 << (2 * n), den)
+    return den
 
 
 @functools.lru_cache(maxsize=16)
@@ -294,7 +300,8 @@ def _partition_table(n: int, mode: str) -> tuple:
     It depends on n and mode only."""
     if n > MAX_PARTICLES:
         raise ValueError(f"n must be at most {MAX_PARTICLES}")
-    rows = [(tuple(multi.items()), _frac(partition_coefficient(multi, n, mode)),
+    num = math.factorial(n) ** 2 << (2 * n)
+    rows = [(tuple(multi.items()), _rat(num, _coefficient_denominator(multi, mode)),
              sum(multi.values()))
             for multi in partitions_multiplicity(n)]
     den = math.lcm(*(coef.denominator for _, coef, _ in rows))
@@ -437,10 +444,17 @@ def _closed_form(sig: dict, cfg: FockConfig, t: float = 1.0) -> complex:
     raise DomainError(f"closed form exp({exponent}) overflows double precision")
 
 
+def _admissible_signature(f: StepFunction, g: StepFunction) -> dict:
+    """value_signature(f, g), or a DomainError where Psi(f) or Psi(g) does
+    not exist: the one admissibility test of a pair, shared by its closed
+    form and its series."""
+    _require_admissible(f, g)
+    return value_signature(f, g)
+
+
 def exp_inner_closed(f: StepFunction, g: StepFunction, cfg: FockConfig) -> complex:
     """<Psi(f), Psi(g)> = exp(-c/2 * integral of log(1 - 4 conj(f) g))."""
-    _require_admissible(f, g)
-    return _closed_form(value_signature(f, g), cfg)
+    return _closed_form(_admissible_signature(f, g), cfg)
 
 
 def exp_inner_closed_scaled(f: StepFunction, g: StepFunction, t: float,
@@ -483,7 +497,13 @@ def exp_inner_series(f: StepFunction, g: StepFunction,
     d_{N+1} / (1 - r).  That bound is evaluated rounding every step up, and
     the float rounding error of summing b_0..b_N is added to it.
     """
-    _require_admissible(f, g)
+    return _series_form(_admissible_signature(f, g), f, g, cfg)
+
+
+def _series_form(sig: dict, f: StepFunction, g: StepFunction,
+                 cfg: FockConfig) -> tuple[complex, float]:
+    """``exp_inner_series`` of an admissible pair (f, g) from its value
+    signature sig."""
     rho = f.sup_norm() * g.sup_norm()
     x = 4.0 * rho
     if x >= 1.0:
@@ -491,7 +511,6 @@ def exp_inner_series(f: StepFunction, g: StepFunction,
     N = cfg.depth
     if f.is_zero() or g.is_zero():
         return (1.0 + 0.0j, 0.0)
-    sig = value_signature(f, g)
     if _is_exact(sig):
         b = n_particle_table(_scaled_moments(sig, N), N, cfg).b
     else:

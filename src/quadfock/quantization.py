@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fock import (FockConfig, _closed_form, _gram_matrices, _signature_moments,
-                   exp_inner_closed, exp_inner_series, exp_vector_exists, gram_matrix,
+from .fock import (FockConfig, _admissible_signature, _closed_form, _gram_matrices,
+                   _series_form, _signature_moments, exp_vector_exists, gram_matrix,
                    gram_min_eig)
 from .scalars import ExactComplex, _frac
 from .stepfn import (
@@ -120,14 +120,15 @@ def gamma2_matrix_element(T: QuadOperator, f: StepFunction, g: StepFunction,
     """<Gamma_2(T) Psi(f), Psi(g)> = <Psi(T f), Psi(g)>."""
     if not exp_vector_exists(f):
         raise DomainError("sup norm of f >= 1/2")
-    return _image_pairing(apply_operator(T, f), g, cfg)
+    return _closed_form(_image_signature(apply_operator(T, f), g), cfg)
 
 
-def _image_pairing(tf: StepFunction, g: StepFunction, cfg: FockConfig) -> complex:
-    """<Psi(T f), Psi(g)> from the image tf = T f of an admissible f."""
+def _image_signature(tf: StepFunction, g: StepFunction) -> dict:
+    """The value signature of (T f, g) from the image tf = T f of an
+    admissible f; a DomainError where Psi(T f) or Psi(g) does not exist."""
     if not exp_vector_exists(tf):
         raise DomainError("sup norm of T f >= 1/2; Gamma_2(T) Psi(f) undefined")
-    return exp_inner_closed(tf, g, cfg)
+    return _admissible_signature(tf, g)
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +462,14 @@ def counterexample_report(cfg: FockConfig,
     T_star = adjoint_operator(T)
     tf, tsg = apply_operator(T, f), apply_operator(T_star, g)
 
-    lhs = _image_pairing(tf, g, cfg)  # requires g admissible
-    rhs = _image_pairing(tsg, f, cfg).conjugate()
+    # one signature per pairing, read by its closed form and by its series
+    lhs_sig = _image_signature(tf, g)  # requires g admissible
+    lhs = _closed_form(lhs_sig, cfg)
+    rhs_sig = _image_signature(tsg, f)
+    rhs = _closed_form(rhs_sig, cfg).conjugate()
 
-    lhs_series, lhs_tail = exp_inner_series(tf, g, cfg)
-    rs, rhs_tail = exp_inner_series(tsg, f, cfg)
+    lhs_series, lhs_tail = _series_form(lhs_sig, tf, g, cfg)
+    rs, rhs_tail = _series_form(rhs_sig, tsg, f, cfg)
     rhs_series = rs.conjugate()
 
     # k = 2 power witness: T*(g^2) = (1/2) g^2(./2) but (T* g)^2 = (1/4) g^2(./2)

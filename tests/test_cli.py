@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from quadfock import cli
+from quadfock import cli, fock
 from quadfock.cli import main
 from quadfock.fock import MAX_PARTICLES
 from quadfock.quantization import counterexample_report
@@ -248,6 +248,70 @@ def test_counterexample_default_inputs_take_the_mode_backend(mode, scalar, capsy
     assert code == 0
     assert len(received) == 2
     assert all(type(v) is scalar for h in received for _, _, v in h.segments)
+
+
+# --- one parser per process ---------------------------------------------------
+
+
+def run_with_fresh_parser(argv, capsys, monkeypatch):
+    """(exit code, stdout) of argv run alone, against a parser built for it."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_PARSER", cli.build_parser())
+        code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sequence", [
+    [["--mode", "exact", "--c", "0.5", "--depth", "60", "inner", "--f", QUARTER,
+      "--g", QUARTER],
+     ["inner", "--f", QUARTER, "--g", QUARTER]],
+    [["nparticle", "--formula", "as_printed", "--n", "3", "--f", QUARTER, "--g", QUARTER],
+     ["nparticle", "--n", "3", "--f", QUARTER, "--g", QUARTER]],
+    [["--seed", "3", "selfadjoint", "--op", DILATION, "--random", "2"],
+     ["selfadjoint", "--op", DILATION, "--random", "2"]],
+    [["inner", "--f", QUARTER],
+     ["inner", "--f", QUARTER, "--g", QUARTER]],
+])
+def test_shared_parser_keeps_no_state_between_calls(sequence, capsys, monkeypatch):
+    in_sequence = []
+    for argv in sequence:
+        code = main(argv)
+        in_sequence.append((code, capsys.readouterr().out))
+    alone = [run_with_fresh_parser(argv, capsys, monkeypatch) for argv in sequence]
+    assert in_sequence == alone
+    # each sequence changes the output, so a carried-over option would show
+    assert in_sequence[0] != in_sequence[1]
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    def build_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    for _ in range(2):
+        assert main(["inner", "--f", QUARTER, "--g", QUARTER]) == 0
+        assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, sweeps", [
+    (["inner", "--f", QUARTER, "--g", '[[0,2,0.125,0.0625]]'], 1),
+    (["counterexample"], 2),
+])
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_one_value_signature_per_pair(command, sweeps, mode, capsys, monkeypatch):
+    # counterexample pairs (T f, g) and (T* g, f); each pair's closed form
+    # and series read one signature
+    calls = []
+
+    def value_signature(f, g):
+        calls.append((f, g))
+        return signature(f, g)
+
+    signature = fock.value_signature
+    monkeypatch.setattr(fock, "value_signature", value_signature)
+    assert main(["--mode", mode, *command]) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == sweeps
 
 
 def test_largest_depth_runs(capsys):

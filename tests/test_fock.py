@@ -26,7 +26,8 @@ from quadfock import (
     partitions_multiplicity,
 )
 from quadfock.families import random_family
-from quadfock.scalars import ExactComplex
+from quadfock.fock import _partition_table
+from quadfock.scalars import ExactComplex, _Rat
 
 CFG = FockConfig()
 CFG_EXACT = FockConfig(c=Fraction(1))
@@ -191,6 +192,20 @@ class TestPartitions:
                 got = partition_coefficient(multi, n, mode)
                 assert type(got) is Fraction
                 assert got == reference_partition_coefficient(multi, n, mode)
+
+    @pytest.mark.parametrize("mode", ["corrected", "as_printed"])
+    def test_table_rows_carry_the_coefficient(self, mode):
+        # the table shares one numerator (n!)^2 4^n over its rows
+        for n in range(13):
+            den, rows = _partition_table(n, mode)
+            multis = list(partitions_multiplicity(n))
+            assert len(rows) == len(multis)
+            for multi, (items, coef, q, scaled) in zip(multis, rows):
+                assert items == tuple(multi.items())
+                assert type(coef) is _Rat
+                assert coef == partition_coefficient(multi, n, mode)
+                assert q == sum(multi.values())
+                assert scaled == den * coef
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
