@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .quantization import QuadOperator
 from .scalars import ExactComplex, _frac
-from .stepfn import IntervalSet, PiecewiseAffineMap, StepFunction
+from .stepfn import IntervalSet, PiecewiseAffineMap, StepFunction, _images_overlap
 
 
 def random_step_function(rng: random.Random, max_abs: float = 0.3,
@@ -55,10 +56,8 @@ _SLOPES = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
 
 def random_injective_operator(rng: random.Random, *, exact: bool = False):
     """Random weighted-composition operator with injective piecewise-affine
-    map (disjoint piece images) of 1 or 2 pieces, redrawn while the images
-    overlap, at most 200 times.  Returns a QuadOperator."""
-    from .quantization import QuadOperator
-
+    map of 1 or 2 pieces, redrawn while ``stepfn._images_overlap`` finds its
+    piece images overlapping, at most 200 times.  Returns a QuadOperator."""
     for _ in range(200):
         n = rng.randint(1, 2)
         # distinct sorted cuts, so every piece is nonempty
@@ -70,8 +69,7 @@ def random_injective_operator(rng: random.Random, *, exact: bool = False):
             b = Fraction(rng.randint(-4, 4))
             pieces.append((l, r, a, b))
         phi = PiecewiseAffineMap.from_pieces(pieces)
-        images = sorted(p.image() for p in phi.pieces)
-        if any(b0 < a1 for (_, a1), (b0, _) in zip(images, images[1:])):
+        if _images_overlap(phi):
             continue
         E = phi.domain()
         h_segs = []
@@ -90,8 +88,6 @@ def random_injective_operator(rng: random.Random, *, exact: bool = False):
 def reflection_operator(weight=0.9, exact: bool = False):
     """phi(x) = 1 - x on [0, 1) with a real constant weight: the canonical
     operator whose quadratic quantization is self-adjoint."""
-    from .quantization import QuadOperator
-
     E = IntervalSet.from_intervals([(0, 1)])
     v = ExactComplex.of(Fraction(weight)) if exact else complex(weight)
     h = StepFunction.from_segments([(0, 1, v)])

@@ -217,9 +217,12 @@ def n_particle_table(m: MomentSequence, n_max: int, cfg: FockConfig) -> "NPartic
     """a_n and b_n for n = 0..n_max: the one body of the moment recursion."""
     ex = _exact(m, cfg.c)
     if ex is None:
-        w = [(2 ** (2 * k + 1)) * mk for k, mk in enumerate(m.entries[:n_max])]
-        b = _b_sequence(w, n_max, cfg.c)
-        a = tuple((math.factorial(n) ** 2) * b[n] for n in range(n_max + 1))
+        try:
+            w = [(2 ** (2 * k + 1)) * mk for k, mk in enumerate(m.entries[:n_max])]
+            b = _b_sequence(w, n_max, cfg.c)
+            a = tuple((math.factorial(n) ** 2) * b[n] for n in range(n_max + 1))
+        except OverflowError:  # an int weight 2^(2k+1) or (n!)^2 beyond the doubles
+            raise DomainError("a recursion weight exceeds double precision") from None
         return NParticleTable(a, tuple(b))
     _, D, E, _ = ex
     a, b = [1], [1]

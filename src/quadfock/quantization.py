@@ -39,10 +39,10 @@ from .stepfn import (
 class QuadOperator:
     """T(f) = chi_E * h * (f o phi).
 
-    supp(h) must lie in E and phi's domain must cover E.  The constructor
-    is the one place that enforces this; the functions below rely on it.
-    ||h||_inf <= 1 is *not* required at construction; it is one of the
-    self-adjointness conditions checked later.
+    supp(h) must lie in E and phi's domain must cover E; the constructor is
+    the one place that enforces this, and it keeps phi restricted to E, so
+    the functions below rely on dom phi = E.  ||h||_inf <= 1 is *not* required
+    at construction; it is one of the self-adjointness conditions checked later.
     """
 
     E: IntervalSet
@@ -52,8 +52,11 @@ class QuadOperator:
     def __post_init__(self):
         if not self.E.contains_set(self.h.support()):
             raise ValueError("supp(h) must be contained in E")
-        if not self.phi.domain().contains_set(self.E):
+        domain = self.phi.domain()
+        if not domain.contains_set(self.E):
             raise ValueError("phi's domain must cover E")
+        if domain != self.E:
+            object.__setattr__(self, "phi", self.phi.restrict(self.E))
 
     def to_json(self) -> dict:
         return {"E": self.E.to_json(), "h": self.h.to_json(),
@@ -81,7 +84,7 @@ def adjoint_operator(T: QuadOperator) -> QuadOperator:
     function equal to |slope| on each piece of phi^-1, a float unless h is
     exact.  Requires phi injective on E.
     """
-    phi_inv = map_invert(T.phi.restrict(T.E))
+    phi_inv = map_invert(T.phi)
     exact = any(isinstance(v, ExactComplex) for _, _, v in T.h.segments)
     jacobian = StepFunction.from_segments(
         (p.left, p.right, abs(p.slope) if exact else float(abs(p.slope)))
@@ -191,17 +194,16 @@ def check_selfadjoint_structure(T: QuadOperator, tol: float = 0.0) -> SelfAdjoin
     phi involutive on E, phi(E) inside E, phi measure preserving,
     ||h||_inf <= 1, and conj(h) = h o phi on E."""
     mp = is_measure_preserving(T.phi, T.E, tol)
-    phi_e = T.phi.restrict(T.E)
 
     involutive = False
     if mp.maps_into:
-        phi2 = map_compose(phi_e, phi_e)
+        phi2 = map_compose(T.phi, T.phi)
         involutive = phi2.is_identity() and phi2.domain().contains_set(T.E)
 
     # an exact |h|^2 is a Fraction, and its comparison with a float is exact
     weight_bounded = T.h.sup_norm_sq() <= 1 + tol
-    # h o phi_e vanishes off E, since phi_e is phi restricted to E
-    weight_symmetric = step_allclose(T.h.conj(), compose(T.h, phi_e), tol)
+    # h o phi vanishes off E = dom phi
+    weight_symmetric = step_allclose(T.h.conj(), compose(T.h, T.phi), tol)
 
     return SelfAdjointReport(involutive, mp.maps_into, mp.ok,
                              weight_bounded, weight_symmetric)

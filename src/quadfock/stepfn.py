@@ -399,12 +399,16 @@ def map_compose(phi: PiecewiseAffineMap, psi: PiecewiseAffineMap) -> PiecewiseAf
     return PiecewiseAffineMap.from_pieces(pieces)
 
 
-def map_invert(phi: PiecewiseAffineMap) -> PiecewiseAffineMap:
-    """Exact inverse; requires pairwise disjoint piece images."""
+def _images_overlap(phi: PiecewiseAffineMap) -> bool:
+    """Whether two piece images of phi overlap on a set of positive length."""
     images = sorted(p.image() for p in phi.pieces)
-    for (al, ar), (bl, _) in zip(images, images[1:]):
-        if bl < ar:
-            raise NonInjectiveError("piece images overlap on a set of positive length")
+    return any(bl < ar for (_, ar), (bl, _) in zip(images, images[1:]))
+
+
+def map_invert(phi: PiecewiseAffineMap) -> PiecewiseAffineMap:
+    """Exact inverse; a NonInjectiveError where ``_images_overlap(phi)``."""
+    if _images_overlap(phi):
+        raise NonInjectiveError("piece images overlap on a set of positive length")
     pieces = []
     for p in phi.pieces:
         il, ir = p.image()
@@ -428,16 +432,11 @@ def is_measure_preserving(phi: PiecewiseAffineMap, e: IntervalSet,
                           tol: float = 0.0) -> MeasurePreservingReport:
     """Check that phi restricted to e preserves Lebesgue measure into e.
 
-    For a piecewise-affine map this means: injective up to null overlap,
-    |slope| = 1 on every piece meeting e, and phi(e) inside e.  The slopes
-    are compared exactly, so tol == 0 asks for |slope| = 1.
+    For a piecewise-affine map this means: no ``_images_overlap`` (injective
+    up to null overlap), |slope| = 1 on every piece meeting e, and phi(e)
+    inside e.  The slopes are compared exactly, so tol == 0 asks for |slope| = 1.
     """
     phi_e = phi.restrict(e)
-    try:
-        map_invert(phi_e)
-        injective = True
-    except NonInjectiveError:
-        injective = False
     unit = all(abs(abs(p.slope) - 1) <= tol for p in phi_e.pieces)
     into = e.contains_set(phi_e.image())
-    return MeasurePreservingReport(injective, unit, into)
+    return MeasurePreservingReport(not _images_overlap(phi_e), unit, into)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from quadfock import cli, fock
+from quadfock import acceptance, cli, fock, quantization, stepfn
 from quadfock.cli import main
 from quadfock.fock import MAX_PARTICLES
 from quadfock.quantization import counterexample_report
@@ -312,6 +312,37 @@ def test_one_value_signature_per_pair(command, sweeps, mode, capsys, monkeypatch
     assert main(["--mode", mode, *command]) == 0
     assert capsys.readouterr().out
     assert len(calls) == sweeps
+
+
+@pytest.mark.parametrize("run, counts", [
+    # the reflection is given with dom phi = E, so its one restrict is
+    # is_measure_preserving's and its one inverse is the adjoint's
+    (lambda: main(["selfadjoint", "--op", REFLECTION, "--random", "3"]),
+     {"map_invert": 1, "restrict": 1}),
+    (acceptance.criterion_10, {"restrict": 0}),
+    # one sweep for the exact moments and one for the float routes, per pair
+    (acceptance.criterion_2, {"value_signature": 100}),
+], ids=["selfadjoint", "criterion_10", "criterion_2"])
+def test_operator_and_pair_work(run, counts, capsys, monkeypatch):
+    calls = dict.fromkeys(counts, 0)
+
+    def counting(name, fn):
+        def counted(*args):
+            if name in calls:
+                calls[name] += 1
+            return fn(*args)
+        return counted
+
+    invert = counting("map_invert", stepfn.map_invert)
+    monkeypatch.setattr(stepfn, "map_invert", invert)
+    monkeypatch.setattr(quantization, "map_invert", invert)
+    monkeypatch.setattr(stepfn.PiecewiseAffineMap, "restrict",
+                        counting("restrict", stepfn.PiecewiseAffineMap.restrict))
+    monkeypatch.setattr(fock, "value_signature",
+                        counting("value_signature", fock.value_signature))
+    run()
+    capsys.readouterr()
+    assert calls == counts
 
 
 def test_largest_depth_runs(capsys):

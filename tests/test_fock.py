@@ -129,6 +129,18 @@ class TestNParticle:
             assert table.a[n].im == 0 and table.a[n].re >= 0 if n else True
 
 
+    @pytest.mark.parametrize("n", [99, 600])
+    def test_float_weight_beyond_the_doubles(self, n):
+        # at n = 99 the factor (99!)^2 leaves the doubles, at n = 600 the
+        # weight 2^(2k+1) for k >= 512 does; at n = 90 neither does
+        f = chi(0, 1, 0.2 + 0j)
+        m = moments(f, f, n)
+        assert math.isfinite(abs(n_particle_inner_rec(m, 90, CFG)))
+        with pytest.raises(DomainError, match="exceeds double precision"):
+            n_particle_table(m, n, CFG)
+        with pytest.raises(DomainError, match="exceeds double precision"):
+            n_particle_inner_rec(m, n, CFG)
+
     @pytest.mark.parametrize("cfg", [CFG_EXACT, FockConfig(c=Fraction(3, 2)), CFG])
     def test_table_matches_recursion(self, cfg):
         rng = random.Random(3)

@@ -313,3 +313,11 @@ class TestOperatorJson:
     def test_round_trip(self):
         T = reflection_operator(0.9)
         assert QuadOperator.from_json(T.to_json()) == T
+
+    def test_larger_domain_is_restricted(self):
+        # dom phi = [-1, 2) is larger than E = [0, 1): the operator holds phi | E
+        e = IntervalSet.from_intervals([(0, 1)])
+        phi = PiecewiseAffineMap.from_pieces([(-1, 0, 2, 3), (0, 2, -1, 1)])
+        T = QuadOperator(e, chi(0, 1, 0.9 + 0j), phi)
+        assert T == reflection_operator(0.9)
+        assert QuadOperator.from_json(T.to_json()) == T
