@@ -9,6 +9,12 @@ and every quantity is read off it: a Gram matrix sweeps only the pairs
 i <= j, because the signature of (g, f) is that of (f, g) with conjugated
 keys, and fills the rest by Hermitian symmetry.
 
+The lengths in a signature are exact.  A float route leaves exact
+arithmetic where each length becomes a double, once: in ``_float_moments``
+and in ``_closed_form``.  The series takes its total length as one integer
+sum over the common denominator Lambda of the lengths, and each half length
+L/2 as the double l / (2 Lambda), the same double as float(L / 2).
+
 The n-particle inner products ``a_n`` obey the recursion
 
     n * b_n = c * sum_{k=0}^{n-1} 2^(2k+1) * m_{k+1} * b_{n-k-1},
@@ -48,7 +54,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -117,15 +124,23 @@ def _signature_moments(sig: dict, K: int) -> MomentSequence:
     """m_k = sum L_u u^k, k = 1..K, from a value signature u -> L_u."""
     if _is_exact(sig):
         return _scaled_moments(sig, K)
-    us, terms = list(sig), list(sig.values())
-    entries = []
+    return MomentSequence(_float_moments(list(sig), sig.values(), K))
+
+
+def _float_moments(us: list, lengths: Iterable, K: int) -> tuple:
+    """sum L u^k over the values us and their lengths, k = 1..K.
+
+    Each length becomes a double once, here; from then on every term is
+    the complex product of the previous one and its u."""
     try:
-        for _ in range(K):
-            terms = [t * u for t, u in zip(terms, us)]
-            entries.append(sum(terms, 0))
-    except OverflowError:  # a length beyond the doubles times a float value
+        terms = [complex(float(length)) for length in lengths]
+    except OverflowError:  # a length beyond the doubles
         raise DomainError("a length exceeds double precision") from None
-    return MomentSequence(tuple(entries))
+    entries = []
+    for _ in range(K):
+        terms = list(map(mul, terms, us))
+        entries.append(sum(terms, 0))
+    return tuple(entries)
 
 
 def _is_exact(sig: dict) -> bool:
@@ -138,9 +153,9 @@ def _scaled_moments(sig: dict, K: int) -> MomentSequence:
     L_u = l_u / Lambda, so N_k = sum l_u (a + b i)^k."""
     us = [_parts(u) for u in sig]
     D = math.lcm(*(d for _, _, d in us))
-    lam = math.lcm(*(length.denominator for length in sig.values()))
+    lam, ls = _scaled_lengths(sig.values())
     us = [(a * (D // d), b * (D // d)) for a, b, d in us]
-    terms = [(length.numerator * (lam // length.denominator), 0) for length in sig.values()]
+    terms = [(length, 0) for length in ls]
     N, entries, den = [], [], lam
     for _ in range(K):
         terms = [(tr * ur - ti * ui, tr * ui + ti * ur) for (tr, ti), (ur, ui) in zip(terms, us)]
@@ -149,6 +164,14 @@ def _scaled_moments(sig: dict, K: int) -> MomentSequence:
         N.append((re, im))
         entries.append(_new(re, im, den))
     return MomentSequence(tuple(entries), (tuple(N), D, lam))
+
+
+def _scaled_lengths(lengths: Iterable) -> tuple[int, list]:
+    """(Lambda, [l_u]) with L_u = l_u / Lambda, Lambda the lcm of the
+    denominators of the lengths L_u."""
+    lengths = list(lengths)
+    lam = math.lcm(*(length.denominator for length in lengths))
+    return lam, [length.numerator * (lam // length.denominator) for length in lengths]
 
 
 def _exact(m: MomentSequence, c):
@@ -172,11 +195,11 @@ def _b_sequence(w: Sequence, n: int, c) -> list:
     """Normalized coefficients b_0..b_n of the generating function from the
     weights w_k = 2^(2k+1) m_{k+1}:  n b_n = c * sum_k w_k b_{n-k-1}."""
     b = [1]
-    for nn in range(1, n + 1):
-        acc = 0
-        for k in range(nn):
-            acc = acc + w[k] * b[nn - k - 1]
-        b.append((c / nn) * acc)
+    try:
+        for nn in range(1, n + 1):
+            b.append((c / nn) * sum(map(mul, w, reversed(b))))
+    except OverflowError:  # an exact c / n or weight beyond the doubles, times a float
+        raise DomainError("a recursion term exceeds double precision") from None
     return b
 
 
@@ -438,7 +461,10 @@ def _closed_form(sig: dict, cfg: FockConfig, t: float = 1.0) -> complex:
         if arg == 0 or arg.real < 0 and arg.imag == 0:
             raise DomainError("log argument on the branch cut; inputs inadmissible")
         total += _length_double(length) * cmath.log(arg)
-    exponent = -float(cfg.c) / 2 * total
+    try:
+        exponent = -float(cfg.c) / 2 * total
+    except OverflowError:  # an exact c beyond the doubles
+        raise DomainError("c exceeds double precision") from None
     if cmath.isfinite(exponent):
         try:
             return cmath.exp(exponent)
@@ -514,17 +540,21 @@ def _series_form(sig: dict, f: StepFunction, g: StepFunction,
     N = cfg.depth
     if f.is_zero() or g.is_zero():
         return (1.0 + 0.0j, 0.0)
+    lam, ls = _scaled_lengths(sig.values())
     if _is_exact(sig):
         b = n_particle_table(_scaled_moments(sig, N), N, cfg).b
     else:
         # w_k = 2^(2k+1) m_{k+1} = sum (L/2) (4u)^(k+1): |4u| < 1 keeps these in
-        # range at any depth, where the factor 2^(2k+1) alone leaves the doubles
-        w = _signature_moments({4 * u: length / 2 for u, length in sig.items()}, N).entries
+        # range at any depth, where the factor 2^(2k+1) alone leaves the doubles.
+        # l / (2 Lambda) is L/2 correctly rounded, as float(L / 2) is; the
+        # generator runs inside _float_moments' check for a length too large.
+        w = _float_moments([4 * u for u in sig], (l / (2 * lam) for l in ls), N)
         b = _b_sequence(w, N, cfg.c)
     terms = [complex(bn) for bn in b]
     value = sum(terms, 0j)
 
-    beta = _up(_length_double(Fraction(cfg.c) * sum(sig.values()) / 2))
+    c = _frac(cfg.c)  # beta = c S / 2, S = sum(ls) / Lambda the overlap length
+    beta = _up(_length_double(_rat(c.numerator * sum(ls), 2 * c.denominator * lam)))
     # rho carries at most 5 roundings of 2^-53 (two sup norms and their
     # product); the factor 1 + 2^-50 covers them
     x = _up(x * (1 + 2.0 ** -50))

@@ -30,8 +30,10 @@ def _frac(x) -> "_Rat":
         return x
     if type(x) is int:
         return _rat(x, 1)
-    if isinstance(x, float):
-        return _rat(*x.as_integer_ratio())
+    if isinstance(x, float):  # as_integer_ratio() is in lowest terms: no gcd
+        q = object.__new__(_Rat)
+        q._numerator, q._denominator = x.as_integer_ratio()
+        return q
     if isinstance(x, Rational):
         return _rat(int(x.numerator), int(x.denominator))
     raise TypeError(f"cannot convert {x!r} to Fraction")

@@ -6,7 +6,9 @@ in the inner-product formulas evaluate in closed form.  Breakpoints,
 affine coefficients and lengths are always exact rationals, of the lean
 ``Fraction`` subclass ``scalars._Rat``: it compares and adds on its int
 pairs without ``Fraction``'s generic dispatch.  Only the *values* of a step
-function choose between the exact and the float scalar backend.
+function choose between the exact and the float scalar backend.  A float
+breakpoint is read exactly, once; a float route leaves exact arithmetic
+only in ``fock``, where each length becomes a double once.
 
 Intervals are half-open ``[l, r)`` throughout.  All statements the library
 verifies are almost-everywhere statements, so endpoint membership never
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NonInjectiveError
@@ -30,18 +33,27 @@ Segment = tuple[Fraction, Fraction, object]  # (left, right, value)
 
 
 def _canonical_segments(segments: Iterable[Segment]) -> tuple[Segment, ...]:
-    segs = [(l, r, v) for (l, r, v) in segments if l < r and v != 0]
-    segs.sort(key=lambda s: s[0])
+    return _sorted_merged([(l, r, v, l, r) for (l, r, v) in segments if l < r and v != 0])
+
+
+def _sorted_merged(segs: list) -> tuple[Segment, ...]:
+    """The canonical form of nonempty, nonzero segments (l, r, v, L, R), each
+    end given both as a number l, r and as its ``_Rat`` L, R.
+
+    They are sorted and merged on the numbers, which Python compares exactly
+    across int, float and ``Fraction``, and kept as (L, R, v)."""
+    segs.sort(key=itemgetter(0))
     out: list[Segment] = []
-    for l, r, v in segs:
+    for l, r, v, L, R in segs:
         if out:
-            pl, pr, pv = out[-1]
             if l < pr:
-                raise ValueError(f"overlapping segments at {float(l)}")
+                raise ValueError(f"overlapping segments at {float(L)}")
             if l == pr and v == pv:
-                out[-1] = (pl, r, v)
+                out[-1] = (out[-1][0], R, v)
+                pr = r
                 continue
-        out.append((l, r, v))
+        out.append((L, R, v))
+        pr, pv = r, v
     return tuple(out)
 
 
@@ -58,11 +70,16 @@ class StepFunction:
 
     @staticmethod
     def from_segments(segments: Iterable[tuple]) -> "StepFunction":
-        norm = [(_frac(l), _frac(r), v) for (l, r, v) in segments]
-        for l, r, _ in norm:
+        """The canonical form of (l, r, value) segments given in any order.
+
+        Every end is converted to a ``_Rat`` first, in the order given, so one
+        that ``_frac`` rejects raises before any other check; the checks, the
+        sort and the merge then compare the ends as given."""
+        segs = [(l, r, v, _frac(l), _frac(r)) for (l, r, v) in segments]
+        for l, r, _, L, R in segs:
             if l >= r:
-                raise ValueError(f"empty or inverted interval [{float(l)}, {float(r)})")
-        return StepFunction(_canonical_segments(norm))
+                raise ValueError(f"empty or inverted interval [{float(L)}, {float(R)})")
+        return StepFunction(_sorted_merged([s for s in segs if s[2] != 0]))
 
     @staticmethod
     def zero() -> "StepFunction":
@@ -151,7 +168,10 @@ class StepFunction:
         segs = []
         for item in data:
             l, r, re, im = item
-            if any(isinstance(x, float) and not math.isfinite(x) for x in item):
+            # a non-finite float is unequal to itself (NaN) or infinite;
+            # neither test raises for a number of another type
+            if (l != l or r != r or re != re or im != im
+                    or math.inf in item or -math.inf in item):
                 raise ValueError(f"non-finite number in segment {item!r}")
             v = complex(re, im)  # OverflowError for an int beyond the doubles
             if exact:
@@ -215,7 +235,8 @@ def value_signature(f: StepFunction, g: StepFunction) -> dict:
     for l, r, vf, vg in refine(f, g):
         if vf != 0 and vg != 0:
             u = vf.conjugate() * vg
-            sig[u] = sig.get(u, 0) + (r - l)
+            length = sig.get(u)
+            sig[u] = r - l if length is None else length + (r - l)
     return sig
 
 

@@ -1,14 +1,16 @@
 import io
 import json
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from quadfock import acceptance, cli, fock, quantization, stepfn
+from quadfock import acceptance, cli, fock, quantization, scalars, stepfn
 from quadfock.cli import main
 from quadfock.fock import MAX_PARTICLES
 from quadfock.quantization import counterexample_report
@@ -343,6 +345,37 @@ def test_operator_and_pair_work(run, counts, capsys, monkeypatch):
     run()
     capsys.readouterr()
     assert calls == counts
+
+
+def _steps_json(rng, n):
+    """n adjacent segments on [0, 4), breakpoints k/256, values k/32."""
+    pts = [0, *sorted(rng.sample(range(1, 1024), n - 1)), 1024]
+    return json.dumps([[l / 256, r / 256, rng.randint(-6, 6) / 32, rng.randint(-6, 6) / 32]
+                       for l, r in zip(pts, pts[1:])])
+
+
+def test_float_inner_reads_each_length_as_a_double_once(capsys, monkeypatch):
+    # the series halves the lengths as doubles, and its moments start from
+    # doubles, so no length is divided or multiplied by a complex value
+    calls = {"_Rat / x": 0, "Fraction * complex": 0}
+
+    def counting(name, fn, only_complex):
+        def counted(a, b):
+            if not only_complex or isinstance(b, complex):
+                calls[name] += 1
+            return fn(a, b)
+        return counted
+
+    monkeypatch.setattr(scalars._Rat, "__truediv__",
+                        counting("_Rat / x", scalars._Rat.__truediv__, False))
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name,
+                            counting("Fraction * complex", getattr(Fraction, name), True))
+    rng = random.Random(32)
+    code, doc = run_cli(["inner", "--f", _steps_json(rng, 32), "--g", _steps_json(rng, 32)],
+                        capsys)
+    assert code == 0 and doc["agree"] is True
+    assert calls == {"_Rat / x": 0, "Fraction * complex": 0}
 
 
 def test_largest_depth_runs(capsys):

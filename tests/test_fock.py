@@ -377,9 +377,24 @@ class TestLengthsBeyondTheDoubles:
         with pytest.raises(DomainError):
             exp_inner_series(f, f, FockConfig(c=1e300))
 
+    def test_series_half_length(self):
+        # an int breakpoint is exact at any size; the series reads L/2 as a double
+        f = StepFunction.from_segments([(0, 10 ** 400, 0.01 + 0j)])
+        with pytest.raises(DomainError, match="a length exceeds double precision"):
+            exp_inner_series(f, f, CFG)
+
     def test_lemma4_norm(self):
         from quadfock.quantization import lemma4_derivative_check
         # a tiny c keeps the Gram entries finite; ||f||^2 = 9 * 1.5e308 is not
         f = StepFunction.from_json([[0, 1.5e308, 3, 0]], exact=True)
         with pytest.raises(DomainError):
             lemma4_derivative_check([f], [1], FockConfig(c=Fraction(1, 10 ** 306)))
+
+
+@pytest.mark.parametrize("route", [exp_inner_closed, exp_inner_series])
+def test_exact_c_beyond_the_doubles(route):
+    # an exact c is valid at any size, but the float routes read it as a
+    # double: the closed form in its exponent, the series in c / n
+    f = chi(0, 1, 0.25 + 0j)
+    with pytest.raises(DomainError, match="exceeds double precision"):
+        route(f, f, FockConfig(c=Fraction(10 ** 400)))
