@@ -85,9 +85,9 @@ def criterion_2(seed: int = 0) -> dict:
                 exact_ok = False
         f = StepFunction.from_json(fe.to_json())
         g = StepFunction.from_json(ge.to_json())
-        sig = _admissible_signature(f, g)  # one sweep of the pair for both routes
+        sig, sups = _admissible_signature(f, g)  # one sweep of the pair for both routes
         closed = _closed_form(sig, cfg_float)
-        series, tail = _series_form(sig, f, g, cfg_float)
+        series, tail = _series_form(sig, f, g, cfg_float, sups)
         err = abs(closed - series)
         worst = max(worst, err)
         if err > max(tail, 1e-10):

@@ -106,9 +106,9 @@ def cmd_inner(args) -> tuple[dict, bool]:
     exact = args.mode == "exact"
     f = _parse_step(args.f, exact)
     g = _parse_step(args.g, exact)
-    sig = _admissible_signature(f, g)  # one sweep of the pair for both routes
+    sig, sups = _admissible_signature(f, g)  # one sweep of the pair for both routes
     closed = _closed_form(sig, cfg)
-    series, tail = _series_form(sig, f, g, cfg)
+    series, tail = _series_form(sig, f, g, cfg, sups)
     agree = abs(closed - series) <= max(tail, cfg.tol)
     return _json_value({"closed": closed, "series": series,
                         "tail_bound": tail, "agree": agree}), agree

@@ -3,7 +3,9 @@
 All generation is driven by ``random.Random(seed)`` and rational-valued so
 the same seed yields the same functions in both scalar backends: the exact
 values are small dyadic rationals, the float values are their (exact)
-binary representations.
+binary representations.  Every end and value is built straight from the
+ints the rng returns, with no ``_Rat`` division: an end k/4 as ``_rat(k, 4)``,
+a value (a + b i)/d as ``_new(a, b, d)`` or ``complex(a / d, b / d)``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .quantization import QuadOperator
-from .scalars import ExactComplex, _frac
+from .scalars import ExactComplex, _new, _rat
 from .stepfn import IntervalSet, PiecewiseAffineMap, StepFunction, _images_overlap
 
 
@@ -28,14 +30,12 @@ def random_step_function(rng: random.Random, max_abs: float = 0.3,
     cuts = sorted(rng.sample(range(0, 4 * span + 1), 2 * n_segs))
     segs = []
     for i in range(n_segs):
-        l = _frac(cuts[2 * i]) / 4
-        r = _frac(cuts[2 * i + 1]) / 4
-        re = _frac(rng.randint(-bound, bound)) / denom
-        im = _frac(rng.randint(-bound, bound)) / denom
+        re = rng.randint(-bound, bound)
+        im = rng.randint(-bound, bound)
         if re == 0 and im == 0:
-            re = _frac(1) / denom
-        v = ExactComplex(re, im) if exact else complex(re, im)
-        segs.append((l, r, v))
+            re = 1
+        v = _new(re, im, denom) if exact else complex(re / denom, im / denom)
+        segs.append((_rat(cuts[2 * i], 4), _rat(cuts[2 * i + 1], 4), v))
     return StepFunction.from_segments(segs)
 
 
@@ -50,8 +50,8 @@ def random_family(rng: random.Random, size: int, *, max_abs: float = 0.3,
     return out
 
 
-_SLOPES = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-           Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2)]
+_SLOPES = [_rat(1, 1), _rat(-1, 1), _rat(2, 1), _rat(-2, 1),
+           _rat(1, 2), _rat(-1, 2), _rat(3, 2), _rat(-3, 2)]
 
 
 def random_injective_operator(rng: random.Random, *, exact: bool = False):
@@ -64,21 +64,20 @@ def random_injective_operator(rng: random.Random, *, exact: bool = False):
         cuts = sorted(rng.sample(range(-8, 9), 2 * n))
         pieces = []
         for i in range(n):
-            l, r = _frac(cuts[2 * i]), _frac(cuts[2 * i + 1])
             a = rng.choice(_SLOPES)
-            b = Fraction(rng.randint(-4, 4))
-            pieces.append((l, r, a, b))
+            b = _rat(rng.randint(-4, 4), 1)
+            pieces.append((_rat(cuts[2 * i], 1), _rat(cuts[2 * i + 1], 1), a, b))
         phi = PiecewiseAffineMap.from_pieces(pieces)
         if _images_overlap(phi):
             continue
         E = phi.domain()
         h_segs = []
         for l, r in E.intervals:
-            re = _frac(rng.randint(-8, 8)) / 16
-            im = _frac(rng.randint(-8, 8)) / 16
+            re = rng.randint(-8, 8)
+            im = rng.randint(-8, 8)
             if re == 0 and im == 0:
-                re = _frac(1) / 2
-            v = ExactComplex(re, im) if exact else complex(re, im)
+                re = 8  # 1/2
+            v = _new(re, im, 16) if exact else complex(re / 16, im / 16)
             h_segs.append((l, r, v))
         h = StepFunction.from_segments(h_segs)
         return QuadOperator(E, h, phi)

@@ -74,8 +74,8 @@ class FockConfig:
     """Representation constant, series truncation depth and tolerance.
 
     ``c`` may be a Fraction for fully exact n-particle computations; it is
-    never assumed to be 1, and it is checked positive exactly, so a c
-    below the smallest double is accepted.
+    never assumed to be 1, and it is checked positive and finite exactly, so
+    a c below the smallest double or beyond the largest is accepted.
     """
 
     c: object = 1.0
@@ -85,6 +85,8 @@ class FockConfig:
     def __post_init__(self):
         if not (self.c > 0):
             raise ValueError("c must be positive")
+        if self.c == math.inf:  # compares a Fraction exactly, with no float()
+            raise ValueError("c must be finite")
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ValueError(f"depth must be in 1..{MAX_DEPTH}")
         if not (self.tol > 0):
@@ -436,11 +438,14 @@ def exp_vector_exists(f: StepFunction) -> bool:
     return f.sup_norm_sq() < ADMISSIBLE_SUP_SQ
 
 
-def _require_admissible(*fs: StepFunction) -> None:
-    bad = [i for i, f in enumerate(fs) if not exp_vector_exists(f)]
+def _require_admissible(*fs: StepFunction) -> list:
+    """sup|f|^2 of each f, or a DomainError where one is not below 1/4."""
+    sups = [f.sup_norm_sq() for f in fs]
+    bad = [i for i, s in enumerate(sups) if not s < ADMISSIBLE_SUP_SQ]
     if bad:
         raise DomainError(f"sup norm >= 1/2 for argument(s) {bad}; "
                           "exponential vector does not exist")
+    return sups
 
 
 def _length_double(length) -> float:
@@ -473,17 +478,17 @@ def _closed_form(sig: dict, cfg: FockConfig, t: float = 1.0) -> complex:
     raise DomainError(f"closed form exp({exponent}) overflows double precision")
 
 
-def _admissible_signature(f: StepFunction, g: StepFunction) -> dict:
-    """value_signature(f, g), or a DomainError where Psi(f) or Psi(g) does
-    not exist: the one admissibility test of a pair, shared by its closed
-    form and its series."""
-    _require_admissible(f, g)
-    return value_signature(f, g)
+def _admissible_signature(f: StepFunction, g: StepFunction) -> tuple[dict, list]:
+    """value_signature(f, g) and [sup|f|^2, sup|g|^2], or a DomainError
+    where Psi(f) or Psi(g) does not exist: the one admissibility test of a
+    pair, shared by its closed form and its series."""
+    sups = _require_admissible(f, g)
+    return value_signature(f, g), sups
 
 
 def exp_inner_closed(f: StepFunction, g: StepFunction, cfg: FockConfig) -> complex:
     """<Psi(f), Psi(g)> = exp(-c/2 * integral of log(1 - 4 conj(f) g))."""
-    return _closed_form(_admissible_signature(f, g), cfg)
+    return _closed_form(_admissible_signature(f, g)[0], cfg)
 
 
 def exp_inner_closed_scaled(f: StepFunction, g: StepFunction, t: float,
@@ -526,14 +531,17 @@ def exp_inner_series(f: StepFunction, g: StepFunction,
     d_{N+1} / (1 - r).  That bound is evaluated rounding every step up, and
     the float rounding error of summing b_0..b_N is added to it.
     """
-    return _series_form(_admissible_signature(f, g), f, g, cfg)
+    sig, sups = _admissible_signature(f, g)
+    return _series_form(sig, f, g, cfg, sups)
 
 
 def _series_form(sig: dict, f: StepFunction, g: StepFunction,
-                 cfg: FockConfig) -> tuple[complex, float]:
+                 cfg: FockConfig, sups=None) -> tuple[complex, float]:
     """``exp_inner_series`` of an admissible pair (f, g) from its value
-    signature sig."""
-    rho = f.sup_norm() * g.sup_norm()
+    signature sig and, if given, the [sup|f|^2, sup|g|^2] its admissibility
+    test read."""
+    sf, sg = sups or (f.sup_norm_sq(), g.sup_norm_sq())
+    rho = math.sqrt(sf) * math.sqrt(sg)  # f.sup_norm() * g.sup_norm()
     x = 4.0 * rho
     if x >= 1.0:
         raise DomainError("sup|f| * sup|g| >= 1/4; series does not converge")

@@ -26,6 +26,7 @@ from .stepfn import (
     IntervalSet,
     PiecewiseAffineMap,
     StepFunction,
+    _covers,
     compose,
     is_measure_preserving,
     map_compose,
@@ -50,7 +51,7 @@ class QuadOperator:
     phi: PiecewiseAffineMap
 
     def __post_init__(self):
-        if not self.E.contains_set(self.h.support()):
+        if not _covers(self.E.intervals, self.h.segments):  # supp(h), unmerged
             raise ValueError("supp(h) must be contained in E")
         domain = self.phi.domain()
         if not domain.contains_set(self.E):
@@ -123,11 +124,12 @@ def gamma2_matrix_element(T: QuadOperator, f: StepFunction, g: StepFunction,
     """<Gamma_2(T) Psi(f), Psi(g)> = <Psi(T f), Psi(g)>."""
     if not exp_vector_exists(f):
         raise DomainError("sup norm of f >= 1/2")
-    return _closed_form(_image_signature(apply_operator(T, f), g), cfg)
+    return _closed_form(_image_signature(apply_operator(T, f), g)[0], cfg)
 
 
-def _image_signature(tf: StepFunction, g: StepFunction) -> dict:
-    """The value signature of (T f, g) from the image tf = T f of an
+def _image_signature(tf: StepFunction, g: StepFunction) -> tuple[dict, list]:
+    """The value signature of (T f, g) and the two sup norms squared, as
+    ``_admissible_signature`` gives them, from the image tf = T f of an
     admissible f; a DomainError where Psi(T f) or Psi(g) does not exist."""
     if not exp_vector_exists(tf):
         raise DomainError("sup norm of T f >= 1/2; Gamma_2(T) Psi(f) undefined")
@@ -465,13 +467,13 @@ def counterexample_report(cfg: FockConfig,
     tf, tsg = apply_operator(T, f), apply_operator(T_star, g)
 
     # one signature per pairing, read by its closed form and by its series
-    lhs_sig = _image_signature(tf, g)  # requires g admissible
+    lhs_sig, lhs_sups = _image_signature(tf, g)  # requires g admissible
     lhs = _closed_form(lhs_sig, cfg)
-    rhs_sig = _image_signature(tsg, f)
+    rhs_sig, rhs_sups = _image_signature(tsg, f)
     rhs = _closed_form(rhs_sig, cfg).conjugate()
 
-    lhs_series, lhs_tail = _series_form(lhs_sig, tf, g, cfg)
-    rs, rhs_tail = _series_form(rhs_sig, tsg, f, cfg)
+    lhs_series, lhs_tail = _series_form(lhs_sig, tf, g, cfg, lhs_sups)
+    rs, rhs_tail = _series_form(rhs_sig, tsg, f, cfg, rhs_sups)
     rhs_series = rs.conjugate()
 
     # k = 2 power witness: T*(g^2) = (1/2) g^2(./2) but (T* g)^2 = (1/4) g^2(./2)

@@ -218,7 +218,7 @@ def refine(f: StepFunction, g: StepFunction) -> Iterator[tuple[Fraction, Fractio
 
     Yields ``(l, r, vf, vg)``; at least one of the values is nonzero.
     """
-    yield from _sweep(f.segments, g.segments)
+    return _sweep(f.segments, g.segments)
 
 
 def value_signature(f: StepFunction, g: StepFunction) -> dict:
@@ -265,7 +265,10 @@ def step_allclose(f: StepFunction, g: StepFunction, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Finite disjoint sorted union of half-open intervals."""
+    """Finite union of half-open intervals, in the canonical form that
+    ``from_intervals`` builds: sorted, nonempty, touching or overlapping
+    intervals merged, so any two intervals are separated by a gap of
+    positive length.  ``contains_set`` relies on that gap."""
 
     intervals: tuple[tuple[Fraction, Fraction], ...] = ()
 
@@ -294,7 +297,7 @@ class IntervalSet:
 
     def contains_set(self, other: "IntervalSet") -> bool:
         """other subset of self, up to null sets (exact on rationals)."""
-        return other.intersect(self).measure() == other.measure()
+        return _covers(self.intervals, other.intervals)
 
     def indicator(self, value=1) -> StepFunction:
         return StepFunction.from_segments([(l, r, value) for l, r in self.intervals])
@@ -305,6 +308,23 @@ class IntervalSet:
     @staticmethod
     def from_json(data: Sequence[Sequence[float]]) -> "IntervalSet":
         return IntervalSet.from_intervals([(l, r) for l, r in data])
+
+
+def _covers(outer: Sequence[tuple], inner: Iterable[tuple]) -> bool:
+    """Whether the [l, r) = item[:2] of ``inner``, sorted, disjoint and
+    nonempty, lie inside the canonical intervals ``outer`` up to a null set.
+
+    Two intervals of ``outer`` are a positive gap apart, so this holds iff
+    each [l, r) lies inside a single one of them: one two-pointer pass that
+    only compares ends."""
+    i, n = 0, len(outer)
+    for item in inner:
+        l = item[0]
+        while i < n and outer[i][1] <= l:
+            i += 1
+        if i == n or l < outer[i][0] or outer[i][1] < item[1]:
+            return False
+    return True
 
 
 def restrict(f: StepFunction, e: IntervalSet) -> StepFunction:

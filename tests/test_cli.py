@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from quadfock import acceptance, cli, fock, quantization, scalars, stepfn
+from quadfock import acceptance, cli, families, fock, quantization, scalars, stepfn
 from quadfock.cli import main
 from quadfock.fock import MAX_PARTICLES
 from quadfock.quantization import counterexample_report
@@ -345,6 +345,44 @@ def test_operator_and_pair_work(run, counts, capsys, monkeypatch):
     run()
     capsys.readouterr()
     assert calls == counts
+
+
+def test_adjoint_pairing_draws_and_checks_without_rat_arithmetic(monkeypatch):
+    # the operator invariant compares interval ends; the draws build their
+    # ends and values from the rng's ints (400 intersects, 800 measures and,
+    # for these 100 draws, 796 divisions before)
+    calls = {"intersect": 0, "measure": 0, "_Rat / x": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(stepfn.IntervalSet, "intersect",
+                        counting("intersect", stepfn.IntervalSet.intersect))
+    monkeypatch.setattr(stepfn.IntervalSet, "measure",
+                        counting("measure", stepfn.IntervalSet.measure))
+    assert acceptance.criterion_10()["passed"]
+    monkeypatch.setattr(scalars._Rat, "__truediv__",
+                        counting("_Rat / x", scalars._Rat.__truediv__))
+    rng = random.Random(0)
+    for _ in range(100):
+        families.random_step_function(rng, exact=True)
+    assert calls == {"intersect": 0, "measure": 0, "_Rat / x": 0}
+
+
+def test_float_inner_reads_each_sup_norm_once(capsys, monkeypatch):
+    # the admissibility test hands its sup norms to the series (4 reads before)
+    calls = []
+    sup_norm_sq = stepfn.StepFunction.sup_norm_sq
+    monkeypatch.setattr(stepfn.StepFunction, "sup_norm_sq",
+                        lambda f: calls.append(f) or sup_norm_sq(f))
+    rng = random.Random(33)
+    code, doc = run_cli(["inner", "--f", _steps_json(rng, 8), "--g", _steps_json(rng, 8)],
+                        capsys)
+    assert code == 0 and doc["agree"] is True
+    assert len(calls) == 2
 
 
 def _steps_json(rng, n):

@@ -398,3 +398,11 @@ def test_exact_c_beyond_the_doubles(route):
     f = chi(0, 1, 0.25 + 0j)
     with pytest.raises(DomainError, match="exceeds double precision"):
         route(f, f, FockConfig(c=Fraction(10 ** 400)))
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+def test_non_finite_c_is_rejected(c):
+    # an infinite c reached the series, whose exact beta let a bare
+    # OverflowError out; a huge exact c stays valid (test_exact_c_beyond_the_doubles)
+    with pytest.raises(ValueError, match="finite|positive"):
+        FockConfig(c=c)
