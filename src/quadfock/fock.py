@@ -55,7 +55,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -438,16 +438,6 @@ def exp_vector_exists(f: StepFunction) -> bool:
     return f.sup_norm_sq() < ADMISSIBLE_SUP_SQ
 
 
-def _require_admissible(*fs: StepFunction) -> list:
-    """sup|f|^2 of each f, or a DomainError where one is not below 1/4."""
-    sups = [f.sup_norm_sq() for f in fs]
-    bad = [i for i, s in enumerate(sups) if not s < ADMISSIBLE_SUP_SQ]
-    if bad:
-        raise DomainError(f"sup norm >= 1/2 for argument(s) {bad}; "
-                          "exponential vector does not exist")
-    return sups
-
-
 def _length_double(length) -> float:
     """float(length), or a DomainError for a length beyond the doubles: the
     difference of two breakpoints can be, though each breakpoint is one."""
@@ -478,11 +468,18 @@ def _closed_form(sig: dict, cfg: FockConfig, t: float = 1.0) -> complex:
     raise DomainError(f"closed form exp({exponent}) overflows double precision")
 
 
-def _admissible_signature(f: StepFunction, g: StepFunction) -> tuple[dict, list]:
-    """value_signature(f, g) and [sup|f|^2, sup|g|^2], or a DomainError
-    where Psi(f) or Psi(g) does not exist: the one admissibility test of a
-    pair, shared by its closed form and its series."""
-    sups = _require_admissible(f, g)
+def _admissible_signature(f: StepFunction, g: StepFunction,
+                          sups: Optional[list] = None) -> tuple[dict, list]:
+    """value_signature(f, g) and sups = [sup|f|^2, sup|g|^2], read here
+    unless given, or a DomainError where Psi(f) or Psi(g) does not exist:
+    the one admissibility test of a pair, shared by its closed form and its
+    series."""
+    if sups is None:
+        sups = [f.sup_norm_sq(), g.sup_norm_sq()]
+    bad = [i for i, s in enumerate(sups) if not s < ADMISSIBLE_SUP_SQ]
+    if bad:
+        raise DomainError(f"sup norm >= 1/2 for argument(s) {bad}; "
+                          "exponential vector does not exist")
     return value_signature(f, g), sups
 
 
@@ -515,8 +512,10 @@ def _dominating_tail(x: float, beta: float, N: int) -> float:
     if not gap > 0:
         return math.inf
     d = 1.0
+    nextafter, inf = math.nextafter, math.inf  # _up, without a call per rounding
     for n in range(1, N + 2):
-        d = _up(_up(_up(d * x) * _up(n - 1 + beta)) / n)
+        t = nextafter(nextafter(d * x, inf) * nextafter(n - 1 + beta, inf), inf)
+        d = nextafter(t / n, inf)
     return _up(d / gap)
 
 

@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fock import (FockConfig, _admissible_signature, _closed_form, _gram_matrices,
-                   _series_form, _signature_moments, exp_vector_exists, gram_matrix,
-                   gram_min_eig)
+from .fock import (ADMISSIBLE_SUP_SQ, FockConfig, _admissible_signature, _closed_form,
+                   _gram_matrices, _series_form, _signature_moments, exp_vector_exists,
+                   gram_matrix, gram_min_eig)
 from .scalars import ExactComplex, _frac
 from .stepfn import (
     IntervalSet,
@@ -130,10 +130,12 @@ def gamma2_matrix_element(T: QuadOperator, f: StepFunction, g: StepFunction,
 def _image_signature(tf: StepFunction, g: StepFunction) -> tuple[dict, list]:
     """The value signature of (T f, g) and the two sup norms squared, as
     ``_admissible_signature`` gives them, from the image tf = T f of an
-    admissible f; a DomainError where Psi(T f) or Psi(g) does not exist."""
-    if not exp_vector_exists(tf):
+    admissible f; a DomainError where Psi(T f) or Psi(g) does not exist.
+    sup|T f|^2 is read once, for both tests."""
+    sup_tf = tf.sup_norm_sq()
+    if not sup_tf < ADMISSIBLE_SUP_SQ:
         raise DomainError("sup norm of T f >= 1/2; Gamma_2(T) Psi(f) undefined")
-    return _admissible_signature(tf, g)
+    return _admissible_signature(tf, g, [sup_tf, g.sup_norm_sq()])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NonInjectiveError
 from .scalars import ExactComplex, _frac, abs_sq_value
@@ -74,8 +74,17 @@ class StepFunction:
 
         Every end is converted to a ``_Rat`` first, in the order given, so one
         that ``_frac`` rejects raises before any other check; the checks, the
-        sort and the merge then compare the ends as given."""
-        segs = [(l, r, v, _frac(l), _frac(r)) for (l, r, v) in segments]
+        sort and the merge then compare the ends as given.  A segment that
+        starts where the one before it ended, given as a number of the same
+        type, reuses that end's ``_Rat``: ``_frac`` accepts or rejects a
+        number by its type, and a NaN equals nothing."""
+        segs = []
+        pr, R = math.nan, None  # the previous right end, given and converted
+        for l, r, v in segments:
+            L = R if type(l) is type(pr) and l == pr else _frac(l)
+            R = _frac(r)
+            segs.append((l, r, v, L, R))
+            pr = r
         for l, r, _, L, R in segs:
             if l >= r:
                 raise ValueError(f"empty or inverted interval [{float(L)}, {float(R)})")
@@ -180,43 +189,99 @@ class StepFunction:
         return StepFunction.from_segments(segs)
 
 
-def _sweep(a: Sequence[tuple], b: Sequence[tuple]) -> Iterator[tuple]:
+def _sweep(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:
     """Cells of the common refinement of two sorted sequences of disjoint
-    ``(l, r, v)`` segments, in one linear two-pointer pass.
+    ``(l, r, v)`` segments, as one merge of their ends.
 
-    Yields ``(l, r, va, vb)`` for every cell on which a or b has a segment,
-    with 0 where one of them has none.
+    Returns ``(l, r, va, vb)`` for every cell on which a or b has a segment,
+    with 0 where one of them has none.  Each side keeps its next end: its
+    segment's right end while the side is active at x, else its left end.
+    A cell costs one ordering comparison of the two next ends, an equality
+    test for a tie when b's is not the smaller, and, for each side that
+    leaves a segment, an equality test for whether its next one starts there.
+
+    The cells' ends are the segments' own objects.  A cell ends at a's next
+    end when the two are equal; it starts at the end of the cell before it
+    while a side goes on across that point, else at the left end of the
+    segment that starts there, b's when both do.
     """
+    cells: list[tuple] = []
+    append = cells.append
     na, nb = len(a), len(b)
     i = j = 0
-    x = min(a[0][0], b[0][0]) if na and nb else None  # right end of the last cell
-    while i < na and j < nb:
-        (al, ar, av), (bl, br, bv) = a[i], b[j]
-        lo = al if al < bl else bl
-        if lo < x:
-            lo = x
-        in_a, in_b = al <= lo, bl <= lo
-        x = ar if in_a else al
-        y = br if in_b else bl
-        if y < x:
-            x = y
-        yield (lo, x, av if in_a else 0, bv if in_b else 0)
-        if in_a and ar == x:
+    in_a = in_b = False  # whether a (b) has a segment at x
+    x = None             # left end of the next cell
+    if na and nb:
+        al, ar, av = a[0]
+        bl, br, bv = b[0]
+        ea, eb = al, bl  # the two next ends
+        while True:
+            if eb < ea:  # only b reaches its next end
+                if in_a or in_b:
+                    append((x, eb, av if in_a else 0, bv if in_b else 0))
+                x = eb
+                if not in_b:
+                    in_b, eb = True, br
+                    continue
+                j += 1
+                if j == nb:
+                    break
+                bl, br, bv = b[j]
+                if bl == x:
+                    eb = br
+                    if not in_a:
+                        x = bl
+                else:
+                    in_b, eb = False, bl
+                continue
+            # a reaches its next end, and b its own where both
+            if in_a or in_b:
+                append((x, ea, av if in_a else 0, bv if in_b else 0))
+            x = ea
+            both = eb == ea
+            if not in_a:
+                in_a, ea = True, ar
+            else:
+                i += 1
+                if i < na:
+                    al, ar, av = a[i]
+                    if al == x:
+                        ea = ar
+                        if both or not in_b:
+                            x = al
+                    else:
+                        in_a, ea = False, al
+            if both:
+                if not in_b:
+                    in_b, eb, x = True, br, bl
+                else:
+                    j += 1
+                    if j < nb:
+                        bl, br, bv = b[j]
+                        if bl == x:
+                            eb, x = br, bl
+                        else:
+                            in_b, eb = False, bl
+            if i == na or j == nb:
+                break
+    # one side is exhausted; a segment of the other may be under way at x
+    if i < na:
+        if in_a:
+            append((x, ar, av, 0))
             i += 1
-        if in_b and br == x:
+        cells += [(l, r, v, 0) for l, r, v in a[i:]]
+    elif j < nb:
+        if in_b:
+            append((x, br, 0, bv))
             j += 1
-    # one side is exhausted; the last cell may have cut into the other's segment
-    from_a = i < na
-    for l, r, v in (a[i:] if from_a else b[j:]):
-        if x is not None and l < x:
-            l = x
-        yield (l, r, v, 0) if from_a else (l, r, 0, v)
+        cells += [(l, r, 0, v) for l, r, v in b[j:]]
+    return cells
 
 
-def refine(f: StepFunction, g: StepFunction) -> Iterator[tuple[Fraction, Fraction, object, object]]:
+def refine(f: StepFunction, g: StepFunction) -> list[tuple[Fraction, Fraction, object, object]]:
     """Cells of the common breakpoint refinement over the union of supports.
 
-    Yields ``(l, r, vf, vg)``; at least one of the values is nonzero.
+    Returns ``(l, r, vf, vg)`` in order; at least one of the values is nonzero.
     """
     return _sweep(f.segments, g.segments)
 

@@ -416,6 +416,31 @@ def test_float_inner_reads_each_length_as_a_double_once(capsys, monkeypatch):
     assert calls == {"_Rat / x": 0, "Fraction * complex": 0}
 
 
+def test_float_inner_converts_each_end_once_and_merges_once(capsys, monkeypatch):
+    # two contiguous 32-segment functions have 33 distinct ends each, and one
+    # refinement makes one ordering comparison per cell (before: 128 _frac
+    # calls on ends, and 306 _Rat ordering comparisons for this pair)
+    calls = {"_frac": 0, "refine": 0, "ordering": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(stepfn, "_frac", counting("_frac", stepfn._frac))
+    monkeypatch.setattr(stepfn, "refine", counting("refine", stepfn.refine))
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(scalars._Rat, name,
+                            counting("ordering", getattr(scalars._Rat, name)))
+    rng = random.Random(34)
+    code, doc = run_cli(["inner", "--f", _steps_json(rng, 32), "--g", _steps_json(rng, 32)],
+                        capsys)
+    assert code == 0 and doc["agree"] is True
+    assert (calls["_frac"], calls["refine"]) == (66, 1)
+    assert calls["ordering"] <= 306 // 2
+
+
 def test_largest_depth_runs(capsys):
     # MAX_DEPTH terms: the weights 2^(2k+1) m_{k+1} stay in the doubles
     code, doc = run_cli(["--depth", "2000", "inner", "--f", QUARTER, "--g", QUARTER],

@@ -10,6 +10,7 @@ and the total length a ``sum`` of rationals.  Every float must come out
 zeros; every bad input must raise the same exception with the same message.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -102,6 +103,17 @@ def reference_b(w, n, c):
     return b
 
 
+def reference_dominating_tail(x, beta, N):
+    r = _up(x * max(1.0, _up(_up(N + 1 + beta) / (N + 2))))
+    gap = math.nextafter(1.0 - r, -math.inf)
+    if not gap > 0:
+        return math.inf
+    d = 1.0
+    for n in range(1, N + 2):
+        d = _up(_up(_up(d * x) * _up(n - 1 + beta)) / n)
+    return _up(d / gap)
+
+
 def reference_series(sig, f, g, cfg):
     """The float route of ``_series_form`` for a nonzero admissible pair."""
     N = cfg.depth
@@ -110,7 +122,7 @@ def reference_series(sig, f, g, cfg):
     beta = _up(float(Fraction(cfg.c) * sum(sig.values()) / 2))
     x = _up(4.0 * f.sup_norm() * g.sup_norm() * (1 + 2.0 ** -50))
     sum_error = _up((N + 2) * 2.0 ** -52 * sum(abs(z.real) + abs(z.imag) for z in terms))
-    return sum(terms, 0j), _up(_dominating_tail(x, beta, N) + sum_error)
+    return sum(terms, 0j), _up(reference_dominating_tail(x, beta, N) + sum_error)
 
 
 def reference_table(sig, n, c):
@@ -277,3 +289,11 @@ JSON_CASES = [
 def test_json_edge_cases(data, exact):
     assert outcome(StepFunction.from_json, data, exact) == \
         outcome(reference_from_json, data, exact)
+
+
+def test_dominating_tail_rounds_as_the_reference():
+    for x, beta, N in itertools.product(
+            [0.0, 5e-324, 1e-3, 0.25, 0.7, 0.96875, 1 - 2.0 ** -53],
+            [0.0, 5e-324, 0.5, 1.75, 3.0, 1e6], [0, 1, 4, 40, 2000]):
+        tail = _dominating_tail(x, beta, N)
+        assert repr(tail) == repr(reference_dominating_tail(x, beta, N)), (x, beta, N)

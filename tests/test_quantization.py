@@ -308,6 +308,42 @@ class TestCounterexample:
         rep = counterexample_report(CFG)
         assert rep.adjoint_power_witness["equal"] is False
 
+    @pytest.mark.parametrize("cfg", [CFG, CFG_EXACT])
+    def test_reads_each_sup_norm_once_per_test(self, cfg, monkeypatch):
+        # f at the top and once per pairing, T f and T* g once each, g once
+        # (7 reads before: each image was read by two tests)
+        calls = []
+        sup_norm_sq = StepFunction.sup_norm_sq
+        monkeypatch.setattr(StepFunction, "sup_norm_sq",
+                            lambda f: calls.append(f) or sup_norm_sq(f))
+        counterexample_report(cfg)
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("f, g, message", [
+        (chi(0, 1, 0.75), chi(0, 1, 0.75), "sup norm of f >= 1/2"),
+        (chi(0, 1, 0.25), chi(0, 1, 0.75),
+         "sup norm >= 1/2 for argument(s) [1]; exponential vector does not exist"),
+    ])
+    def test_inadmissible_inputs(self, f, g, message):
+        with pytest.raises(DomainError) as info:
+            counterexample_report(CFG, f, g)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("f, g, message", [
+    (chi(0, 1, 0.75), chi(0, 1, 0.75), "sup norm of f >= 1/2"),
+    (chi(0, 1, 0.375), chi(0, 1, 0.75), "sup norm of T f >= 1/2; Gamma_2(T) Psi(f) undefined"),
+    (chi(0, 1, 0.125), chi(0, 1, 0.75),
+     "sup norm >= 1/2 for argument(s) [1]; exponential vector does not exist"),
+])
+def test_gamma2_inadmissible_inputs_in_order(f, g, message):
+    # a weight of 2 doubles sup|f|: T f fails first where g fails too
+    E = IntervalSet.from_intervals([(0, 1)])
+    T = QuadOperator(E, E.indicator(2.0 + 0j), PiecewiseAffineMap.identity(E))
+    with pytest.raises(DomainError) as info:
+        gamma2_matrix_element(T, f, g, CFG)
+    assert str(info.value) == message
+
 
 class TestOperatorJson:
     def test_round_trip(self):
