@@ -17,6 +17,7 @@ from .fock import (
     FockConfig,
     _admissible_signature,
     _closed_form,
+    _partition_sums,
     _series_form,
     exp_inner_closed,
     exp_inner_series,
@@ -24,7 +25,6 @@ from .fock import (
     gram_matrix,
     gram_min_eig,
     moments,
-    n_particle_inner_partition,
     n_particle_table,
     partition_coefficient,
     partitions_multiplicity,
@@ -80,9 +80,9 @@ def criterion_2(seed: int = 0) -> dict:
         ge = random_family(rng, 1, exact=True)[0]
         m = moments(fe, ge, 8)
         table = n_particle_table(m, 8, cfg_exact)
-        for n in range(9):
-            if table.a[n] != n_particle_inner_partition(m, n, cfg_exact, "corrected"):
-                exact_ok = False
+        # one pass over the partitions of n = 0..8, on one power table
+        if list(table.a) != _partition_sums(m, range(9), cfg_exact, "corrected"):
+            exact_ok = False
         f = StepFunction.from_json(fe.to_json())
         g = StepFunction.from_json(ge.to_json())
         sig, sups = _admissible_signature(f, g)  # one sweep of the pair for both routes

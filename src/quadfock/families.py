@@ -6,6 +6,12 @@ values are small dyadic rationals, the float values are their (exact)
 binary representations.  Every end and value is built straight from the
 ints the rng returns, with no ``_Rat`` division: an end k/4 as ``_rat(k, 4)``,
 a value (a + b i)/d as ``_new(a, b, d)`` or ``complex(a / d, b / d)``.
+
+A draw is born in ``StepFunction``'s canonical form, so it is built
+directly, with no ``from_segments``: its segments are sorted, a gap of
+positive length separates any two of them (they lie between distinct
+sorted cuts, or on the intervals of a canonical ``IntervalSet``), and no
+value is zero.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ def random_step_function(rng: random.Random, max_abs: float = 0.3,
     # largest numerator keeping |re + i*im| < max_abs
     bound = max(int(max_abs * denom / 1.4142135623730951), 1)
     n_segs = rng.randint(1, 3)
-    # distinct sorted cuts, so every segment is nonempty
+    # distinct sorted cuts, so every segment is nonempty and a gap follows it
     cuts = sorted(rng.sample(range(0, 4 * span + 1), 2 * n_segs))
     segs = []
     for i in range(n_segs):
@@ -36,7 +42,7 @@ def random_step_function(rng: random.Random, max_abs: float = 0.3,
             re = 1
         v = _new(re, im, denom) if exact else complex(re / denom, im / denom)
         segs.append((_rat(cuts[2 * i], 4), _rat(cuts[2 * i + 1], 4), v))
-    return StepFunction.from_segments(segs)
+    return StepFunction(tuple(segs))
 
 
 def random_family(rng: random.Random, size: int, *, max_abs: float = 0.3,
@@ -79,8 +85,7 @@ def random_injective_operator(rng: random.Random, *, exact: bool = False):
                 re = 8  # 1/2
             v = _new(re, im, 16) if exact else complex(re / 16, im / 16)
             h_segs.append((l, r, v))
-        h = StepFunction.from_segments(h_segs)
-        return QuadOperator(E, h, phi)
+        return QuadOperator(E, StepFunction(tuple(h_segs)), phi)
     raise RuntimeError("failed to draw an injective operator")
 
 
@@ -89,6 +94,6 @@ def reflection_operator(weight=0.9, exact: bool = False):
     operator whose quadratic quantization is self-adjoint."""
     E = IntervalSet.from_intervals([(0, 1)])
     v = ExactComplex.of(Fraction(weight)) if exact else complex(weight)
-    h = StepFunction.from_segments([(0, 1, v)])
+    h = E.indicator(v)
     phi = PiecewiseAffineMap.from_pieces([(0, 1, -1, 1)])
     return QuadOperator(E, h, phi)

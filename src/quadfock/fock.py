@@ -11,9 +11,10 @@ keys, and fills the rest by Hermitian symmetry.
 
 The lengths in a signature are exact.  A float route leaves exact
 arithmetic where each length becomes a double, once: in ``_float_moments``
-and in ``_closed_form``.  The series takes its total length as one integer
-sum over the common denominator Lambda of the lengths, and each half length
-L/2 as the double l / (2 Lambda), the same double as float(L / 2).
+and in ``_signature_doubles``, which a Gram matrix reads at every t.  The
+series takes its total length as one integer sum over the common
+denominator Lambda of the lengths, and each half length L/2 as the double
+l / (2 Lambda), the same double as float(L / 2).
 
 The n-particle inner products ``a_n`` obey the recursion
 
@@ -41,7 +42,9 @@ and, with E = c_den * Lambda, the recursion holds B_n = n! (D E)^n b_n:
 
 Then a_n = n! B_n / (D E)^n.  A partition term is an integer over
 den_n * (D E)^n, den_n the common denominator of the coefficients at n.
-Each result is reduced once; the two routes share the N_k only.
+``_partition_sums`` sums the partition terms of any number of n, and
+builds the one table of powers N_j^i they read once per call, up to the
+largest n.  Each result is reduced once; the two routes share the N_k only.
 
 The recursion has one body in each backend, ``n_particle_table``:
 ``n_particle_inner_rec`` returns its entry a_n, and the series reads its b_n.
@@ -337,16 +340,23 @@ def _partition_table(n: int, mode: str) -> tuple:
                       for items, coef, q in rows)
 
 
-def _scaled_terms(ex: tuple, n: int, rows: tuple) -> Iterator[tuple[int, int]]:
-    """den * coefficient * prod_j N_j^{i_j} of each row, as Gaussian integers."""
-    powers = [None]  # powers[j][i] = N_j^i for i * j <= n
+def _gaussian_powers(N: Sequence, n: int) -> list:
+    """powers[j][i] = N_j^i as Gaussian integers (re, im), for 1 <= j and
+    i * j <= n; the one power table of the exact partition terms up to n."""
+    powers = [None]
     for j in range(1, n + 1):
-        zr, zi = ex[0][j - 1]
+        zr, zi = N[j - 1]
         pj = [(1, 0)]
         for _ in range(n // j):
             re, im = pj[-1]
             pj.append((re * zr - im * zi, re * zi + im * zr))
         powers.append(pj)
+    return powers
+
+
+def _scaled_terms(ex: tuple, n: int, rows: tuple) -> Iterator[tuple[int, int]]:
+    """den * coefficient * prod_j N_j^{i_j} of each row, as Gaussian integers."""
+    powers = _gaussian_powers(ex[0], n)
     for items, _, _, num in rows:
         re, im = num, 0
         for j, ij in items:
@@ -404,25 +414,47 @@ def n_particle_inner_partition(m: MomentSequence, n: int, cfg: FockConfig,
         return 1
     if len(m) < n:
         raise ValueError(f"need at least {n} moments, got {len(m)}")
+    sums = _partition_sums(m, (n,), cfg, mode)
+    if sums is not None:
+        return sums[0]
+    total = 0
+    for _, _, term in partition_terms(m, n, cfg, mode):
+        total = total + term
+    return total
+
+
+def _partition_sums(m: MomentSequence, ns: Sequence[int], cfg: FockConfig,
+                    mode: str) -> Optional[list]:
+    """The exact partition sum at each n in ns, in order, or None when the
+    moments are not exact; m holds at least max(ns) moments.
+
+    The scaled moments are read once and the one power table of the
+    N_j^i is built once, up to max(ns); each n then sums its rows inline,
+    grouped by their q parts, which share the factor c^q."""
     ex = _exact(m, cfg.c)
     if ex is None:
-        total = 0
-        for _, _, term in partition_terms(m, n, cfg, mode):
-            total = total + term
-        return total
-    den, rows = _partition_table(n, mode)
-    _, D, E, c_num = ex
-    by_q = [[0, 0] for _ in range(n + 1)]  # the terms with q parts share c^q
-    for (_, _, q, _), (re, im) in zip(rows, _scaled_terms(ex, n, rows)):
-        acc = by_q[q]
-        acc[0] += re
-        acc[1] += im
-    re = im = 0
-    for q, (qr, qi) in enumerate(by_q):
-        s = c_num ** q * E ** (n - q)
-        re += s * qr
-        im += s * qi
-    return _new(re, im, den * (D * E) ** n)
+        return None
+    N, D, E, c_num = ex
+    # the tables first: an n beyond MAX_PARTICLES raises before any power is built
+    tables = [(n, *_partition_table(n, mode)) for n in ns]
+    powers = _gaussian_powers(N, max(ns, default=0))
+    sums = []
+    for n, den, rows in tables:
+        qr, qi = [0] * (n + 1), [0] * (n + 1)
+        for items, _, q, re in rows:
+            im = 0
+            for j, ij in items:
+                pr, pi = powers[j][ij]
+                re, im = re * pr - im * pi, re * pi + im * pr
+            qr[q] += re
+            qi[q] += im
+        re = im = 0
+        for q in range(n + 1):
+            s = c_num ** q * E ** (n - q)
+            re += s * qr[q]
+            im += s * qi[q]
+        sums.append(_new(re, im, den * (D * E) ** n))
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +482,23 @@ def _length_double(length) -> float:
 def _closed_form(sig: dict, cfg: FockConfig, t: float = 1.0) -> complex:
     """exp(-c/2 * sum L_u log(1 - 4 t u)) over a value signature, principal
     branch; a DomainError where the exponent leaves the doubles."""
+    return _closed_form_doubles(_signature_doubles(sig), cfg, t)
+
+
+def _signature_doubles(sig: dict) -> list[tuple[complex, float]]:
+    """(complex(u), float(L_u)) of each entry of a value signature: what the
+    closed form reads, converted once for any number of t."""
+    return [(complex(u), _length_double(length)) for u, length in sig.items()]
+
+
+def _closed_form_doubles(terms: list, cfg: FockConfig, t: float) -> complex:
+    """``_closed_form`` of the (u, L) pairs of ``_signature_doubles``."""
     total = 0.0 + 0.0j
-    for u, length in sig.items():
-        arg = 1 - 4 * t * complex(u)
+    for u, length in terms:
+        arg = 1 - 4 * t * u
         if arg == 0 or arg.real < 0 and arg.imag == 0:
             raise DomainError("log argument on the branch cut; inputs inadmissible")
-        total += _length_double(length) * cmath.log(arg)
+        total += length * cmath.log(arg)
     try:
         exponent = -float(cfg.c) / 2 * total
     except OverflowError:  # an exact c beyond the doubles
@@ -587,7 +630,8 @@ def gram_matrix(family: Sequence[StepFunction], cfg: FockConfig,
 def _gram_matrices(family: Sequence[StepFunction], ts: Sequence[float],
                    cfg: FockConfig) -> tuple[dict, list]:
     """The signature of every pair i <= j of the family, keyed (i, j), and
-    the Gram matrix at each t in ts read off them.
+    the Gram matrix at each t in ts read off them; each signature's values
+    and lengths become doubles once, for every t.
 
     Only the pairs i <= j are swept: sig(f_j, f_i) is sig(f_i, f_j) with
     conjugated keys, so G_ji = conj(G_ij)."""
@@ -599,11 +643,12 @@ def _gram_matrices(family: Sequence[StepFunction], ts: Sequence[float],
     n = len(family)
     sigs = {(i, j): value_signature(family[i], family[j])
             for i in range(n) for j in range(i, n)}
+    terms = {pair: _signature_doubles(sig) for pair, sig in sigs.items()}
     grams = []
     for t in ts:
         G = np.empty((n, n), dtype=complex)
-        for (i, j), sig in sigs.items():
-            z = _closed_form(sig, cfg, t)
+        for (i, j), pair_terms in terms.items():
+            z = _closed_form_doubles(pair_terms, cfg, t)
             G[j, i] = z.conjugate()
             G[i, j] = z  # after the conjugate, so the diagonal keeps z
         grams.append(G)

@@ -26,7 +26,9 @@ from .stepfn import (
     IntervalSet,
     PiecewiseAffineMap,
     StepFunction,
+    _canonical_segments,
     _covers,
+    _pull_back,
     compose,
     is_measure_preserving,
     map_compose,
@@ -81,17 +83,21 @@ def adjoint_operator(T: QuadOperator) -> QuadOperator:
 
     (T* g)(y) = |(phi^-1)'(y)| * conj(h)(phi^-1(y)) * g(phi^-1(y)), so the
     adjoint is again a weighted-composition operator, with map phi^-1 and
-    weight (conj(h) o phi^-1) * |(phi^-1)'|; the derivative is the step
-    function equal to |slope| on each piece of phi^-1, a float unless h is
-    exact.  Requires phi injective on E.
+    weight (conj(h) o phi^-1) * |(phi^-1)'|.  The weight is built in one pass
+    over (piece p of phi^-1, segment of h): the segment pulled back through p
+    carries conj(v) * |slope of p|, the slope a float unless h is exact, and
+    the segments are put in canonical form once.  Requires phi injective on E.
     """
     phi_inv = map_invert(T.phi)
     exact = any(isinstance(v, ExactComplex) for _, _, v in T.h.segments)
-    jacobian = StepFunction.from_segments(
-        (p.left, p.right, abs(p.slope) if exact else float(abs(p.slope)))
-        for p in phi_inv.pieces)
-    weight = compose(T.h.conj(), phi_inv) * jacobian
-    return QuadOperator(phi_inv.domain(), weight, phi_inv)
+    segs = []
+    for p in phi_inv.pieces:
+        slope = abs(p.slope) if exact else float(abs(p.slope))
+        for l, r, v in T.h.segments:
+            lo, hi = _pull_back(p, l, r)
+            if lo < hi:
+                segs.append((lo, hi, v.conjugate() * slope))
+    return QuadOperator(phi_inv.domain(), StepFunction(_canonical_segments(segs)), phi_inv)
 
 
 def dilation_operator(radius, factor=2, one=1.0) -> QuadOperator:

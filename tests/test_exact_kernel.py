@@ -29,7 +29,9 @@ from quadfock import (
     partitions_multiplicity,
 )
 from quadfock.families import random_family
+from quadfock.fock import _exact, _partition_sums, _partition_table
 from quadfock.scalars import ExactComplex
+from quadfock.scalars import _new
 from quadfock.stepfn import value_signature
 
 C_VALUES = [Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(1, 10 ** 13)]
@@ -208,3 +210,102 @@ def test_float_c_on_exact_values_is_read_exactly():
             assert n_particle_inner_partition(m, 8, flt, mode) == \
                 n_particle_inner_partition(m, 8, ex, mode)
         assert exp_inner_series(f, g, flt) == exp_inner_series(f, g, ex)
+
+
+# --- the partition sums of several n against the per-n loop ----------------------
+
+
+def reference_scaled_terms(ex, n, rows):
+    """den * coefficient * prod_j N_j^{i_j} of each row, with a power table
+    of its own for this one n."""
+    powers = [None]
+    for j in range(1, n + 1):
+        zr, zi = ex[0][j - 1]
+        pj = [(1, 0)]
+        for _ in range(n // j):
+            re, im = pj[-1]
+            pj.append((re * zr - im * zi, re * zi + im * zr))
+        powers.append(pj)
+    for items, _, _, num in rows:
+        re, im = num, 0
+        for j, ij in items:
+            pr, pi = powers[j][ij]
+            re, im = re * pr - im * pi, re * pi + im * pr
+        yield re, im
+
+
+def reference_partition_sum(m, n, cfg, mode):
+    """The exact partition sum at one n as a per-n loop: the scaled moments
+    read, a power table built and a generator run for every n."""
+    ex = _exact(m, cfg.c)
+    den, rows = _partition_table(n, mode)
+    _, D, E, c_num = ex
+    by_q = [[0, 0] for _ in range(n + 1)]
+    for (_, _, q, _), (re, im) in zip(rows, reference_scaled_terms(ex, n, rows)):
+        by_q[q][0] += re
+        by_q[q][1] += im
+    re = im = 0
+    for q, (qr, qi) in enumerate(by_q):
+        s = c_num ** q * E ** (n - q)
+        re += s * qr
+        im += s * qi
+    return _new(re, im, den * (D * E) ** n)
+
+
+def check_partition_sums(m, ns, c):
+    cfg = FockConfig(c=c)
+    for mode in MODES:
+        assert _partition_sums(m, ns, cfg, mode) == \
+            [reference_partition_sum(m, n, cfg, mode) for n in ns]
+
+
+def disjoint_pair(seed):
+    """exact_pair(seed) with g moved past the end of f's support."""
+    f, g = exact_pair(seed)
+    shift = f.segments[-1][1] - g.segments[0][0] + Fraction(1, 3)
+    return f, StepFunction.from_segments([(l + shift, r + shift, v) for l, r, v in g.segments])
+
+
+SUM_C_VALUES = [Fraction(1), Fraction(3, 7), Fraction(5, 2)]
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(SUM_C_VALUES), st.booleans())
+@example(0, Fraction(5, 2), True)
+@settings(max_examples=25, deadline=None)
+def test_partition_sums_match_the_per_n_loop(seed, c, disjoint):
+    f, g = disjoint_pair(seed) if disjoint else exact_pair(seed)
+    m = moments(f, g, 12)
+    if disjoint:
+        assert not value_signature(f, g) and m._scaled is None
+    ns = list(range(13))
+    check_partition_sums(m, ns, c)
+    # the same entries without their scaled form: _exact scales them with D = 1
+    check_partition_sums(MomentSequence(m.entries), ns, c)
+    assert _partition_sums(MomentSequence(m.entries), ns, FockConfig(c=c), "corrected") == \
+        _partition_sums(m, ns, FockConfig(c=c), "corrected")
+
+
+def test_partition_sum_at_n30_matches_the_per_n_loop():
+    f, g = exact_pair(30)
+    m = moments(f, g, 30)
+    check_partition_sums(m, [30], Fraction(3, 7))
+
+
+def test_partition_sums_of_a_hand_built_sequence():
+    entries = [ExactComplex(Fraction(1, 3), Fraction(2, 7)), Fraction(5, 11), 2,
+               ExactComplex(Fraction(-1, 13), 0), ExactComplex(0, Fraction(9, 17)),
+               Fraction(-4, 1001), 0, ExactComplex(Fraction(1, 2 ** 60), Fraction(-3, 19)),
+               Fraction(7, 3), ExactComplex(Fraction(-2, 9), Fraction(1, 4)), 1,
+               ExactComplex(0, Fraction(-5, 6))]
+    m = MomentSequence(tuple(entries))
+    for c in SUM_C_VALUES:
+        check_partition_sums(m, list(range(13)), c)
+        cfg = FockConfig(c=c)
+        assert _partition_sums(m, range(1, 13), cfg, "corrected") == \
+            [reference_partition(entries, n, c, "corrected") for n in range(1, 13)]
+
+
+def test_partition_sums_of_float_moments_are_none():
+    f, g = exact_pair(3)
+    m = moments(StepFunction.from_json(f.to_json()), StepFunction.from_json(g.to_json()), 4)
+    assert _partition_sums(m, range(5), FockConfig(), "corrected") is None

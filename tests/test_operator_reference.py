@@ -146,3 +146,57 @@ def test_exact_weight_bound_takes_the_tolerance():
         T = QuadOperator(E, E.indicator(one * (1 + Fraction(1, 2 ** 45))), phi)
         assert not check_selfadjoint_structure(T).weight_bounded
         assert check_selfadjoint_structure(T, tol=1e-12).weight_bounded
+
+
+# --- weights with several segments per piece ----------------------------------------
+
+HALF_SLOPES = [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2)]
+
+
+def piecewise_weight_operators(exact, value=None):
+    """Two touching pieces [0, 2) and [2, 4) of slopes +-1/2 and +-3/2, their
+    images touching or a gap apart, and a weight on E = [0, 4) of several
+    segments per piece, one of them running across x = 2 and two touching
+    ones of equal value; ``value(a, b)`` makes a weight value from two ints."""
+    if value is None:
+        value = (lambda a, b: ExactComplex(Fraction(a, 16), Fraction(b, 16))) if exact \
+            else (lambda a, b: complex(a / 16, b / 16))
+    rng = random.Random(15)
+    ops = []
+    for a1 in HALF_SLOPES:
+        for a2 in HALF_SLOPES:
+            for gap in (0, Fraction(1, 3)):
+                lo1, hi1 = sorted((a1 * 0, a1 * 2))
+                # piece 2's image starts where piece 1's ends, or a gap later
+                b2 = hi1 + gap - min(a2 * 2, a2 * 4)
+                phi = PiecewiseAffineMap.from_pieces([(0, 2, a1, 0), (2, 4, a2, b2)])
+                cuts = [0, Fraction(1, 2), Fraction(5, 4), Fraction(3, 2), Fraction(5, 2),
+                        3, Fraction(7, 2), 4]
+                vals = [value(rng.randint(-8, 8) or 5, rng.randint(-8, 8)) for _ in cuts[1:]]
+                vals[4] = vals[3]  # [3/2, 5/2) and [5/2, 3) touch with equal value
+                segs = [(l, r, v) for l, r, v in zip(cuts, cuts[1:], vals)
+                        if (l, r) != (Fraction(5, 4), Fraction(3, 2))]  # a hole in piece 1
+                E = IntervalSet.from_intervals([(0, 4)])
+                ops.append(QuadOperator(E, StepFunction.from_segments(segs), phi))
+    return ops
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_weights_of_several_segments_per_piece_match_reference(exact):
+    family = random_family(random.Random(6), 3, exact=exact, span=8)
+    tol = 0.0 if exact else 1e-12
+    ops = piecewise_weight_operators(exact)
+    assert len(ops) == 32
+    for T in ops:
+        assert len(T.h.segments) > len(T.phi.pieces)
+        assert_matches_reference(T, family, tol)
+
+
+def test_float_weights_of_several_segments_per_piece_keep_every_bit():
+    # non-dyadic values times the slopes 2 and 2/3 of the inverse pieces
+    ops = piecewise_weight_operators(False, lambda a, b: complex(a / 3 + 0.1, b / 7))
+    for T in ops:
+        got, want = adjoint_operator(T).h.segments, ref_adjoint(T).h.segments
+        assert [(l, r) for l, r, _ in got] == [(l, r) for l, r, _ in want]
+        for (_, _, a), (_, _, b) in zip(got, want):
+            assert a.real.hex() == b.real.hex() and a.imag.hex() == b.imag.hex()
