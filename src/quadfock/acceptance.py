@@ -15,10 +15,8 @@ from .errors import DomainError
 from .families import random_family, random_injective_operator, reflection_operator
 from .fock import (
     FockConfig,
-    _admissible_signature,
-    _closed_form,
+    _Signature,
     _partition_sums,
-    _series_form,
     exp_inner_closed,
     exp_inner_series,
     exp_vector_exists,
@@ -85,9 +83,9 @@ def criterion_2(seed: int = 0) -> dict:
             exact_ok = False
         f = StepFunction.from_json(fe.to_json())
         g = StepFunction.from_json(ge.to_json())
-        sig, sups = _admissible_signature(f, g)  # one sweep of the pair for both routes
-        closed = _closed_form(sig, cfg_float)
-        series, tail = _series_form(sig, f, g, cfg_float, sups)
+        sig = _Signature.admissible(f, g)  # one sweep of the pair for both routes
+        closed = sig.closed(cfg_float)
+        series, tail = sig.series(cfg_float)
         err = abs(closed - series)
         worst = max(worst, err)
         if err > max(tail, 1e-10):

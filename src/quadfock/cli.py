@@ -21,9 +21,7 @@ from .families import random_family
 from .fock import (
     MAX_PARTICLES,
     FockConfig,
-    _admissible_signature,
-    _closed_form,
-    _series_form,
+    _Signature,
     moments,
     n_particle_inner_partition,
     n_particle_inner_rec,
@@ -106,9 +104,9 @@ def cmd_inner(args) -> tuple[dict, bool]:
     exact = args.mode == "exact"
     f = _parse_step(args.f, exact)
     g = _parse_step(args.g, exact)
-    sig, sups = _admissible_signature(f, g)  # one sweep of the pair for both routes
-    closed = _closed_form(sig, cfg)
-    series, tail = _series_form(sig, f, g, cfg, sups)
+    sig = _Signature.admissible(f, g)  # one sweep of the pair for both routes
+    closed = sig.closed(cfg)
+    series, tail = sig.series(cfg)
     agree = abs(closed - series) <= max(tail, cfg.tol)
     return _json_value({"closed": closed, "series": series,
                         "tail_bound": tail, "agree": agree}), agree

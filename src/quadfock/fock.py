@@ -1,18 +1,18 @@
 """Inner products in the quadratic Fock space.
 
-Every quantity of a pair (f, g) here depends on it only through
-``stepfn.value_signature(f, g)``: the total length L_u carrying each value
-u of conj(f) * g.  The moments are ``m_k = <f^k, g^k> = sum L_u u^k``, the
-closed form below integrates ``log(1 - 4u)`` against it, and the series
-tail uses its total length.  Each pair's signature is built once per call
-and every quantity is read off it: a Gram matrix sweeps only the pairs
+Every quantity of a pair (f, g) here depends on it only through its value
+signature ``_Signature``: the total length L_u carrying each value u of
+conj(f) * g.  Its moments are ``m_k = <f^k, g^k> = sum L_u u^k``, its
+closed form integrates ``log(1 - 4u)`` against it, and its series tail
+uses its total length.  Each pair's signature is built once per call and
+every quantity is read off it: a Gram matrix sweeps only the pairs
 i <= j, because the signature of (g, f) is that of (f, g) with conjugated
 keys, and fills the rest by Hermitian symmetry.
 
 The lengths in a signature are exact.  A float route leaves exact
-arithmetic where each length becomes a double, once: in ``_float_moments``
-and in ``_signature_doubles``, which a Gram matrix reads at every t.  The
-series takes its total length as one integer sum over the common
+arithmetic where each length becomes a double, once: in ``_float_moments``,
+and in ``_Signature.closed``, which keeps the doubles for every t of a Gram
+matrix.  The series takes its total length as one integer sum over the common
 denominator Lambda of the lengths, and each half length L/2 as the double
 l / (2 Lambda), the same double as float(L / 2).
 
@@ -122,14 +122,7 @@ def moments(f: StepFunction, g: StepFunction, K: int) -> MomentSequence:
     """m_k = <f^k, g^k> = sum over the value signature of L_u * u^k, k = 1..K."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    return _signature_moments(value_signature(f, g), K)
-
-
-def _signature_moments(sig: dict, K: int) -> MomentSequence:
-    """m_k = sum L_u u^k, k = 1..K, from a value signature u -> L_u."""
-    if _is_exact(sig):
-        return _scaled_moments(sig, K)
-    return MomentSequence(_float_moments(list(sig), sig.values(), K))
+    return _Signature(value_signature(f, g)).moments(K)
 
 
 def _float_moments(us: list, lengths: Iterable, K: int) -> tuple:
@@ -148,35 +141,126 @@ def _float_moments(us: list, lengths: Iterable, K: int) -> tuple:
     return tuple(entries)
 
 
-def _is_exact(sig: dict) -> bool:
-    """True for a nonempty signature of ExactComplex values."""
-    return bool(sig) and all(type(u) is ExactComplex for u in sig)
+class _Signature:
+    """``sig`` maps each value u of conj(f) * g to the length L_u carrying it;
+    ``exact`` is true for a nonempty ``sig`` of ExactComplex values.  From
+    ``admissible`` it also carries ``sups`` = [sup|f|^2, sup|g|^2] and
+    ``zero``, whether f or g is zero: a nonzero float value's square can
+    underflow to 0.0, so ``zero`` is not ``0 in sups``."""
 
+    __slots__ = ("sig", "exact", "sups", "zero", "_doubles")
 
-def _scaled_moments(sig: dict, K: int) -> MomentSequence:
-    """The exact moments of a signature, scaled once: u = (a + b i) / D and
-    L_u = l_u / Lambda, so N_k = sum l_u (a + b i)^k."""
-    us = [_parts(u) for u in sig]
-    D = math.lcm(*(d for _, _, d in us))
-    lam, ls = _scaled_lengths(sig.values())
-    us = [(a * (D // d), b * (D // d)) for a, b, d in us]
-    terms = [(length, 0) for length in ls]
-    N, entries, den = [], [], lam
-    for _ in range(K):
-        terms = [(tr * ur - ti * ui, tr * ui + ti * ur) for (tr, ti), (ur, ui) in zip(terms, us)]
-        re, im = sum(t[0] for t in terms), sum(t[1] for t in terms)
-        den *= D
-        N.append((re, im))
-        entries.append(_new(re, im, den))
-    return MomentSequence(tuple(entries), (tuple(N), D, lam))
+    def __init__(self, sig: dict, sups: Optional[list] = None, zero: bool = False):
+        self.sig = sig
+        self.exact = bool(sig) and all(type(u) is ExactComplex for u in sig)
+        self.sups = sups
+        self.zero = zero
+        self._doubles = None
 
+    @classmethod
+    def admissible(cls, f: StepFunction, g: StepFunction,
+                   sups: Optional[list] = None) -> "_Signature":
+        """The signature of (f, g), with sups read here unless given, or a
+        DomainError where Psi(f) or Psi(g) does not exist: the one
+        admissibility test of a pair, shared by its closed form and its series."""
+        if sups is None:
+            sups = [f.sup_norm_sq(), g.sup_norm_sq()]
+        bad = [i for i, s in enumerate(sups) if not s < ADMISSIBLE_SUP_SQ]
+        if bad:
+            raise DomainError(f"sup norm >= 1/2 for argument(s) {bad}; "
+                              "exponential vector does not exist")
+        return cls(value_signature(f, g), sups, f.is_zero() or g.is_zero())
 
-def _scaled_lengths(lengths: Iterable) -> tuple[int, list]:
-    """(Lambda, [l_u]) with L_u = l_u / Lambda, Lambda the lcm of the
-    denominators of the lengths L_u."""
-    lengths = list(lengths)
-    lam = math.lcm(*(length.denominator for length in lengths))
-    return lam, [length.numerator * (lam // length.denominator) for length in lengths]
+    def __eq__(self, other):
+        return isinstance(other, _Signature) and self.sig == other.sig
+
+    def conj(self) -> "_Signature":
+        """The signature of (g, f): the same lengths on conjugated values."""
+        return _Signature({u.conjugate(): length for u, length in self.sig.items()},
+                          self.sups and self.sups[::-1], self.zero)
+
+    def moments(self, K: int) -> MomentSequence:
+        """m_k = sum L_u u^k, k = 1..K.  Exact moments are scaled once:
+        u = (a + b i) / D and L_u = l_u / Lambda, so N_k = sum l_u (a + b i)^k."""
+        sig = self.sig
+        if not self.exact:
+            return MomentSequence(_float_moments(list(sig), sig.values(), K))
+        us = [_parts(u) for u in sig]
+        D = math.lcm(*(d for _, _, d in us))
+        lam = math.lcm(*(length.denominator for length in sig.values()))
+        us = [(a * (D // d), b * (D // d)) for a, b, d in us]
+        terms = [(length.numerator * (lam // length.denominator), 0) for length in sig.values()]
+        N, entries, den = [], [], lam
+        for _ in range(K):
+            terms = [(tr * ur - ti * ui, tr * ui + ti * ur) for (tr, ti), (ur, ui) in zip(terms, us)]
+            re, im = sum(t[0] for t in terms), sum(t[1] for t in terms)
+            den *= D
+            N.append((re, im))
+            entries.append(_new(re, im, den))
+        return MomentSequence(tuple(entries), (tuple(N), D, lam))
+
+    def closed(self, cfg: FockConfig, t: float = 1.0) -> complex:
+        """exp(-c/2 * sum L_u log(1 - 4 t u)), principal branch; a DomainError
+        where the exponent leaves the doubles.  The values and lengths become
+        doubles once, at the first call, for every t."""
+        if self._doubles is None:
+            self._doubles = [(complex(u), _length_double(length))
+                             for u, length in self.sig.items()]
+        total = 0.0 + 0.0j
+        for u, length in self._doubles:
+            arg = 1 - 4 * t * u
+            if arg == 0 or arg.real < 0 and arg.imag == 0:
+                raise DomainError("log argument on the branch cut; inputs inadmissible")
+            total += length * cmath.log(arg)
+        try:
+            exponent = -float(cfg.c) / 2 * total
+        except OverflowError:  # an exact c beyond the doubles
+            raise DomainError("c exceeds double precision") from None
+        if cmath.isfinite(exponent):
+            try:
+                return cmath.exp(exponent)
+            except OverflowError:
+                pass
+        raise DomainError(f"closed form exp({exponent}) overflows double precision")
+
+    def series(self, cfg: FockConfig) -> tuple[complex, float]:
+        """``exp_inner_series`` of the pair this signature was built from by
+        ``admissible``; see there for the tail bound."""
+        sf, sg = self.sups
+        rho = math.sqrt(sf) * math.sqrt(sg)  # f.sup_norm() * g.sup_norm()
+        x = 4.0 * rho
+        if x >= 1.0:
+            raise DomainError("sup|f| * sup|g| >= 1/4; series does not converge")
+        N = cfg.depth
+        if self.zero:
+            return (1.0 + 0.0j, 0.0)
+        # L_u = l_u / Lambda with Lambda the lcm of the lengths' denominators
+        lengths = self.sig.values()
+        lam = math.lcm(*(length.denominator for length in lengths))
+        ls = [length.numerator * (lam // length.denominator) for length in lengths]
+        if self.exact:
+            b = n_particle_table(self.moments(N), N, cfg).b
+        else:
+            # w_k = 2^(2k+1) m_{k+1} = sum (L/2) (4u)^(k+1): |4u| < 1 keeps these in
+            # range at any depth, where the factor 2^(2k+1) alone leaves the doubles.
+            # l / (2 Lambda) is L/2 correctly rounded, as float(L / 2) is; the
+            # generator runs inside _float_moments' check for a length too large.
+            w = _float_moments([4 * u for u in self.sig], (l / (2 * lam) for l in ls), N)
+            b = _b_sequence(w, N, cfg.c)
+        terms = [complex(bn) for bn in b]
+        value = sum(terms, 0j)
+
+        c = _frac(cfg.c)  # beta = c S / 2, S = sum(ls) / Lambda the overlap length
+        beta = _up(_length_double(_rat(c.numerator * sum(ls), 2 * c.denominator * lam)))
+        # rho carries at most 5 roundings of 2^-53 (two sup norms and their
+        # product); the factor 1 + 2^-50 covers them
+        x = _up(x * (1 + 2.0 ** -50))
+        sum_error = _up((N + 2) * 2.0 ** -52 * sum(abs(z.real) + abs(z.imag) for z in terms))
+        tail = _up(_dominating_tail(x, beta, N) + sum_error)
+        if not tail <= cfg.tol:  # also when the bound overflowed to inf or nan
+            raise UnconvergedError(
+                f"tail bound {tail:.3e} exceeds tol {cfg.tol:.3e} at depth {N}")
+        return (value, tail)
 
 
 def _exact(m: MomentSequence, c):
@@ -479,56 +563,9 @@ def _length_double(length) -> float:
         raise DomainError("a length exceeds double precision") from None
 
 
-def _closed_form(sig: dict, cfg: FockConfig, t: float = 1.0) -> complex:
-    """exp(-c/2 * sum L_u log(1 - 4 t u)) over a value signature, principal
-    branch; a DomainError where the exponent leaves the doubles."""
-    return _closed_form_doubles(_signature_doubles(sig), cfg, t)
-
-
-def _signature_doubles(sig: dict) -> list[tuple[complex, float]]:
-    """(complex(u), float(L_u)) of each entry of a value signature: what the
-    closed form reads, converted once for any number of t."""
-    return [(complex(u), _length_double(length)) for u, length in sig.items()]
-
-
-def _closed_form_doubles(terms: list, cfg: FockConfig, t: float) -> complex:
-    """``_closed_form`` of the (u, L) pairs of ``_signature_doubles``."""
-    total = 0.0 + 0.0j
-    for u, length in terms:
-        arg = 1 - 4 * t * u
-        if arg == 0 or arg.real < 0 and arg.imag == 0:
-            raise DomainError("log argument on the branch cut; inputs inadmissible")
-        total += length * cmath.log(arg)
-    try:
-        exponent = -float(cfg.c) / 2 * total
-    except OverflowError:  # an exact c beyond the doubles
-        raise DomainError("c exceeds double precision") from None
-    if cmath.isfinite(exponent):
-        try:
-            return cmath.exp(exponent)
-        except OverflowError:
-            pass
-    raise DomainError(f"closed form exp({exponent}) overflows double precision")
-
-
-def _admissible_signature(f: StepFunction, g: StepFunction,
-                          sups: Optional[list] = None) -> tuple[dict, list]:
-    """value_signature(f, g) and sups = [sup|f|^2, sup|g|^2], read here
-    unless given, or a DomainError where Psi(f) or Psi(g) does not exist:
-    the one admissibility test of a pair, shared by its closed form and its
-    series."""
-    if sups is None:
-        sups = [f.sup_norm_sq(), g.sup_norm_sq()]
-    bad = [i for i, s in enumerate(sups) if not s < ADMISSIBLE_SUP_SQ]
-    if bad:
-        raise DomainError(f"sup norm >= 1/2 for argument(s) {bad}; "
-                          "exponential vector does not exist")
-    return value_signature(f, g), sups
-
-
 def exp_inner_closed(f: StepFunction, g: StepFunction, cfg: FockConfig) -> complex:
     """<Psi(f), Psi(g)> = exp(-c/2 * integral of log(1 - 4 conj(f) g))."""
-    return _closed_form(_admissible_signature(f, g)[0], cfg)
+    return _Signature.admissible(f, g).closed(cfg)
 
 
 def exp_inner_closed_scaled(f: StepFunction, g: StepFunction, t: float,
@@ -539,7 +576,7 @@ def exp_inner_closed_scaled(f: StepFunction, g: StepFunction, t: float,
     negative t (used for centered difference quotients at t = 0)."""
     if abs(t) * f.sup_norm() * g.sup_norm() >= 0.25:
         raise DomainError(f"scale t = {t} leaves the admissible region")
-    return _closed_form(value_signature(f, g), cfg, t)
+    return _Signature(value_signature(f, g)).closed(cfg, t)
 
 
 def _up(x: float) -> float:
@@ -573,47 +610,7 @@ def exp_inner_series(f: StepFunction, g: StepFunction,
     d_{N+1} / (1 - r).  That bound is evaluated rounding every step up, and
     the float rounding error of summing b_0..b_N is added to it.
     """
-    sig, sups = _admissible_signature(f, g)
-    return _series_form(sig, f, g, cfg, sups)
-
-
-def _series_form(sig: dict, f: StepFunction, g: StepFunction,
-                 cfg: FockConfig, sups=None) -> tuple[complex, float]:
-    """``exp_inner_series`` of an admissible pair (f, g) from its value
-    signature sig and, if given, the [sup|f|^2, sup|g|^2] its admissibility
-    test read."""
-    sf, sg = sups or (f.sup_norm_sq(), g.sup_norm_sq())
-    rho = math.sqrt(sf) * math.sqrt(sg)  # f.sup_norm() * g.sup_norm()
-    x = 4.0 * rho
-    if x >= 1.0:
-        raise DomainError("sup|f| * sup|g| >= 1/4; series does not converge")
-    N = cfg.depth
-    if f.is_zero() or g.is_zero():
-        return (1.0 + 0.0j, 0.0)
-    lam, ls = _scaled_lengths(sig.values())
-    if _is_exact(sig):
-        b = n_particle_table(_scaled_moments(sig, N), N, cfg).b
-    else:
-        # w_k = 2^(2k+1) m_{k+1} = sum (L/2) (4u)^(k+1): |4u| < 1 keeps these in
-        # range at any depth, where the factor 2^(2k+1) alone leaves the doubles.
-        # l / (2 Lambda) is L/2 correctly rounded, as float(L / 2) is; the
-        # generator runs inside _float_moments' check for a length too large.
-        w = _float_moments([4 * u for u in sig], (l / (2 * lam) for l in ls), N)
-        b = _b_sequence(w, N, cfg.c)
-    terms = [complex(bn) for bn in b]
-    value = sum(terms, 0j)
-
-    c = _frac(cfg.c)  # beta = c S / 2, S = sum(ls) / Lambda the overlap length
-    beta = _up(_length_double(_rat(c.numerator * sum(ls), 2 * c.denominator * lam)))
-    # rho carries at most 5 roundings of 2^-53 (two sup norms and their
-    # product); the factor 1 + 2^-50 covers them
-    x = _up(x * (1 + 2.0 ** -50))
-    sum_error = _up((N + 2) * 2.0 ** -52 * sum(abs(z.real) + abs(z.imag) for z in terms))
-    tail = _up(_dominating_tail(x, beta, N) + sum_error)
-    if not tail <= cfg.tol:  # also when the bound overflowed to inf or nan
-        raise UnconvergedError(
-            f"tail bound {tail:.3e} exceeds tol {cfg.tol:.3e} at depth {N}")
-    return (value, tail)
+    return _Signature.admissible(f, g).series(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -629,26 +626,24 @@ def gram_matrix(family: Sequence[StepFunction], cfg: FockConfig,
 
 def _gram_matrices(family: Sequence[StepFunction], ts: Sequence[float],
                    cfg: FockConfig) -> tuple[dict, list]:
-    """The signature of every pair i <= j of the family, keyed (i, j), and
-    the Gram matrix at each t in ts read off them; each signature's values
-    and lengths become doubles once, for every t.
+    """The ``_Signature`` of every pair i <= j of the family, keyed (i, j),
+    and the Gram matrix at each t in ts read off them.
 
-    Only the pairs i <= j are swept: sig(f_j, f_i) is sig(f_i, f_j) with
-    conjugated keys, so G_ji = conj(G_ij)."""
+    Only the pairs i <= j are swept: the signature of (f_j, f_i) is the
+    ``conj()`` of that of (f_i, f_j), so G_ji = conj(G_ij)."""
     sup_sq = [f.sup_norm() ** 2 for f in family]
     for t in ts:
         bad = [i for i, s in enumerate(sup_sq) if abs(t) * s >= 0.25]
         if bad:
             raise DomainError(f"sqrt(t)-scaled sup norm >= 1/2 at indices {bad}")
     n = len(family)
-    sigs = {(i, j): value_signature(family[i], family[j])
+    sigs = {(i, j): _Signature(value_signature(family[i], family[j]))
             for i in range(n) for j in range(i, n)}
-    terms = {pair: _signature_doubles(sig) for pair, sig in sigs.items()}
     grams = []
     for t in ts:
         G = np.empty((n, n), dtype=complex)
-        for (i, j), pair_terms in terms.items():
-            z = _closed_form_doubles(pair_terms, cfg, t)
+        for (i, j), sig in sigs.items():
+            z = sig.closed(cfg, t)
             G[j, i] = z.conjugate()
             G[i, j] = z  # after the conjugate, so the diagonal keeps z
         grams.append(G)

@@ -18,9 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fock import (ADMISSIBLE_SUP_SQ, FockConfig, _admissible_signature, _closed_form,
-                   _gram_matrices, _series_form, _signature_moments, exp_vector_exists,
-                   gram_matrix, gram_min_eig)
+from .fock import (ADMISSIBLE_SUP_SQ, FockConfig, _Signature, _gram_matrices,
+                   exp_vector_exists, gram_matrix, gram_min_eig)
 from .scalars import ExactComplex, _frac
 from .stepfn import (
     IntervalSet,
@@ -130,18 +129,17 @@ def gamma2_matrix_element(T: QuadOperator, f: StepFunction, g: StepFunction,
     """<Gamma_2(T) Psi(f), Psi(g)> = <Psi(T f), Psi(g)>."""
     if not exp_vector_exists(f):
         raise DomainError("sup norm of f >= 1/2")
-    return _closed_form(_image_signature(apply_operator(T, f), g)[0], cfg)
+    return _image_signature(apply_operator(T, f), g).closed(cfg)
 
 
-def _image_signature(tf: StepFunction, g: StepFunction) -> tuple[dict, list]:
-    """The value signature of (T f, g) and the two sup norms squared, as
-    ``_admissible_signature`` gives them, from the image tf = T f of an
+def _image_signature(tf: StepFunction, g: StepFunction) -> _Signature:
+    """``_Signature.admissible(tf, g)`` from the image tf = T f of an
     admissible f; a DomainError where Psi(T f) or Psi(g) does not exist.
     sup|T f|^2 is read once, for both tests."""
     sup_tf = tf.sup_norm_sq()
     if not sup_tf < ADMISSIBLE_SUP_SQ:
         raise DomainError("sup norm of T f >= 1/2; Gamma_2(T) Psi(f) undefined")
-    return _admissible_signature(tf, g, [sup_tf, g.sup_norm_sq()])
+    return _Signature.admissible(tf, g, [sup_tf, g.sup_norm_sq()])
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +262,14 @@ def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
             raise DomainError(f"adjoint image of member {j} is inadmissible")
 
     n = len(family)
-    S = [[value_signature(tf[i], family[j]) for j in range(n)] for i in range(n)]
-    S_star = [[value_signature(tsf[j], family[i]) for j in range(n)] for i in range(n)]
+    S = [[_Signature(value_signature(tf[i], family[j])) for j in range(n)] for i in range(n)]
+    S_star = [[_Signature(value_signature(tsf[j], family[i])) for j in range(n)]
+              for i in range(n)]
 
-    M = [[_closed_form(s, cfg) for s in row] for row in S]
-    Ms = [[_closed_form(s, cfg) for s in row] for row in S_star]
+    M = [[s.closed(cfg) for s in row] for row in S]
+    Ms = [[s.closed(cfg) for s in row] for row in S_star]
     # m_k of (T f_i, f_j); those of (f_i, T f_j) are their conjugates at (j, i)
-    mom = [[_signature_moments(s, depth).entries for s in row] for row in S]
+    mom = [[s.moments(depth).entries for s in row] for row in S]
 
     herm = 0.0
     adj = 0.0
@@ -281,17 +280,12 @@ def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
             herm = max(herm, abs(M[i][j] - M[j][i].conjugate()))
             adj = max(adj, abs(M[i][j] - Ms[i][j].conjugate()))
             # equal signatures force equal moments and log integrals
-            if exact_zero and not (S[i][j] == _conj_keys(S[j][i]) == _conj_keys(S_star[i][j])):
+            if exact_zero and not (S[i][j] == S[j][i].conj() == S_star[i][j].conj()):
                 exact_zero = False
             for a, b in zip(mom[i][j], mom[j][i]):
                 moment = max(moment, abs(complex(a - b.conjugate())))
 
     return SelfAdjointNumericReport(herm, adj, moment, exact_zero)
-
-
-def _conj_keys(sig: dict) -> dict:
-    """The value signature of (g, f) from that of (f, g)."""
-    return {u.conjugate(): length for u, length in sig.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +359,7 @@ def lemma4_derivative_check(family: Sequence[StepFunction],
         if j < i:
             return pair_inner(j, i).conjugate()
         try:
-            return complex(sum((length * u for u, length in sigs[i, j].items()), 0))
+            return complex(sum((length * u for u, length in sigs[i, j].sig.items()), 0))
         except OverflowError:
             raise DomainError("an inner product exceeds double precision") from None
 
@@ -475,13 +469,13 @@ def counterexample_report(cfg: FockConfig,
     tf, tsg = apply_operator(T, f), apply_operator(T_star, g)
 
     # one signature per pairing, read by its closed form and by its series
-    lhs_sig, lhs_sups = _image_signature(tf, g)  # requires g admissible
-    lhs = _closed_form(lhs_sig, cfg)
-    rhs_sig, rhs_sups = _image_signature(tsg, f)
-    rhs = _closed_form(rhs_sig, cfg).conjugate()
+    lhs_sig = _image_signature(tf, g)  # requires g admissible
+    lhs = lhs_sig.closed(cfg)
+    rhs_sig = _image_signature(tsg, f)
+    rhs = rhs_sig.closed(cfg).conjugate()
 
-    lhs_series, lhs_tail = _series_form(lhs_sig, tf, g, cfg, lhs_sups)
-    rs, rhs_tail = _series_form(rhs_sig, tsg, f, cfg, rhs_sups)
+    lhs_series, lhs_tail = lhs_sig.series(cfg)
+    rs, rhs_tail = rhs_sig.series(cfg)
     rhs_series = rs.conjugate()
 
     # k = 2 power witness: T*(g^2) = (1/2) g^2(./2) but (T* g)^2 = (1/4) g^2(./2)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadfock import FockConfig, StepFunction, moments, n_particle_table
-from quadfock.fock import _closed_form, _dominating_tail, _series_form, _up
+from quadfock.fock import _dominating_tail, _Signature, _up
 from quadfock.scalars import ExactComplex, _frac, _rat, _Rat
 from quadfock.stepfn import refine, value_signature
 
@@ -194,10 +194,10 @@ def test_pair_path_matches_reference(n, layout, f_segs, g_segs):
         if ref:  # disjoint supports give int moments 0, which the exact kernel takes
             table = n_particle_table(m, N_PARTICLES, cfg)
             assert repr((table.a, table.b)) == repr(reference_table(ref, N_PARTICLES, cfg.c))
-        series = _series_form(sig, f, g, cfg)
+        series = _Signature.admissible(f, g).series(cfg)
         assert series == reference_series(ref, f, g, cfg)
         assert repr(series) == repr(reference_series(ref, f, g, cfg))
-        assert repr(_closed_form(sig, cfg)) == repr(_closed_form(ref, cfg))
+        assert repr(_Signature(sig).closed(cfg)) == repr(_Signature(ref).closed(cfg))
 
 
 # --- parsing -----------------------------------------------------------------

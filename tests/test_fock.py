@@ -25,6 +25,7 @@ from quadfock import (
     partition_coefficient,
     partitions_multiplicity,
 )
+from quadfock.cli import main
 from quadfock.families import random_family
 from quadfock.fock import _partition_table
 from quadfock.scalars import ExactComplex, _Rat
@@ -303,6 +304,23 @@ class TestExpVectors:
 
     def test_series_zero(self):
         assert exp_inner_series(StepFunction.zero(), StepFunction.zero(), CFG) == (1, 0)
+
+    def test_series_tells_a_zero_function_from_a_zero_sup(self, capsys):
+        # sup|f|^2 underflows to 0.0 for f = 1e-200 chi[0,1), but f is not
+        # zero: its series is summed, as for disjoint supports, while only
+        # the zero function skips the sum and its tail
+        g = chi(0, 1, 0.25 + 0j)
+        tiny = chi(0, 1, 1e-200 + 0j)
+        assert tiny.sup_norm_sq() == 0.0 and not tiny.is_zero()
+        assert repr(exp_inner_series(tiny, g, CFG)) == "((1+0j), 9.325873406851318e-15)"
+        assert repr(exp_inner_series(StepFunction.zero(), g, CFG)) == "((1+0j), 0.0)"
+        assert repr(exp_inner_series(g, chi(2, 3, 0.25 + 0j), CFG)) == \
+            "((1+0j), 9.325873406851318e-15)"
+        assert main(["inner", "--f", "[[0,1,1e-200,0]]", "--g", "[[0,1,0.25,0]]"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "agree": true,\n  "closed": [\n    1.0,\n    0.0\n  ],\n'
+            '  "series": [\n    1.0,\n    0.0\n  ],\n'
+            '  "tail_bound": 9.325873406851318e-15\n}\n')
 
     def test_series_unconverged_at_small_depth(self):
         f = chi(0, 1, 0.45 + 0j)

@@ -158,6 +158,24 @@ def test_exact_and_float_backends_agree_on_dyadic_inputs(f, g):
         pytest.approx(exp_inner_closed(ff, gf, cfg), rel=1e-13)
 
 
+@given(step_functions(), step_functions())
+@example(*DISJOINT)
+@example(*TOUCHING)
+@example(*NESTED)
+@example(*ZERO)
+@settings(max_examples=100)
+def test_exact_and_float_backends_are_bit_identical_on_dyadic_inputs(f, g):
+    # with breakpoints k/4 and values k/16, |k| <= 5, every length, value u
+    # and moment m_k (k <= 8, numerators below 2^53) is a double, so the
+    # float backend rounds nothing and both reach the log with the same doubles
+    ff, gf = as_float(f), as_float(g)
+    exact_m, float_m = moments(f, g, 8).entries, moments(ff, gf, 8).entries
+    assert [complex(a) for a in exact_m] == list(float_m)
+    assert repr([complex(a) for a in exact_m]) == repr([complex(b) for b in float_m])
+    assert repr(exp_inner_closed(f, g, FockConfig(c=Fraction(1)))) == \
+        repr(exp_inner_closed(ff, gf, FockConfig()))
+
+
 # --- 50-digit oracle ---------------------------------------------------------
 
 C_VALUES = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
