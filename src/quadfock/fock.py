@@ -4,17 +4,19 @@ Every quantity of a pair (f, g) here depends on it only through its value
 signature ``_Signature``: the total length L_u carrying each value u of
 conj(f) * g.  Its moments are ``m_k = <f^k, g^k> = sum L_u u^k``, its
 closed form integrates ``log(1 - 4u)`` against it, and its series tail
-uses its total length.  Each pair's signature is built once per call and
-every quantity is read off it: a Gram matrix sweeps only the pairs
-i <= j, because the signature of (g, f) is that of (f, g) with conjugated
-keys, and fills the rest by Hermitian symmetry.
+reads its total length and its largest |u|.  Each pair's signature is
+built once per call and every quantity is read off it: a Gram matrix sweeps
+only the pairs i <= j, because the signature of (g, f) is that of (f, g)
+with conjugated keys, and fills the rest by Hermitian symmetry.
 
 The lengths in a signature are exact.  A float route leaves exact
 arithmetic where each length becomes a double, once: in ``_float_moments``,
 and in ``_Signature.closed``, which keeps the doubles for every t of a Gram
-matrix.  The series takes its total length as one integer sum over the common
-denominator Lambda of the lengths, and each half length L/2 as the double
-l / (2 Lambda), the same double as float(L / 2).
+matrix.  A signature scales its lengths once, L_u = l_u / Lambda with Lambda
+the common denominator; its exact moments and its series read the same
+l_u.  The series takes its total length as one integer sum over Lambda, and
+each half length L/2 as the double l / (2 Lambda), the same double as
+float(L / 2).
 
 The n-particle inner products ``a_n`` obey the recursion
 
@@ -143,19 +145,18 @@ def _float_moments(us: list, lengths: Iterable, K: int) -> tuple:
 
 class _Signature:
     """``sig`` maps each value u of conj(f) * g to the length L_u carrying it;
-    ``exact`` is true for a nonempty ``sig`` of ExactComplex values.  From
-    ``admissible`` it also carries ``sups`` = [sup|f|^2, sup|g|^2] and
-    ``zero``, whether f or g is zero: a nonzero float value's square can
-    underflow to 0.0, so ``zero`` is not ``0 in sups``."""
+    ``exact`` is true for a nonempty ``sig`` of ExactComplex values; ``zero``
+    is whether f or g is zero, which an empty ``sig`` alone does not tell
+    from disjoint supports.  It scales its lengths and converts its closed
+    form's doubles once each, at the first call that reads them."""
 
-    __slots__ = ("sig", "exact", "sups", "zero", "_doubles")
+    __slots__ = ("sig", "exact", "zero", "_lengths", "_doubles")
 
-    def __init__(self, sig: dict, sups: Optional[list] = None, zero: bool = False):
+    def __init__(self, sig: dict, zero: bool = False):
         self.sig = sig
         self.exact = bool(sig) and all(type(u) is ExactComplex for u in sig)
-        self.sups = sups
         self.zero = zero
-        self._doubles = None
+        self._lengths = self._doubles = None
 
     @classmethod
     def admissible(cls, f: StepFunction, g: StepFunction,
@@ -169,7 +170,7 @@ class _Signature:
         if bad:
             raise DomainError(f"sup norm >= 1/2 for argument(s) {bad}; "
                               "exponential vector does not exist")
-        return cls(value_signature(f, g), sups, f.is_zero() or g.is_zero())
+        return cls(value_signature(f, g), f.is_zero() or g.is_zero())
 
     def __eq__(self, other):
         return isinstance(other, _Signature) and self.sig == other.sig
@@ -177,7 +178,17 @@ class _Signature:
     def conj(self) -> "_Signature":
         """The signature of (g, f): the same lengths on conjugated values."""
         return _Signature({u.conjugate(): length for u, length in self.sig.items()},
-                          self.sups and self.sups[::-1], self.zero)
+                          self.zero)
+
+    def scaled_lengths(self) -> tuple[int, list]:
+        """(Lambda, [l_u]) with L_u = l_u / Lambda and Lambda the lcm of the
+        lengths' denominators, computed once per signature."""
+        if self._lengths is None:
+            lengths = self.sig.values()
+            lam = math.lcm(*(length.denominator for length in lengths))
+            self._lengths = lam, [length.numerator * (lam // length.denominator)
+                                  for length in lengths]
+        return self._lengths
 
     def moments(self, K: int) -> MomentSequence:
         """m_k = sum L_u u^k, k = 1..K.  Exact moments are scaled once:
@@ -187,9 +198,9 @@ class _Signature:
             return MomentSequence(_float_moments(list(sig), sig.values(), K))
         us = [_parts(u) for u in sig]
         D = math.lcm(*(d for _, _, d in us))
-        lam = math.lcm(*(length.denominator for length in sig.values()))
         us = [(a * (D // d), b * (D // d)) for a, b, d in us]
-        terms = [(length.numerator * (lam // length.denominator), 0) for length in sig.values()]
+        lam, ls = self.scaled_lengths()
+        terms = [(l, 0) for l in ls]
         N, entries, den = [], [], lam
         for _ in range(K):
             terms = [(tr * ur - ti * ui, tr * ui + ti * ur) for (tr, ti), (ur, ui) in zip(terms, us)]
@@ -226,18 +237,13 @@ class _Signature:
     def series(self, cfg: FockConfig) -> tuple[complex, float]:
         """``exp_inner_series`` of the pair this signature was built from by
         ``admissible``; see there for the tail bound."""
-        sf, sg = self.sups
-        rho = math.sqrt(sf) * math.sqrt(sg)  # f.sup_norm() * g.sup_norm()
-        x = 4.0 * rho
+        x = 4.0 * max((abs(complex(u)) for u in self.sig), default=0.0)  # 4 rho
         if x >= 1.0:
-            raise DomainError("sup|f| * sup|g| >= 1/4; series does not converge")
+            raise DomainError("max|u| >= 1/4; series does not converge")
         N = cfg.depth
         if self.zero:
             return (1.0 + 0.0j, 0.0)
-        # L_u = l_u / Lambda with Lambda the lcm of the lengths' denominators
-        lengths = self.sig.values()
-        lam = math.lcm(*(length.denominator for length in lengths))
-        ls = [length.numerator * (lam // length.denominator) for length in lengths]
+        lam, ls = self.scaled_lengths()
         if self.exact:
             b = n_particle_table(self.moments(N), N, cfg).b
         else:
@@ -247,14 +253,20 @@ class _Signature:
             # generator runs inside _float_moments' check for a length too large.
             w = _float_moments([4 * u for u in self.sig], (l / (2 * lam) for l in ls), N)
             b = _b_sequence(w, N, cfg.c)
-        terms = [complex(bn) for bn in b]
+        try:
+            terms = [complex(bn) for bn in b]
+        except OverflowError:  # an exact b_n beyond the doubles
+            raise DomainError("a series term exceeds double precision") from None
         value = sum(terms, 0j)
 
         c = _frac(cfg.c)  # beta = c S / 2, S = sum(ls) / Lambda the overlap length
         beta = _up(_length_double(_rat(c.numerator * sum(ls), 2 * c.denominator * lam)))
-        # rho carries at most 5 roundings of 2^-53 (two sup norms and their
-        # product); the factor 1 + 2^-50 covers them
-        x = _up(x * (1 + 2.0 ** -50))
+        # rho is |complex(u)| of one u: the parts of an exact u are rounded to
+        # doubles (a float u is one already), hypot is within one ulp, and 4 rho
+        # is exact.  With the product below, these roundings lose at most 2^-51
+        # relative, which the factor 1 + 2^-50 covers, and where a part or rho
+        # is subnormal at most 2^-1071 absolute on 4 rho, which 2^-1070 covers.
+        x = _up(x * (1 + 2.0 ** -50) + 2.0 ** -1070)
         sum_error = _up((N + 2) * 2.0 ** -52 * sum(abs(z.real) + abs(z.imag) for z in terms))
         tail = _up(_dominating_tail(x, beta, N) + sum_error)
         if not tail <= cfg.tol:  # also when the bound overflowed to inf or nan
@@ -438,32 +450,17 @@ def _gaussian_powers(N: Sequence, n: int) -> list:
     return powers
 
 
-def _scaled_terms(ex: tuple, n: int, rows: tuple) -> Iterator[tuple[int, int]]:
-    """den * coefficient * prod_j N_j^{i_j} of each row, as Gaussian integers."""
-    powers = _gaussian_powers(ex[0], n)
-    for items, _, _, num in rows:
-        re, im = num, 0
-        for j, ij in items:
-            pr, pi = powers[j][ij]
-            re, im = re * pr - im * pi, re * pi + im * pr
-        yield re, im
-
-
 def partition_terms(m: MomentSequence, n: int, cfg: FockConfig,
                     mode: str = "corrected"):
     """Yields (multi_index, coefficient, term) in deterministic order.
 
-    Each multi-index is a fresh dict, so a caller may change it."""
+    Each multi-index is a fresh dict, so a caller may change it.  On exact
+    moments c is read exactly, as in ``_exact``: a float c is the dyadic
+    rational it stands for."""
     c = cfg.c
-    den, rows = _partition_table(n, mode)
-    ex = _exact(m, c)
-    if ex is not None:
-        _, D, E, c_num = ex
-        den *= (D * E) ** n
-        for (items, coef, q, _), (re, im) in zip(rows, _scaled_terms(ex, n, rows)):
-            s = c_num ** q * E ** (n - q)
-            yield dict(items), coef, _new(s * re, s * im, den)
-        return
+    if all(_parts(mk) is not None for mk in m.entries):
+        c = _frac(c)
+    _, rows = _partition_table(n, mode)
     c_powers: dict = {}
     powers: dict = {}
     try:
@@ -603,8 +600,9 @@ def exp_inner_series(f: StepFunction, g: StepFunction,
                      cfg: FockConfig) -> tuple[complex, float]:
     """Truncated series sum_{n<=N} b_n with a rigorous tail bound.
 
-    |m_k| <= rho^k * S with rho = sup|f| sup|g| and S the overlap length, so
-    |b_n| <= d_n = [t^n] (1 - x t)^(-beta) with x = 4 rho, beta = c S / 2.
+    |m_k| <= S rho^k with S the overlap length and rho = max|u| over the
+    signature, rho <= sup|f| sup|g|, so |b_n| <= d_n = [t^n] (1 - x t)^(-beta)
+    with x = 4 rho, beta = c S / 2.
     For n > N the ratio d_{n+1} / d_n = x (n + beta) / (n + 1) is at most
     r = x * max(1, (N + 1 + beta) / (N + 2)), so the tail is at most
     d_{N+1} / (1 - r).  That bound is evaluated rounding every step up, and

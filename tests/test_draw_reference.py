@@ -247,8 +247,8 @@ def _wide_pair(seed):
 @pytest.mark.parametrize("f_segs, g_segs", [pair[2:] for pair in PAIRS]
                          + [_wide_pair(seed) for seed in range(40)])
 def test_series_reads_the_admissibility_sup_norms(f_segs, g_segs):
-    # rho = sqrt(sup|f|^2) * sqrt(sup|g|^2), as f.sup_norm() * g.sup_norm() was:
-    # every bit of the tail bound stays
+    # the sup norms only test admissibility; the tail reads rho = max|u| off
+    # the signature, as the reference does, and matches it in every bit
     f, g = StepFunction.from_segments(f_segs), StepFunction.from_segments(g_segs)
     for cfg in [*CFGS, SHALLOW]:
         try:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quadfock.fock as fock
 from quadfock import (
     FockConfig,
     MomentSequence,
@@ -209,6 +210,7 @@ def test_float_c_on_exact_values_is_read_exactly():
         for mode in MODES:
             assert n_particle_inner_partition(m, 8, flt, mode) == \
                 n_particle_inner_partition(m, 8, ex, mode)
+            assert list(partition_terms(m, 8, flt, mode)) == list(partition_terms(m, 8, ex, mode))
         assert exp_inner_series(f, g, flt) == exp_inner_series(f, g, ex)
 
 
@@ -309,3 +311,31 @@ def test_partition_sums_of_float_moments_are_none():
     f, g = exact_pair(3)
     m = moments(StepFunction.from_json(f.to_json()), StepFunction.from_json(g.to_json()), 4)
     assert _partition_sums(m, range(5), FockConfig(), "corrected") is None
+
+
+# --- one scaling of the lengths per signature -----------------------------------
+
+
+def test_exact_series_scales_the_lengths_once(monkeypatch):
+    # lengths 1/3 and 2/3 carry u = 1/64 and 1/128: the lcm over the length
+    # denominators (3, 3) is told apart from the one over the value denominators
+    third = Fraction(1, 3)
+    f = StepFunction.from_segments([(0, third, ExactComplex(Fraction(1, 4), 0)),
+                                    (third, 1, ExactComplex(Fraction(1, 8), 0))])
+    g = StepFunction.indicator(0, 1, ExactComplex(Fraction(1, 16), 0))
+    length_dens = tuple(length.denominator for length in value_signature(f, g).values())
+    calls = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def lcm(*args):
+            calls.append(args)
+            return math.lcm(*args)
+
+    monkeypatch.setattr(fock, "math", CountingMath())
+    exp_inner_series(f, g, FockConfig(c=Fraction(1)))
+    assert length_dens == (3, 3)
+    assert calls.count(length_dens) == 1

@@ -120,7 +120,7 @@ def reference_series(sig, f, g, cfg):
     w = reference_moments({4 * u: length / 2 for u, length in sig.items()}, N)
     terms = [complex(bn) for bn in reference_b(w, N, cfg.c)]
     beta = _up(float(Fraction(cfg.c) * sum(sig.values()) / 2))
-    x = _up(4.0 * f.sup_norm() * g.sup_norm() * (1 + 2.0 ** -50))
+    x = _up(4.0 * max(map(abs, sig), default=0.0) * (1 + 2.0 ** -50))
     sum_error = _up((N + 2) * 2.0 ** -52 * sum(abs(z.real) + abs(z.imag) for z in terms))
     return sum(terms, 0j), _up(reference_dominating_tail(x, beta, N) + sum_error)
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -321,6 +322,23 @@ class TestExpVectors:
             '{\n  "agree": true,\n  "closed": [\n    1.0,\n    0.0\n  ],\n'
             '  "series": [\n    1.0,\n    0.0\n  ],\n'
             '  "tail_bound": 9.325873406851318e-15\n}\n')
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_series_tail_reads_max_u(self, mode, capsys):
+        # sup|f| sup|g| = 49/256 but max|u| = 7/256: the tail bound from the
+        # sup norms is 7.495e-05 at depth 40, above the default tol 1e-10
+        f, g = "[[0,1,0.4375,0],[1,2,0.0625,0]]", "[[0,1,0.0625,0],[1,2,0.4375,0]]"
+        assert main(["--mode", mode, "inner", "--f", f, "--g", g]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["agree"] is True
+        assert out["tail_bound"] == pytest.approx(1.05e-14, rel=0.01)
+
+    def test_exact_series_term_beyond_the_doubles(self, capsys):
+        # c = 1e300: the exact b_2, about c^2 / 128, leaves the doubles
+        argv = ["--depth", "2", "--mode", "exact", "--c", "1e300", "inner",
+                "--f", "[[0,1,-0.25,0]]", "--g", "[[-1e308,1e308,0.25,0]]"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "domain error: a series term exceeds double precision\n")
 
     def test_series_unconverged_at_small_depth(self):
         f = chi(0, 1, 0.45 + 0j)

@@ -233,11 +233,15 @@ PROBE = (chi(0, 1, ec(Fraction(1, 100))), chi(0, 1, ec(Fraction(1, 100))))
 # a constant pair: b_n equal the dominating coefficients d_n, so the tail
 # bound is tight, and with beta = 9 the ratio d_{n+1} / d_n exceeds x
 CONSTANT = (chi(0, 6, ec(Fraction(5, 16))), chi(0, 6, ec(Fraction(5, 16))))
+# a pair whose max|u| = 7/256 is a seventh of sup|f| sup|g| = 49/256
+CROSSED = (StepFunction.from_segments([(0, 1, ec(Fraction(7, 16))), (1, 2, ec(Fraction(1, 16)))]),
+           StepFunction.from_segments([(0, 1, ec(Fraction(1, 16))), (1, 2, ec(Fraction(7, 16)))]))
 
 
 @given(step_functions(), step_functions(), st.sampled_from(C_VALUES), st.integers(1, 30))
 @example(*PROBE, Fraction(1), 30)
 @example(*CONSTANT, Fraction(3), 20)
+@example(*CROSSED, Fraction(3), 4)
 @example(*NESTED, Fraction(3), 4)
 @example(*DISJOINT, Fraction(1), 2)
 @settings(max_examples=60, deadline=None)
