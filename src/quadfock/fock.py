@@ -258,6 +258,8 @@ class _Signature:
         except OverflowError:  # an exact b_n beyond the doubles
             raise DomainError("a series term exceeds double precision") from None
         value = sum(terms, 0j)
+        if not cmath.isfinite(value):  # a float b_n, or their sum, beyond the doubles
+            raise DomainError("a series term exceeds double precision")
 
         c = _frac(cfg.c)  # beta = c S / 2, S = sum(ls) / Lambda the overlap length
         beta = _up(_length_double(_rat(c.numerator * sum(ls), 2 * c.denominator * lam)))

@@ -188,8 +188,8 @@ def test_usage_errors_exit_3(argv, capsys):
     # exp(-(1/2) * 1e308 * log(3/4)) overflows double precision
     (["inner", "--f", '[[0,1e308,0.25,0]]', "--g", '[[0,1e308,0.25,0]]'], 2),
     (["--c", "1e300", "counterexample"], 2),
-    # the closed form underflows to 0, and the series tail bound overflows
-    (["inner", "--f", '[[0,1e308,0.25,0]]', "--g", '[[0,1e308,-0.25,0]]'], 1),
+    # the closed form underflows to 0, and the float series terms overflow
+    (["inner", "--f", '[[0,1e308,0.25,0]]', "--g", '[[0,1e308,-0.25,0]]'], 2),
     (["inner", "--f", LONG, "--g", LONG], 2),
     (["--mode", "exact", "inner", "--f", LONG, "--g", LONG], 2),
     (["lemma4", "--family", f"[{LONG}]", "--coeffs", "[[1,0]]"], 2),

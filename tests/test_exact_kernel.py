@@ -35,6 +35,8 @@ from quadfock.scalars import ExactComplex
 from quadfock.scalars import _new
 from quadfock.stepfn import value_signature
 
+from _reference import reference_b, reference_weights
+
 C_VALUES = [Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(1, 10 ** 13)]
 MODES = ("corrected", "as_printed")
 
@@ -48,20 +50,9 @@ def reference_moments(f, g, K):
     return [sum((length * u ** k for u, length in sig.items()), 0) for k in range(1, K + 1)]
 
 
-def reference_b(entries, n, c):
-    """b_0..b_n of  nn * b_nn = c * sum_k 2^(2k+1) m_{k+1} b_{nn-k-1}."""
-    w = [2 ** (2 * k + 1) * mk for k, mk in enumerate(entries[:n])]
-    b = [1]
-    for nn in range(1, n + 1):
-        acc = 0
-        for k in range(nn):
-            acc = acc + w[k] * b[nn - k - 1]
-        b.append((c / nn) * acc)
-    return b
-
-
 def reference_a(entries, n, c):
-    return [math.factorial(k) ** 2 * bk for k, bk in enumerate(reference_b(entries, n, c))]
+    b = reference_b(reference_weights(entries[:n]), n, c)
+    return [math.factorial(k) ** 2 * bk for k, bk in enumerate(b)]
 
 
 def reference_partition_terms(entries, n, c, mode):
@@ -107,7 +98,7 @@ def check_all(m, entries, n, c):
     """Every exact route at n against its reference, on the same moments."""
     cfg = FockConfig(c=c)
     table = n_particle_table(m, n, cfg)
-    assert list(table.b) == reference_b(entries, n, c)
+    assert list(table.b) == reference_b(reference_weights(entries[:n]), n, c)
     assert list(table.a) == reference_a(entries, n, c)
     assert n_particle_inner_rec(m, n, cfg) == table.a[n]
     for mode in MODES:

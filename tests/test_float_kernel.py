@@ -1,18 +1,18 @@
 """Differential tests of the float pair path.
 
 A float pair is parsed, swept and read off its value signature with each
-length turned into a double once.  The references below are the loops that
-path replaces: every breakpoint converted through one gcd before any check,
-every length accumulated as ``0 + length``, every moment term a
-``Fraction``-by-complex product, every recursion sum ``acc = acc + w b``
-and the total length a ``sum`` of rationals.  Every float must come out
-``==`` to the reference and with the same ``repr``, which also pins signed
-zeros; every bad input must raise the same exception with the same message.
+length turned into a double once.  The references, here and in
+``_reference.py``, are the loops that path replaces: every breakpoint
+converted through one gcd before any check, every length accumulated as
+``0 + length``, every moment term a ``Fraction``-by-complex product, every
+recursion sum ``acc = acc + w b`` and the total length a ``sum`` of
+rationals.  Every float must come out ``==`` to the reference and with the
+same ``repr``, which also pins signed zeros; every bad input must raise the
+same exception with the same message.
 """
 
 import itertools
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -20,46 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadfock import FockConfig, StepFunction, moments, n_particle_table
-from quadfock.fock import _dominating_tail, _Signature, _up
-from quadfock.scalars import ExactComplex, _frac, _rat, _Rat
+from quadfock.fock import _dominating_tail, _Signature
+from quadfock.scalars import ExactComplex, _frac, _Rat
 from quadfock.stepfn import refine, value_signature
 
-CFGS = [FockConfig(), FockConfig(c=0.5, depth=60), FockConfig(c=Fraction(3, 7))]
-SEGMENT_COUNTS = (1, 3, 32, 128)
+from _reference import (CFGS, PAIRS, reference_b, reference_dominating_tail,
+                        reference_from_segments, reference_moments, reference_series,
+                        reference_weights)
+
 N_PARTICLES = 8
 
 
 # --- references --------------------------------------------------------------
-
-
-def reference_frac(x):
-    if isinstance(x, float):
-        return _rat(*x.as_integer_ratio())
-    return _frac(x)
-
-
-def reference_canonical(segments):
-    segs = [(l, r, v) for (l, r, v) in segments if l < r and v != 0]
-    segs.sort(key=lambda s: s[0])
-    out = []
-    for l, r, v in segs:
-        if out:
-            pl, pr, pv = out[-1]
-            if l < pr:
-                raise ValueError(f"overlapping segments at {float(l)}")
-            if l == pr and v == pv:
-                out[-1] = (pl, r, v)
-                continue
-        out.append((l, r, v))
-    return tuple(out)
-
-
-def reference_from_segments(segments):
-    norm = [(reference_frac(l), reference_frac(r), v) for (l, r, v) in segments]
-    for l, r, _ in norm:
-        if l >= r:
-            raise ValueError(f"empty or inverted interval [{float(l)}, {float(r)})")
-    return StepFunction(reference_canonical(norm))
 
 
 def reference_from_json(data, exact=False):
@@ -84,50 +56,8 @@ def reference_signature(f, g):
     return sig
 
 
-def reference_moments(sig, K):
-    us, terms = list(sig), list(sig.values())
-    entries = []
-    for _ in range(K):
-        terms = [t * u for t, u in zip(terms, us)]
-        entries.append(sum(terms, 0))
-    return entries
-
-
-def reference_b(w, n, c):
-    b = [1]
-    for nn in range(1, n + 1):
-        acc = 0
-        for k in range(nn):
-            acc = acc + w[k] * b[nn - k - 1]
-        b.append((c / nn) * acc)
-    return b
-
-
-def reference_dominating_tail(x, beta, N):
-    r = _up(x * max(1.0, _up(_up(N + 1 + beta) / (N + 2))))
-    gap = math.nextafter(1.0 - r, -math.inf)
-    if not gap > 0:
-        return math.inf
-    d = 1.0
-    for n in range(1, N + 2):
-        d = _up(_up(_up(d * x) * _up(n - 1 + beta)) / n)
-    return _up(d / gap)
-
-
-def reference_series(sig, f, g, cfg):
-    """The float route of ``_series_form`` for a nonzero admissible pair."""
-    N = cfg.depth
-    w = reference_moments({4 * u: length / 2 for u, length in sig.items()}, N)
-    terms = [complex(bn) for bn in reference_b(w, N, cfg.c)]
-    beta = _up(float(Fraction(cfg.c) * sum(sig.values()) / 2))
-    x = _up(4.0 * max(map(abs, sig), default=0.0) * (1 + 2.0 ** -50))
-    sum_error = _up((N + 2) * 2.0 ** -52 * sum(abs(z.real) + abs(z.imag) for z in terms))
-    return sum(terms, 0j), _up(reference_dominating_tail(x, beta, N) + sum_error)
-
-
 def reference_table(sig, n, c):
-    w = [2 ** (2 * k + 1) * mk for k, mk in enumerate(reference_moments(sig, n))]
-    b = reference_b(w, n, c)
+    b = reference_b(reference_weights(reference_moments(sig, n)), n, c)
     return tuple(math.factorial(k) ** 2 * b[k] for k in range(n + 1)), tuple(b)
 
 
@@ -139,41 +69,9 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-# --- inputs ------------------------------------------------------------------
-
-# values with |v| < 0.3, signed zeros among them; the small set repeats u
-VALUES = [0.25 + 0j, complex(-0.0, 0.125), complex(0.1875, -0.0), -0.09375 - 0.15625j]
-
-
-def _value(rng):
-    if rng.random() < 0.5:
-        return rng.choice(VALUES)
-    return complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
-
-
-def float_steps(rng, n, layout):
-    """n segments on [0, 4): adjacent with arbitrary float breakpoints, or
-    separated on the grid k/256 (many cells then share a u)."""
-    if layout == "adjacent":
-        pts = sorted({rng.uniform(0, 4) for _ in range(n + 1)})
-        return [(l, r, _value(rng)) for l, r in zip(pts, pts[1:])]
-    pts = sorted(rng.sample(range(4 * 256 + 1), 2 * n))
-    return [(pts[2 * i] / 256, pts[2 * i + 1] / 256, _value(rng)) for i in range(n)]
-
-
-def pairs():
-    for n in SEGMENT_COUNTS:
-        for layout in ("adjacent", "grid"):
-            for seed in range(3):
-                rng = random.Random(f"{n}:{layout}:{seed}")
-                yield n, layout, float_steps(rng, n, layout), float_steps(rng, n, layout)
-
-
-PAIRS = list(pairs())
-PAIR_IDS = [f"N={n}-{layout}-{i % 3}" for i, (n, layout, _, _) in enumerate(PAIRS)]
-
-
 # --- the float pair path -----------------------------------------------------
+
+PAIR_IDS = [f"N={n}-{layout}-{i % 3}" for i, (n, layout, _, _) in enumerate(PAIRS)]
 
 
 @pytest.mark.parametrize("n, layout, f_segs, g_segs", PAIRS, ids=PAIR_IDS)
@@ -195,8 +93,8 @@ def test_pair_path_matches_reference(n, layout, f_segs, g_segs):
             table = n_particle_table(m, N_PARTICLES, cfg)
             assert repr((table.a, table.b)) == repr(reference_table(ref, N_PARTICLES, cfg.c))
         series = _Signature.admissible(f, g).series(cfg)
-        assert series == reference_series(ref, f, g, cfg)
-        assert repr(series) == repr(reference_series(ref, f, g, cfg))
+        assert series == reference_series(ref, cfg)
+        assert repr(series) == repr(reference_series(ref, cfg))
         assert repr(_Signature(sig).closed(cfg)) == repr(_Signature(ref).closed(cfg))
 
 

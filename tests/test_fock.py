@@ -333,9 +333,10 @@ class TestExpVectors:
         assert out["agree"] is True
         assert out["tail_bound"] == pytest.approx(1.05e-14, rel=0.01)
 
-    def test_exact_series_term_beyond_the_doubles(self, capsys):
-        # c = 1e300: the exact b_2, about c^2 / 128, leaves the doubles
-        argv = ["--depth", "2", "--mode", "exact", "--c", "1e300", "inner",
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_exact_series_term_beyond_the_doubles(self, mode, capsys):
+        # c = 1e300: b_2, about c^2 / 128, leaves the doubles in either backend
+        argv = ["--depth", "2", "--mode", mode, "--c", "1e300", "inner",
                 "--f", "[[0,1,-0.25,0]]", "--g", "[[-1e308,1e308,0.25,0]]"]
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "domain error: a series term exceeds double precision\n")

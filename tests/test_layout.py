@@ -1,0 +1,27 @@
+"""No test module imports another.
+
+A reference implementation that two modules compare against lives in
+``tests/_reference.py``; importing it from a test module would tie one
+module's collection to the other's inputs and names.
+"""
+
+import ast
+from pathlib import Path
+
+
+def imported_modules(tree) -> list:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.append((node.lineno, node.module))
+    return names
+
+
+def test_no_test_module_imports_another():
+    found = [f"{path.name}:{line} imports {name}"
+             for path in sorted(Path(__file__).parent.glob("test_*.py"))
+             for line, name in imported_modules(ast.parse(path.read_text(), str(path)))
+             if name.split(".")[0].startswith("test_")]
+    assert found == []

@@ -4,9 +4,9 @@
 to be a generator that re-derived each cell from both current segments.
 ``StepFunction.from_segments`` reuses the ``_Rat`` of an end shared by two
 consecutive segments; it used to convert every end.  The old code is kept
-here as the reference: the new code must give the same cells, down to the
-``_Rat`` objects of their ends, the same canonical segments and the same
-exceptions.
+as the reference, the parser's in ``_reference.py``: the new code must give
+the same cells, down to the ``_Rat`` objects of their ends, the same
+canonical segments and the same exceptions.
 """
 
 import math
@@ -17,8 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadfock import IntervalSet, PiecewiseAffineMap, StepFunction
-from quadfock.scalars import ExactComplex, _frac, _rat, _Rat
-from quadfock.stepfn import _canonical_segments, _sorted_merged, _sweep, restrict, value_signature
+from quadfock.scalars import ExactComplex, _rat, _Rat
+from quadfock.stepfn import _canonical_segments, _sweep, restrict, value_signature
+
+from _reference import reference_from_segments
 
 # --- references --------------------------------------------------------------
 
@@ -48,14 +50,6 @@ def ref_sweep(a, b):
         if x is not None and l < x:
             l = x
         yield (l, r, v, 0) if from_a else (l, r, 0, v)
-
-
-def ref_from_segments(segments):
-    segs = [(l, r, v, _frac(l), _frac(r)) for (l, r, v) in segments]
-    for l, r, _, L, R in segs:
-        if l >= r:
-            raise ValueError(f"empty or inverted interval [{float(L)}, {float(R)})")
-    return StepFunction(_sorted_merged([s for s in segs if s[2] != 0]))
 
 
 def ref_signature(f, g):
@@ -215,7 +209,7 @@ ENDS = st.one_of(st.integers(-3, 3), st.sampled_from([0.5, 1.0, -2.0, 2.5]),
 @pytest.mark.parametrize("right", ONE)
 def test_shared_end_changes_type(left, right):
     segs = [(0, right, 0.25 + 0j), (left, 2, 0.125j), (2.0, Fraction(5, 2), 0.25 + 0j)]
-    assert outcome(StepFunction.from_segments, segs) == outcome(ref_from_segments, segs)
+    assert outcome(StepFunction.from_segments, segs) == outcome(reference_from_segments, segs)
 
 
 @pytest.mark.parametrize("segs", [
@@ -236,14 +230,14 @@ def test_shared_end_changes_type(left, right):
 ], ids=["nan right", "nan shared", "nan left", "inf shared", "-inf", "inf zero value",
         "empty", "inverted", "overlapping", "unsorted", "string", "complex", "merged", "none"])
 def test_from_segments_listed_cases(segs):
-    assert outcome(StepFunction.from_segments, segs) == outcome(ref_from_segments, segs)
+    assert outcome(StepFunction.from_segments, segs) == outcome(reference_from_segments, segs)
 
 
 @given(st.lists(st.tuples(ENDS, ENDS, st.sampled_from([0, 0.25, 0.125j, 0.25 + 0j])),
                 max_size=6))
 @settings(max_examples=300)
 def test_from_segments_matches_the_reference(segs):
-    assert outcome(StepFunction.from_segments, segs) == outcome(ref_from_segments, segs)
+    assert outcome(StepFunction.from_segments, segs) == outcome(reference_from_segments, segs)
 
 
 @given(st.lists(st.integers(-8, 8), min_size=2, max_size=8, unique=True).map(sorted),
@@ -253,7 +247,7 @@ def test_contiguous_inputs_match_the_reference(cuts, ends):
     # contiguous segments whose shared ends come as any mix of number types
     typed = [type(e)(k) if not isinstance(e, _Rat) else _rat(k, 1) for k, e in zip(cuts, ends)]
     segs = [(l, r, complex(k, 1) / 8) for k, (l, r) in enumerate(zip(typed, typed[1:]))]
-    assert outcome(StepFunction.from_segments, segs) == outcome(ref_from_segments, segs)
+    assert outcome(StepFunction.from_segments, segs) == outcome(reference_from_segments, segs)
 
 
 def test_contiguous_ends_are_converted_once():
