@@ -1,130 +1,36 @@
-"""The CLI's recorded documents and the seeded input stream.
+"""The CLI's recorded documents under ``tests/data`` and the seeded input stream.
 
-Every file under ``tests/data`` is what this tree prints:
-
-- ``verify_all.json`` is the stdout of ``quadfock verify-all``.  The ten
-  verdicts and every detail that is not a float (flags, counts, names,
-  partitions) must match bit for bit; a float detail may move by at most
-  1e-12 relative, so a change that reorders float arithmetic shows here
-  before it shows in a verdict.
-- ``inner.json``, ``nparticle_exact.json`` and ``reports.json`` hold the
-  exit code and the SHA-256 of stdout of every argv in ``ARGVS[name]``;
-  ``nparticle_exact.json`` also keeps the three result fields of each
-  document, so a failure shows which number moved.
-
+``verify_all.json`` is the stdout of ``quadfock verify-all``: the ten verdicts
+and every detail that is not a float must match bit for bit, a float detail
+within 1e-12 relative, so a change that reorders float arithmetic shows here
+before it shows in a verdict.  ``inner.json`` and ``reports.json`` pin the
+exit code and stdout SHA-256 of every argv of ``tests/_golden.py``
+(``nparticle_exact.json`` is checked in ``test_nparticle_golden.py``).
 ``PowerCheckReport`` has no CLI route; its ``to_dict`` is compared with a
 literal dict.  The seeded draws are pinned by ``STREAM_SHA256``.
 
-Re-record only for a change that is meant to move an output, and say which
-entry moved: ``PYTHONPATH=src python tests/test_golden.py`` rewrites every
-file under ``tests/data`` and prints each entry whose bytes moved.
+Re-record only for a change that is meant to move an output:
+``PYTHONPATH=src python tests/test_golden.py`` rewrites every file under
+``tests/data`` and prints each entry whose bytes moved.
 """
 
 import hashlib
-import io
 import json
 import math
 import random
-from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 
 from quadfock import check_homomorphism_powers, dilation_operator
-from quadfock.cli import main
 from quadfock.families import random_family, random_injective_operator, random_step_function
 from quadfock.stepfn import StepFunction
 
-DATA = Path(__file__).parent / "data"
+from _golden import ARGVS, DATA, record, recorded, run
+
 FLOAT_REL_TOL = 1e-12
-MODES = ("float", "exact")
-
-# --- the argvs ---------------------------------------------------------------
-
-F = '[[0,0.5,0.125,0],[0.5,1,0.1875,0.0625]]'
-G = '[[0,0.75,0.25,0],[0.75,1.5,-0.125,0.125]]'
-
-# a pair with two segments each, a zero function, and an inadmissible pair
-# (exit 2, empty stdout)
-INNER = [
-    ["inner", "--f", F, "--g", G],
-    ["inner", "--f", "[]", "--g", G],
-    ["inner", "--f", '[[0,1,0.5,0]]', "--g", G],
-]
-
-# three pairs of 3-segment functions, n in {0, 1, 2, 8, 16, 24}, both formulas
-# and three values of c, plus one n = 40 run; ``as_printed`` is undefined at n = 0
-NPARTICLE_PAIRS = [
-    # dyadic breakpoints and values
-    ('[[0,0.5,0.125,0.0625],[0.5,1.25,-0.1875,0.03125],[1.5,2,0.0625,-0.125]]',
-     '[[0.25,0.75,0.09375,0],[0.75,1.75,0.125,0.125],[1.75,3,-0.0625,0.1875]]'),
-    # decimals: every double is read exactly, so the denominators are 2^50 and more
-    ('[[0,0.3,0.1,0.2],[0.3,0.7,-0.2,0.05],[0.7,1.1,0.15,-0.1]]',
-     '[[0.1,0.4,0.2,-0.1],[0.4,0.9,0.05,0.25],[0.9,1.3,-0.1,0.1]]'),
-    # f = g on overlapping thirds: every moment is real
-    ('[[0,0.3333333333333333,0.25,0],[0.5,1,-0.125,0.125],[1,1.5,0.2,-0.05]]',
-     '[[0,0.3333333333333333,0.25,0],[0.5,1,-0.125,0.125],[1,1.5,0.2,-0.05]]'),
-]
-CS = ["1", "0.5", "0.4285714285714286"]
-NS = [0, 1, 2, 8, 16, 24]
-
-# every report's to_dict that has a CLI route: selfadjoint (structure and
-# numeric) on three operators, contraction (Gram and L2), counterexample,
-# lemma4, and nparticle with the as_printed ratios
-REFLECTION = '{"E": [[0,1]], "h": [[0,1,0.9,0]], "phi": [[0,1,-1,1]]}'
-DILATION = '{"E": [[-8,8]], "h": [[-8,8,1,0]], "phi": [[-8,8,2,0]]}'
-WEIGHT_2 = '{"E": [[0,1]], "h": [[0,1,2,0]], "phi": [[0,1,-1,1]]}'
-# small values, so the weight-2 reflection keeps the images admissible
-FAMILY = '[[[0,0.5,0.125,0.0625]],[[0.25,1,-0.1875,0.03125]],[[0.5,0.75,0.0625,-0.125]]]'
-COEFFS = '[[1,0],[0.5,-0.25],[-0.75,0.5]]'
-REPORTS = [
-    *(["selfadjoint", "--op", op, *family]
-      for op in (REFLECTION, DILATION, WEIGHT_2)
-      for family in ([], ["--random", "3"], ["--family", FAMILY])),
-    ["contraction", "--op", DILATION, "--random", "4"],
-    ["contraction", "--op", DILATION, "--family", FAMILY, "--t", "0.5"],
-    ["counterexample"],
-    ["--c", "2", "counterexample"],
-    ["counterexample", "--f", F, "--g", G],
-    ["lemma4", "--random", "3"],
-    ["lemma4", "--family", FAMILY, "--coeffs", COEFFS],
-    ["nparticle", "--n", "4", "--formula", "as_printed", "--f", F, "--g", G],
-]
-
-ARGVS = {
-    "inner": [["--mode", mode, *command] for command in INNER for mode in MODES],
-    "nparticle_exact": [
-        ["--mode", "exact", "--c", c, "nparticle", "--n", str(n), "--formula", formula,
-         "--f", f, "--g", g]
-        for f, g in NPARTICLE_PAIRS for c in CS for formula in ("corrected", "as_printed")
-        for n in NS if not (formula == "as_printed" and n == 0)
-    ] + [["--mode", "exact", "--c", "1", "nparticle", "--n", "40",
-          "--f", NPARTICLE_PAIRS[0][0], "--g", NPARTICLE_PAIRS[0][1]]],
-    "reports": [["--mode", mode, *command] for command in REPORTS for mode in MODES],
-}
 
 
-def run(argv) -> tuple[int, str]:
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return code, out.getvalue()
-
-
-def record(name: str, argv) -> dict:
-    code, stdout = run(argv)
-    rec = {"argv": argv, "code": code, "sha256": hashlib.sha256(stdout.encode()).hexdigest()}
-    if name == "nparticle_exact":
-        doc = json.loads(stdout) if stdout else {}
-        rec.update((key, doc.get(key)) for key in ("value", "rec_value", "match"))
-    return rec
-
-
-def recorded(name: str):
-    return json.loads((DATA / f"{name}.json").read_text())
-
-
-# --- verify-all --------------------------------------------------------------
+# --- the recorded documents --------------------------------------------------
 
 
 def assert_matches(got, want, path="$"):
@@ -152,16 +58,13 @@ def test_verify_all_matches_recorded_output():
     assert_matches(doc, want)
 
 
-# --- the SHA-pinned argvs ----------------------------------------------------
-
-
-@pytest.mark.parametrize("name", ARGVS)
+@pytest.mark.parametrize("name", ["inner", "reports"])
 def test_recorded_argvs_are_the_argv_set(name):
     assert [rec["argv"] for rec in recorded(name)] == ARGVS[name]
 
 
-@pytest.mark.parametrize("name, index",
-                         [(name, i) for name, argvs in ARGVS.items() for i in range(len(argvs))])
+@pytest.mark.parametrize("name, index", [(name, i) for name in ("inner", "reports")
+                                         for i in range(len(ARGVS[name]))])
 def test_output_matches_recorded_output(name, index):
     want = recorded(name)[index]
     assert record(name, want["argv"]) == want
