@@ -85,7 +85,7 @@ def criterion_2(seed: int = 0) -> dict:
         g = StepFunction.from_json(ge.to_json())
         sig = _Signature.admissible(f, g)  # one sweep of the pair for both routes
         closed = sig.closed(cfg_float)
-        series, tail = sig.series(cfg_float)
+        series, tail, _ = sig.series(cfg_float)
         err = abs(closed - series)
         worst = max(worst, err)
         if err > max(tail, 1e-10):

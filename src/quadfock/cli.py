@@ -106,10 +106,10 @@ def cmd_inner(args) -> tuple[dict, bool]:
     g = _parse_step(args.g, exact)
     sig = _Signature.admissible(f, g)  # one sweep of the pair for both routes
     closed = sig.closed(cfg)
-    series, tail = sig.series(cfg)
+    series, tail, depth = sig.series(cfg)
     agree = abs(closed - series) <= max(tail, cfg.tol)
-    return _json_value({"closed": closed, "series": series,
-                        "tail_bound": tail, "agree": agree}), agree
+    return _json_value({"closed": closed, "series": series, "tail_bound": tail,
+                        "depth": depth, "agree": agree}), agree
 
 
 def cmd_nparticle(args) -> tuple[dict, bool]:
@@ -247,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--c", type=_finite_float, default=1.0,
                         help="representation constant (default 1.0)")
     parser.add_argument("--depth", type=int, default=40,
-                        help="series truncation depth (default 40)")
+                        help="largest series truncation depth: the series stops at the "
+                             "first depth whose tail bound is within --tol (default 40)")
     parser.add_argument("--tol", type=_finite_float, default=1e-10,
                         help="numeric tolerance (default 1e-10)")
     parser.add_argument("--mode", choices=["exact", "float"], default="float",

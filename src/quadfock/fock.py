@@ -10,13 +10,17 @@ only the pairs i <= j, because the signature of (g, f) is that of (f, g)
 with conjugated keys, and fills the rest by Hermitian symmetry.
 
 The lengths in a signature are exact.  A float route leaves exact
-arithmetic where each length becomes a double, once: in ``_float_moments``,
-and in ``_Signature.closed``, which keeps the doubles for every t of a Gram
-matrix.  A signature scales its lengths once, L_u = l_u / Lambda with Lambda
-the common denominator; its exact moments and its series read the same
-l_u.  The series takes its total length as one integer sum over Lambda, and
-each half length L/2 as the double l / (2 Lambda), the same double as
-float(L / 2).
+arithmetic where each value and length becomes a double, once per
+signature, in ``_Signature.doubles``: the float moments, the closed form at
+every t of a Gram matrix and the series read the same doubles.  A signature
+scales its lengths once, L_u = l_u / Lambda with Lambda the common
+denominator; its exact moments and its exact series read the same l_u, and
+the series takes its total length as one integer sum over Lambda.
+
+The series stops at the first depth N up to ``FockConfig.depth`` whose
+rigorous tail bound is at most ``FockConfig.tol``: one pass of the
+dominating recursion proposes N, and the sum extends one term at a time
+from there while its rounding error keeps the bound above tol.
 
 The n-particle inner products ``a_n`` obey the recursion
 
@@ -48,8 +52,10 @@ den_n * (D E)^n, den_n the common denominator of the coefficients at n.
 builds the one table of powers N_j^i they read once per call, up to the
 largest n.  Each result is reduced once; the two routes share the N_k only.
 
-The recursion has one body in each backend, ``n_particle_table``:
-``n_particle_inner_rec`` returns its entry a_n, and the series reads its b_n.
+The recursion has one body in each backend, ``_b_sequence`` for floats and
+``_scaled_b`` for Gaussian integers, each a generator that reads one moment
+per term: ``n_particle_table`` takes n_max terms, ``n_particle_inner_rec``
+returns its entry a_n, and the series takes as many as its tail bound needs.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -127,28 +134,27 @@ def moments(f: StepFunction, g: StepFunction, K: int) -> MomentSequence:
     return _Signature(value_signature(f, g)).moments(K)
 
 
-def _float_moments(us: list, lengths: Iterable, K: int) -> tuple:
-    """sum L u^k over the values us and their lengths, k = 1..K.
-
-    Each length becomes a double once, here; from then on every term is
-    the complex product of the previous one and its u."""
-    try:
-        terms = [complex(float(length)) for length in lengths]
-    except OverflowError:  # a length beyond the doubles
-        raise DomainError("a length exceeds double precision") from None
-    entries = []
-    for _ in range(K):
+def _power_sums(us: list, terms: list) -> Iterator:
+    """sum t u^k over the values us and their weights terms, k = 1, 2, ...:
+    every term is the complex product of the previous one and its u."""
+    while True:
         terms = list(map(mul, terms, us))
-        entries.append(sum(terms, 0))
-    return tuple(entries)
+        yield sum(terms, 0)
+
+
+def _gaussian_sums(us: list, terms: list) -> Iterator[tuple]:
+    """``_power_sums`` on Gaussian integers (re, im)."""
+    while True:
+        terms = [(tr * ur - ti * ui, tr * ui + ti * ur) for (tr, ti), (ur, ui) in zip(terms, us)]
+        yield sum(t[0] for t in terms), sum(t[1] for t in terms)
 
 
 class _Signature:
     """``sig`` maps each value u of conj(f) * g to the length L_u carrying it;
     ``exact`` is true for a nonempty ``sig`` of ExactComplex values; ``zero``
     is whether f or g is zero, which an empty ``sig`` alone does not tell
-    from disjoint supports.  It scales its lengths and converts its closed
-    form's doubles once each, at the first call that reads them."""
+    from disjoint supports.  It scales its lengths and converts its values
+    and lengths to doubles once each, at the first call that reads them."""
 
     __slots__ = ("sig", "exact", "zero", "_lengths", "_doubles")
 
@@ -190,35 +196,45 @@ class _Signature:
                                   for length in lengths]
         return self._lengths
 
+    def doubles(self) -> tuple[list, list]:
+        """([complex u], [float L_u]) in the order of ``sig``, computed once per
+        signature: the float moments, the closed form and the series read them."""
+        if self._doubles is None:
+            try:
+                lengths = list(map(float, self.sig.values()))
+            except OverflowError:  # the difference of two breakpoints can leave the doubles
+                raise DomainError("a length exceeds double precision") from None
+            self._doubles = list(map(complex, self.sig)), lengths
+        return self._doubles
+
+    def _gaussian_moments(self) -> tuple[int, Iterator[tuple]]:
+        """(D, N_1, N_2, ...): u = (a + b i) / D over one common D, and
+        N_k = sum l_u (a + b i)^k as Gaussian integers, so m_k = N_k / (Lambda D^k)."""
+        us = [_parts(u) for u in self.sig]
+        D = math.lcm(*(d for _, _, d in us))
+        us = [(a * (D // d), b * (D // d)) for a, b, d in us]
+        return D, _gaussian_sums(us, [(l, 0) for l in self.scaled_lengths()[1]])
+
     def moments(self, K: int) -> MomentSequence:
         """m_k = sum L_u u^k, k = 1..K.  Exact moments are scaled once:
         u = (a + b i) / D and L_u = l_u / Lambda, so N_k = sum l_u (a + b i)^k."""
-        sig = self.sig
         if not self.exact:
-            return MomentSequence(_float_moments(list(sig), sig.values(), K))
-        us = [_parts(u) for u in sig]
-        D = math.lcm(*(d for _, _, d in us))
-        us = [(a * (D // d), b * (D // d)) for a, b, d in us]
-        lam, ls = self.scaled_lengths()
-        terms = [(l, 0) for l in ls]
-        N, entries, den = [], [], lam
-        for _ in range(K):
-            terms = [(tr * ur - ti * ui, tr * ui + ti * ur) for (tr, ti), (ur, ui) in zip(terms, us)]
-            re, im = sum(t[0] for t in terms), sum(t[1] for t in terms)
+            us, lengths = self.doubles()
+            return MomentSequence(tuple(islice(_power_sums(us, list(map(complex, lengths))), K)))
+        D, sums = self._gaussian_moments()
+        lam = self.scaled_lengths()[0]
+        N = tuple(islice(sums, K))
+        entries, den = [], lam
+        for re, im in N:
             den *= D
-            N.append((re, im))
             entries.append(_new(re, im, den))
-        return MomentSequence(tuple(entries), (tuple(N), D, lam))
+        return MomentSequence(tuple(entries), (N, D, lam))
 
     def closed(self, cfg: FockConfig, t: float = 1.0) -> complex:
         """exp(-c/2 * sum L_u log(1 - 4 t u)), principal branch; a DomainError
-        where the exponent leaves the doubles.  The values and lengths become
-        doubles once, at the first call, for every t."""
-        if self._doubles is None:
-            self._doubles = [(complex(u), _length_double(length))
-                             for u, length in self.sig.items()]
+        where the exponent leaves the doubles."""
         total = 0.0 + 0.0j
-        for u, length in self._doubles:
+        for u, length in zip(*self.doubles()):
             arg = 1 - 4 * t * u
             if arg == 0 or arg.real < 0 and arg.imag == 0:
                 raise DomainError("log argument on the branch cut; inputs inadmissible")
@@ -234,47 +250,77 @@ class _Signature:
                 pass
         raise DomainError(f"closed form exp({exponent}) overflows double precision")
 
-    def series(self, cfg: FockConfig) -> tuple[complex, float]:
-        """``exp_inner_series`` of the pair this signature was built from by
-        ``admissible``; see there for the tail bound."""
-        x = 4.0 * max((abs(complex(u)) for u in self.sig), default=0.0)  # 4 rho
-        if x >= 1.0:
-            raise DomainError("max|u| >= 1/4; series does not converge")
-        N = cfg.depth
-        if self.zero:
-            return (1.0 + 0.0j, 0.0)
-        lam, ls = self.scaled_lengths()
+    def _terms(self, c) -> Iterator[complex]:
+        """b_1, b_2, ... as doubles, one moment and one recursion step per term."""
         if self.exact:
-            b = n_particle_table(self.moments(N), N, cfg).b
+            D, N = self._gaussian_moments()
+            c = _frac(c)
+            E = c.denominator * self.scaled_lengths()[0]
+            q = 1
+            for n, (re, im) in enumerate(_scaled_b(N, E, c.numerator), 1):
+                q *= n * D * E  # b_n = B_n / (n! (D E)^n), correctly rounded by one division
+                try:
+                    yield complex(re / q, im / q)
+                except OverflowError:  # an exact b_n beyond the doubles
+                    raise DomainError("a series term exceeds double precision") from None
         else:
             # w_k = 2^(2k+1) m_{k+1} = sum (L/2) (4u)^(k+1): |4u| < 1 keeps these in
             # range at any depth, where the factor 2^(2k+1) alone leaves the doubles.
-            # l / (2 Lambda) is L/2 correctly rounded, as float(L / 2) is; the
-            # generator runs inside _float_moments' check for a length too large.
-            w = _float_moments([4 * u for u in self.sig], (l / (2 * lam) for l in ls), N)
-            b = _b_sequence(w, N, cfg.c)
-        try:
-            terms = [complex(bn) for bn in b]
-        except OverflowError:  # an exact b_n beyond the doubles
-            raise DomainError("a series term exceeds double precision") from None
-        value = sum(terms, 0j)
-        if not cmath.isfinite(value):  # a float b_n, or their sum, beyond the doubles
-            raise DomainError("a series term exceeds double precision")
+            # Halving a double is exact, so L/2 is correctly rounded for L >= 2^-1021.
+            us, lengths = self.doubles()
+            w = _power_sums([4 * u for u in us], [complex(length / 2) for length in lengths])
+            yield from map(complex, _b_sequence(w, c))
 
+    def series(self, cfg: FockConfig, fixed: bool = False) -> tuple[complex, float, int]:
+        """(value, tail, N): ``exp_inner_series`` of the pair this signature was
+        built from by ``admissible``, with N the depth summed.  N is the first
+        depth up to ``cfg.depth`` whose tail bound is at most ``cfg.tol``; with
+        ``fixed``, N is ``cfg.depth`` itself."""
+        x = 4.0 * max(map(abs, self.doubles()[0]), default=0.0)  # 4 rho
+        if x >= 1.0:
+            raise DomainError("max|u| >= 1/4; series does not converge")
+        if self.zero:
+            return (1.0 + 0.0j, 0.0, 0)
+        lam, ls = self.scaled_lengths()
         c = _frac(cfg.c)  # beta = c S / 2, S = sum(ls) / Lambda the overlap length
-        beta = _up(_length_double(_rat(c.numerator * sum(ls), 2 * c.denominator * lam)))
+        try:
+            beta = _up(float(_rat(c.numerator * sum(ls), 2 * c.denominator * lam)))
+        except OverflowError:  # an exact c, or the overlap, beyond the doubles
+            raise DomainError("beta = c S / 2 exceeds double precision") from None
         # rho is |complex(u)| of one u: the parts of an exact u are rounded to
         # doubles (a float u is one already), hypot is within one ulp, and 4 rho
         # is exact.  With the product below, these roundings lose at most 2^-51
         # relative, which the factor 1 + 2^-50 covers, and where a part or rho
         # is subnormal at most 2^-1071 absolute on 4 rho, which 2^-1070 covers.
         x = _up(x * (1 + 2.0 ** -50) + 2.0 ** -1070)
-        sum_error = _up((N + 2) * 2.0 ** -52 * sum(abs(z.real) + abs(z.imag) for z in terms))
-        tail = _up(_dominating_tail(x, beta, N) + sum_error)
-        if not tail <= cfg.tol:  # also when the bound overflowed to inf or nan
-            raise UnconvergedError(
-                f"tail bound {tail:.3e} exceeds tol {cfg.tol:.3e} at depth {N}")
-        return (value, tail)
+        cap, tol = cfg.depth, cfg.tol
+        tails = enumerate(_dominating_tails(x, beta))  # (N, _dominating_tail(x, beta, N))
+        for N, dom in tails:  # no depth below the first whose dominating tail is <= tol
+            if N == cap or N and dom <= tol and not fixed:
+                break
+        value, size = 0j, 0.0
+        for n, bn in enumerate(chain((1 + 0j,), self._terms(cfg.c))):
+            value += bn
+            size += abs(bn.real) + abs(bn.imag)
+            if n < N:
+                continue
+            if not cmath.isfinite(value):  # a float b_n, or their sum, beyond the doubles
+                raise DomainError("a series term exceeds double precision")
+            tail = _up(dom + _up((n + 2) * 2.0 ** -52 * size))
+            if tail <= tol:  # not when the bound overflowed to inf or nan
+                return value, tail, n
+            if n == cap:
+                break
+            N, dom = next(tails)
+        need = f"no depth <= {MAX_DEPTH} reaches it"
+        for N, dom in tails:
+            if N > MAX_DEPTH:
+                break
+            if dom <= tol:
+                need = f"need depth >= {N}"
+                break
+        raise UnconvergedError(f"tail bound {tail:.3e} exceeds tol {tol:.3e} "
+                               f"at depth {cap}; {need}")
 
 
 def _exact(m: MomentSequence, c):
@@ -294,29 +340,28 @@ def _exact(m: MomentSequence, c):
     return N, D, c.denominator * lam, c.numerator
 
 
-def _b_sequence(w: Sequence, n: int, c) -> list:
-    """Normalized coefficients b_0..b_n of the generating function from the
-    weights w_k = 2^(2k+1) m_{k+1}:  n b_n = c * sum_k w_k b_{n-k-1}."""
-    b = [1]
+def _b_sequence(w: Iterable, c) -> Iterator:
+    """Normalized coefficients b_1, b_2, ... of the generating function, one
+    per weight w_k = 2^(2k+1) m_{k+1} read:  n b_n = c * sum_k w_k b_{n-k-1}."""
+    ws, b = [], [1]
     try:
-        for nn in range(1, n + 1):
-            b.append((c / nn) * sum(map(mul, w, reversed(b))))
+        for wk in w:
+            ws.append(wk)
+            b.append((c / len(b)) * sum(map(mul, ws, reversed(b))))
+            yield b[-1]
     except OverflowError:  # an exact c / n or weight beyond the doubles, times a float
         raise DomainError("a recursion term exceeds double precision") from None
-    return b
 
 
-def _scaled_b(ex: tuple, n: int) -> list:
-    """B_0..B_n = n! (D E)^n b_n as Gaussian integers (re, im):
+def _scaled_b(N: Iterable, E: int, c_num: int) -> Iterator[tuple]:
+    """B_1, B_2, ... with B_n = n! (D E)^n b_n as Gaussian integers (re, im),
+    one scaled moment N_n read per term:
     B_n = c_num * sum_k 2^(2k+1) (n-1)!/(n-k-1)! E^k N_{k+1} B_{n-k-1}."""
-    N, _, E, c_num = ex
-    w, ek = [], 1
-    for k in range(n):
-        s = ek << (2 * k + 1)
-        w.append((s * N[k][0], s * N[k][1]))
+    w, B, ek = [], [(1, 0)], 1
+    for nn, (nr, ni) in enumerate(N, 1):
+        s = ek << (2 * nn - 1)  # 2^(2k+1) E^k at k = nn - 1
+        w.append((s * nr, s * ni))
         ek *= E
-    B = [(1, 0)]
-    for nn in range(1, n + 1):
         re = im = 0
         ff = 1  # (nn-1)! / (nn-k-1)!
         for k in range(nn):
@@ -327,7 +372,7 @@ def _scaled_b(ex: tuple, n: int) -> list:
             re += ff * (wr * br - wi * bi)
             im += ff * (wr * bi + wi * br)
         B.append((c_num * re, c_num * im))
-    return B
+        yield B[-1]
 
 
 def n_particle_inner_rec(m: MomentSequence, n: int, cfg: FockConfig):
@@ -345,15 +390,15 @@ def n_particle_table(m: MomentSequence, n_max: int, cfg: FockConfig) -> "NPartic
     if ex is None:
         try:
             w = [(2 ** (2 * k + 1)) * mk for k, mk in enumerate(m.entries[:n_max])]
-            b = _b_sequence(w, n_max, cfg.c)
+            b = [1, *_b_sequence(w, cfg.c)]
             a = tuple((math.factorial(n) ** 2) * b[n] for n in range(n_max + 1))
         except OverflowError:  # an int weight 2^(2k+1) or (n!)^2 beyond the doubles
             raise DomainError("a recursion weight exceeds double precision") from None
         return NParticleTable(a, tuple(b))
-    _, D, E, _ = ex
+    N, D, E, c_num = ex
     a, b = [1], [1]
     fact = den = 1
-    for n, (re, im) in enumerate(_scaled_b(ex, n_max)[1:], 1):
+    for n, (re, im) in enumerate(_scaled_b(N[:n_max], E, c_num), 1):
         fact *= n
         den *= D * E
         a.append(_new(fact * re, fact * im, den))
@@ -553,15 +598,6 @@ def exp_vector_exists(f: StepFunction) -> bool:
     return f.sup_norm_sq() < ADMISSIBLE_SUP_SQ
 
 
-def _length_double(length) -> float:
-    """float(length), or a DomainError for a length beyond the doubles: the
-    difference of two breakpoints can be, though each breakpoint is one."""
-    try:
-        return float(length)
-    except OverflowError:
-        raise DomainError("a length exceeds double precision") from None
-
-
 def exp_inner_closed(f: StepFunction, g: StepFunction, cfg: FockConfig) -> complex:
     """<Psi(f), Psi(g)> = exp(-c/2 * integral of log(1 - 4 conj(f) g))."""
     return _Signature.admissible(f, g).closed(cfg)
@@ -586,21 +622,29 @@ def _up(x: float) -> float:
 def _dominating_tail(x: float, beta: float, N: int) -> float:
     """Upper bound on sum_{n>N} d_n, d_n = [t^n] (1 - x t)^(-beta), for
     0 <= x < 1 and beta >= 0, rounding every step up."""
-    r = _up(x * max(1.0, _up(_up(N + 1 + beta) / (N + 2))))
-    gap = math.nextafter(1.0 - r, -math.inf)
-    if not gap > 0:
-        return math.inf
-    d = 1.0
+    return next(islice(_dominating_tails(x, beta), N, None))
+
+
+def _dominating_tails(x: float, beta: float) -> Iterator[float]:
+    """``_dominating_tail(x, beta, N)`` for N = 0, 1, 2, ...: one pass of the
+    d_n recursion, since only the ratio bound r and the gap 1 - r depend on N."""
     nextafter, inf = math.nextafter, math.inf  # _up, without a call per rounding
-    for n in range(1, N + 2):
+    d, n = 1.0, 0
+    while True:
+        n += 1  # d_n is the first term beyond N = n - 1
         t = nextafter(nextafter(d * x, inf) * nextafter(n - 1 + beta, inf), inf)
         d = nextafter(t / n, inf)
-    return _up(d / gap)
+        r = nextafter(x * max(1.0, nextafter(nextafter(n + beta, inf) / (n + 1), inf)), inf)
+        gap = nextafter(1.0 - r, -inf)
+        yield nextafter(d / gap, inf) if gap > 0 else inf
 
 
 def exp_inner_series(f: StepFunction, g: StepFunction,
                      cfg: FockConfig) -> tuple[complex, float]:
-    """Truncated series sum_{n<=N} b_n with a rigorous tail bound.
+    """Truncated series sum_{n<=N} b_n with a rigorous tail bound, N the first
+    depth up to ``cfg.depth`` whose bound is at most ``cfg.tol``; an
+    UnconvergedError at ``cfg.depth`` names the first depth beyond it whose
+    dominating tail alone is at most ``cfg.tol``, if any up to MAX_DEPTH.
 
     |m_k| <= S rho^k with S the overlap length and rho = max|u| over the
     signature, rho <= sup|f| sup|g|, so |b_n| <= d_n = [t^n] (1 - x t)^(-beta)
@@ -608,9 +652,12 @@ def exp_inner_series(f: StepFunction, g: StepFunction,
     For n > N the ratio d_{n+1} / d_n = x (n + beta) / (n + 1) is at most
     r = x * max(1, (N + 1 + beta) / (N + 2)), so the tail is at most
     d_{N+1} / (1 - r).  That bound is evaluated rounding every step up, and
-    the float rounding error of summing b_0..b_N is added to it.
+    the float rounding error of summing b_0..b_N is added to it.  Only r and
+    the gap depend on N, so one pass of the d_n recursion finds the first N
+    whose d-part alone is at most tol, and the sum extends one term at a
+    time from there while its rounding error keeps the bound above tol.
     """
-    return _Signature.admissible(f, g).series(cfg)
+    return _Signature.admissible(f, g).series(cfg)[:2]
 
 
 # ---------------------------------------------------------------------------

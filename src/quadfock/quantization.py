@@ -474,8 +474,8 @@ def counterexample_report(cfg: FockConfig,
     rhs_sig = _image_signature(tsg, f)
     rhs = rhs_sig.closed(cfg).conjugate()
 
-    lhs_series, lhs_tail = lhs_sig.series(cfg)
-    rs, rhs_tail = rhs_sig.series(cfg)
+    lhs_series, lhs_tail, _ = lhs_sig.series(cfg)
+    rs, rhs_tail, _ = rhs_sig.series(cfg)
     rhs_series = rs.conjugate()
 
     # k = 2 power witness: T*(g^2) = (1/2) g^2(./2) but (T* g)^2 = (1/4) g^2(./2)

@@ -16,11 +16,14 @@ F = '[[0,0.5,0.125,0],[0.5,1,0.1875,0.0625]]'
 G = '[[0,0.75,0.25,0],[0.75,1.5,-0.125,0.125]]'
 
 # a pair with two segments each, a zero function, and an inadmissible pair
-# (exit 2, empty stdout)
+# (exit 2, empty stdout); the pair again under the largest cap, and under a
+# cap below the depth its tail bound needs (exit 1, empty stdout)
 INNER = [
     ["inner", "--f", F, "--g", G],
     ["inner", "--f", "[]", "--g", G],
     ["inner", "--f", '[[0,1,0.5,0]]', "--g", G],
+    ["--depth", "2000", "inner", "--f", F, "--g", G],
+    ["--depth", "3", "inner", "--f", F, "--g", G],
 ]
 
 # three pairs of 3-segment functions, n in {0, 1, 2, 8, 16, 24}, both formulas

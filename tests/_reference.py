@@ -92,15 +92,23 @@ def reference_dominating_tail(x, beta, N):
     return _up(d / gap)
 
 
-def reference_series(sig, cfg):
-    """The float route of ``_Signature.series`` for a nonzero admissible pair."""
-    N = cfg.depth
-    w = reference_moments({4 * u: length / 2 for u, length in sig.items()}, N)
-    terms = [complex(bn) for bn in reference_b(w, N, cfg.c)]
+def reference_series(sig, cfg, fixed=False):
+    """The float route of ``_Signature.series`` for a nonzero admissible pair:
+    (value, tail, N) at the first N <= cfg.depth whose tail is <= cfg.tol,
+    else at cfg.depth, which ``fixed`` also takes.  Every b_n up to cfg.depth
+    is summed first; each N then reads a prefix."""
+    depth = cfg.depth
+    w = reference_moments({4 * u: length / 2 for u, length in sig.items()}, depth)
+    terms = [complex(bn) for bn in reference_b(w, depth, cfg.c)]
     beta = _up(float(Fraction(cfg.c) * sum(sig.values()) / 2))
     x = _up(4.0 * max(map(abs, sig), default=0.0) * (1 + 2.0 ** -50))
-    sum_error = _up((N + 2) * 2.0 ** -52 * sum(abs(z.real) + abs(z.imag) for z in terms))
-    return sum(terms, 0j), _up(reference_dominating_tail(x, beta, N) + sum_error)
+    for N in [depth] if fixed else range(1, depth + 1):
+        size = sum(abs(z.real) + abs(z.imag) for z in terms[:N + 1])
+        sum_error = _up((N + 2) * 2.0 ** -52 * size)
+        tail = _up(reference_dominating_tail(x, beta, N) + sum_error)
+        if tail <= cfg.tol:
+            break
+    return sum(terms[:N + 1], 0j), tail, N
 
 
 # --- float pairs ---------------------------------------------------------------

@@ -442,10 +442,12 @@ def test_float_inner_converts_each_end_once_and_merges_once(capsys, monkeypatch)
 
 
 def test_largest_depth_runs(capsys):
-    # MAX_DEPTH terms: the weights 2^(2k+1) m_{k+1} stay in the doubles
-    code, doc = run_cli(["--depth", "2000", "inner", "--f", QUARTER, "--g", QUARTER],
-                        capsys)
+    # 4 max|u| = 0.988036 needs 1922 terms: the weights 2^(2k+1) m_{k+1} stay
+    # in the doubles
+    f = '[[0,1,0.497,0]]'
+    code, doc = run_cli(["--depth", "2000", "inner", "--f", f, "--g", f], capsys)
     assert code == 0 and doc["agree"] is True
+    assert doc["depth"] == 1922
 
 
 def test_largest_particle_number_runs(capsys):
@@ -456,10 +458,13 @@ def test_largest_particle_number_runs(capsys):
 
 def test_tail_bound_is_positive(capsys):
     # the true tail is about (4e-4)^61; the old bound cancelled it to 0.0
+    f = stepfn.StepFunction.from_json([[0, 1, 0.01, 0]])
+    _, tail, depth = fock._Signature.admissible(f, f).series(fock.FockConfig(depth=60), fixed=True)
+    assert depth == 60 and tail > 0
     code, doc = run_cli(["--depth", "60", "inner", "--f", '[[0,1,0.01,0]]',
                          "--g", '[[0,1,0.01,0]]'], capsys)
     assert code == 0
-    assert doc["tail_bound"] > 0
+    assert doc["tail_bound"] > 0 and doc["depth"] < 60
 
 
 class TestDeterminism:

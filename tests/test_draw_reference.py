@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from quadfock import (FockConfig, IntervalSet, PiecewiseAffineMap, QuadOperator, StepFunction,
                       UnconvergedError)
 from quadfock.families import random_injective_operator, random_step_function
-from quadfock.fock import exp_inner_series
+from quadfock.fock import _Signature, exp_inner_series
 from quadfock.scalars import ExactComplex, _frac, _Rat
 from quadfock.stepfn import _images_overlap, value_signature
 
@@ -235,7 +235,8 @@ def test_draws_match_reference(exact):
 # --- a float pair hands its sup norms to the series -----------------------------
 
 # at depth 4 with tol 1 the tail bound is d_5 / (1 - r), which moves with the
-# last bit of rho; at depth 40 the summation error hides it
+# last bit of rho; at depth 40 the summation error hides it.  A tol of 1 stops
+# the series at depth 1, so SHALLOW is summed at its fixed depth.
 SHALLOW = FockConfig(c=1.0, depth=4, tol=1.0)
 
 
@@ -251,10 +252,14 @@ def test_series_reads_the_admissibility_sup_norms(f_segs, g_segs):
     # the sup norms only test admissibility; the tail reads rho = max|u| off
     # the signature, as the reference does, and matches it in every bit
     f, g = StepFunction.from_segments(f_segs), StepFunction.from_segments(g_segs)
-    for cfg in [*CFGS, SHALLOW]:
+    sig = value_signature(f, g)
+    for cfg, fixed in [*((cfg, False) for cfg in CFGS), (SHALLOW, True)]:
+        ref = reference_series(sig, cfg, fixed)
         try:
-            got = exp_inner_series(f, g, cfg)
+            got = _Signature.admissible(f, g).series(cfg, fixed)
         except UnconvergedError:  # the reference does not check the tol
-            assert reference_series(value_signature(f, g), cfg)[1] > cfg.tol
+            assert ref[1] > cfg.tol
         else:
-            assert repr(got) == repr(reference_series(value_signature(f, g), cfg))
+            assert repr(got) == repr(ref)
+            if not fixed:
+                assert repr(exp_inner_series(f, g, cfg)) == repr(ref[:2])

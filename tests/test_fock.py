@@ -28,7 +28,7 @@ from quadfock import (
 )
 from quadfock.cli import main
 from quadfock.families import random_family
-from quadfock.fock import _partition_table
+from quadfock.fock import _partition_table, _Signature
 from quadfock.scalars import ExactComplex, _Rat
 
 CFG = FockConfig()
@@ -308,30 +308,36 @@ class TestExpVectors:
 
     def test_series_tells_a_zero_function_from_a_zero_sup(self, capsys):
         # sup|f|^2 underflows to 0.0 for f = 1e-200 chi[0,1), but f is not
-        # zero: its series is summed, as for disjoint supports, while only
-        # the zero function skips the sum and its tail
+        # zero: its series is summed to depth 1, as for disjoint supports,
+        # while only the zero function skips the sum and its tail
         g = chi(0, 1, 0.25 + 0j)
         tiny = chi(0, 1, 1e-200 + 0j)
         assert tiny.sup_norm_sq() == 0.0 and not tiny.is_zero()
-        assert repr(exp_inner_series(tiny, g, CFG)) == "((1+0j), 9.325873406851318e-15)"
+        assert repr(exp_inner_series(tiny, g, CFG)) == "((1+0j), 6.661338147750941e-16)"
         assert repr(exp_inner_series(StepFunction.zero(), g, CFG)) == "((1+0j), 0.0)"
         assert repr(exp_inner_series(g, chi(2, 3, 0.25 + 0j), CFG)) == \
-            "((1+0j), 9.325873406851318e-15)"
+            "((1+0j), 6.661338147750941e-16)"
         assert main(["inner", "--f", "[[0,1,1e-200,0]]", "--g", "[[0,1,0.25,0]]"]) == 0
         assert capsys.readouterr().out == (
             '{\n  "agree": true,\n  "closed": [\n    1.0,\n    0.0\n  ],\n'
+            '  "depth": 1,\n'
             '  "series": [\n    1.0,\n    0.0\n  ],\n'
-            '  "tail_bound": 9.325873406851318e-15\n}\n')
+            '  "tail_bound": 6.661338147750941e-16\n}\n')
 
     @pytest.mark.parametrize("mode", ["float", "exact"])
     def test_series_tail_reads_max_u(self, mode, capsys):
         # sup|f| sup|g| = 49/256 but max|u| = 7/256: the tail bound from the
-        # sup norms is 7.495e-05 at depth 40, above the default tol 1e-10
+        # sup norms is 7.495e-05 at depth 40, above the default tol 1e-10;
+        # the one from max|u| is 1.05e-14 there, and within tol from depth 10
         f, g = "[[0,1,0.4375,0],[1,2,0.0625,0]]", "[[0,1,0.0625,0],[1,2,0.4375,0]]"
         assert main(["--mode", mode, "inner", "--f", f, "--g", g]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["agree"] is True
-        assert out["tail_bound"] == pytest.approx(1.05e-14, rel=0.01)
+        assert out["depth"] == 10
+        assert out["tail_bound"] == pytest.approx(3.01e-11, rel=0.01)
+        fs, gs = (StepFunction.from_json(json.loads(h), exact=mode == "exact") for h in (f, g))
+        _, tail, _ = _Signature.admissible(fs, gs).series(CFG, fixed=True)
+        assert tail == pytest.approx(1.05e-14, rel=0.01)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_exact_series_term_beyond_the_doubles(self, mode, capsys):
@@ -362,6 +368,67 @@ class TestExpVectors:
         d = (exp_inner_closed_scaled(f, f, h, CFG)
              - exp_inner_closed_scaled(f, f, -h, CFG)).real / (2 * h)
         assert d == pytest.approx(2 * 0.0625, rel=1e-6)
+
+
+class TestAdaptiveDepth:
+    """The series stops at the first depth whose tail bound is within tol."""
+
+    TOLS = (1e-6, 1e-10, 1e-14)
+
+    @staticmethod
+    def series(f, g, cfg, fixed=False):
+        return _Signature.admissible(f, g).series(cfg, fixed)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_depth_is_minimal(self, exact):
+        # at tol 1e-14 the rounding error of the sum, not the dominating
+        # tail, sets the depth of some pairs, and of some no depth reaches it
+        rng = random.Random(21)
+        for _ in range(12):
+            f, g = random_family(rng, 2, max_abs=0.45, exact=exact)
+            for tol in self.TOLS:
+                for c in (Fraction(1), Fraction(5, 2)):
+                    cfg = FockConfig(c=c, depth=100, tol=tol)
+                    try:
+                        value, tail, N = self.series(f, g, cfg)
+                    except UnconvergedError:
+                        loose = FockConfig(c=c, depth=100, tol=1e300)
+                        assert self.series(f, g, loose, fixed=True)[1] > tol
+                        continue
+                    loose = FockConfig(c=c, depth=N, tol=1e300)
+                    assert tail <= tol
+                    assert self.series(f, g, loose, fixed=True) == (value, tail, N)
+                    if N > 1:
+                        loose = FockConfig(c=c, depth=N - 1, tol=1e300)
+                        assert self.series(f, g, loose, fixed=True)[1] > tol
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_cap_names_the_depth_needed(self, mode, capsys):
+        def run(depth, f='[[0,1,0.45,0]]', g='[[0,1,-0.45,0]]'):
+            code = main(["--mode", mode, "--depth", str(depth), "inner", "--f", f, "--g", g])
+            return code, capsys.readouterr()
+
+        assert run(5) == (1, ("", "check error: tail bound 3.353e-01 exceeds tol 1.000e-10 "
+                                  "at depth 5; need depth >= 103\n"))
+        assert run(102)[0] == 1
+        code, (out, _) = run(103)
+        assert code == 0 and json.loads(out)["depth"] == 103
+        assert run(40, '[[0,1,0.4999999,0]]', '[[0,1,-0.4999999,0]]') == (
+            1, ("", "check error: tail bound 2.196e+05 exceeds tol 1.000e-10 at depth 40; "
+                    "no depth <= 2000 reaches it\n"))
+
+    def test_exact_and_float_pick_the_same_depth(self):
+        # dyadic pairs: rho, beta and so the dominating tails are the same doubles
+        rng = random.Random(23)
+        for _ in range(30):
+            fe, ge = random_family(rng, 2, max_abs=0.45, exact=True)
+            ff, gf = (StepFunction.from_json(h.to_json()) for h in (fe, ge))
+            for tol in self.TOLS[:2]:
+                cfg = FockConfig(depth=300, tol=tol)
+                ve, _, ne = self.series(fe, ge, cfg)
+                vf, _, nf = self.series(ff, gf, cfg)
+                assert ne == nf
+                assert abs(ve - vf) <= 1e-15 * abs(ve)
 
 
 class TestGram:

@@ -22,13 +22,13 @@ from quadfock import (
     StepFunction,
     counterexample_report,
     exp_inner_closed,
-    exp_inner_series,
     inner,
     moments,
     n_particle_table,
     restrict,
 )
 from quadfock.families import random_family
+from quadfock.fock import _Signature
 from quadfock.scalars import ExactComplex
 from quadfock.stepfn import refine, value_signature
 
@@ -253,7 +253,9 @@ def test_series_tail_bound_is_an_upper_bound(f, g, c, N):
     results = {}
     for backend, x, y, cc in [("exact", f, g, c), ("float", as_float(f), as_float(g), float(c))]:
         try:
-            results[backend] = exp_inner_series(x, y, FockConfig(c=cc, depth=N, tol=1e300))
+            # a tol this large would stop the series at depth 1
+            cfg = FockConfig(c=cc, depth=N, tol=1e300)
+            results[backend] = _Signature.admissible(x, y).series(cfg, fixed=True)[:2]
         except UnconvergedError:  # only when the bound is infinite
             results[backend] = (None, math.inf)
     with mpmath.workdps(50):
@@ -266,3 +268,32 @@ def test_series_tail_bound_is_an_upper_bound(f, g, c, N):
         value, tail = results["exact"]
         if value is not None:
             assert abs(closed - _mp(mpmath, value)) <= tail + slack
+
+
+def _adjacent_pair(rng, n):
+    """Two float step functions of n adjacent segments on [0, 4) with
+    arbitrary breakpoints and values of modulus below 0.43."""
+    def steps():
+        pts = sorted({rng.uniform(0, 4) for _ in range(n + 1)})
+        return StepFunction.from_segments(
+            [(l, r, complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)))
+             for l, r in zip(pts, pts[1:])])
+    return steps(), steps()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_adaptive_series_is_within_its_tail_of_the_closed_form(seed):
+    """At the depth it stops at, the float series is within its tail bound of
+    the closed form of its own signature, taken to 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    f, g = _adjacent_pair(random.Random(f"oracle:{seed}"), 32)
+    sig = value_signature(f, g)
+    for c in (Fraction(1, 2), Fraction(1), Fraction(3)):
+        for tol in (1e-6, 1e-10, 1e-13):
+            value, tail, _ = _Signature.admissible(f, g).series(
+                FockConfig(c=float(c), depth=400, tol=tol))
+            with mpmath.workdps(40):
+                total = mpmath.fsum(mpmath.mpf(L.numerator) / L.denominator
+                                    * mpmath.log(1 - 4 * mpmath.mpc(u)) for u, L in sig.items())
+                closed = mpmath.exp(-mpmath.mpf(c.numerator) / c.denominator / 2 * total)
+                assert abs(closed - mpmath.mpc(value)) <= tail
