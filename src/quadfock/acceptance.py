@@ -28,9 +28,10 @@ from .fock import (
     partitions_multiplicity,
 )
 from .quantization import (
-    _contraction_reports,
+    QuadOperator,
     adjoint_operator,
     apply_operator,
+    boundedness_report,
     check_selfadjoint_numeric,
     check_selfadjoint_structure,
     counterexample_report,
@@ -39,7 +40,8 @@ from .quantization import (
     lemma4_derivative_check,
     window_radius,
 )
-from .stepfn import StepFunction, inner
+from .scalars import ExactComplex
+from .stepfn import IntervalSet, PiecewiseAffineMap, StepFunction, inner
 
 
 def criterion_1(seed: int = 0) -> dict:
@@ -202,29 +204,32 @@ def criterion_6(seed: int = 6) -> dict:
     }
 
 
-def criterion_7(seed: int = 7) -> dict:
-    """Gram domination and the exact L^2 ratio 1/sqrt(2) for the dilation."""
-    cfg = FockConfig(c=1.0, tol=1e-10)
-    rng = random.Random(seed)
-    worst_eig = float("inf")
-    worst_ratio_dev = 0.0
-    for _ in range(20):
-        fam = random_family(rng, rng.randint(2, 5), max_abs=0.45)
-        T = dilation_operator(window_radius(*fam), 2, 1.0 + 0j)
-        gram_rep, l2_rep = _contraction_reports(T, fam, cfg)
-        worst_eig = min(worst_eig, gram_rep.min_eig)
-        for r in l2_rep.ratios:
-            worst_ratio_dev = max(worst_ratio_dev, abs(r - 2 ** -0.5))
+def criterion_7() -> dict:
+    """The dilation f(2x) is a contraction of Fock space, exactly, at c = 1:
+    on one window cell and on its 2 and 4 equal sub-cells, r_1 = 1/2 and
+    every r_k is the closed form; the L^2 isometry 2 f(4x) is unbounded."""
+    cfg = FockConfig(c=Fraction(1))
+    one = ExactComplex.of(1)
+    T = dilation_operator(2, 2, one)
+    rep = boundedness_report(T, cfg, splits=(1, 2, 4))
+    E = IntervalSet.from_intervals([(0, Fraction(1, 4))])
+    isometry = QuadOperator(E, E.indicator(one * 2),
+                            PiecewiseAffineMap.from_pieces([(0, Fraction(1, 4), 4, 0)]))
+    control = boundedness_report(isometry, cfg)
     checks = {
-        "gram_domination": worst_eig >= -1e-10,
-        "l2_ratio_is_inv_sqrt2": worst_ratio_dev <= 1e-12,
+        "contraction": rep.verdict == "contraction",
+        "r1_is_one_half": all(cell["r1"] == Fraction(1, 2) for cell in rep.cells),
+        "r_k_equals_closed_form": rep.closed_form_agrees,
+        "isometry_2f4x_unbounded": control.verdict == "unbounded",
     }
     return {
         "id": 7,
-        "name": "contraction necessary condition",
+        "name": "contraction, exact per-cell norm",
         "passed": all(checks.values()),
-        "details": {**checks, "worst_min_eig": worst_eig,
-                    "worst_ratio_deviation": worst_ratio_dev},
+        "details": {**checks, "cells": len(rep.cells),
+                    "sup_r": max(cell["sup_r"] for cell in rep.cells),
+                    "isometry_lower_bound": control.lower_bound,
+                    "isometry_witness_k": control.witness["k"]},
     }
 
 

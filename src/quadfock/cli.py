@@ -29,8 +29,9 @@ from .fock import (
 )
 from .quantization import (
     QuadOperator,
-    _contraction_reports,
     _json_value,
+    boundedness_report,
+    check_l2_contraction,
     check_selfadjoint_numeric,
     check_selfadjoint_structure,
     counterexample_report,
@@ -174,9 +175,10 @@ def cmd_contraction(args) -> tuple[dict, bool]:
     family = _resolve_family(args, exact, random.Random(args.seed))
     if not family:
         raise CliInputError("provide --family or --random K")
-    gram_rep, l2_rep = _contraction_reports(op, family, cfg, t=args.t)
-    return ({"gram": gram_rep.to_dict(), "l2": l2_rep.to_dict()},
-            gram_rep.psd and l2_rep.contraction)
+    bounded = boundedness_report(op, cfg)
+    l2 = check_l2_contraction(op, family)
+    return ({"boundedness": bounded.to_dict(), "l2": l2.to_dict()},
+            bounded.verdict == "contraction" and bounded.closed_form_agrees and l2.contraction)
 
 
 def cmd_lemma4(args) -> tuple[dict, bool]:
@@ -222,7 +224,7 @@ def _resolve_family(args, exact: bool, rng: random.Random):
 
 
 def _finite_float(text: str) -> float:
-    """argparse type of --c, --tol and --t: a finite float."""
+    """argparse type of --c and --tol: a finite float."""
     x = float(text)
     if not cmath.isfinite(x):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
@@ -283,11 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g")
     p.set_defaults(func=cmd_counterexample)
 
-    p = sub.add_parser("contraction", help="Gram-domination contraction certificate")
+    p = sub.add_parser("contraction",
+                       help="exact boundedness of Gamma_2(T), and the L2 ratio on a family")
     p.add_argument("--op", required=True)
     p.add_argument("--family")
     p.add_argument("--random", type=_nonnegative_int, metavar="K")
-    p.add_argument("--t", type=_finite_float, default=1.0, help="Gram scale parameter")
     p.set_defaults(func=cmd_contraction)
 
     p = sub.add_parser("lemma4", help="derivative identity of the Gram form")

@@ -298,6 +298,10 @@ class _Signature:
         for N, dom in tails:  # no depth below the first whose dominating tail is <= tol
             if N == cap or N and dom <= tol and not fixed:
                 break
+        # at the cap, no sum reaches tol; with sum d_n finite no b_n leaves the doubles
+        if dom > tol and (bound := _dominating_sum(x, beta, N)) < math.inf:
+            # sum |re b_n| + |im b_n| <= 2 sum d_n bounds the summation error
+            raise _unconverged(_up(dom + _up((N + 2) * 2.0 ** -51 * bound)), tol, cap, tails)
         value, size = 0j, 0.0
         for n, bn in enumerate(chain((1 + 0j,), self._terms(cfg.c))):
             value += bn
@@ -312,15 +316,20 @@ class _Signature:
             if n == cap:
                 break
             N, dom = next(tails)
-        need = f"no depth <= {MAX_DEPTH} reaches it"
-        for N, dom in tails:
-            if N > MAX_DEPTH:
-                break
-            if dom <= tol:
-                need = f"need depth >= {N}"
-                break
-        raise UnconvergedError(f"tail bound {tail:.3e} exceeds tol {tol:.3e} "
-                               f"at depth {cap}; {need}")
+        raise _unconverged(tail, tol, cap, tails)
+
+
+def _unconverged(tail: float, tol: float, cap: int, tails: Iterator) -> UnconvergedError:
+    """The error at the cap, naming the first depth of ``tails`` within tol."""
+    need = f"no depth <= {MAX_DEPTH} reaches it"
+    for N, dom in tails:
+        if N > MAX_DEPTH:
+            break
+        if dom <= tol:
+            need = f"need depth >= {N}"
+            break
+    return UnconvergedError(f"tail bound {tail:.3e} exceeds tol {tol:.3e} "
+                            f"at depth {cap}; {need}")
 
 
 def _exact(m: MomentSequence, c):
@@ -623,6 +632,15 @@ def _dominating_tail(x: float, beta: float, N: int) -> float:
     """Upper bound on sum_{n>N} d_n, d_n = [t^n] (1 - x t)^(-beta), for
     0 <= x < 1 and beta >= 0, rounding every step up."""
     return next(islice(_dominating_tails(x, beta), N, None))
+
+
+def _dominating_sum(x: float, beta: float, N: int) -> float:
+    """sum_{n<=N} d_n, rounded up as in ``_dominating_tails``."""
+    d = total = 1.0
+    for n in range(1, N + 1):
+        d = _up(_up(_up(d * x) * _up(n - 1 + beta)) / n)
+        total = _up(total + d)
+    return total
 
 
 def _dominating_tails(x: float, beta: float) -> Iterator[float]:

@@ -4,8 +4,9 @@ An operator here is the normal form  T(f) = chi_E * h * (f o phi)  with a
 support set E, a bounded weight h and a piecewise-affine map phi.  The
 module provides the exact L^2 adjoint, matrix elements of the induced map
 on exponential vectors, structural and numeric self-adjointness checks,
-contraction certificates, and the dilation counter-example showing that
-quantizing the adjoint differs from the adjoint of the quantization.
+the exact boundedness of Gamma_2(T), one cell at a time, and the dilation
+counter-example showing that quantizing the adjoint differs from the
+adjoint of the quantization.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from .errors import DomainError
 from .fock import (ADMISSIBLE_SUP_SQ, FockConfig, _Signature, _gram_matrices,
-                   exp_vector_exists, gram_matrix, gram_min_eig)
-from .scalars import ExactComplex, _frac
+                   exp_vector_exists, gram_matrix, gram_min_eig, moments, n_particle_table)
+from .scalars import ExactComplex, _frac, _parts, _rat
 from .stepfn import (
     IntervalSet,
     PiecewiseAffineMap,
@@ -148,9 +149,9 @@ def _image_signature(tf: StepFunction, g: StepFunction) -> _Signature:
 
 
 def _json_value(v):
-    """v in JSON form: a complex or ExactComplex as [re, im], a tuple as a
-    list, dict keys as str, a NaN or infinite float as None (null); a
-    DomainError for a value beyond the doubles."""
+    """v in JSON form: a complex or ExactComplex as [re, im], a Fraction as
+    a float, a tuple as a list, dict keys as str, a NaN or infinite float as
+    None (null); a DomainError for an exact value beyond the doubles."""
     if isinstance(v, (complex, ExactComplex)):
         try:
             v = complex(v)
@@ -159,6 +160,11 @@ def _json_value(v):
         return [_json_value(v.real), _json_value(v.imag)]
     if isinstance(v, float):
         return v if math.isfinite(v) else None
+    if isinstance(v, Fraction):
+        try:
+            return float(v)
+        except OverflowError:
+            raise DomainError("a result exceeds double precision") from None
     if isinstance(v, dict):
         return {str(k): _json_value(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -385,13 +391,10 @@ class ContractionGramReport(_Report):
 
 def check_contraction_gram(T: QuadOperator, family: Sequence[StepFunction],
                            cfg: FockConfig, t: float = 1.0) -> ContractionGramReport:
-    """Finite-family certificate that Gamma_2(T) contracts the sampled span:
-    the difference of Gram matrices G(f_i) - G(T f_i) must be PSD."""
-    return _gram_report(family, [apply_operator(T, f) for f in family], cfg, t)
-
-
-def _gram_report(family, images, cfg, t) -> ContractionGramReport:
-    D = gram_matrix(family, cfg, t) - gram_matrix(images, cfg, t)
+    """Finite-family necessary condition for Gamma_2(T) to contract the
+    sampled span: the difference of Gram matrices G(f_i) - G(T f_i) must be
+    PSD.  ``boundedness_report`` decides contraction exactly."""
+    D = gram_matrix(family, cfg, t) - gram_matrix([apply_operator(T, f) for f in family], cfg, t)
     me = gram_min_eig(D, tol=max(cfg.tol, 1e-10))
     return ContractionGramReport(me, me >= -cfg.tol)
 
@@ -405,27 +408,172 @@ class L2ContractionReport(_Report):
 
 def check_l2_contraction(T: QuadOperator, samples: Sequence[StepFunction],
                          tol: float = 1e-12) -> L2ContractionReport:
-    """max ||T f||_2 / ||f||_2 over the nonzero samples."""
-    return _l2_report(samples, [apply_operator(T, f) for f in samples], tol)
-
-
-def _l2_report(samples, images, tol) -> L2ContractionReport:
+    """max ||T f||_2 / ||f||_2 over the nonzero samples; a DomainError where
+    a norm leaves the doubles."""
     ratios = []
-    for f, tf in zip(samples, images):
-        nf = f.l2_norm()
-        if nf == 0:
-            continue
-        ratios.append(tf.l2_norm() / nf)
+    for f in samples:
+        try:
+            norms = f.l2_norm(), apply_operator(T, f).l2_norm()
+        except OverflowError:  # an exact norm beyond the doubles
+            norms = (math.inf,)
+        if not all(map(math.isfinite, norms)):
+            raise DomainError("an L^2 norm exceeds double precision")
+        if norms[0]:
+            ratios.append(norms[1] / norms[0])
     mx = max(ratios, default=0.0)
     return L2ContractionReport(mx, tuple(ratios), mx <= 1 + tol)
 
 
-def _contraction_reports(T: QuadOperator, family: Sequence[StepFunction],
-                         cfg: FockConfig, t: float = 1.0):
-    """``check_contraction_gram`` and ``check_l2_contraction`` of one family,
-    applying T once per member."""
-    images = [apply_operator(T, f) for f in family]
-    return _gram_report(family, images, cfg, t), _l2_report(family, images, 1e-12)
+# ---------------------------------------------------------------------------
+# Boundedness, exactly
+# ---------------------------------------------------------------------------
+
+_K = 8  # the ratios r_1..r_K computed on each cell
+_FALLING = [math.factorial(_K) // math.factorial(j) for j in range(_K + 1)]  # K! / j!
+
+
+@dataclass(frozen=True)
+class BoundednessReport(_Report):
+    """The norm of Gamma_2(T) read off one cell at a time.
+
+    Distinct cells I of a partition have disjoint preimages, so Gamma_2(T) on
+    the Fock space over the partition is a tensor product of one-cell maps,
+    and ||Gamma_2(T)||^2 = prod_I sup_k r_k(I) with
+    r_k(I) = a_k(T chi_I, T chi_I) / a_k(chi_I, chi_I) and r_0 = 1.
+
+    ``cells`` lists, per cell of phi(E): the cell [l, r), ``r1`` (the L^2
+    ratio ||T chi_I||^2 / |I|), ``sup_r`` = max_{1<=k<=K} r_k with its
+    ``argmax_k``, ``h_sup_sq`` = ||h||_inf^2 on its preimage, and ``agrees``:
+    whether the library's ``n_particle_table`` gives the closed-form r_k,
+    exactly on exact weights and within tol on float ones.  Every reported
+    number is the exact closed form.  ``lower_bound`` <= ||Gamma_2(T)||^2 is
+    the largest r_k over the cells and k <= K, at ``witness`` (cell, k);
+    cell None and k = 0 is the vacuum, whose r_0 = 1.
+    """
+
+    verdict: str  # "contraction" or "unbounded"
+    lower_bound: Fraction
+    witness: dict
+    K: int
+    closed_form_agrees: bool
+    cells: tuple
+
+
+def boundedness_report(T: QuadOperator, cfg: FockConfig,
+                       splits: Sequence[int] = (1,)) -> BoundednessReport:
+    """Exact boundedness of Gamma_2(T) from the cells of phi(E), each cut
+    into m equal sub-cells for every m in ``splits``, in that order.
+
+    phi(E) is cut at the images of phi's piece ends and of h's breakpoints,
+    so on each cell I the preimage pieces p have constant |slope| s_p and
+    constant |h|^2 = w_p.  With beta = c |I| / 2 the closed form
+    <Psi(sqrt(t) T chi_I), Psi(sqrt(t) T chi_I)> = prod_p (1 - 4 t w_p)^(-beta / s_p)
+    gives, with x = 4 t,
+    sum_k r_k (beta)_k x^k / k! = prod_p (1 - w_p x)^(-beta / s_p);
+    on one piece r_k = w^k (beta / s)_k / (beta)_k.
+
+    The verdict is exact and holds for every k and every refinement:
+    - "unbounded" where w_p > 1 on a piece, since then r_k grows like w_p^k,
+      or where r_1 > 1 on a cell: r_1 does not depend on |I|, so the 2^m
+      equal sub-cells of that cell give r_1^(2^m);
+    - "contraction" otherwise.  The log of the generating function is
+      beta sum_k (sum_p w_p^k / s_p) x^k / k, and with every w_p <= 1 each
+      coefficient is at most beta r_1 <= beta, that of (1 - x)^(-beta); exp
+      keeps the order of series with nonnegative coefficients, so r_k <= 1
+      for every k.  So ||Gamma_2(T)|| = 1.
+    The two tests are complementary: there is no third outcome.
+    """
+    if not all(m >= 1 for m in splits):
+        raise ValueError("every split must be >= 1")
+    c = _frac(cfg.c)
+    unit = _unit_like(T.h)
+    cells, results, w_max, r1_max = [], {}, 0, 0
+    best = (_frac(1), None, 0)  # (r, cell, k): the vacuum unless some r_k exceeds 1
+    for l, r, pieces in _cells(T, splits):
+        key = (r - l, tuple(pieces))  # all that r_k(I) depends on
+        if key not in results:
+            want = _closed_ratios(pieces, c * (r - l) / 2)
+            chi = StepFunction.indicator(l, r, unit)
+            results[key] = want, _table_agrees(apply_operator(T, chi), chi, want, cfg)
+        want, agrees = results[key]
+        k = max(range(_K), key=want.__getitem__) + 1
+        h_sq = max(w for _, w in pieces)
+        cells.append({"cell": (l, r), "r1": want[0], "sup_r": want[k - 1], "argmax_k": k,
+                      "h_sup_sq": h_sq, "agrees": agrees})
+        w_max, r1_max = max(w_max, h_sq), max(r1_max, want[0])
+        if want[k - 1] > best[0]:
+            best = (want[k - 1], (l, r), k)
+    verdict = "unbounded" if w_max > 1 or r1_max > 1 else "contraction"
+    return BoundednessReport(verdict, best[0], {"cell": best[1], "k": best[2]}, _K,
+                             all(cell["agrees"] for cell in cells), tuple(cells))
+
+
+def _cells(T: QuadOperator, splits: Sequence[int]) -> list:
+    """[(l, r, [(s_p, w_p), ...])]: the cells of ``boundedness_report``, each
+    with the |slope| s_p and the exact |h|^2 = w_p of its preimage pieces."""
+    atoms = []  # (image l, image r, |slope|, |h|^2) of each piece cut at h's breakpoints
+    breaks = T.h.breakpoints()
+    for p in T.phi.pieces:
+        xs = [p.left, *(x for x in breaks if p.left < x < p.right), p.right]
+        for x0, x1 in zip(xs, xs[1:]):
+            v = next((v for l, r, v in T.h.segments if l <= x0 and x1 <= r), 0)
+            atoms.append((*sorted((p(x0), p(x1))), abs(p.slope), _frac(ExactComplex.of(v).abs_sq())))
+    cuts = sorted({x for l, r, _, _ in atoms for x in (l, r)})
+    cells = [(l, r, [(s, w) for pl, pr, s, w in atoms if pl <= l and r <= pr])
+             for l, r in zip(cuts, cuts[1:])]
+    out = []
+    for m in splits:
+        for l, r, pieces in cells:
+            if pieces:
+                step = (r - l) / m
+                xs = [*(l + i * step for i in range(m)), r]
+                out += [(a, b, pieces) for a, b in zip(xs, xs[1:])]
+    return out
+
+
+def _closed_ratios(pieces: list, beta: Fraction) -> list:
+    """[r_1..r_K] of one cell: the coefficients of
+    prod_p (1 - w_p x)^(-beta / s_p) over those of (1 - x)^(-beta), in ints.
+
+    With b = beta / s = bn / bd and w = wn / wd, the coefficient
+    (b)_j w^j / j! of one factor is t_j / ((bd wd)^K K!) with
+    t_j = prod_{i<j} (bn + i bd) * wn^j * (bd wd)^(K-j) * K! / j!."""
+    num, den = None, 1  # the product's coefficients are num[k] / den
+    for s, w in pieces:
+        b = beta / s
+        bn, bd, wn, wd = b.numerator, b.denominator, w.numerator, w.denominator
+        t, rising = [], 1
+        for j in range(_K + 1):
+            t.append(rising * wn ** j * (bd * wd) ** (_K - j) * _FALLING[j])
+            rising *= bn + j * bd
+        num = t if num is None else [sum(num[i] * t[k - i] for i in range(k + 1))
+                                     for k in range(_K + 1)]
+        den *= (bd * wd) ** _K * _FALLING[0]
+    # r_k = (num[k] / den) / ((beta)_k / k!), with (beta)_k = rising_k / bd^k
+    bn, bd = beta.numerator, beta.denominator
+    ratios, rising = [], 1
+    for k in range(1, _K + 1):
+        rising *= bn + (k - 1) * bd
+        ratios.append(_rat(num[k] * math.factorial(k) * bd ** k, den * rising))
+    return ratios
+
+
+def _table_agrees(tf: StepFunction, f: StepFunction, want: list, cfg: FockConfig) -> bool:
+    """Whether ``n_particle_table`` gives a_k(tf, tf) / a_k(f, f) = want[k - 1]
+    for k = 1..K: exactly on exact values, within cfg.tol relative to
+    max(1, r_k) on floats."""
+    if tf.is_zero():
+        return not any(want)
+    num, den = (n_particle_table(moments(g, g, _K), _K, cfg).a[1:] for g in (tf, f))
+    if type(num[0]) is ExactComplex:  # a_k = (a + b i) / d as ints; a > 0 for f
+        return all(xb == 0 and xa * yd * r.denominator == ya * xd * r.numerator
+                   for (xa, xb, xd), (ya, _, yd), r in zip(map(_parts, num), map(_parts, den), want))
+    tol = _frac(cfg.tol)
+    for x, y, r in zip(num, den, want):
+        g = x.real / y.real if y.real else math.nan
+        if not (math.isfinite(g) and abs(_frac(g) - r) <= tol * max(1, r)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

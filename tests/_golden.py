@@ -43,7 +43,7 @@ CS = ["1", "0.5", "0.4285714285714286"]
 NS = [0, 1, 2, 8, 16, 24]
 
 # every report's to_dict that has a CLI route: selfadjoint (structure and
-# numeric) on three operators, contraction (Gram and L2), counterexample,
+# numeric) on three operators, contraction (boundedness and L2), counterexample,
 # lemma4, and nparticle with the as_printed ratios
 REFLECTION = '{"E": [[0,1]], "h": [[0,1,0.9,0]], "phi": [[0,1,-1,1]]}'
 DILATION = '{"E": [[-8,8]], "h": [[-8,8,1,0]], "phi": [[-8,8,2,0]]}'
@@ -56,7 +56,7 @@ REPORTS = [
       for op in (REFLECTION, DILATION, WEIGHT_2)
       for family in ([], ["--random", "3"], ["--family", FAMILY])),
     ["contraction", "--op", DILATION, "--random", "4"],
-    ["contraction", "--op", DILATION, "--family", FAMILY, "--t", "0.5"],
+    ["contraction", "--op", DILATION, "--family", FAMILY],
     ["counterexample"],
     ["--c", "2", "counterexample"],
     ["counterexample", "--f", F, "--g", G],

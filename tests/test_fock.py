@@ -417,6 +417,36 @@ class TestAdaptiveDepth:
             1, ("", "check error: tail bound 2.196e+05 exceeds tol 1.000e-10 at depth 40; "
                     "no depth <= 2000 reaches it\n"))
 
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_a_cap_out_of_reach_draws_no_term(self, mode, monkeypatch, capsys):
+        # the dominating tail at the cap exceeds tol and sum_{n<=cap} d_n is
+        # finite, so the error is raised before any b_n is drawn
+        drawn = []
+        terms = _Signature._terms
+
+        def counted(sig, c):
+            for bn in terms(sig, c):
+                drawn.append(bn)
+                yield bn
+
+        monkeypatch.setattr(_Signature, "_terms", counted)
+
+        def run(depth, v):
+            code = main(["--mode", mode, "--depth", str(depth), "inner",
+                         "--f", f"[[0,1,{v},0]]", "--g", f"[[0,1,-{v},0]]"])
+            return code, capsys.readouterr()
+
+        assert run(600, 0.4999999) == (1, ("", "check error: tail bound 5.751e+04 exceeds tol "
+                                               "1.000e-10 at depth 600; no depth <= 2000 reaches it\n"))
+        assert run(5, 0.45)[0] == 1
+        assert drawn == []
+        assert run(103, 0.45)[0] == 0  # within reach: b_1..b_103 are summed
+        assert len(drawn) == 103
+        # b_2 leaves the doubles: the terms are drawn, and the first one beyond raises
+        argv = ["--depth", "2", "--mode", mode, "--c", "1e300", "inner",
+                "--f", "[[0,1,-0.25,0]]", "--g", "[[-1e308,1e308,0.25,0]]"]
+        assert main(argv) == 2 and len(drawn) > 103
+
     def test_exact_and_float_pick_the_same_depth(self):
         # dyadic pairs: rho, beta and so the dominating tails are the same doubles
         rng = random.Random(23)
