@@ -11,11 +11,11 @@ with conjugated keys, and fills the rest by Hermitian symmetry.
 
 The lengths in a signature are exact.  A float route leaves exact
 arithmetic where each value and length becomes a double, once per
-signature, in ``_Signature.doubles``: the float moments, the closed form at
-every t of a Gram matrix and the series read the same doubles.  A signature
-scales its lengths once, L_u = l_u / Lambda with Lambda the common
-denominator; its exact moments and its exact series read the same l_u, and
-the series takes its total length as one integer sum over Lambda.
+signature, in ``_Signature.doubles``: the float moments, the closed form
+and the series read the same doubles.  A signature scales its lengths
+once, L_u = l_u / Lambda with Lambda the common denominator; its exact
+moments and its exact series read the same l_u, and the series takes its
+total length as one integer sum over Lambda.
 
 The series stops at the first depth N up to ``FockConfig.depth`` whose
 rigorous tail bound is at most ``FockConfig.tol``: one pass of the
@@ -617,7 +617,8 @@ def exp_inner_closed_scaled(f: StepFunction, g: StepFunction, t: float,
     """<Psi(sqrt(t) f), Psi(sqrt(t) g)> as an analytic function of t.
 
     Valid for any real t with |t| * sup|f| * sup|g| < 1/4, including small
-    negative t (used for centered difference quotients at t = 0)."""
+    negative t.  Its derivative at t = 0 is the n = 1 coefficient
+    b_1 = 2c <f, g>, which ``lemma4_derivative_check`` reads exactly."""
     if abs(t) * f.sup_norm() * g.sup_norm() >= 0.25:
         raise DomainError(f"scale t = {t} leaves the admissible region")
     return _Signature(value_signature(f, g)).closed(cfg, t)
@@ -683,36 +684,22 @@ def exp_inner_series(f: StepFunction, g: StepFunction,
 # ---------------------------------------------------------------------------
 
 
-def gram_matrix(family: Sequence[StepFunction], cfg: FockConfig,
-                t: float = 1.0) -> np.ndarray:
-    """G_ij = <Psi(sqrt(t) f_i), Psi(sqrt(t) f_j)>, Hermitian by construction."""
-    return _gram_matrices(family, [t], cfg)[1][0]
-
-
-def _gram_matrices(family: Sequence[StepFunction], ts: Sequence[float],
-                   cfg: FockConfig) -> tuple[dict, list]:
-    """The ``_Signature`` of every pair i <= j of the family, keyed (i, j),
-    and the Gram matrix at each t in ts read off them.
+def gram_matrix(family: Sequence[StepFunction], cfg: FockConfig) -> np.ndarray:
+    """G_ij = <Psi(f_i), Psi(f_j)>, Hermitian by construction.
 
     Only the pairs i <= j are swept: the signature of (f_j, f_i) is the
     ``conj()`` of that of (f_i, f_j), so G_ji = conj(G_ij)."""
-    sup_sq = [f.sup_norm() ** 2 for f in family]
-    for t in ts:
-        bad = [i for i, s in enumerate(sup_sq) if abs(t) * s >= 0.25]
-        if bad:
-            raise DomainError(f"sqrt(t)-scaled sup norm >= 1/2 at indices {bad}")
+    bad = [i for i, f in enumerate(family) if not exp_vector_exists(f)]
+    if bad:
+        raise DomainError(f"sup norm >= 1/2 at indices {bad}")
     n = len(family)
-    sigs = {(i, j): _Signature(value_signature(family[i], family[j]))
-            for i in range(n) for j in range(i, n)}
-    grams = []
-    for t in ts:
-        G = np.empty((n, n), dtype=complex)
-        for (i, j), sig in sigs.items():
-            z = sig.closed(cfg, t)
+    G = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):
+            z = _Signature(value_signature(family[i], family[j])).closed(cfg)
             G[j, i] = z.conjugate()
             G[i, j] = z  # after the conjugate, so the diagonal keeps z
-        grams.append(G)
-    return sigs, grams
+    return G
 
 
 def gram_min_eig(G: np.ndarray, tol: float = 1e-10) -> float:

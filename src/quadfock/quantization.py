@@ -16,11 +16,9 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import DomainError
-from .fock import (ADMISSIBLE_SUP_SQ, FockConfig, _Signature, _gram_matrices,
-                   exp_vector_exists, gram_matrix, gram_min_eig, moments, n_particle_table)
+from .fock import (ADMISSIBLE_SUP_SQ, FockConfig, _Signature, exp_vector_exists,
+                   gram_matrix, gram_min_eig, moments, n_particle_table)
 from .scalars import ExactComplex, _frac, _parts, _rat
 from .stepfn import (
     IntervalSet,
@@ -329,6 +327,8 @@ def check_homomorphism_powers(T: QuadOperator, f: StepFunction,
 
 @dataclass(frozen=True)
 class DerivativeCheckReport(_Report):
+    """Exact rationals on an exact family, floats otherwise."""
+
     derivative: float
     expected: float            # 2c ||sum alpha_i f_i||^2
     expected_as_stated: float  # the uncorrected constant c
@@ -339,44 +339,39 @@ class DerivativeCheckReport(_Report):
 
 def lemma4_derivative_check(family: Sequence[StepFunction],
                             coeffs: Sequence[complex],
-                            cfg: FockConfig,
-                            t0: float = 1.0) -> DerivativeCheckReport:
+                            cfg: FockConfig) -> DerivativeCheckReport:
     """d/dt at 0 of the Gram quadratic form versus 2c ||sum alpha_i f_i||^2.
 
-    The quadratic form q(t) = sum conj(a_i) a_j <Psi(sqrt(t) f_i),
-    Psi(sqrt(t) f_j)> extends analytically to small negative t, so q'(0) is
-    estimated by Richardson-extrapolated central differences at
-    t in {2^-6, 2^-7, 2^-8} * t0.  The published constant is c, not 2c;
+    <Psi(sqrt(t) f), Psi(sqrt(t) g)> = sum_n t^n b_n(f, g), so the form
+    q(t) = sum conj(a_i) a_j <Psi(sqrt(t) f_i), Psi(sqrt(t) f_j)> has
+    q'(0) = sum conj(a_i) a_j b_1(f_i, f_j), with b_1 = a_1 read off
+    ``n_particle_table``, one pair i <= j at a time: b_1(f_j, f_i) is the
+    conjugate.  The norm comes from the step function sum a_i f_i, so the
+    two sides take independent routes.  On an exact family each a_i is read
+    exactly and the report is exact.  The published constant is c, not 2c;
     both are reported and the ratio exposes the factor-2 discrepancy.
     """
     if len(family) != len(coeffs):
         raise ValueError("family and coeffs must have equal length")
-    alpha = np.asarray([complex(a) for a in coeffs])
+    exact = type(_unit_like(*family)) is ExactComplex
+    alpha = [ExactComplex.of(complex(a)) if exact else complex(a) for a in coeffs]
 
-    hs = [t0 * 2.0 ** (-6), t0 * 2.0 ** (-7), t0 * 2.0 ** (-8)]
-    sigs, grams = _gram_matrices(family, [t for h in hs for t in (h, -h)], cfg)
-    q = [float((alpha.conj() @ G @ alpha).real) for G in grams]
-    central = [(q[2 * k] - q[2 * k + 1]) / (2 * h) for k, h in enumerate(hs)]
-    richardson = [(4 * d1 - d0) / 3 for d0, d1 in zip(central, central[1:])]
-    deriv = richardson[-1]
+    deriv = 0
+    combo = StepFunction.zero()
+    for i, (a, f) in enumerate(zip(alpha, family)):
+        for j in range(i, len(family)):
+            b1 = n_particle_table(moments(f, family[j], 1), 1, cfg).a[1]
+            term = a.conjugate() * alpha[j] * (b1 if exact else complex(b1))
+            deriv = deriv + (term if i == j else term + term.conjugate())
+        combo = combo + f.scale(a)
+    deriv = deriv.re if exact else complex(deriv).real
 
-    # <f_i, f_j> = sum L u over the same signatures, conjugated for j < i
-    def pair_inner(i: int, j: int) -> complex:
-        if j < i:
-            return pair_inner(j, i).conjugate()
-        try:
-            return complex(sum((length * u for u, length in sigs[i, j].sig.items()), 0))
-        except OverflowError:
-            raise DomainError("an inner product exceeds double precision") from None
-
-    # ||sum a_i f_i||^2 as the same quadratic form as q(t), valid in both backends
-    norm_sq = float(sum(a.conjugate() * b * pair_inner(i, j)
-                        for i, a in enumerate(alpha)
-                        for j, b in enumerate(alpha)).real)
-
-    c = float(cfg.c)
-    expected = 2 * c * norm_sq
-    stated = c * norm_sq
+    try:
+        c = _frac(cfg.c) if exact else float(cfg.c)
+        stated = c * combo.l2_norm_sq()
+    except OverflowError:  # a float c or a float norm beyond the doubles
+        raise DomainError("||sum alpha_i f_i||^2 exceeds double precision") from None
+    expected = 2 * stated
     abs_err = abs(deriv - expected)
     rel_err = abs_err / max(abs(expected), 1e-300)
     ratio = deriv / stated if stated != 0 else math.nan
@@ -390,11 +385,11 @@ class ContractionGramReport(_Report):
 
 
 def check_contraction_gram(T: QuadOperator, family: Sequence[StepFunction],
-                           cfg: FockConfig, t: float = 1.0) -> ContractionGramReport:
+                           cfg: FockConfig) -> ContractionGramReport:
     """Finite-family necessary condition for Gamma_2(T) to contract the
     sampled span: the difference of Gram matrices G(f_i) - G(T f_i) must be
     PSD.  ``boundedness_report`` decides contraction exactly."""
-    D = gram_matrix(family, cfg, t) - gram_matrix([apply_operator(T, f) for f in family], cfg, t)
+    D = gram_matrix(family, cfg) - gram_matrix([apply_operator(T, f) for f in family], cfg)
     me = gram_min_eig(D, tol=max(cfg.tol, 1e-10))
     return ContractionGramReport(me, me >= -cfg.tol)
 

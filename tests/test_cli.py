@@ -119,8 +119,27 @@ class TestContractionAndLemma4:
     def test_lemma4_random(self, capsys):
         code, doc = run_cli(["lemma4", "--random", "2"], capsys)
         assert code == 0
-        assert doc["rel_error"] <= 1e-6
-        assert doc["ratio_to_stated"] == pytest.approx(2.0, rel=1e-4)
+        assert doc["rel_error"] <= 1e-14
+        assert doc["ratio_to_stated"] == pytest.approx(2.0, rel=1e-14)
+
+    # Lemma 4 reads the derivative at t = 0, so it needs neither an admissible
+    # family nor a length that is a double: only the printed numbers must be.
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_lemma4_sup_norm_beyond_the_radius(self, mode, capsys):
+        # sup|f| = 5: <Psi(f), Psi(f)> does not exist, but q'(0) = 2c * 25 does
+        code, doc = run_cli(["--mode", mode, "lemma4", "--family", "[[[0,1,5,0]]]",
+                             "--coeffs", "[[1,0]]"], capsys)
+        assert code == 0
+        assert doc["derivative"] == doc["expected"] == 50.0
+        assert doc["ratio_to_stated"] == 2.0
+
+    def test_lemma4_exact_length_beyond_the_doubles(self, capsys):
+        # ||f||^2 = 2e308 / 16 is exact, and 2c ||f||^2 = 2.5e307 is a double
+        code, doc = run_cli(["--mode", "exact", "lemma4", "--family", f"[{LONG}]",
+                             "--coeffs", "[[1,0]]"], capsys)
+        assert code == 0
+        assert doc["derivative"] == doc["expected"] == 2.5e307
+        assert doc["abs_error"] == 0.0
 
     def test_lemma4_requires_input(self, capsys):
         code, _ = run_cli(["lemma4"], capsys)
@@ -138,6 +157,10 @@ class TestContractionAndLemma4:
             assert code == 0
         for key in ("derivative", "expected", "rel_error"):
             assert abs(docs["exact"][key] - docs["float"][key]) <= 1e-10
+        # the exact report is exact: q'(0) is the exact n = 1 coefficient
+        assert docs["exact"]["derivative"] == docs["exact"]["expected"]
+        assert docs["exact"]["abs_error"] == docs["exact"]["rel_error"] == 0.0
+        assert docs["exact"]["ratio_to_stated"] == 2.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -193,7 +216,8 @@ def test_usage_errors_exit_3(argv, capsys):
     (["inner", "--f", LONG, "--g", LONG], 2),
     (["--mode", "exact", "inner", "--f", LONG, "--g", LONG], 2),
     (["lemma4", "--family", f"[{LONG}]", "--coeffs", "[[1,0]]"], 2),
-    (["--mode", "exact", "lemma4", "--family", f"[{LONG}]", "--coeffs", "[[1,0]]"], 2),
+    # 2c ||f||^2 = 2.7e309 is exact, but it is printed as a double
+    (["--mode", "exact", "lemma4", "--family", "[[[0,1.5e308,3,0]]]", "--coeffs", "[[1,0]]"], 2),
     (["nparticle", "--n", "2", "--f", LONG, "--g", LONG], 2),
     (["--mode", "exact", "nparticle", "--n", "2", "--f", LONG, "--g", LONG], 2),
     # c^2 of the partition sum is beyond the doubles

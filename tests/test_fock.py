@@ -519,10 +519,16 @@ class TestLengthsBeyondTheDoubles:
 
     def test_lemma4_norm(self):
         from quadfock.quantization import lemma4_derivative_check
-        # a tiny c keeps the Gram entries finite; ||f||^2 = 9 * 1.5e308 is not
+        # ||f||^2 = 9 * 1.5e308 is exact, and a tiny c brings 2c ||f||^2 back
+        # among the doubles; with c = 1 the printed report leaves them
         f = StepFunction.from_json([[0, 1.5e308, 3, 0]], exact=True)
+        c = Fraction(1, 10 ** 306)
+        rep = lemma4_derivative_check([f], [1], FockConfig(c=c))
+        assert rep.derivative == rep.expected == 2 * c * 9 * Fraction(1.5e308)
+        assert rep.to_dict()["expected"] == float(rep.expected)
+        rep = lemma4_derivative_check([f], [1], FockConfig(c=Fraction(1)))
         with pytest.raises(DomainError):
-            lemma4_derivative_check([f], [1], FockConfig(c=Fraction(1, 10 ** 306)))
+            rep.to_dict()
 
 
 @pytest.mark.parametrize("route", [exp_inner_closed, exp_inner_series])

@@ -1,4 +1,4 @@
-"""No test module imports another.
+"""No test module imports another, and ``quantization`` imports no numpy.
 
 A reference implementation that two modules compare against lives in
 ``tests/_reference.py``; importing it from a test module would tie one
@@ -25,3 +25,10 @@ def test_no_test_module_imports_another():
              for line, name in imported_modules(ast.parse(path.read_text(), str(path)))
              if name.split(".")[0].startswith("test_")]
     assert found == []
+
+
+def test_quantization_imports_no_numpy():
+    # numpy's remaining jobs stay inside fock's Gram helpers
+    path = Path(__file__).parent.parent / "src" / "quadfock" / "quantization.py"
+    names = [name for _, name in imported_modules(ast.parse(path.read_text(), str(path)))]
+    assert not [name for name in names if name.split(".")[0] == "numpy"]

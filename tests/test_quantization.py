@@ -236,20 +236,28 @@ class TestDerivativeCheck:
         # q(t) = (1 - t/4)^(-1/2), q'(0) = 1/8 = 2 c ||f||^2
         f = chi(0, 1, 0.25 + 0j)
         rep = lemma4_derivative_check([f], [1.0], CFG)
-        assert rep.derivative == pytest.approx(0.125, rel=1e-9)
-        assert rep.rel_error < 1e-6
-        assert rep.ratio_to_stated == pytest.approx(2.0, rel=1e-6)
+        assert rep.derivative == 0.125
+        assert rep.rel_error == 0.0
+        assert rep.ratio_to_stated == 2.0
+
+    def test_exact_family_gives_an_exact_report(self):
+        f = chi(0, Fraction(1, 3), ExactComplex(Fraction(1, 5), Fraction(1, 7)))
+        g = chi(Fraction(1, 6), 1, ExactComplex(Fraction(-1, 3), 0))
+        rep = lemma4_derivative_check([f, g], [1.0, 0.5 - 0.25j], FockConfig(c=Fraction(3, 7)))
+        assert isinstance(rep.derivative, Fraction)
+        assert rep.derivative == rep.expected == 2 * rep.expected_as_stated
+        assert rep.abs_error == 0 and rep.ratio_to_stated == 2
 
     def test_zero_coefficients(self):
         f = chi(0, 1, 0.25 + 0j)
         rep = lemma4_derivative_check([f], [0.0], CFG)
-        assert rep.derivative == pytest.approx(0.0, abs=1e-12)
+        assert rep.derivative == 0.0
 
     def test_cancelling_combination(self):
         f = chi(0, 1, 0.25 + 0j)
         rep = lemma4_derivative_check([f, f.scale(-1)], [1.0, 1.0], CFG)
         assert rep.expected == 0.0
-        assert rep.derivative == pytest.approx(0.0, abs=1e-9)
+        assert rep.derivative == 0.0
 
 
 class TestContraction:

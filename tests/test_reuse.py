@@ -2,19 +2,19 @@
 
 ``gram_matrix`` sweeps each unordered pair once and fills the lower
 triangle by conjugation; ``check_selfadjoint_numeric`` builds two value
-signatures per ordered pair instead of seven; ``lemma4_derivative_check``
-reads every t and the norm off one signature per unordered pair; and
-``partition_terms`` reads a table of partitions built once per (n, mode).
-The references below are the direct constructions they replace, and the
-results must agree bit for bit in both scalar backends.
+signatures per ordered pair instead of seven; and ``partition_terms`` reads
+a table of partitions built once per (n, mode).  The references below are
+the direct constructions they replace, and the results must agree bit for
+bit in both scalar backends.  ``lemma4_derivative_check`` reads the exact
+n = 1 coefficient of the Gram form, one pair i <= j at a time; an mpmath
+derivative of the 40-digit closed form checks it.
 """
 
-import dataclasses
-import math
 import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,11 +28,9 @@ from quadfock import (
     check_selfadjoint_numeric,
     dilation_operator,
     exp_inner_closed,
-    exp_inner_closed_scaled,
     exp_vector_exists,
     gram_matrix,
     gram_min_eig,
-    inner,
     lemma4_derivative_check,
     moments,
     partition_terms,
@@ -40,7 +38,6 @@ from quadfock import (
     window_radius,
 )
 from quadfock.families import random_family, random_injective_operator, reflection_operator
-from quadfock.quantization import DerivativeCheckReport
 from quadfock.scalars import ExactComplex
 from quadfock.stepfn import value_signature
 
@@ -50,16 +47,16 @@ CFG = {"exact": FockConfig(c=Fraction(1)), "float": FockConfig()}
 # --- references --------------------------------------------------------------
 
 
-def reference_gram(family, cfg, t=1.0):
+def reference_gram(family, cfg):
     """The full double loop: one closed form per ordered pair."""
-    bad = [i for i, f in enumerate(family) if abs(t) * f.sup_norm() ** 2 >= 0.25]
+    bad = [i for i, f in enumerate(family) if not exp_vector_exists(f)]
     if bad:
-        raise DomainError(f"sqrt(t)-scaled sup norm >= 1/2 at indices {bad}")
+        raise DomainError(f"sup norm >= 1/2 at indices {bad}")
     n = len(family)
     G = np.empty((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            G[i, j] = exp_inner_closed_scaled(family[i], family[j], t, cfg)
+            G[i, j] = exp_inner_closed(family[i], family[j], cfg)
     return G
 
 
@@ -97,25 +94,32 @@ def reference_selfadjoint_numeric(T, family, cfg, depth=8):
     return SelfAdjointNumericReport(herm, adj, moment, exact_zero)
 
 
-def reference_lemma4(family, coeffs, cfg, t0=1.0):
-    """A full Gram matrix at each of the six t, and the norm from ``inner``."""
-    alpha = np.asarray([complex(a) for a in coeffs])
+def mp_number(x, mp):
+    """x as an mpmath number: a rational exactly, an ExactComplex part by part."""
+    if isinstance(x, ExactComplex):
+        return mp.mpc(mp_number(x.re, mp), mp_number(x.im, mp))
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpc(x) if isinstance(x, complex) else mp.mpf(x)
+
+
+def mp_gram_form(family, coeffs, c, mp):
+    """q(t) = sum conj(a_i) a_j <Psi(sqrt(t) f_i), Psi(sqrt(t) f_j)> from the
+    closed form exp(-c/2 integral of log(1 - 4 t conj(f_i) f_j)), its
+    integral summed over every pair of overlapping segments."""
+    alpha = [mp.mpc(complex(a)) for a in coeffs]
+    segs = [[(mp_number(l, mp), mp_number(r, mp), mp_number(v, mp)) for l, r, v in f.segments]
+            for f in family]
 
     def q(t):
-        return float((alpha.conj() @ reference_gram(family, cfg, t) @ alpha).real)
-
-    hs = [t0 * 2.0 ** (-6), t0 * 2.0 ** (-7), t0 * 2.0 ** (-8)]
-    central = [(q(h) - q(-h)) / (2 * h) for h in hs]
-    deriv = [(4 * d1 - d0) / 3 for d0, d1 in zip(central, central[1:])][-1]
-    norm_sq = float(sum(a.conjugate() * b * complex(inner(fi, fj))
-                        for a, fi in zip(alpha, family)
-                        for b, fj in zip(alpha, family)).real)
-    c = float(cfg.c)
-    expected, stated = 2 * c * norm_sq, c * norm_sq
-    abs_err = abs(deriv - expected)
-    return DerivativeCheckReport(deriv, expected, stated, abs_err,
-                                 abs_err / max(abs(expected), 1e-300),
-                                 deriv / stated if stated != 0 else math.nan)
+        total = 0
+        for a, fi in zip(alpha, segs):
+            for b, fj in zip(alpha, segs):
+                log = sum((max(0, min(r1, r2) - max(l1, l2)) * mp.log(1 - 4 * t * mp.conj(v1) * v2)
+                           for l1, r1, v1 in fi for l2, r2, v2 in fj), mp.mpf(0))
+                total += mp.conj(a) * b * mp.exp(-mp_number(c, mp) / 2 * log)
+        return total
+    return q
 
 
 def outcome(fn, *args):
@@ -124,14 +128,6 @@ def outcome(fn, *args):
         return fn(*args)
     except DomainError as exc:
         return ("DomainError", str(exc))
-
-
-def same_report(a, b) -> bool:
-    """Field-wise equality of two reports, NaN matching NaN."""
-    if not dataclasses.is_dataclass(a):
-        return a == b
-    return all(x == y or (x != x and y != y)
-               for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)))
 
 
 # --- inputs --------------------------------------------------------------------
@@ -158,13 +154,12 @@ def operator(kind, seed, fam, backend):
 # --- tests ---------------------------------------------------------------------
 
 
-@given(seeds, st.integers(0, 5), backends,
-       st.sampled_from([1.0, 0.5, 2 ** -6, -2 ** -7, 3.0]))
+@given(seeds, st.integers(0, 5), backends)
 @settings(max_examples=60, deadline=None)
-def test_gram_matrix_matches_double_loop(seed, size, backend, t):
+def test_gram_matrix_matches_double_loop(seed, size, backend):
     fam = family(seed, size, backend)
-    got = outcome(gram_matrix, fam, CFG[backend], t)
-    want = outcome(reference_gram, fam, CFG[backend], t)
+    got = outcome(gram_matrix, fam, CFG[backend])
+    want = outcome(reference_gram, fam, CFG[backend])
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -182,15 +177,19 @@ def test_selfadjoint_numeric_matches_seven_sweeps(kind, seed, size, backend):
         outcome(reference_selfadjoint_numeric, T, fam, CFG[backend])
 
 
-@given(seeds, st.integers(0, 4), backends, st.sampled_from([1.0, 0.5, 4.0]))
-@settings(max_examples=60, deadline=None)
-def test_lemma4_matches_per_t_gram(seed, size, backend, t0):
+@given(seeds, st.integers(1, 4), backends)
+@settings(max_examples=30, deadline=None)
+def test_lemma4_matches_mpmath_derivative(seed, size, backend):
+    mp = pytest.importorskip("mpmath").mp
     rng = random.Random(seed)
     fam = family(seed, size, backend, max_abs=0.45)
     coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in fam]
-    got = outcome(lemma4_derivative_check, fam, coeffs, CFG[backend], t0)
-    want = outcome(reference_lemma4, fam, coeffs, CFG[backend], t0)
-    assert same_report(got, want)
+    cfg = CFG[backend]
+    rep = lemma4_derivative_check(fam, coeffs, cfg)
+    with mp.workdps(40):
+        want = mp.diff(mp_gram_form(fam, coeffs, cfg.c, mp), 0)
+        assert abs(mp.im(want)) <= mp.mpf(10) ** -30 * abs(want)
+        assert abs(mp_number(rep.derivative, mp) - mp.re(want)) <= 1e-12 * abs(want)
 
 
 @given(st.sampled_from(["injective", "dilation"]), seeds, st.integers(1, 4), backends)
