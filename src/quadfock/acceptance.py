@@ -44,7 +44,7 @@ from .scalars import ExactComplex
 from .stepfn import IntervalSet, PiecewiseAffineMap, StepFunction, inner
 
 
-def criterion_1(seed: int = 0) -> dict:
+def criterion_1() -> dict:
     """Counter-example reproduction at c = 1 with the default pair."""
     cfg = FockConfig(c=1.0, depth=40, tol=1e-10)
     rep = counterexample_report(cfg)
@@ -81,7 +81,7 @@ def criterion_2(seed: int = 0) -> dict:
         m = moments(fe, ge, 8)
         table = n_particle_table(m, 8, cfg_exact)
         # one pass over the partitions of n = 0..8, on one power table
-        if list(table.a) != _partition_sums(m, range(9), cfg_exact, "corrected"):
+        if list(table) != _partition_sums(m, range(9), cfg_exact, "corrected"):
             exact_ok = False
         f = StepFunction.from_json(fe.to_json())
         g = StepFunction.from_json(ge.to_json())
@@ -133,11 +133,11 @@ def criterion_4(seed: int = 4) -> dict:
     cfg_float = FockConfig()
     T_exact = reflection_operator(Fraction(9, 10), exact=True)
     fam_exact = random_family(random.Random(seed), 5, exact=True)
-    rep_exact = check_selfadjoint_numeric(T_exact, fam_exact, cfg_exact, depth=8)
+    rep_exact = check_selfadjoint_numeric(T_exact, fam_exact, cfg_exact)
 
     T_float = reflection_operator(0.9)
     fam_float = [StepFunction.from_json(f.to_json()) for f in fam_exact]
-    rep_float = check_selfadjoint_numeric(T_float, fam_float, cfg_float, depth=8)
+    rep_float = check_selfadjoint_numeric(T_float, fam_float, cfg_float)
 
     checks = {
         "moment_identity_exact": rep_exact.moment_defect == 0.0,
@@ -157,7 +157,7 @@ def criterion_5() -> dict:
     """The dilation fails structurally and exhibits the numeric gap."""
     cfg = FockConfig(c=1.0)
     f = StepFunction.indicator(0, 1, 0.25 + 0j)
-    T = dilation_operator(window_radius(f), 2, 1.0 + 0j)
+    T = dilation_operator(window_radius(f), 1.0 + 0j)
     struct = check_selfadjoint_structure(T)
     numeric = check_selfadjoint_numeric(T, [f], cfg)
     checks = {
@@ -211,7 +211,7 @@ def criterion_7() -> dict:
     every r_k is the closed form; the L^2 isometry 2 f(4x) is unbounded."""
     cfg = FockConfig(c=Fraction(1))
     one = ExactComplex.of(1)
-    T = dilation_operator(2, 2, one)
+    T = dilation_operator(2, one)
     rep = boundedness_report(T, cfg, splits=(1, 2, 4))
     E = IntervalSet.from_intervals([(0, Fraction(1, 4))])
     isometry = QuadOperator(E, E.indicator(one * 2),
@@ -249,7 +249,7 @@ def criterion_8() -> dict:
 
     for label, bad_value in [("at_half", 0.5), ("above_half", 0.6)]:
         bad = StepFunction.indicator(0, 1, complex(bad_value))
-        T = dilation_operator(window_radius(bad), 2, 1.0 + 0j)
+        T = dilation_operator(window_radius(bad), 1.0 + 0j)
         results[label] = {
             "exp_vector_exists_false": not exp_vector_exists(bad),
             "closed_rejects": rejected(exp_inner_closed, bad, ok_f, cfg),

@@ -54,8 +54,9 @@ largest n.  Each result is reduced once; the two routes share the N_k only.
 
 The recursion has one body in each backend, ``_b_sequence`` for floats and
 ``_scaled_b`` for Gaussian integers, each a generator that reads one moment
-per term: ``n_particle_table`` takes n_max terms, ``n_particle_inner_rec``
-returns its entry a_n, and the series takes as many as its tail bound needs.
+per term: ``n_particle_table`` takes n_max terms and returns a_0..a_{n_max},
+``n_particle_inner_rec`` returns its last entry, and the series takes as many
+b_n as its tail bound needs.
 """
 
 from __future__ import annotations
@@ -294,12 +295,12 @@ class _Signature:
         # is subnormal at most 2^-1071 absolute on 4 rho, which 2^-1070 covers.
         x = _up(x * (1 + 2.0 ** -50) + 2.0 ** -1070)
         cap, tol = cfg.depth, cfg.tol
-        tails = enumerate(_dominating_tails(x, beta))  # (N, _dominating_tail(x, beta, N))
-        for N, dom in tails:  # no depth below the first whose dominating tail is <= tol
+        tails = enumerate(_dominating_tails(x, beta))  # (N, (tail, sum d_n)) at N
+        for N, (dom, bound) in tails:  # no depth below the first whose dominating tail is <= tol
             if N == cap or N and dom <= tol and not fixed:
                 break
         # at the cap, no sum reaches tol; with sum d_n finite no b_n leaves the doubles
-        if dom > tol and (bound := _dominating_sum(x, beta, N)) < math.inf:
+        if dom > tol and bound < math.inf:
             # sum |re b_n| + |im b_n| <= 2 sum d_n bounds the summation error
             raise _unconverged(_up(dom + _up((N + 2) * 2.0 ** -51 * bound)), tol, cap, tails)
         value, size = 0j, 0.0
@@ -315,14 +316,14 @@ class _Signature:
                 return value, tail, n
             if n == cap:
                 break
-            N, dom = next(tails)
+            N, (dom, _) = next(tails)
         raise _unconverged(tail, tol, cap, tails)
 
 
 def _unconverged(tail: float, tol: float, cap: int, tails: Iterator) -> UnconvergedError:
     """The error at the cap, naming the first depth of ``tails`` within tol."""
     need = f"no depth <= {MAX_DEPTH} reaches it"
-    for N, dom in tails:
+    for N, (dom, _) in tails:
         if N > MAX_DEPTH:
             break
         if dom <= tol:
@@ -390,37 +391,28 @@ def n_particle_inner_rec(m: MomentSequence, n: int, cfg: FockConfig):
         raise ValueError("n must be nonnegative")
     if len(m) < n:
         raise ValueError(f"need at least {n} moments, got {len(m)}")
-    return n_particle_table(m, n, cfg).a[n]
+    return n_particle_table(m, n, cfg)[n]
 
 
-def n_particle_table(m: MomentSequence, n_max: int, cfg: FockConfig) -> "NParticleTable":
-    """a_n and b_n for n = 0..n_max: the one body of the moment recursion."""
+def n_particle_table(m: MomentSequence, n_max: int, cfg: FockConfig) -> tuple:
+    """(a_0, ..., a_{n_max}) with a_n = (n!)^2 b_n: the one body of the
+    moment recursion."""
     ex = _exact(m, cfg.c)
     if ex is None:
         try:
             w = [(2 ** (2 * k + 1)) * mk for k, mk in enumerate(m.entries[:n_max])]
             b = [1, *_b_sequence(w, cfg.c)]
-            a = tuple((math.factorial(n) ** 2) * b[n] for n in range(n_max + 1))
+            return tuple((math.factorial(n) ** 2) * b[n] for n in range(n_max + 1))
         except OverflowError:  # an int weight 2^(2k+1) or (n!)^2 beyond the doubles
             raise DomainError("a recursion weight exceeds double precision") from None
-        return NParticleTable(a, tuple(b))
     N, D, E, c_num = ex
-    a, b = [1], [1]
+    a = [1]
     fact = den = 1
     for n, (re, im) in enumerate(_scaled_b(N[:n_max], E, c_num), 1):
         fact *= n
         den *= D * E
         a.append(_new(fact * re, fact * im, den))
-        b.append(_new(re, im, fact * den))
-    return NParticleTable(tuple(a), tuple(b))
-
-
-@dataclass(frozen=True)
-class NParticleTable:
-    """a_n for n = 0..N together with b_n = a_n / (n!)^2."""
-
-    a: tuple
-    b: tuple
+    return tuple(a)
 
 
 def partitions_multiplicity(n: int) -> Iterator[dict[int, int]]:
@@ -629,33 +621,22 @@ def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
-def _dominating_tail(x: float, beta: float, N: int) -> float:
-    """Upper bound on sum_{n>N} d_n, d_n = [t^n] (1 - x t)^(-beta), for
-    0 <= x < 1 and beta >= 0, rounding every step up."""
-    return next(islice(_dominating_tails(x, beta), N, None))
-
-
-def _dominating_sum(x: float, beta: float, N: int) -> float:
-    """sum_{n<=N} d_n, rounded up as in ``_dominating_tails``."""
-    d = total = 1.0
-    for n in range(1, N + 1):
-        d = _up(_up(_up(d * x) * _up(n - 1 + beta)) / n)
-        total = _up(total + d)
-    return total
-
-
-def _dominating_tails(x: float, beta: float) -> Iterator[float]:
-    """``_dominating_tail(x, beta, N)`` for N = 0, 1, 2, ...: one pass of the
-    d_n recursion, since only the ratio bound r and the gap 1 - r depend on N."""
+def _dominating_tails(x: float, beta: float) -> Iterator[tuple[float, float]]:
+    """(tail, sum) for N = 0, 1, 2, ...: upper bounds on sum_{n>N} d_n and on
+    sum_{n<=N} d_n, d_n = [t^n] (1 - x t)^(-beta), for 0 <= x < 1 and
+    beta >= 0, rounding every step up.  One pass of the d_n recursion serves
+    every N, since only the ratio bound r and the gap 1 - r depend on N."""
     nextafter, inf = math.nextafter, math.inf  # _up, without a call per rounding
-    d, n = 1.0, 0
+    d = total = 1.0
+    n = 0
     while True:
         n += 1  # d_n is the first term beyond N = n - 1
         t = nextafter(nextafter(d * x, inf) * nextafter(n - 1 + beta, inf), inf)
         d = nextafter(t / n, inf)
         r = nextafter(x * max(1.0, nextafter(nextafter(n + beta, inf) / (n + 1), inf)), inf)
         gap = nextafter(1.0 - r, -inf)
-        yield nextafter(d / gap, inf) if gap > 0 else inf
+        yield nextafter(d / gap, inf) if gap > 0 else inf, total
+        total = nextafter(total + d, inf)
 
 
 def exp_inner_series(f: StepFunction, g: StepFunction,

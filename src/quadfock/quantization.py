@@ -98,20 +98,20 @@ def adjoint_operator(T: QuadOperator) -> QuadOperator:
     return QuadOperator(phi_inv.domain(), StepFunction(_canonical_segments(segs)), phi_inv)
 
 
-def dilation_operator(radius, factor=2, one=1.0) -> QuadOperator:
-    """(T f)(x) = f(factor * x) on the window E = [-radius, radius).
+def dilation_operator(radius, one=1.0) -> QuadOperator:
+    """(T f)(x) = f(2x) on the window E = [-radius, radius).
 
     ``one`` selects the scalar backend for the unit weight."""
     E = IntervalSet.from_intervals([(-radius, radius)])
     h = E.indicator(one)
-    phi = PiecewiseAffineMap.from_pieces([(-radius, radius, factor, 0)])
+    phi = PiecewiseAffineMap.from_pieces([(-radius, radius, 2, 0)])
     return QuadOperator(E, h, phi)
 
 
-def window_radius(*fs: StepFunction, minimum=2) -> Fraction:
+def window_radius(*fs: StepFunction) -> Fraction:
     """Window half-width making chi_E act as the identity on the inputs:
-    at least twice the largest breakpoint magnitude."""
-    r = _frac(minimum)
+    at least 2 and at least twice the largest breakpoint magnitude."""
+    r = _frac(2)
     for f in fs:
         for p in f.breakpoints():
             r = max(r, 2 * abs(p))
@@ -247,8 +247,9 @@ class SelfAdjointNumericReport(_Report):
 
 
 def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
-                              cfg: FockConfig, depth: int = 8) -> SelfAdjointNumericReport:
-    """Moment-identity and matrix-element defects of Gamma_2(T) over a family.
+                              cfg: FockConfig) -> SelfAdjointNumericReport:
+    """Moment-identity defects of m_1..m_8 and matrix-element defects of
+    Gamma_2(T) over a family.
 
     Two signatures per ordered pair carry everything: S_ij of (T f_i, f_j)
     and S*_ij of (T* f_j, f_i).  The signature of (f_i, T f_j) is S_ji with
@@ -273,7 +274,7 @@ def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
     M = [[s.closed(cfg) for s in row] for row in S]
     Ms = [[s.closed(cfg) for s in row] for row in S_star]
     # m_k of (T f_i, f_j); those of (f_i, T f_j) are their conjugates at (j, i)
-    mom = [[s.moments(depth).entries for s in row] for row in S]
+    mom = [[s.moments(8).entries for s in row] for row in S]
 
     herm = 0.0
     adj = 0.0
@@ -360,7 +361,7 @@ def lemma4_derivative_check(family: Sequence[StepFunction],
     combo = StepFunction.zero()
     for i, (a, f) in enumerate(zip(alpha, family)):
         for j in range(i, len(family)):
-            b1 = n_particle_table(moments(f, family[j], 1), 1, cfg).a[1]
+            b1 = n_particle_table(moments(f, family[j], 1), 1, cfg)[1]
             term = a.conjugate() * alpha[j] * (b1 if exact else complex(b1))
             deriv = deriv + (term if i == j else term + term.conjugate())
         combo = combo + f.scale(a)
@@ -401,10 +402,10 @@ class L2ContractionReport(_Report):
     contraction: bool
 
 
-def check_l2_contraction(T: QuadOperator, samples: Sequence[StepFunction],
-                         tol: float = 1e-12) -> L2ContractionReport:
-    """max ||T f||_2 / ||f||_2 over the nonzero samples; a DomainError where
-    a norm leaves the doubles."""
+def check_l2_contraction(T: QuadOperator,
+                         samples: Sequence[StepFunction]) -> L2ContractionReport:
+    """max ||T f||_2 / ||f||_2 over the nonzero samples, a contraction up to
+    1e-12; a DomainError where a norm leaves the doubles."""
     ratios = []
     for f in samples:
         try:
@@ -416,7 +417,7 @@ def check_l2_contraction(T: QuadOperator, samples: Sequence[StepFunction],
         if norms[0]:
             ratios.append(norms[1] / norms[0])
     mx = max(ratios, default=0.0)
-    return L2ContractionReport(mx, tuple(ratios), mx <= 1 + tol)
+    return L2ContractionReport(mx, tuple(ratios), mx <= 1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +560,7 @@ def _table_agrees(tf: StepFunction, f: StepFunction, want: list, cfg: FockConfig
     max(1, r_k) on floats."""
     if tf.is_zero():
         return not any(want)
-    num, den = (n_particle_table(moments(g, g, _K), _K, cfg).a[1:] for g in (tf, f))
+    num, den = (n_particle_table(moments(g, g, _K), _K, cfg)[1:] for g in (tf, f))
     if type(num[0]) is ExactComplex:  # a_k = (a + b i) / d as ints; a > 0 for f
         return all(xb == 0 and xa * yd * r.denominator == ya * xd * r.numerator
                    for (xa, xb, xd), (ya, _, yd), r in zip(map(_parts, num), map(_parts, den), want))
@@ -607,7 +608,7 @@ def counterexample_report(cfg: FockConfig,
     g = default if g is None else g
     if not exp_vector_exists(f):
         raise DomainError("sup norm of f >= 1/2")
-    T = dilation_operator(window_radius(f, g), 2, one)
+    T = dilation_operator(window_radius(f, g), one)
     T_star = adjoint_operator(T)
     tf, tsg = apply_operator(T, f), apply_operator(T_star, g)
 

@@ -2,8 +2,9 @@
 
 Each is the loop an optimised path replaced, kept as the oracle of the
 differential tests: the float series and its inputs, the parsing of a
-segment list, and the b recursion that the float and the exact kernel
-share.  Not a test module: no test module imports another.
+segment list, the b recursion that the float and the exact kernel
+share, and the dominating sum of the series bound.  Not a test module: no
+test module imports another.
 """
 
 import math
@@ -90,6 +91,15 @@ def reference_dominating_tail(x, beta, N):
     for n in range(1, N + 2):
         d = _up(_up(_up(d * x) * _up(n - 1 + beta)) / n)
     return _up(d / gap)
+
+
+def reference_dominating_sum(x, beta, N):
+    """sum_{n<=N} d_n, every step rounded up, by a loop of its own."""
+    d = total = 1.0
+    for n in range(1, N + 1):
+        d = _up(_up(_up(d * x) * _up(n - 1 + beta)) / n)
+        total = _up(total + d)
+    return total
 
 
 def reference_series(sig, cfg, fixed=False):

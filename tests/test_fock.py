@@ -123,12 +123,13 @@ class TestNParticle:
 
     def test_table(self):
         f = chi(0, 1, exact(1, 4))
-        table = n_particle_table(moments(f, f, 6), 6, CFG_EXACT)
-        assert table.a[0] == 1
+        m = moments(f, f, 6)
+        table = n_particle_table(m, 6, CFG_EXACT)
+        assert table[0] == 1
         for n in range(7):
-            assert table.a[n] == math.factorial(n) ** 2 * table.b[n]
+            assert table[n] == n_particle_inner_partition(m, n, CFG_EXACT)
             # f = g: all a_n real and nonnegative
-            assert table.a[n].im == 0 and table.a[n].re >= 0 if n else True
+            assert table[n].im == 0 and table[n].re >= 0 if n else True
 
 
     @pytest.mark.parametrize("n", [99, 600])
@@ -151,7 +152,7 @@ class TestNParticle:
             m = moments(f, g, 12)
             table = n_particle_table(m, 12, cfg)
             for n in range(13):
-                assert table.a[n] == n_particle_inner_rec(m, n, cfg)
+                assert table[n] == n_particle_inner_rec(m, n, cfg)
 
     def test_partition_sum_equals_recursion_at_n20(self):
         rng = random.Random(20)

@@ -1,4 +1,5 @@
-"""No test module imports another, and ``quantization`` imports no numpy.
+"""No test module imports another, ``quantization`` imports no numpy, and
+every public name of ``quadfock`` is imported and listed once.
 
 A reference implementation that two modules compare against lives in
 ``tests/_reference.py``; importing it from a test module would tie one
@@ -7,6 +8,8 @@ module's collection to the other's inputs and names.
 
 import ast
 from pathlib import Path
+
+import quadfock
 
 
 def imported_modules(tree) -> list:
@@ -32,3 +35,15 @@ def test_quantization_imports_no_numpy():
     path = Path(__file__).parent.parent / "src" / "quadfock" / "quantization.py"
     names = [name for _, name in imported_modules(ast.parse(path.read_text(), str(path)))]
     assert not [name for name in names if name.split(".")[0] == "numpy"]
+
+
+def test_public_names_resolve():
+    # a deleted name leaves neither a stale entry in __all__ nor a stray import
+    path = Path(quadfock.__file__)
+    imported = [alias.asname or alias.name
+                for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    names = quadfock.__all__
+    assert names == sorted(set(names))
+    assert sorted(imported) == names
+    assert all(hasattr(quadfock, name) for name in names)

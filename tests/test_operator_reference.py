@@ -76,7 +76,7 @@ def ref_structure(T, tol=0.0):
 def named_operators(exact):
     one = ExactComplex.of(1) if exact else 1.0 + 0j
     weight = Fraction if exact else float
-    return [dilation_operator(Fraction(2), 2, one),
+    return [dilation_operator(Fraction(2), one),
             reflection_operator(weight("0.9"), exact=exact),
             reflection_operator(weight(2), exact=exact)]
 

@@ -23,6 +23,8 @@ from quadfock import (
     gamma2_matrix_element,
     inner,
     lemma4_derivative_check,
+    moments,
+    n_particle_table,
     window_radius,
 )
 from quadfock.families import (
@@ -47,7 +49,7 @@ def identity_operator(l, r, one=1.0 + 0j):
 
 class TestApply:
     def test_dilation_halves_support(self):
-        T = dilation_operator(10, 2, 1.0 + 0j)
+        T = dilation_operator(10, 1.0 + 0j)
         assert apply_operator(T, chi(0, 1)) == chi(0, Fraction(1, 2))
 
     def test_zero_weight_kills_everything(self):
@@ -74,7 +76,7 @@ class TestApply:
 class TestAdjoint:
     def test_dilation_adjoint_formula(self):
         # T: f -> f(2.)  has  T*: g -> (1/2) g(./2)
-        T = dilation_operator(2, 2, 1.0 + 0j)
+        T = dilation_operator(2, 1.0 + 0j)
         T_star = adjoint_operator(T)
         g = chi(0, 1)
         assert apply_operator(T_star, g) == chi(0, 2, 0.5 + 0j)
@@ -123,7 +125,7 @@ class TestAdjoint:
 
 class TestHomomorphismPowers:
     def test_dilation_is_power_homomorphism(self):
-        T = dilation_operator(8, 2, 1.0 + 0j)
+        T = dilation_operator(8, 1.0 + 0j)
         f = StepFunction.from_segments([(0, 1, 0.25 + 0j), (1, 2, -0.25 + 0j)])
         rep = check_homomorphism_powers(T, f, 3)
         assert all(rep.operator_equal.values())
@@ -131,7 +133,7 @@ class TestHomomorphismPowers:
         assert not any(rep.adjoint_equal.values())
 
     def test_adjoint_square_witness_ratio(self):
-        T = dilation_operator(2, 2, 1.0 + 0j)
+        T = dilation_operator(2, 1.0 + 0j)
         T_star = adjoint_operator(T)
         g = chi(0, 1)
         lhs = apply_operator(T_star, g ** 2)   # (1/2) g^2(./2)
@@ -156,12 +158,12 @@ class TestGamma2:
 
     def test_dilation_closed_form(self):
         f = chi(0, 1, 0.25 + 0j)
-        T = dilation_operator(window_radius(f), 2, 1.0 + 0j)
+        T = dilation_operator(window_radius(f), 1.0 + 0j)
         assert gamma2_matrix_element(T, f, f, CFG) == pytest.approx(0.75 ** -0.25)
 
     def test_adjoint_dilation_closed_form(self):
         f = chi(0, 1, 0.25 + 0j)
-        T_star = adjoint_operator(dilation_operator(window_radius(f), 2, 1.0 + 0j))
+        T_star = adjoint_operator(dilation_operator(window_radius(f), 1.0 + 0j))
         got = gamma2_matrix_element(T_star, f, f, CFG).conjugate()
         assert got == pytest.approx((7 / 8) ** -0.5)
 
@@ -178,7 +180,7 @@ class TestSelfAdjointStructure:
         assert rep.to_dict()["verdict"] is True
 
     def test_dilation_fails_involutivity_and_image(self):
-        T = dilation_operator(1, 2, 1.0 + 0j)
+        T = dilation_operator(1, 1.0 + 0j)
         rep = check_selfadjoint_structure(T)
         assert not rep.involutive
         assert not rep.maps_into
@@ -212,14 +214,14 @@ class TestSelfAdjointNumeric:
     def test_reflection_exact_defects_vanish(self):
         T = reflection_operator(Fraction(9, 10), exact=True)
         fam = random_family(random.Random(42), 4, exact=True)
-        rep = check_selfadjoint_numeric(T, fam, CFG_EXACT, depth=8)
+        rep = check_selfadjoint_numeric(T, fam, CFG_EXACT)
         assert rep.moment_defect == 0.0
         assert rep.exact_zero
         assert rep.defect < 1e-12
 
     def test_dilation_default_pair_gap(self):
         f = chi(0, 1, 0.25 + 0j)
-        T = dilation_operator(window_radius(f), 2, 1.0 + 0j)
+        T = dilation_operator(window_radius(f), 1.0 + 0j)
         rep = check_selfadjoint_numeric(T, [f], CFG)
         assert rep.defect >= abs(0.75 ** -0.25 - (7 / 8) ** -0.5) - 1e-12
         assert rep.defect > 5e-3
@@ -270,13 +272,13 @@ class TestContraction:
 
     def test_dilation_dominates(self):
         fam = random_family(random.Random(3), 3)
-        T = dilation_operator(window_radius(*fam), 2, 1.0 + 0j)
+        T = dilation_operator(window_radius(*fam), 1.0 + 0j)
         rep = check_contraction_gram(T, fam, CFG)
         assert rep.psd and rep.min_eig >= -1e-10
 
     def test_dilation_l2_ratio(self):
         fam = random_family(random.Random(4), 5)
-        T = dilation_operator(window_radius(*fam), 2, 1.0 + 0j)
+        T = dilation_operator(window_radius(*fam), 1.0 + 0j)
         rep = check_l2_contraction(T, fam)
         for r in rep.ratios:
             assert r == pytest.approx(2 ** -0.5, abs=1e-12)
@@ -315,6 +317,22 @@ class TestCounterexample:
     def test_power_witness(self):
         rep = counterexample_report(CFG)
         assert rep.adjoint_power_witness["equal"] is False
+
+    def test_n_particle_witness_is_exact(self):
+        # a_n(T f, g) against a_n(f, T* g), the default pair at c = 1: a_1 =
+        # 2c <T f, g> = 2c <f, T* g> agree, and from n = 2 on they part
+        one = ExactComplex.of(1)
+        f = g = chi(0, 1, one * Fraction(1, 4))
+        T = dilation_operator(window_radius(f, g), one)
+        lhs = n_particle_table(moments(apply_operator(T, f), g, 6), 6, CFG_EXACT)
+        rhs = n_particle_table(moments(f, apply_operator(adjoint_operator(T), g), 6), 6,
+                               CFG_EXACT)
+        assert [a * 2 ** 20 for a in lhs] == \
+            [2 ** 20, 65536, 40960, 69120, 224640, 1193400, 9398025]
+        assert [a * 2 ** 20 for a in rhs] == \
+            [2 ** 20, 65536, 24576, 23040, 40320, 113400, 467775]
+        assert lhs[1] == rhs[1] == Fraction(1, 16)
+        assert (lhs[2], rhs[2]) == (Fraction(5, 128), Fraction(3, 128))
 
     @pytest.mark.parametrize("cfg", [CFG, CFG_EXACT])
     def test_reads_each_sup_norm_once_per_test(self, cfg, monkeypatch):

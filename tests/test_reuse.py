@@ -148,7 +148,7 @@ def operator(kind, seed, fam, backend):
     if kind == "reflection":
         return reflection_operator(Fraction(9, 10) if exact else 0.9, exact=exact)
     one = ExactComplex.of(1) if exact else 1.0 + 0j
-    return dilation_operator(window_radius(*fam), 2, one)
+    return dilation_operator(window_radius(*fam), one)
 
 
 # --- tests ---------------------------------------------------------------------
