@@ -45,17 +45,16 @@ from .stepfn import IntervalSet, PiecewiseAffineMap, StepFunction, inner
 
 
 def criterion_1() -> dict:
-    """Counter-example reproduction at c = 1 with the default pair."""
-    cfg = FockConfig(c=1.0, depth=40, tol=1e-10)
-    rep = counterexample_report(cfg)
-    lhs_expect = (3 / 4) ** -0.25
-    rhs_expect = (7 / 8) ** -0.5
+    """Counter-example reproduction at c = 1 with the exact default pair:
+    the closed forms as doubles, and the exact moment witness k = 2."""
+    f = StepFunction.indicator(0, 1, ExactComplex.of(Fraction(1, 4)))
+    rep = counterexample_report(FockConfig(c=Fraction(1)), f, f)
     checks = {
-        "lhs_matches_closed_form": abs(rep.lhs - lhs_expect) < 1e-10,
-        "rhs_matches_closed_form": abs(rep.rhs - rhs_expect) < 1e-10,
+        "lhs_matches_closed_form": abs(rep.lhs - (3 / 4) ** -0.25) < 1e-10,
+        "rhs_matches_closed_form": abs(rep.rhs - (7 / 8) ** -0.5) < 1e-10,
         "lhs_series_agrees": abs(rep.lhs - rep.lhs_series) < 1e-10,
         "rhs_series_agrees": abs(rep.rhs - rep.rhs_series) < 1e-10,
-        "gap_exceeds_5e-3": rep.gap > 5e-3,
+        "moment_witness_k_is_2": rep.moment_witness["k"] == 2,
     }
     return {
         "id": 1,

@@ -579,8 +579,10 @@ def _table_agrees(tf: StepFunction, f: StepFunction, want: list, cfg: FockConfig
 
 @dataclass(frozen=True)
 class CounterexampleReport(_Report):
-    """Evidence that quantizing T* differs from the adjoint of Gamma_2(T)
-    for the dilation (T f)(x) = f(2x)."""
+    """Evidence that quantizing T* differs from the adjoint of Gamma_2(T) for
+    the dilation (T f)(x) = f(2x): ``moment_witness`` holds the first k with
+    m_k(T f, g) != m_k(f, T* g), both m_k (``lhs_m``, ``rhs_m``) and both a_k
+    (``lhs_a``, ``rhs_a``); k = 0 and null values where no moment parts them."""
 
     lhs: complex                 # <Gamma_2(T) Psi(f), Psi(g)>
     rhs: complex                 # <Psi(f), Gamma_2(T*) Psi(g)>
@@ -589,18 +591,21 @@ class CounterexampleReport(_Report):
     lhs_tail: float
     rhs_series: complex
     rhs_tail: float
-    adjoint_power_witness: dict = field(default_factory=dict)
+    moment_witness: dict
 
 
 def counterexample_report(cfg: FockConfig,
                           f: Optional[StepFunction] = None,
                           g: Optional[StepFunction] = None) -> CounterexampleReport:
-    """Compute both pairings for the dilation, cross-checked by series.
+    """Both pairings for the dilation, cross-checked by series, and their
+    moment witness.  The right-hand side <Psi(f), Gamma_2(T*) Psi(g)> is
+    conj(<Psi(T* g), Psi(f)>), so no adjoint on Fock space is needed.  A
+    missing input is (1/4) chi_[0,1), in the backend of the other one.
 
-    The right-hand side <Psi(f), Gamma_2(T*) Psi(g)> is evaluated through
-    conjugate symmetry as conj(<Psi(T* g), Psi(f)>), so no adjoint on Fock
-    space is ever needed.  A missing input is (1/4) chi_[0,1), in the
-    backend of the other one.
+    a_n = c 2^(2n-1) m_n + (terms in m_1..m_(n-1)), so at any c > 0 the two
+    pairings' a_n agree for every n iff their moments do.  The dilation gives
+    m_k(f, T* g) = 2^(1-k) m_k(T f, g), and m_2..m_(d+1) of the d distinct
+    nonzero values of (T f, g) are not all zero (Vandermonde): k <= d + 1.
     """
     one = _unit_like(*(h for h in (f, g) if h is not None))
     default = StepFunction.indicator(0, 1, one * Fraction(1, 4))
@@ -609,36 +614,30 @@ def counterexample_report(cfg: FockConfig,
     if not exp_vector_exists(f):
         raise DomainError("sup norm of f >= 1/2")
     T = dilation_operator(window_radius(f, g), one)
-    T_star = adjoint_operator(T)
-    tf, tsg = apply_operator(T, f), apply_operator(T_star, g)
+    tf, tsg = apply_operator(T, f), apply_operator(adjoint_operator(T), g)
 
-    # one signature per pairing, read by its closed form and by its series
+    # one signature per pairing, read by its closed form, its series and its moments
     lhs_sig = _image_signature(tf, g)  # requires g admissible
     lhs = lhs_sig.closed(cfg)
     rhs_sig = _image_signature(tsg, f)
     rhs = rhs_sig.closed(cfg).conjugate()
 
     lhs_series, lhs_tail, _ = lhs_sig.series(cfg)
-    rs, rhs_tail, _ = rhs_sig.series(cfg)
-    rhs_series = rs.conjugate()
+    rhs_series, rhs_tail, _ = rhs_sig.series(cfg)
 
-    # k = 2 power witness: T*(g^2) = (1/2) g^2(./2) but (T* g)^2 = (1/4) g^2(./2)
-    adjoint_of_square, square_of_adjoint = apply_operator(T_star, g ** 2), tsg ** 2
-    try:
-        witness = {
-            "adjoint_of_square": adjoint_of_square.to_json(),
-            "square_of_adjoint": square_of_adjoint.to_json(),
-            "equal": adjoint_of_square == square_of_adjoint,
-        }
-    except OverflowError:  # T* doubles the breakpoints of g
-        raise DomainError("a witness breakpoint exceeds double precision") from None
+    # the moments and a_n of (T* g, f) are the conjugates of those of (f, T* g);
+    # k = 2 unless m_2(T f, g) = 0, and only then are d + 1 moments read
+    for K in (2, len(lhs_sig.sig) + 1):
+        lm, rm = lhs_sig.moments(K), rhs_sig.moments(K)
+        k = next((k for k in range(1, K + 1) if lm[k] != rm[k].conjugate()), 0)
+        if k:
+            break
+    values = (lm[k], rm[k].conjugate(), n_particle_table(lm, k, cfg)[k],
+              n_particle_table(rm, k, cfg)[k].conjugate()) if k else (None,) * 4
+    witness = dict(zip(("k", "lhs_m", "rhs_m", "lhs_a", "rhs_a"), (k, *values)))
 
-    return CounterexampleReport(
-        lhs=lhs, rhs=rhs, gap=abs(lhs - rhs),
-        lhs_series=lhs_series, lhs_tail=lhs_tail,
-        rhs_series=rhs_series, rhs_tail=rhs_tail,
-        adjoint_power_witness=witness,
-    )
+    return CounterexampleReport(lhs, rhs, abs(lhs - rhs), lhs_series, lhs_tail,
+                                rhs_series.conjugate(), rhs_tail, witness)
 
 
 def _unit_like(*fs: StepFunction):

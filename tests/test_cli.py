@@ -95,6 +95,12 @@ class TestSelfAdjoint:
         assert doc["numeric"]["defect"] >= 0
 
 
+# f = g = 0.01 chi_[0,1), whose gap is 1e-8; and a g against the default f
+# with m_2(T f, g) = 0, so that m_3 is the first moment to part the pairings
+SMALL = '[[0,1,0.01,0]]'
+CANCEL = '[[0,0.25,0.25,0],[0.25,0.5,0,0.25]]'
+
+
 class TestCounterexample:
     def test_default_gap(self, capsys):
         code, doc = run_cli(["counterexample"], capsys)
@@ -106,6 +112,52 @@ class TestCounterexample:
         code, doc = run_cli(["--c", "2", "counterexample"], capsys)
         assert code == 0
         assert doc["lhs"][0] == pytest.approx(0.75 ** -0.5)
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    @pytest.mark.parametrize("argv, k", [
+        # gaps 2.7e-3, 5.2e-5, 1.0e-8 and 8.9e-4: a gap is no threshold
+        (["--c", "0.5", "counterexample"], 2),
+        (["--c", "0.01", "counterexample"], 2),
+        (["counterexample", "--f", SMALL, "--g", SMALL], 2),
+        (["counterexample", "--g", CANCEL], 3),
+    ])
+    def test_a_moment_witness_passes_at_any_gap(self, argv, k, mode, capsys):
+        code, doc = run_cli(["--mode", mode, *argv], capsys)
+        assert code == 0
+        assert doc["pass"] is True
+        assert doc["moment_witness"]["k"] == k
+        assert doc["moment_witness"]["lhs_m"] != doc["moment_witness"]["rhs_m"]
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    @pytest.mark.parametrize("argv, code", [
+        # disjoint supports: the pairings agree, and nothing parts them
+        (["counterexample", "--g", '[[5,6,0.25,0]]'], 1),
+        # a zero f passes with nothing to part
+        (["counterexample", "--f", "[]"], 0),
+    ])
+    def test_no_moment_witness(self, argv, code, mode, capsys):
+        got, doc = run_cli(["--mode", mode, *argv], capsys)
+        assert got == code
+        assert doc["moment_witness"] == {"k": 0, "lhs_m": None, "rhs_m": None,
+                                         "lhs_a": None, "rhs_a": None}
+
+    @pytest.mark.parametrize("c", ["0.5", "1", "2"])
+    @pytest.mark.parametrize("pair", [["--f", SMALL, "--g", SMALL], ["--g", CANCEL]])
+    def test_backends_agree(self, c, pair, capsys):
+        # the same keys and booleans, and every number within 1e-9 relative
+        def agree(a, b):
+            if isinstance(a, dict):
+                return a.keys() == b.keys() and all(agree(a[key], b[key]) for key in a)
+            if isinstance(a, list):
+                return len(a) == len(b) and all(map(agree, a, b))
+            if isinstance(a, bool) or a is None:
+                return a is b
+            return abs(a - b) <= 1e-9 * max(abs(a), abs(b))
+
+        exact, flt = (run_cli(["--mode", mode, "--c", c, "counterexample", *pair], capsys)
+                      for mode in ("exact", "float"))
+        assert exact[0] == flt[0] == 0
+        assert agree(exact[1], flt[1])
 
 
 class TestContractionAndLemma4:
@@ -224,9 +276,6 @@ def test_usage_errors_exit_3(argv, capsys):
     (["--c", "1e300", "nparticle", "--n", "2", "--f", QUARTER, "--g", QUARTER], 2),
     # m_1^2 of the partition sum is beyond the doubles
     (["nparticle", "--n", "2", "--f", '[[0,1,1e308,0]]', "--g", '[[0,1,0.125,0]]'], 2),
-    # T* doubles the breakpoints of g, and the witness prints them as doubles
-    (["counterexample", "--g", LONG], 2),
-    (["--mode", "exact", "counterexample", "--g", LONG], 2),
     # ||f||_2 of a value 1e308 is beyond the doubles
     (["contraction", "--op", REFLECTION, "--family", "[[[0,1,1e308,0]]]"], 2),
     (["--mode", "exact", "contraction", "--op", REFLECTION, "--family", "[[[0,1,1e308,0]]]"], 2),
@@ -236,6 +285,16 @@ def test_overflow_is_reported_not_raised(argv, code, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_counterexample_of_a_long_g_is_finite(mode, capsys):
+    # T* doubles g's breakpoints beyond the doubles, but no output reads them:
+    # g = 1/4 covers f and T f, so both pairings are those of the default pair
+    code, doc = run_cli(["--mode", mode, "counterexample", "--g", LONG], capsys)
+    assert code == 0
+    assert doc == run_cli(["--mode", mode, "counterexample"], capsys)[1]
+    assert doc["moment_witness"]["k"] == 2
 
 
 @pytest.mark.parametrize("command", [

@@ -314,9 +314,13 @@ class TestCounterexample:
         assert rep.rhs == pytest.approx((7 / 8) ** -1)
         assert rep.gap == pytest.approx(abs(0.75 ** -0.5 - (7 / 8) ** -1), rel=1e-9)
 
-    def test_power_witness(self):
+    def test_moment_witness(self):
+        # m_1 = 1/32 on both sides, then m_2 = 1/512 against 1/1024; dyadic,
+        # so the doubles are exact
         rep = counterexample_report(CFG)
-        assert rep.adjoint_power_witness["equal"] is False
+        assert rep.moment_witness == {"k": 2, "lhs_m": 1 / 512, "rhs_m": 1 / 1024,
+                                      "lhs_a": 5 / 128, "rhs_a": 3 / 128}
+        assert all(type(v) is complex for v in list(rep.moment_witness.values())[1:])
 
     def test_n_particle_witness_is_exact(self):
         # a_n(T f, g) against a_n(f, T* g), the default pair at c = 1: a_1 =
@@ -333,6 +337,52 @@ class TestCounterexample:
             [2 ** 20, 65536, 24576, 23040, 40320, 113400, 467775]
         assert lhs[1] == rhs[1] == Fraction(1, 16)
         assert (lhs[2], rhs[2]) == (Fraction(5, 128), Fraction(3, 128))
+        # the report reads the same a_2, and the moments that part them
+        rep = counterexample_report(CFG_EXACT, f, g)
+        assert rep.moment_witness == {"k": 2, "lhs_m": Fraction(1, 512),
+                                      "rhs_m": Fraction(1, 1024),
+                                      "lhs_a": lhs[2], "rhs_a": rhs[2]}
+        assert all(type(v) is ExactComplex for v in list(rep.moment_witness.values())[1:])
+
+    def test_moment_witness_is_the_first_unequal_a_n(self):
+        # seeded exact pairs, a third of them with g moved off the support of
+        # T f; a pair with m_2(T f, g) = 0, and one whose u = conj(T f) g takes
+        # the values i^j / 16 on equal lengths, so m_2 = m_3 = 0.  The a_n are
+        # read independently of the report, up to n = 10, beyond the
+        # d + 1 <= 6 moments any of these pairs can need
+        rng = random.Random(11)
+        one = ExactComplex.of(1)
+        pairs = [random_family(rng, 2, exact=True) for _ in range(24)]
+        pairs = [(f, StepFunction(tuple((l + 10, r + 10, v) for l, r, v in g.segments))
+                  if n % 3 == 0 else g) for n, (f, g) in enumerate(pairs)]
+        q = one * Fraction(1, 4)
+        i = ExactComplex(0, 1)
+        pairs.append((chi(0, 1, q), chi(0, Fraction(1, 4), q)
+                      + chi(Fraction(1, 4), Fraction(1, 2), q * i)))
+        pairs.append((chi(0, 2, q), sum((chi(Fraction(j, 4), Fraction(j + 1, 4), q * i ** j)
+                                         for j in range(4)), StepFunction.zero())))
+        seen = set()
+        for f, g in pairs:
+            T = dilation_operator(window_radius(f, g), one)
+            tf, tsg = apply_operator(T, f), apply_operator(adjoint_operator(T), g)
+            ks = set()
+            for c in (Fraction(1), Fraction(3, 7), Fraction(5, 2)):
+                cfg = FockConfig(c=c)
+                lhs = n_particle_table(moments(tf, g, 10), 10, cfg)
+                rhs = n_particle_table(moments(f, tsg, 10), 10, cfg)
+                first = next((n for n in range(11) if lhs[n] != rhs[n]), 0)
+                w = counterexample_report(cfg, f, g).moment_witness
+                assert w["k"] == first
+                if first:
+                    assert (w["lhs_a"], w["rhs_a"]) == (lhs[first], rhs[first])
+                if first == 2:
+                    assert w["lhs_a"] - w["rhs_a"] == 16 * c * (w["lhs_m"] - w["rhs_m"])
+                ks.add(first)
+            assert len(ks) == 1  # k does not depend on c
+            k = ks.pop()
+            assert (k > 0) == (not (tf * g).is_zero())  # k > 0 iff T f and g overlap
+            seen.add(k)
+        assert seen == {0, 2, 3, 4}
 
     @pytest.mark.parametrize("cfg", [CFG, CFG_EXACT])
     def test_reads_each_sup_norm_once_per_test(self, cfg, monkeypatch):
