@@ -3,7 +3,7 @@
 An operator here is the normal form  T(f) = chi_E * h * (f o phi)  with a
 support set E, a bounded weight h and a piecewise-affine map phi.  The
 module provides the exact L^2 adjoint, matrix elements of the induced map
-on exponential vectors, structural and numeric self-adjointness checks,
+on exponential vectors, an exact test of whether Gamma_2(T) is Hermitian,
 the exact boundedness of Gamma_2(T), one cell at a time, and the dilation
 counter-example showing that quantizing the adjoint differs from the
 adjoint of the quantization.
@@ -26,6 +26,8 @@ from .stepfn import (
     StepFunction,
     _canonical_segments,
     _covers,
+    _first_difference,
+    _images_overlap,
     _pull_back,
     compose,
     is_measure_preserving,
@@ -90,7 +92,10 @@ def adjoint_operator(T: QuadOperator) -> QuadOperator:
     exact = any(isinstance(v, ExactComplex) for _, _, v in T.h.segments)
     segs = []
     for p in phi_inv.pieces:
-        slope = abs(p.slope) if exact else float(abs(p.slope))
+        try:
+            slope = abs(p.slope) if exact else float(abs(p.slope))
+        except OverflowError:  # the inverse of a float slope below 2^-1024
+            raise DomainError("a slope of phi^-1 exceeds double precision") from None
         for l, r, v in T.h.segments:
             lo, hi = _pull_back(p, l, r)
             if lo < hi:
@@ -185,28 +190,44 @@ class _Report:
 
 @dataclass(frozen=True)
 class SelfAdjointReport(_Report):
-    """Structural conditions for Gamma_2(T) = Gamma_2(T)*; ``verdict`` is
-    their conjunction."""
+    """Whether Gamma_2(T) is Hermitian, decided exactly, beside the five
+    structural conditions, which decide nothing.
 
+    With T_k = h^k (. o phi), m_k(T f, g) = <T_k f^k, g^k>, so Gamma_2(T) is
+    Hermitian iff every T_k is L^2 self-adjoint; T_1 = T_1* and T_2 = T_2*
+    give phi = phi^-1, |phi'| = 1 and h = conj(h o phi) on supp h, hence the
+    rest.  ``witness`` = {k, cell}: the first T_k, k in (1, 2), that differs
+    from its adjoint, and the first cell where it does; k = 0 and cell None
+    when Gamma_2(T) is Hermitian.  ``verdict`` is hermitian and weight_bounded."""
+
+    witness: dict
     involutive: bool
     maps_into: bool
     measure_preserving: bool
     weight_bounded: bool
     weight_symmetric: bool
+    hermitian: bool = field(init=False)
     verdict: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "verdict", (
-            self.involutive and self.maps_into and self.measure_preserving
-            and self.weight_bounded and self.weight_symmetric))
+        object.__setattr__(self, "hermitian", self.witness["k"] == 0)
+        object.__setattr__(self, "verdict", self.hermitian and self.weight_bounded)
 
 
 def check_selfadjoint_structure(T: QuadOperator, tol: float = 0.0) -> SelfAdjointReport:
-    """Evaluate the five structural conditions, exactly where possible:
-    phi involutive on E, phi(E) inside E, phi measure preserving,
-    ||h||_inf <= 1, and conj(h) = h o phi on E."""
-    mp = is_measure_preserving(T.phi, T.E, tol)
+    """The exact Hermitian test, on T_1 and T_2 built on supp h, the one set
+    where T reads phi; and, exactly where possible, phi involutive on E,
+    phi(E) inside E, phi measure preserving, ||h||_inf <= 1 and
+    conj(h) = h o phi on E.  These presume supp h = E: for h = 0, Gamma_2(T)
+    is Hermitian while ``involutive`` may fail."""
+    witness = {"k": 0, "cell": None}
+    for k, h in ((1, T.h), (2, T.h * T.h)):
+        cell = _adjoint_difference(QuadOperator(T.h.support(), h, T.phi), tol)
+        if cell:
+            witness = {"k": k, "cell": cell}
+            break
 
+    mp = is_measure_preserving(T.phi, T.E, tol)
     involutive = False
     if mp.maps_into:
         phi2 = map_compose(T.phi, T.phi)
@@ -217,29 +238,32 @@ def check_selfadjoint_structure(T: QuadOperator, tol: float = 0.0) -> SelfAdjoin
     # h o phi vanishes off E = dom phi
     weight_symmetric = step_allclose(T.h.conj(), compose(T.h, T.phi), tol)
 
-    return SelfAdjointReport(involutive, mp.maps_into, mp.ok,
+    return SelfAdjointReport(witness, involutive, mp.maps_into, mp.ok,
                              weight_bounded, weight_symmetric)
+
+
+def _adjoint_difference(T: QuadOperator, tol: float) -> Optional[tuple]:
+    """The first cell where T differs from its L^2 adjoint, or None: an
+    overlap of piece images, where T* sums two branches (h is nonzero on dom
+    phi), else one where the weights differ (``_first_difference``), else the maps."""
+    overlap = _images_overlap(T.phi)
+    if overlap:
+        return overlap
+    S = adjoint_operator(T)
+    maps = ([(p.left, p.right, (p.slope, p.intercept)) for p in op.phi.pieces] for op in (T, S))
+    return _first_difference(T.h.segments, S.h.segments, tol) or _first_difference(*maps)
 
 
 @dataclass(frozen=True)
 class SelfAdjointNumericReport(_Report):
-    """Numeric evidence for / against self-adjointness of Gamma_2(T).
-
-    ``hermitian_defect`` is max |M_ij - conj(M_ji)| for the matrix
-    M_ij = <Psi(T f_i), Psi(f_j)>.  ``adjoint_defect`` compares against the
-    quantized L^2 adjoint, max |M_ij - conj(<Psi(T* f_j), Psi(f_i)>)|; for
-    the dilation this is exactly the counter-example gap even on a single
-    test function, where the plain Hermitian defect vanishes.
-    ``moment_defect`` is max_n,i,j |<(T f_i)^n, f_j^n> - <f_i^n, (T f_j)^n>|.
-    ``exact_zero`` certifies a zero defect through exact value-signature
-    rearrangement, independent of floating point.  ``defect`` is the larger
-    of the Hermitian and the adjoint defect.
-    """
+    """Float defects of Gamma_2(T) on a family, a cross-check that decides
+    nothing: ``hermitian_defect`` = max |M_ij - conj(M_ji)| with
+    M_ij = <Psi(T f_i), Psi(f_j)>, ``adjoint_defect`` = max |M_ij -
+    conj(<Psi(T* f_j), Psi(f_i)>)|, the counter-example gap for the dilation
+    even on one function, and ``defect``, the larger."""
 
     hermitian_defect: float
     adjoint_defect: float
-    moment_defect: float
-    exact_zero: bool
     defect: float = field(init=False)
 
     def __post_init__(self):
@@ -248,13 +272,7 @@ class SelfAdjointNumericReport(_Report):
 
 def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
                               cfg: FockConfig) -> SelfAdjointNumericReport:
-    """Moment-identity defects of m_1..m_8 and matrix-element defects of
-    Gamma_2(T) over a family.
-
-    Two signatures per ordered pair carry everything: S_ij of (T f_i, f_j)
-    and S*_ij of (T* f_j, f_i).  The signature of (f_i, T f_j) is S_ji with
-    conjugated keys, and that of (f_i, T* f_j) is S*_ij with conjugated keys.
-    """
+    """The defects over a family: signatures of (T f_i, f_j) and (T* f_j, f_i)."""
     tf = [apply_operator(T, f) for f in family]
     for i, (f, g) in enumerate(zip(family, tf)):
         if not (exp_vector_exists(f) and exp_vector_exists(g)):
@@ -266,31 +284,15 @@ def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
         if not exp_vector_exists(g):
             raise DomainError(f"adjoint image of member {j} is inadmissible")
 
-    n = len(family)
-    S = [[_Signature(value_signature(tf[i], family[j])) for j in range(n)] for i in range(n)]
-    S_star = [[_Signature(value_signature(tsf[j], family[i])) for j in range(n)]
-              for i in range(n)]
-
-    M = [[s.closed(cfg) for s in row] for row in S]
-    Ms = [[s.closed(cfg) for s in row] for row in S_star]
-    # m_k of (T f_i, f_j); those of (f_i, T f_j) are their conjugates at (j, i)
-    mom = [[s.moments(8).entries for s in row] for row in S]
-
-    herm = 0.0
-    adj = 0.0
-    moment = 0.0
-    exact_zero = True
-    for i in range(n):
-        for j in range(n):
+    n = range(len(family))
+    M = [[_Signature(value_signature(tf[i], family[j])).closed(cfg) for j in n] for i in n]
+    herm = adj = 0.0
+    for i in n:
+        for j in n:
             herm = max(herm, abs(M[i][j] - M[j][i].conjugate()))
-            adj = max(adj, abs(M[i][j] - Ms[i][j].conjugate()))
-            # equal signatures force equal moments and log integrals
-            if exact_zero and not (S[i][j] == S[j][i].conj() == S_star[i][j].conj()):
-                exact_zero = False
-            for a, b in zip(mom[i][j], mom[j][i]):
-                moment = max(moment, abs(complex(a - b.conjugate())))
-
-    return SelfAdjointNumericReport(herm, adj, moment, exact_zero)
+            rhs = _Signature(value_signature(tsf[j], family[i])).closed(cfg)
+            adj = max(adj, abs(M[i][j] - rhs.conjugate()))
+    return SelfAdjointNumericReport(herm, adj)
 
 
 # ---------------------------------------------------------------------------

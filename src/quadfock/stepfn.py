@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import NonInjectiveError
 from .scalars import ExactComplex, _frac, abs_sq_value
@@ -315,12 +315,16 @@ def inner(f: StepFunction, g: StepFunction):
 
 def step_allclose(f: StepFunction, g: StepFunction, tol: float) -> bool:
     """Pointwise a.e. closeness within tol (exact equality when tol == 0)."""
-    if tol == 0:
-        return f == g
-    for _, _, vf, vg in refine(f, g):
-        if abs(complex(vf) - complex(vg)) > tol:
-            return False
-    return True
+    return _first_difference(f.segments, g.segments, tol) is None
+
+
+def _first_difference(a: Sequence[tuple], b: Sequence[tuple], tol: float = 0.0) -> Optional[tuple]:
+    """The first cell (l, r) of ``_sweep(a, b)`` whose two values differ, by
+    more than tol, or at all when tol == 0; None where no cell does."""
+    for l, r, va, vb in _sweep(a, b):
+        if (va != vb) if tol == 0 else abs(complex(va) - complex(vb)) > tol:
+            return l, r
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +509,12 @@ def map_compose(phi: PiecewiseAffineMap, psi: PiecewiseAffineMap) -> PiecewiseAf
     return PiecewiseAffineMap.from_pieces(pieces)
 
 
-def _images_overlap(phi: PiecewiseAffineMap) -> bool:
-    """Whether two piece images of phi overlap on a set of positive length."""
+def _images_overlap(phi: PiecewiseAffineMap) -> Optional[tuple[Fraction, Fraction]]:
+    """The leftmost interval of positive length where two piece images of
+    phi overlap, or None: sorted, the first two neighbours that overlap."""
     images = sorted(p.image() for p in phi.pieces)
-    return any(bl < ar for (_, ar), (bl, _) in zip(images, images[1:]))
+    return next(((bl, min(ar, br)) for (_, ar), (bl, br) in zip(images, images[1:])
+                 if bl < ar), None)
 
 
 def map_invert(phi: PiecewiseAffineMap) -> PiecewiseAffineMap:
@@ -545,4 +551,4 @@ def is_measure_preserving(phi: PiecewiseAffineMap, e: IntervalSet,
     phi_e = phi.restrict(e)
     unit = all(abs(abs(p.slope) - 1) <= tol for p in phi_e.pieces)
     into = e.contains_set(phi_e.image())
-    return MeasurePreservingReport(not _images_overlap(phi_e), unit, into)
+    return MeasurePreservingReport(_images_overlap(phi_e) is None, unit, into)

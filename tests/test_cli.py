@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import random
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -22,6 +24,7 @@ REFLECTION = '{"E": [[0,1]], "h": [[0,1,0.9,0]], "phi": [[0,1,-1,1]]}'
 BIG = "1" + "0" * 400
 # a segment longer than the largest double, between two breakpoints that are doubles
 LONG = '[[-1e308,1e308,0.25,0]]'
+TINY_SLOPE = '{"E": [[0,1]], "h": [[0,1,0.5,0]], "phi": [[0,1,1e-310,0]]}'
 
 
 def run_cli(args, capsys):
@@ -81,7 +84,43 @@ class TestNParticle:
         assert code == 0 and doc["match"] is True
 
 
+WEIGHT_2 = REFLECTION.replace("0.9", "2")
+# x -> 2x + 1 on [0, 1) and its inverse on [1, 3): T = T* on L^2, yet
+# Gamma_2(T) is not Hermitian
+SWAP = ('{"E": [[0,3]], "h": [[0,1,0.5,0.5],[1,3,0.25,-0.25]], '
+        '"phi": [[0,1,2,1],[1,3,0.5,-0.5]]}')
+# [-1, 0) folds onto [0, 1), where phi is the identity
+FOLD = '{"E": [[-1,1]], "h": [[-1,1,0.25,0]], "phi": [[-1,0,-1,0],[0,1,1,0]]}'
+SMALL_FAMILY = '[[[0,0.5,0.125,0.0625]],[[0.25,1,-0.1875,0.03125]]]'
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestSelfAdjoint:
+    @pytest.mark.parametrize("op, code, k", [
+        (REFLECTION, 0, 0), (DILATION, 1, 1), (WEIGHT_2, 1, 0), (SWAP, 1, 2), (FOLD, 1, 1)])
+    @pytest.mark.parametrize("family", [[], ["--family", SMALL_FAMILY]])
+    def test_backends_agree(self, op, code, k, family, capsys):
+        # by the rule of the benchmark's families workload
+        json_mismatch = load_workloads().json_mismatch
+        (exact_code, exact), (float_code, flt) = (
+            run_cli(["--mode", mode, "selfadjoint", "--op", op, *family], capsys)
+            for mode in ("exact", "float"))
+        assert exact_code == float_code == code
+        if op == FOLD and family:
+            # the numeric block's adjoint raises on a fold: no document
+            assert exact is flt is None
+            return
+        assert exact["witness"]["k"] == k and exact["hermitian"] is (k == 0)
+        assert json_mismatch(exact, flt) is None
+
     def test_reflection_passes(self, capsys):
         code, doc = run_cli(["selfadjoint", "--op", REFLECTION], capsys)
         assert code == 0
@@ -279,6 +318,9 @@ def test_usage_errors_exit_3(argv, capsys):
     # ||f||_2 of a value 1e308 is beyond the doubles
     (["contraction", "--op", REFLECTION, "--family", "[[[0,1,1e308,0]]]"], 2),
     (["--mode", "exact", "contraction", "--op", REFLECTION, "--family", "[[[0,1,1e308,0]]]"], 2),
+    # the inverse slope 1e310 is beyond the doubles, for the float adjoint
+    (["selfadjoint", "--op", TINY_SLOPE], 2),
+    (["selfadjoint", "--op", TINY_SLOPE, "--random", "1"], 2),
 ])
 def test_overflow_is_reported_not_raised(argv, code, capsys):
     assert main(argv) == code
@@ -403,10 +445,11 @@ def test_one_value_signature_per_pair(command, sweeps, mode, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("run, counts", [
-    # the reflection is given with dom phi = E, so its one restrict is
-    # is_measure_preserving's and its one inverse is the adjoint's
+    # the reflection is given with dom phi = E = supp h, so its one restrict
+    # is is_measure_preserving's; its three inverses are the adjoints of T and
+    # of h^2 (. o phi) in the exact test, and the numeric block's adjoint
     (lambda: main(["selfadjoint", "--op", REFLECTION, "--random", "3"]),
-     {"map_invert": 1, "restrict": 1}),
+     {"map_invert": 3, "restrict": 1}),
     (acceptance.criterion_10, {"restrict": 0}),
     # one sweep for the exact moments and one for the float routes, per pair
     (acceptance.criterion_2, {"value_signature": 100}),

