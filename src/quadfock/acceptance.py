@@ -81,8 +81,10 @@ def criterion_2(seed: int = 0) -> dict:
         # one pass over the partitions of n = 0..8, on one power table
         if list(table) != _partition_sums(m, range(9), cfg_exact, "corrected"):
             exact_ok = False
-        f = StepFunction.from_json(fe.to_json())
-        g = StepFunction.from_json(ge.to_json())
+        # the exact draws' values are small dyadic rationals, so their doubles
+        # are distinct and nonzero and the segments stay canonical
+        f, g = (StepFunction(tuple((l, r, complex(v)) for l, r, v in h.segments))
+                for h in (fe, ge))
         sig = _Signature.admissible(f, g)  # one sweep of the pair for both routes
         closed = sig.closed(cfg_float)
         series, tail, _ = sig.series(cfg_float)

@@ -78,8 +78,16 @@ from .stepfn import StepFunction, value_signature
 from .stepfn import inner  # noqa: F401  perfbench/test_trace.py reads quadfock.fock.inner
 
 ADMISSIBLE_SUP_SQ = Fraction(1, 4)  # existence radius: sup norm < 1/2
+
 MAX_DEPTH = 2000  # moments and the series recursion hold and loop over every term
 MAX_PARTICLES = 40  # the partition sum holds a table of all p(n) terms: 37338 at n = 40
+
+
+def _inside_radius(sup_sq) -> bool:
+    """sup_sq < ADMISSIBLE_SUP_SQ, exactly.  A float is compared with the
+    double 0.25, which is 1/4: against the ``Fraction`` it would be
+    converted first."""
+    return sup_sq < (0.25 if type(sup_sq) is float else ADMISSIBLE_SUP_SQ)
 
 
 @dataclass(frozen=True)
@@ -173,7 +181,7 @@ class _Signature:
         admissibility test of a pair, shared by its closed form and its series."""
         if sups is None:
             sups = [f.sup_norm_sq(), g.sup_norm_sq()]
-        bad = [i for i, s in enumerate(sups) if not s < ADMISSIBLE_SUP_SQ]
+        bad = [i for i, s in enumerate(sups) if not _inside_radius(s)]
         if bad:
             raise DomainError(f"sup norm >= 1/2 for argument(s) {bad}; "
                               "exponential vector does not exist")
@@ -596,7 +604,7 @@ def exp_vector_exists(f: StepFunction) -> bool:
 
     The boundary sup|f| = 1/2 is rejected; that keeps every logarithm
     strictly off the branch point."""
-    return f.sup_norm_sq() < ADMISSIBLE_SUP_SQ
+    return _inside_radius(f.sup_norm_sq())
 
 
 def exp_inner_closed(f: StepFunction, g: StepFunction, cfg: FockConfig) -> complex:

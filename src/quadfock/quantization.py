@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError
-from .fock import (ADMISSIBLE_SUP_SQ, FockConfig, _Signature, exp_vector_exists,
+from .fock import (FockConfig, _inside_radius, _Signature, exp_vector_exists,
                    gram_matrix, gram_min_eig, moments, n_particle_table)
-from .scalars import ExactComplex, _frac, _parts, _rat
+from .scalars import ExactComplex, _conj_times, _frac, _parts, _rat
 from .stepfn import (
     IntervalSet,
     PiecewiseAffineMap,
@@ -86,7 +86,9 @@ def adjoint_operator(T: QuadOperator) -> QuadOperator:
     weight (conj(h) o phi^-1) * |(phi^-1)'|.  The weight is built in one pass
     over (piece p of phi^-1, segment of h): the segment pulled back through p
     carries conj(v) * |slope of p|, the slope a float unless h is exact, and
-    the segments are put in canonical form once.  Requires phi injective on E.
+    the segments are put in canonical form once.  An exact weight is
+    computed on the ints of v and the slope and reduced once.  Requires phi
+    injective on E.
     """
     phi_inv = map_invert(T.phi)
     exact = any(isinstance(v, ExactComplex) for _, _, v in T.h.segments)
@@ -97,9 +99,11 @@ def adjoint_operator(T: QuadOperator) -> QuadOperator:
         except OverflowError:  # the inverse of a float slope below 2^-1024
             raise DomainError("a slope of phi^-1 exceeds double precision") from None
         for l, r, v in T.h.segments:
-            lo, hi = _pull_back(p, l, r)
-            if lo < hi:
-                segs.append((lo, hi, v.conjugate() * slope))
+            span = _pull_back(p, l, r)
+            if span:
+                w = (_conj_times(v, slope._numerator, 0, slope._denominator)
+                     if type(v) is ExactComplex else v.conjugate() * slope)
+                segs.append((*span, w))
     return QuadOperator(phi_inv.domain(), StepFunction(_canonical_segments(segs)), phi_inv)
 
 
@@ -141,7 +145,7 @@ def _image_signature(tf: StepFunction, g: StepFunction) -> _Signature:
     admissible f; a DomainError where Psi(T f) or Psi(g) does not exist.
     sup|T f|^2 is read once, for both tests."""
     sup_tf = tf.sup_norm_sq()
-    if not sup_tf < ADMISSIBLE_SUP_SQ:
+    if not _inside_radius(sup_tf):
         raise DomainError("sup norm of T f >= 1/2; Gamma_2(T) Psi(f) undefined")
     return _Signature.admissible(tf, g, [sup_tf, g.sup_norm_sq()])
 

@@ -14,7 +14,10 @@ type has, and ``abs_sq_value`` below instead of touching the concrete type.
 
 Breakpoints, slopes and lengths are ``_Rat``: a ``Fraction`` subclass with
 the same normal form, whose arithmetic and comparisons with another
-``_Rat`` or an ``int`` work on the int pairs directly.
+``_Rat`` or an ``int`` work on the int pairs directly.  The hot kernels of
+``stepfn`` and ``quantization`` go one step further: they compute a result
+on the ints of their operands and reduce it once, with ``_rat``,
+``_quotient``, ``_new`` or ``_conj_times``.
 """
 
 from __future__ import annotations
@@ -190,6 +193,12 @@ def _new(a: int, b: int, d: int) -> "ExactComplex":
     z._b = b
     z._d = d
     return z
+
+
+def _conj_times(x: "ExactComplex", a: int, b: int, d: int) -> "ExactComplex":
+    """conj(x) * (a + b*i) / d for d > 0, reduced by one gcd."""
+    xa, xb = x._a, x._b
+    return _new(xa * a + xb * b, xa * b - xb * a, x._d * d)
 
 
 def _parts(x):

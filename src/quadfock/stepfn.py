@@ -5,7 +5,10 @@ map is affine on finitely many intervals, so all the integrals appearing
 in the inner-product formulas evaluate in closed form.  Breakpoints,
 affine coefficients and lengths are always exact rationals, of the lean
 ``Fraction`` subclass ``scalars._Rat``: it compares and adds on its int
-pairs without ``Fraction``'s generic dispatch.  Only the *values* of a step
+pairs without ``Fraction``'s generic dispatch.  The hot paths read those
+pairs themselves: ``_sweep`` and ``_covers`` order ends by two products of
+ints, and a pull-back, an affine image, a map inverse and a signature value
+are computed on ints and reduced once.  Only the *values* of a step
 function choose between the exact and the float scalar backend.  A float
 breakpoint is read exactly, once; a float route leaves exact arithmetic
 only in ``fock``, where each length becomes a double once.
@@ -23,17 +26,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import NonInjectiveError
-from .scalars import ExactComplex, _frac, abs_sq_value
+from .scalars import ExactComplex, _conj_times, _frac, _quotient, _Rat, _rat, abs_sq_value
 
 Segment = tuple[Fraction, Fraction, object]  # (left, right, value)
 
 
 def _canonical_segments(segments: Iterable[Segment]) -> tuple[Segment, ...]:
-    return _sorted_merged([(l, r, v, l, r) for (l, r, v) in segments if l < r and v != 0])
+    """The canonical form of nonempty (l, r, v) segments, zero values dropped."""
+    return _sorted_merged([(l, r, v, l, r) for (l, r, v) in segments if v])
 
 
 def _sorted_merged(segs: list) -> tuple[Segment, ...]:
@@ -136,7 +140,7 @@ class StepFunction:
     # --- pointwise algebra -------------------------------------------------
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
-        segs = [(l, r, vf + vg) if vf != 0 and vg != 0 else (l, r, vf if vg == 0 else vg)
+        segs = [(l, r, vf + vg if vf and vg else vf or vg)
                 for l, r, vf, vg in refine(self, other)]
         return StepFunction(_canonical_segments(segs))
 
@@ -144,8 +148,7 @@ class StepFunction:
         return self + other.scale(-1)
 
     def __mul__(self, other: "StepFunction") -> "StepFunction":
-        segs = [(l, r, vf * vg) for l, r, vf, vg in refine(self, other)
-                if vf != 0 and vg != 0]
+        segs = [(l, r, vf * vg) for l, r, vf, vg in refine(self, other) if vf and vg]
         return StepFunction(_canonical_segments(segs))
 
     def scale(self, alpha) -> "StepFunction":
@@ -200,10 +203,11 @@ def _sweep(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:
     test for a tie when b's is not the smaller, and, for each side that
     leaves a segment, an equality test for whether its next one starts there.
 
-    The cells' ends are the segments' own objects.  A cell ends at a's next
-    end when the two are equal; it starts at the end of the cell before it
-    while a side goes on across that point, else at the left end of the
-    segment that starts there, b's when both do.
+    The ends are ``_Rat``, and the ordering comparison reads their int
+    pairs inline.  The cells' ends are the segments' own objects.  A cell
+    ends at a's next end when the two are equal; it starts at the end of the
+    cell before it while a side goes on across that point, else at the left
+    end of the segment that starts there, b's when both do.
     """
     cells: list[tuple] = []
     append = cells.append
@@ -216,7 +220,8 @@ def _sweep(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:
         bl, br, bv = b[0]
         ea, eb = al, bl  # the two next ends
         while True:
-            if eb < ea:  # only b reaches its next end
+            if eb._numerator * ea._denominator < ea._numerator * eb._denominator:
+                # eb < ea: only b reaches its next end
                 if in_a or in_b:
                     append((x, eb, av if in_a else 0, bv if in_b else 0))
                 x = eb
@@ -294,12 +299,16 @@ def value_signature(f: StepFunction, g: StepFunction) -> dict:
     ``inner``, the moments m_k = sum L u^k, the log integral
     sum L log(1 - 4 t u), the overlap length sum L.  It is invariant under
     any measure-preserving rearrangement, so equal signatures certify
-    equality of all of them exactly.
+    equality of all of them exactly.  An exact u is computed on the ints of
+    vf and vg and reduced once.
     """
     sig: dict = {}
     for l, r, vf, vg in refine(f, g):
-        if vf != 0 and vg != 0:
-            u = vf.conjugate() * vg
+        if vf and vg:
+            if type(vf) is type(vg) is ExactComplex:
+                u = _conj_times(vf, vg._a, vg._b, vg._d)
+            else:
+                u = vf.conjugate() * vg
             length = sig.get(u)
             sig[u] = r - l if length is None else length + (r - l)
     return sig
@@ -343,8 +352,8 @@ class IntervalSet:
 
     @staticmethod
     def from_intervals(intervals: Iterable[tuple]) -> "IntervalSet":
-        ivs = sorted(iv for iv in ((_frac(l), _frac(r)) for l, r in intervals)
-                     if iv[0] < iv[1])
+        ivs = [(l, r) for l, r in ((_frac(l), _frac(r)) for l, r in intervals) if l < r]
+        ivs.sort(key=itemgetter(0))  # on the left ends: a tie merges in either order
         out: list[tuple[Fraction, Fraction]] = []
         for l, r in ivs:
             if out and l <= out[-1][1]:
@@ -385,13 +394,19 @@ def _covers(outer: Sequence[tuple], inner: Iterable[tuple]) -> bool:
 
     Two intervals of ``outer`` are a positive gap apart, so this holds iff
     each [l, r) lies inside a single one of them: one two-pointer pass that
-    only compares ends."""
+    only compares ends, ``_Rat`` all, on their int pairs."""
     i, n = 0, len(outer)
     for item in inner:
-        l = item[0]
-        while i < n and outer[i][1] <= l:
-            i += 1
-        if i == n or l < outer[i][0] or outer[i][1] < item[1]:
+        l, r = item[0], item[1]
+        ln, ld = l._numerator, l._denominator
+        while i < n and outer[i][1]._numerator * ld <= ln * outer[i][1]._denominator:
+            i += 1  # outer[i] ends at or before l
+        if i == n:
+            return False
+        ol, or_ = outer[i]
+        # l < ol, or or_ < r
+        if (ln * ol._denominator < ol._numerator * ld
+                or or_._numerator * r._denominator < r._numerator * or_._denominator):
             return False
     return True
 
@@ -409,22 +424,46 @@ def restrict(f: StepFunction, e: IntervalSet) -> StepFunction:
 
 @dataclass(frozen=True)
 class AffinePiece:
+    """x -> slope * x + intercept on [left, right), four ``_Rat``, as
+    ``PiecewiseAffineMap.from_pieces`` builds them."""
+
     left: Fraction
     right: Fraction
     slope: Fraction
     intercept: Fraction
 
     def __call__(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.intercept
+        """a x + b, reduced once for a ``_Rat`` x; any other x (an int, a
+        ``Fraction``, a float) by ``Fraction``'s own rules."""
+        if type(x) is not _Rat:
+            return self.slope * x + self.intercept
+        a, b = self.slope, self.intercept
+        ad, bd, xd = a._denominator, b._denominator, x._denominator
+        return _rat(a._numerator * x._numerator * bd + b._numerator * ad * xd, ad * xd * bd)
 
     def image(self) -> tuple[Fraction, Fraction]:
         a, b = self(self.left), self(self.right)
         return (a, b) if a < b else (b, a)
 
 
+def _piece(left, right, slope, intercept) -> AffinePiece:
+    """``AffinePiece(left, right, slope, intercept)``, its fields written
+    straight into its ``__dict__``: the frozen ``__init__`` makes four
+    ``object.__setattr__`` calls, and costs four times as much."""
+    p = object.__new__(AffinePiece)
+    d = p.__dict__
+    d["left"], d["right"], d["slope"], d["intercept"] = left, right, slope, intercept
+    return p
+
+
 @dataclass(frozen=True)
 class PiecewiseAffineMap:
-    """phi(x) = a_j x + b_j on finitely many disjoint half-open intervals."""
+    """phi(x) = a_j x + b_j on finitely many disjoint half-open intervals.
+
+    The domain and the sorted piece images are computed once per map, on
+    first use, and kept in the instance's ``__dict__``, past the frozen
+    ``__setattr__``; they are not fields, so ``==``, ``hash``, ``repr`` and
+    ``to_json`` do not see them."""
 
     pieces: tuple[AffinePiece, ...] = ()
 
@@ -432,13 +471,14 @@ class PiecewiseAffineMap:
     def from_pieces(pieces: Iterable[tuple]) -> "PiecewiseAffineMap":
         ps = []
         for l, r, a, b in pieces:
-            l, r, a, b = _frac(l), _frac(r), _frac(a), _frac(b)
+            if not type(l) is type(r) is type(a) is type(b) is _Rat:
+                l, r, a, b = _frac(l), _frac(r), _frac(a), _frac(b)
             if l >= r:
                 raise ValueError("piece domain must have positive length")
-            if a == 0:
+            if not a:
                 raise ValueError("piece slope must be nonzero")
-            ps.append(AffinePiece(l, r, a, b))
-        ps.sort(key=lambda p: p.left)
+            ps.append(_piece(l, r, a, b))
+        ps.sort(key=attrgetter("left"))
         for p, q in zip(ps, ps[1:]):
             if q.left < p.right:
                 raise ValueError("piece domains must be pairwise disjoint")
@@ -449,10 +489,21 @@ class PiecewiseAffineMap:
         return PiecewiseAffineMap.from_pieces([(l, r, 1, 0) for l, r in e.intervals])
 
     def domain(self) -> IntervalSet:
-        return IntervalSet.from_intervals([(p.left, p.right) for p in self.pieces])
+        memo = self.__dict__
+        if "_domain_memo" not in memo:
+            memo["_domain_memo"] = IntervalSet.from_intervals(
+                [(p.left, p.right) for p in self.pieces])
+        return memo["_domain_memo"]
+
+    def _images(self) -> list[tuple]:
+        """[(l, r, p)]: the image [l, r) of every piece p, sorted by l."""
+        memo = self.__dict__
+        if "_images_memo" not in memo:
+            memo["_images_memo"] = sorted(((*p.image(), p) for p in self.pieces), key=itemgetter(0))
+        return memo["_images_memo"]
 
     def image(self) -> IntervalSet:
-        return IntervalSet.from_intervals([p.image() for p in self.pieces])
+        return IntervalSet.from_intervals([(l, r) for l, r, _ in self._images()])
 
     def restrict(self, e: IntervalSet) -> "PiecewiseAffineMap":
         pieces = [(p.left, p.right, p) for p in self.pieces]
@@ -472,13 +523,33 @@ class PiecewiseAffineMap:
         return PiecewiseAffineMap.from_pieces([tuple(item) for item in data])
 
 
-def _pull_back(p: AffinePiece, l: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
-    """The x in p's domain with p(x) in [l, r), as (lo, hi); empty unless lo < hi."""
-    x0 = (l - p.intercept) / p.slope
-    x1 = (r - p.intercept) / p.slope
-    if x1 < x0:
-        x0, x1 = x1, x0
-    return (p.left if x0 < p.left else x0), (p.right if p.right < x1 else x1)
+def _pull_back(p: AffinePiece, l, r) -> Optional[tuple[Fraction, Fraction]]:
+    """The x in p's domain with p(x) in [l, r), l < r, as (lo, hi) with
+    lo < hi; None where that set is null.
+
+    The ends are read as ``_Rat``.  Each t = l, r pulls back to
+    (t - b) / a = (tn bd - bn td) ad / (td bd an), which is compared with
+    p's ends on its int pair and reduced, once, only where it is kept."""
+    l, r = _frac(l), _frac(r)
+    an, ad = p.slope._numerator, p.slope._denominator
+    bn, bd = p.intercept._numerator, p.intercept._denominator
+    ln, ld, rn, rd = l._numerator, l._denominator, r._numerator, r._denominator
+    if an > 0:
+        n0, d0 = (ln * bd - bn * ld) * ad, ld * bd * an
+        n1, d1 = (rn * bd - bn * rd) * ad, rd * bd * an
+    else:  # a decreasing piece pulls [l, r) back to ((r - b) / a, (l - b) / a]
+        n0, d0 = (bn * rd - rn * bd) * ad, -rd * bd * an
+        n1, d1 = (bn * ld - ln * bd) * ad, -ld * bd * an
+    left, right = p.left, p.right
+    # clipped to [left, right): lo = max(x0, left), hi = min(x1, right)
+    lo = hi = None
+    if n0 * left._denominator < left._numerator * d0:  # x0 < left
+        lo, n0, d0 = left, left._numerator, left._denominator
+    if right._numerator * d1 < n1 * right._denominator:  # right < x1
+        hi, n1, d1 = right, right._numerator, right._denominator
+    if not n0 * d1 < n1 * d0:
+        return None
+    return (_rat(n0, d0) if lo is None else lo), (_rat(n1, d1) if hi is None else hi)
 
 
 def compose(f: StepFunction, phi: PiecewiseAffineMap) -> StepFunction:
@@ -491,9 +562,9 @@ def compose(f: StepFunction, phi: PiecewiseAffineMap) -> StepFunction:
     segs: list[Segment] = []
     for p in phi.pieces:
         for l, r, v in f.segments:
-            lo, hi = _pull_back(p, l, r)
-            if lo < hi:
-                segs.append((lo, hi, v))
+            span = _pull_back(p, l, r)
+            if span:
+                segs.append((*span, v))
     return StepFunction(_canonical_segments(segs))
 
 
@@ -502,9 +573,9 @@ def map_compose(phi: PiecewiseAffineMap, psi: PiecewiseAffineMap) -> PiecewiseAf
     pieces = []
     for q in psi.pieces:
         for p in phi.pieces:
-            lo, hi = _pull_back(q, p.left, p.right)
-            if lo < hi:
-                pieces.append((lo, hi, p.slope * q.slope,
+            span = _pull_back(q, p.left, p.right)
+            if span:
+                pieces.append((*span, p.slope * q.slope,
                                p.slope * q.intercept + p.intercept))
     return PiecewiseAffineMap.from_pieces(pieces)
 
@@ -512,20 +583,24 @@ def map_compose(phi: PiecewiseAffineMap, psi: PiecewiseAffineMap) -> PiecewiseAf
 def _images_overlap(phi: PiecewiseAffineMap) -> Optional[tuple[Fraction, Fraction]]:
     """The leftmost interval of positive length where two piece images of
     phi overlap, or None: sorted, the first two neighbours that overlap."""
-    images = sorted(p.image() for p in phi.pieces)
-    return next(((bl, min(ar, br)) for (_, ar), (bl, br) in zip(images, images[1:])
+    images = phi._images()
+    return next(((bl, min(ar, br)) for (_, ar, _), (bl, br, _) in zip(images, images[1:])
                  if bl < ar), None)
 
 
 def map_invert(phi: PiecewiseAffineMap) -> PiecewiseAffineMap:
-    """Exact inverse; a NonInjectiveError where ``_images_overlap(phi)``."""
+    """Exact inverse; a NonInjectiveError where ``_images_overlap(phi)``.
+
+    The inverse of x -> a x + b on its image is y -> y / a - b / a, each
+    coefficient one ``_quotient`` of ints."""
     if _images_overlap(phi):
         raise NonInjectiveError("piece images overlap on a set of positive length")
     pieces = []
-    for p in phi.pieces:
-        il, ir = p.image()
-        inv_slope = 1 / p.slope
-        pieces.append((il, ir, inv_slope, -p.intercept * inv_slope))
+    for il, ir, p in phi._images():
+        an, ad = p.slope._numerator, p.slope._denominator
+        b = p.intercept
+        pieces.append((il, ir, _quotient(ad, an),
+                       _quotient(-b._numerator * ad, b._denominator * an)))
     return PiecewiseAffineMap.from_pieces(pieces)
 
 

@@ -3,8 +3,10 @@
 Each is the loop an optimised path replaced, kept as the oracle of the
 differential tests: the float series and its inputs, the parsing of a
 segment list, the b recursion that the float and the exact kernel
-share, and the dominating sum of the series bound.  Not a test module: no
-test module imports another.
+share, the dominating sum of the series bound, and the ``_Rat`` and
+``ExactComplex`` arithmetic that the int kernels of ``stepfn`` and
+``quantization`` replaced.  Not a test module: no test module imports
+another.
 """
 
 import math
@@ -52,6 +54,33 @@ def reference_from_segments(segments):
         if l >= r:
             raise ValueError(f"empty or inverted interval [{float(l)}, {float(r)})")
     return StepFunction(reference_canonical(norm))
+
+
+# --- the piecewise-affine and operator arithmetic --------------------------------
+
+
+def reference_pull_back(p, l, r):
+    """``stepfn._pull_back`` by ``_Rat`` arithmetic: (lo, hi), empty unless lo < hi."""
+    x0 = (l - p.intercept) / p.slope
+    x1 = (r - p.intercept) / p.slope
+    if x1 < x0:
+        x0, x1 = x1, x0
+    return (p.left if x0 < p.left else x0), (p.right if p.right < x1 else x1)
+
+
+def reference_affine_call(p, x):
+    """``AffinePiece.__call__``: a x + b by the operands' own methods."""
+    return p.slope * x + p.intercept
+
+
+def reference_signature_product(vf, vg):
+    """The u = conj(vf) * vg of ``value_signature``."""
+    return vf.conjugate() * vg
+
+
+def reference_adjoint_weight(v, slope):
+    """The weight conj(v) * |slope| of ``adjoint_operator``."""
+    return v.conjugate() * slope
 
 
 # --- moments, the b recursion and the float series ----------------------------
