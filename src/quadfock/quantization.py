@@ -101,8 +101,7 @@ def adjoint_operator(T: QuadOperator) -> QuadOperator:
         for l, r, v in T.h.segments:
             span = _pull_back(p, l, r)
             if span:
-                w = (_conj_times(v, slope._numerator, 0, slope._denominator)
-                     if type(v) is ExactComplex else v.conjugate() * slope)
+                w = _conj_times(v, slope) if type(v) is ExactComplex else v.conjugate() * slope
                 segs.append((*span, w))
     return QuadOperator(phi_inv.domain(), StepFunction(_canonical_segments(segs)), phi_inv)
 

@@ -16,8 +16,9 @@ Breakpoints, slopes and lengths are ``_Rat``: a ``Fraction`` subclass with
 the same normal form, whose arithmetic and comparisons with another
 ``_Rat`` or an ``int`` work on the int pairs directly.  The hot kernels of
 ``stepfn`` and ``quantization`` go one step further: they compute a result
-on the ints of their operands and reduce it once, with ``_rat``,
-``_quotient``, ``_new`` or ``_conj_times``.
+on the ints of their operands and reduce it once: ``_conj_times`` and the
+affine kernels ``_affine``, ``_affine_inverse`` and ``_affine_preimage``
+below, each built on ``_rat``, ``_quotient`` or ``_new``.
 """
 
 from __future__ import annotations
@@ -195,10 +196,57 @@ def _new(a: int, b: int, d: int) -> "ExactComplex":
     return z
 
 
-def _conj_times(x: "ExactComplex", a: int, b: int, d: int) -> "ExactComplex":
-    """conj(x) * (a + b*i) / d for d > 0, reduced by one gcd."""
+def _conj_times(x: "ExactComplex", y) -> "ExactComplex":
+    """conj(x) * y for an ``ExactComplex`` or ``_Rat`` y, reduced by one gcd."""
     xa, xb = x._a, x._b
-    return _new(xa * a + xb * b, xa * b - xb * a, x._d * d)
+    if type(y) is ExactComplex:
+        a, b = y._a, y._b
+        return _new(xa * a + xb * b, xa * b - xb * a, x._d * y._d)
+    n = y._numerator
+    return _new(xa * n, -xb * n, x._d * y._denominator)
+
+
+# --- the affine kernels of ``stepfn``: x -> a x + b, all ``_Rat`` -----------------
+
+
+def _affine(a: "_Rat", x: "_Rat", b: "_Rat") -> "_Rat":
+    """a * x + b, reduced by one gcd."""
+    ad, xd, bd = a._denominator, x._denominator, b._denominator
+    return _rat(a._numerator * x._numerator * bd + b._numerator * ad * xd, ad * xd * bd)
+
+
+def _affine_inverse(a: "_Rat", b: "_Rat") -> tuple["_Rat", "_Rat"]:
+    """(1 / a, -b / a): the coefficients of the inverse of x -> a x + b, a != 0."""
+    an, ad = a._numerator, a._denominator
+    return _quotient(ad, an), _quotient(-b._numerator * ad, b._denominator * an)
+
+
+def _affine_preimage(a: "_Rat", b: "_Rat", l: "_Rat", r: "_Rat",
+                     left: "_Rat", right: "_Rat") -> "tuple[_Rat, _Rat] | None":
+    """The x in [left, right) with a x + b in [l, r), for a != 0 and l < r,
+    as (lo, hi) with lo < hi; None where that set is null.
+
+    Each t = l, r maps back to (t - b) / a = (tn bd - bn td) ad / (td bd an),
+    which is compared with left and right on its int pair and reduced, once,
+    only where it is kept; a clipped end is left or right itself."""
+    an, ad = a._numerator, a._denominator
+    bn, bd = b._numerator, b._denominator
+    ln, ld, rn, rd = l._numerator, l._denominator, r._numerator, r._denominator
+    if an > 0:
+        n0, d0 = (ln * bd - bn * ld) * ad, ld * bd * an
+        n1, d1 = (rn * bd - bn * rd) * ad, rd * bd * an
+    else:  # a decreasing map pulls [l, r) back to ((r - b) / a, (l - b) / a]
+        n0, d0 = (bn * rd - rn * bd) * ad, -rd * bd * an
+        n1, d1 = (bn * ld - ln * bd) * ad, -ld * bd * an
+    # clipped to [left, right): lo = max(x0, left), hi = min(x1, right)
+    lo = hi = None
+    if n0 * left._denominator < left._numerator * d0:  # x0 < left
+        lo, n0, d0 = left, left._numerator, left._denominator
+    if right._numerator * d1 < n1 * right._denominator:  # right < x1
+        hi, n1, d1 = right, right._numerator, right._denominator
+    if not n0 * d1 < n1 * d0:
+        return None
+    return (_rat(n0, d0) if lo is None else lo), (_rat(n1, d1) if hi is None else hi)
 
 
 def _parts(x):

@@ -5,10 +5,10 @@ map is affine on finitely many intervals, so all the integrals appearing
 in the inner-product formulas evaluate in closed form.  Breakpoints,
 affine coefficients and lengths are always exact rationals, of the lean
 ``Fraction`` subclass ``scalars._Rat``: it compares and adds on its int
-pairs without ``Fraction``'s generic dispatch.  The hot paths read those
-pairs themselves: ``_sweep`` and ``_covers`` order ends by two products of
-ints, and a pull-back, an affine image, a map inverse and a signature value
-are computed on ints and reduced once.  Only the *values* of a step
+pairs without ``Fraction``'s generic dispatch.  ``_sweep`` and ``_covers``
+order ends by ``_Rat.__lt__``'s two products of ints, inline; a pull-back,
+an affine image, a map inverse and a signature value are the int kernels
+of ``scalars``, which reduce each result once.  Only the *values* of a step
 function choose between the exact and the float scalar backend.  A float
 breakpoint is read exactly, once; a float route leaves exact arithmetic
 only in ``fock``, where each length becomes a double once.
@@ -26,11 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import NonInjectiveError
-from .scalars import ExactComplex, _conj_times, _frac, _quotient, _Rat, _rat, abs_sq_value
+from .scalars import (ExactComplex, _affine, _affine_inverse, _affine_preimage, _conj_times,
+                      _frac, _Rat, abs_sq_value)
 
 Segment = tuple[Fraction, Fraction, object]  # (left, right, value)
 
@@ -203,8 +205,8 @@ def _sweep(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:
     test for a tie when b's is not the smaller, and, for each side that
     leaves a segment, an equality test for whether its next one starts there.
 
-    The ends are ``_Rat``, and the ordering comparison reads their int
-    pairs inline.  The cells' ends are the segments' own objects.  A cell
+    The ends are ``_Rat``, and the ordering comparison is ``_Rat.__lt__``'s,
+    inline on their int pairs.  The cells' ends are the segments' own objects.  A cell
     ends at a's next end when the two are equal; it starts at the end of the
     cell before it while a side goes on across that point, else at the left
     end of the segment that starts there, b's when both do.
@@ -306,7 +308,7 @@ def value_signature(f: StepFunction, g: StepFunction) -> dict:
     for l, r, vf, vg in refine(f, g):
         if vf and vg:
             if type(vf) is type(vg) is ExactComplex:
-                u = _conj_times(vf, vg._a, vg._b, vg._d)
+                u = _conj_times(vf, vg)
             else:
                 u = vf.conjugate() * vg
             length = sig.get(u)
@@ -394,7 +396,8 @@ def _covers(outer: Sequence[tuple], inner: Iterable[tuple]) -> bool:
 
     Two intervals of ``outer`` are a positive gap apart, so this holds iff
     each [l, r) lies inside a single one of them: one two-pointer pass that
-    only compares ends, ``_Rat`` all, on their int pairs."""
+    only compares ends, ``_Rat`` all, by ``_Rat.__lt__``'s and
+    ``__le__``'s products of their int pairs, inline."""
     i, n = 0, len(outer)
     for item in inner:
         l, r = item[0], item[1]
@@ -437,33 +440,17 @@ class AffinePiece:
         ``Fraction``, a float) by ``Fraction``'s own rules."""
         if type(x) is not _Rat:
             return self.slope * x + self.intercept
-        a, b = self.slope, self.intercept
-        ad, bd, xd = a._denominator, b._denominator, x._denominator
-        return _rat(a._numerator * x._numerator * bd + b._numerator * ad * xd, ad * xd * bd)
+        return _affine(self.slope, x, self.intercept)
 
     def image(self) -> tuple[Fraction, Fraction]:
         a, b = self(self.left), self(self.right)
         return (a, b) if a < b else (b, a)
 
 
-def _piece(left, right, slope, intercept) -> AffinePiece:
-    """``AffinePiece(left, right, slope, intercept)``, its fields written
-    straight into its ``__dict__``: the frozen ``__init__`` makes four
-    ``object.__setattr__`` calls, and costs four times as much."""
-    p = object.__new__(AffinePiece)
-    d = p.__dict__
-    d["left"], d["right"], d["slope"], d["intercept"] = left, right, slope, intercept
-    return p
-
-
 @dataclass(frozen=True)
 class PiecewiseAffineMap:
-    """phi(x) = a_j x + b_j on finitely many disjoint half-open intervals.
-
-    The domain and the sorted piece images are computed once per map, on
-    first use, and kept in the instance's ``__dict__``, past the frozen
-    ``__setattr__``; they are not fields, so ``==``, ``hash``, ``repr`` and
-    ``to_json`` do not see them."""
+    """phi(x) = a_j x + b_j on finitely many disjoint half-open intervals;
+    its domain and sorted piece images are cached, outside its fields."""
 
     pieces: tuple[AffinePiece, ...] = ()
 
@@ -477,7 +464,7 @@ class PiecewiseAffineMap:
                 raise ValueError("piece domain must have positive length")
             if not a:
                 raise ValueError("piece slope must be nonzero")
-            ps.append(_piece(l, r, a, b))
+            ps.append(AffinePiece(l, r, a, b))
         ps.sort(key=attrgetter("left"))
         for p, q in zip(ps, ps[1:]):
             if q.left < p.right:
@@ -489,21 +476,19 @@ class PiecewiseAffineMap:
         return PiecewiseAffineMap.from_pieces([(l, r, 1, 0) for l, r in e.intervals])
 
     def domain(self) -> IntervalSet:
-        memo = self.__dict__
-        if "_domain_memo" not in memo:
-            memo["_domain_memo"] = IntervalSet.from_intervals(
-                [(p.left, p.right) for p in self.pieces])
-        return memo["_domain_memo"]
+        return self._domain
 
+    @cached_property
+    def _domain(self) -> IntervalSet:
+        return IntervalSet.from_intervals([(p.left, p.right) for p in self.pieces])
+
+    @cached_property
     def _images(self) -> list[tuple]:
         """[(l, r, p)]: the image [l, r) of every piece p, sorted by l."""
-        memo = self.__dict__
-        if "_images_memo" not in memo:
-            memo["_images_memo"] = sorted(((*p.image(), p) for p in self.pieces), key=itemgetter(0))
-        return memo["_images_memo"]
+        return sorted(((*p.image(), p) for p in self.pieces), key=itemgetter(0))
 
     def image(self) -> IntervalSet:
-        return IntervalSet.from_intervals([(l, r) for l, r, _ in self._images()])
+        return IntervalSet.from_intervals([(l, r) for l, r, _ in self._images])
 
     def restrict(self, e: IntervalSet) -> "PiecewiseAffineMap":
         pieces = [(p.left, p.right, p) for p in self.pieces]
@@ -525,31 +510,8 @@ class PiecewiseAffineMap:
 
 def _pull_back(p: AffinePiece, l, r) -> Optional[tuple[Fraction, Fraction]]:
     """The x in p's domain with p(x) in [l, r), l < r, as (lo, hi) with
-    lo < hi; None where that set is null.
-
-    The ends are read as ``_Rat``.  Each t = l, r pulls back to
-    (t - b) / a = (tn bd - bn td) ad / (td bd an), which is compared with
-    p's ends on its int pair and reduced, once, only where it is kept."""
-    l, r = _frac(l), _frac(r)
-    an, ad = p.slope._numerator, p.slope._denominator
-    bn, bd = p.intercept._numerator, p.intercept._denominator
-    ln, ld, rn, rd = l._numerator, l._denominator, r._numerator, r._denominator
-    if an > 0:
-        n0, d0 = (ln * bd - bn * ld) * ad, ld * bd * an
-        n1, d1 = (rn * bd - bn * rd) * ad, rd * bd * an
-    else:  # a decreasing piece pulls [l, r) back to ((r - b) / a, (l - b) / a]
-        n0, d0 = (bn * rd - rn * bd) * ad, -rd * bd * an
-        n1, d1 = (bn * ld - ln * bd) * ad, -ld * bd * an
-    left, right = p.left, p.right
-    # clipped to [left, right): lo = max(x0, left), hi = min(x1, right)
-    lo = hi = None
-    if n0 * left._denominator < left._numerator * d0:  # x0 < left
-        lo, n0, d0 = left, left._numerator, left._denominator
-    if right._numerator * d1 < n1 * right._denominator:  # right < x1
-        hi, n1, d1 = right, right._numerator, right._denominator
-    if not n0 * d1 < n1 * d0:
-        return None
-    return (_rat(n0, d0) if lo is None else lo), (_rat(n1, d1) if hi is None else hi)
+    lo < hi; None where that set is null.  The ends are read as ``_Rat``."""
+    return _affine_preimage(p.slope, p.intercept, _frac(l), _frac(r), p.left, p.right)
 
 
 def compose(f: StepFunction, phi: PiecewiseAffineMap) -> StepFunction:
@@ -583,7 +545,7 @@ def map_compose(phi: PiecewiseAffineMap, psi: PiecewiseAffineMap) -> PiecewiseAf
 def _images_overlap(phi: PiecewiseAffineMap) -> Optional[tuple[Fraction, Fraction]]:
     """The leftmost interval of positive length where two piece images of
     phi overlap, or None: sorted, the first two neighbours that overlap."""
-    images = phi._images()
+    images = phi._images
     return next(((bl, min(ar, br)) for (_, ar, _), (bl, br, _) in zip(images, images[1:])
                  if bl < ar), None)
 
@@ -591,17 +553,11 @@ def _images_overlap(phi: PiecewiseAffineMap) -> Optional[tuple[Fraction, Fractio
 def map_invert(phi: PiecewiseAffineMap) -> PiecewiseAffineMap:
     """Exact inverse; a NonInjectiveError where ``_images_overlap(phi)``.
 
-    The inverse of x -> a x + b on its image is y -> y / a - b / a, each
-    coefficient one ``_quotient`` of ints."""
+    The inverse of x -> a x + b on its image is y -> y / a - b / a."""
     if _images_overlap(phi):
         raise NonInjectiveError("piece images overlap on a set of positive length")
-    pieces = []
-    for il, ir, p in phi._images():
-        an, ad = p.slope._numerator, p.slope._denominator
-        b = p.intercept
-        pieces.append((il, ir, _quotient(ad, an),
-                       _quotient(-b._numerator * ad, b._denominator * an)))
-    return PiecewiseAffineMap.from_pieces(pieces)
+    return PiecewiseAffineMap.from_pieces(
+        [(il, ir, *_affine_inverse(p.slope, p.intercept)) for il, ir, p in phi._images])
 
 
 @dataclass(frozen=True)
