@@ -68,7 +68,7 @@ def criterion_2(seed: int = 0) -> dict:
     """Recursion == corrected partition sum exactly; series == closed form."""
     pairs = 50
     cfg_exact = FockConfig(c=Fraction(1))
-    cfg_float = FockConfig(c=1.0, depth=40, tol=1e-10)
+    cfg_float = FockConfig()
     rng = random.Random(seed)
     exact_ok = True
     float_ok = True
@@ -168,7 +168,7 @@ def criterion_5() -> dict:
 def criterion_6(seed: int = 6) -> dict:
     """The derivative of the Gram form at t = 0, its exact n = 1 coefficient,
     matches 2c||sum alpha f||^2, the norm read off the step function."""
-    cfg = FockConfig(c=1.0)
+    cfg = FockConfig()
     rng = random.Random(seed)
     worst_rel = 0.0
     worst_ratio_dev = 0.0

@@ -65,26 +65,28 @@ def _load_json(text: str):
         raise CliInputError(f"invalid JSON: {exc}") from exc
 
 
-def _parse_step(text: str, exact: bool) -> StepFunction:
-    data = _load_json(text)
+def _parse(text: str, what: str, build, errors=(TypeError, ValueError, OverflowError)):
+    """``build`` applied to the JSON document of ``text``; a document it
+    rejects, or a file that is not UTF-8, is a CliInputError naming ``what``."""
     try:
-        return StepFunction.from_json(data, exact=exact)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CliInputError(f"invalid step function: {exc}") from exc
+        return build(_load_json(text))
+    except errors as exc:
+        raise CliInputError(f"invalid {what}: {exc}") from exc
+
+
+def _parse_step(text: str, exact: bool) -> StepFunction:
+    return _parse(text, "step function", lambda data: StepFunction.from_json(data, exact=exact))
 
 
 def _parse_operator(text: str, exact: bool) -> QuadOperator:
-    data = _load_json(text)
-    try:
-        return QuadOperator.from_json(data, exact=exact)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CliInputError(f"invalid operator: {exc}") from exc
+    return _parse(text, "operator", lambda data: QuadOperator.from_json(data, exact=exact),
+                  (KeyError, TypeError, ValueError, OverflowError))
 
 
 def _cfg(args) -> FockConfig:
     try:
         c = args.c
-        if args.mode == "exact":  # a c that rounds to 0 is kept exactly, so it stays positive
+        if args.exact:  # a c that rounds to 0 is kept exactly, so it stays positive
             c = Fraction(c).limit_denominator(10 ** 12) or Fraction(c)
         return FockConfig(c=c, depth=args.depth, tol=args.tol)
     except (ValueError, OverflowError) as exc:
@@ -102,9 +104,8 @@ def _emit(doc: dict) -> None:
 
 def cmd_inner(args) -> tuple[dict, bool]:
     cfg = _cfg(args)
-    exact = args.mode == "exact"
-    f = _parse_step(args.f, exact)
-    g = _parse_step(args.g, exact)
+    f = _parse_step(args.f, args.exact)
+    g = _parse_step(args.g, args.exact)
     sig = _Signature.admissible(f, g)  # one sweep of the pair for both routes
     closed = sig.closed(cfg)
     series, tail, depth = sig.series(cfg)
@@ -115,9 +116,8 @@ def cmd_inner(args) -> tuple[dict, bool]:
 
 def cmd_nparticle(args) -> tuple[dict, bool]:
     cfg = _cfg(args)
-    exact = args.mode == "exact"
-    f = _parse_step(args.f, exact)
-    g = _parse_step(args.g, exact)
+    f = _parse_step(args.f, args.exact)
+    g = _parse_step(args.g, args.exact)
     n = args.n
     if n > MAX_PARTICLES:
         raise CliInputError(f"--n must be at most {MAX_PARTICLES}, got {n}")
@@ -126,7 +126,7 @@ def cmd_nparticle(args) -> tuple[dict, bool]:
     m = moments(f, g, max(n, 1))
     rec = n_particle_inner_rec(m, n, cfg)
     value = n_particle_inner_partition(m, n, cfg, args.formula)
-    if exact:
+    if args.exact:
         match = value == rec
     else:
         match = abs(complex(value) - complex(rec)) <= cfg.tol * max(1.0, abs(complex(rec)))
@@ -143,11 +143,10 @@ def cmd_nparticle(args) -> tuple[dict, bool]:
 
 def cmd_selfadjoint(args) -> tuple[dict, bool]:
     cfg = _cfg(args)
-    exact = args.mode == "exact"
-    op = _parse_operator(args.op, exact)
-    struct = check_selfadjoint_structure(op, tol=0.0 if exact else 1e-12)
+    op = _parse_operator(args.op, args.exact)
+    struct = check_selfadjoint_structure(op, tol=0.0 if args.exact else 1e-12)
     doc = struct.to_dict()
-    family = _resolve_family(args, exact, random.Random(args.seed))
+    family = _resolve_family(args, random.Random(args.seed))
     if family:
         doc["numeric"] = check_selfadjoint_numeric(op, family, cfg).to_dict()
     return doc, struct.verdict
@@ -155,10 +154,9 @@ def cmd_selfadjoint(args) -> tuple[dict, bool]:
 
 def cmd_counterexample(args) -> tuple[dict, bool]:
     cfg = _cfg(args)
-    exact = args.mode == "exact"
     default = "[[0, 1, 0.25, 0]]"  # (1/4) chi_[0,1), in the backend of the mode
-    f = _parse_step(args.f or default, exact)
-    g = _parse_step(args.g or default, exact)
+    f = _parse_step(args.f or default, args.exact)
+    g = _parse_step(args.g or default, args.exact)
     rep = counterexample_report(cfg, f, g)
     doc = rep.to_dict()
     closed_vs_series = max(abs(rep.lhs - rep.lhs_series), abs(rep.rhs - rep.rhs_series))
@@ -170,9 +168,8 @@ def cmd_counterexample(args) -> tuple[dict, bool]:
 
 def cmd_contraction(args) -> tuple[dict, bool]:
     cfg = _cfg(args)
-    exact = args.mode == "exact"
-    op = _parse_operator(args.op, exact)
-    family = _resolve_family(args, exact, random.Random(args.seed))
+    op = _parse_operator(args.op, args.exact)
+    family = _resolve_family(args, random.Random(args.seed))
     if not family:
         raise CliInputError("provide --family or --random K")
     bounded = boundedness_report(op, cfg)
@@ -183,19 +180,15 @@ def cmd_contraction(args) -> tuple[dict, bool]:
 
 def cmd_lemma4(args) -> tuple[dict, bool]:
     cfg = _cfg(args)
-    exact = args.mode == "exact"
     rng = random.Random(args.seed)
-    family = _resolve_family(args, exact, rng)
+    family = _resolve_family(args, rng)
     if args.random:
         coeffs = [complex(rng.uniform(0.4, 1.0), rng.uniform(-0.5, 0.5))
                   for _ in range(args.random)]
     elif family and args.coeffs:
-        try:
-            coeffs = [complex(re, im) for re, im in _load_json(args.coeffs)]
-            if not all(map(cmath.isfinite, coeffs)):
-                raise ValueError("non-finite coefficient")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CliInputError(f"invalid --coeffs: {exc}") from exc
+        coeffs = _parse(args.coeffs, "--coeffs", lambda data: [complex(re, im) for re, im in data])
+        if not all(map(cmath.isfinite, coeffs)):
+            raise CliInputError("invalid --coeffs: non-finite coefficient")
     else:
         raise CliInputError("provide --family and --coeffs, or --random K")
     if len(coeffs) != len(family):
@@ -211,15 +204,12 @@ def cmd_verify_all(args) -> tuple[dict, bool]:
     return _json_value(res), res["passed"]
 
 
-def _resolve_family(args, exact: bool, rng: random.Random):
+def _resolve_family(args, rng: random.Random):
     if args.random:
-        return random_family(rng, args.random, exact=exact)
+        return random_family(rng, args.random, exact=args.exact)
     if args.family:
-        data = _load_json(args.family)
-        try:
-            return [StepFunction.from_json(item, exact=exact) for item in data]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CliInputError(f"invalid --family: {exc}") from exc
+        return _parse(args.family, "--family", lambda data: [
+            StepFunction.from_json(item, exact=args.exact) for item in data])
     return []
 
 
@@ -246,13 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadfock",
         description="Verification CLI for quadratic Fock space identities.")
-    parser.add_argument("--c", type=_finite_float, default=1.0,
-                        help="representation constant (default 1.0)")
-    parser.add_argument("--depth", type=int, default=40,
+    parser.add_argument("--c", type=_finite_float, default=FockConfig.c,
+                        help="representation constant (default %(default)s)")
+    parser.add_argument("--depth", type=int, default=FockConfig.depth,
                         help="largest series truncation depth: the series stops at the "
-                             "first depth whose tail bound is within --tol (default 40)")
-    parser.add_argument("--tol", type=_finite_float, default=1e-10,
-                        help="numeric tolerance (default 1e-10)")
+                             "first depth whose tail bound is within --tol (default %(default)s)")
+    parser.add_argument("--tol", type=_finite_float, default=FockConfig.tol,
+                        help="numeric tolerance (default %(default)s)")
     parser.add_argument("--mode", choices=["exact", "float"], default="float",
                         help="scalar backend (default float)")
     parser.add_argument("--seed", type=int, default=0,
@@ -314,6 +304,7 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    args.exact = args.mode == "exact"  # the backend, decided once for every subcommand
     try:
         doc, passed = args.func(args)
         _emit(doc)

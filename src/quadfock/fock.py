@@ -187,14 +187,6 @@ class _Signature:
                               "exponential vector does not exist")
         return cls(value_signature(f, g), f.is_zero() or g.is_zero())
 
-    def __eq__(self, other):
-        return isinstance(other, _Signature) and self.sig == other.sig
-
-    def conj(self) -> "_Signature":
-        """The signature of (g, f): the same lengths on conjugated values."""
-        return _Signature({u.conjugate(): length for u, length in self.sig.items()},
-                          self.zero)
-
     def scaled_lengths(self) -> tuple[int, list]:
         """(Lambda, [l_u]) with L_u = l_u / Lambda and Lambda the lcm of the
         lengths' denominators, computed once per signature."""
@@ -395,16 +387,16 @@ def _scaled_b(N: Iterable, E: int, c_num: int) -> Iterator[tuple]:
 
 def n_particle_inner_rec(m: MomentSequence, n: int, cfg: FockConfig):
     """a_n = <B+^n_f Phi, B+^n_g Phi> via the moment recursion; a_0 = 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if len(m) < n:
-        raise ValueError(f"need at least {n} moments, got {len(m)}")
     return n_particle_table(m, n, cfg)[n]
 
 
 def n_particle_table(m: MomentSequence, n_max: int, cfg: FockConfig) -> tuple:
     """(a_0, ..., a_{n_max}) with a_n = (n!)^2 b_n: the one body of the
     moment recursion."""
+    if n_max < 0:
+        raise ValueError("n must be nonnegative")
+    if len(m) < n_max:
+        raise ValueError(f"need at least {n_max} moments, got {len(m)}")
     ex = _exact(m, cfg.c)
     if ex is None:
         try:
@@ -676,8 +668,8 @@ def exp_inner_series(f: StepFunction, g: StepFunction,
 def gram_matrix(family: Sequence[StepFunction], cfg: FockConfig) -> np.ndarray:
     """G_ij = <Psi(f_i), Psi(f_j)>, Hermitian by construction.
 
-    Only the pairs i <= j are swept: the signature of (f_j, f_i) is the
-    ``conj()`` of that of (f_i, f_j), so G_ji = conj(G_ij)."""
+    Only the pairs i <= j are swept: the signature of (f_j, f_i) is that of
+    (f_i, f_j) with conjugated values, so G_ji = conj(G_ij)."""
     bad = [i for i, f in enumerate(family) if not exp_vector_exists(f)]
     if bad:
         raise DomainError(f"sup norm >= 1/2 at indices {bad}")

@@ -463,7 +463,8 @@ class BoundednessReport(_Report):
 def boundedness_report(T: QuadOperator, cfg: FockConfig,
                        splits: Sequence[int] = (1,)) -> BoundednessReport:
     """Exact boundedness of Gamma_2(T) from the cells of phi(E), each cut
-    into m equal sub-cells for every m in ``splits``, in that order.
+    into m equal sub-cells for every m in ``splits``, in that order; with no
+    split there is no cell, so ``splits`` is one or more ints >= 1.
 
     phi(E) is cut at the images of phi's piece ends and of h's breakpoints,
     so on each cell I the preimage pieces p have constant |slope| s_p and
@@ -484,8 +485,8 @@ def boundedness_report(T: QuadOperator, cfg: FockConfig,
       for every k.  So ||Gamma_2(T)|| = 1.
     The two tests are complementary: there is no third outcome.
     """
-    if not all(m >= 1 for m in splits):
-        raise ValueError("every split must be >= 1")
+    if not splits or not all(isinstance(m, int) and m >= 1 for m in splits):
+        raise ValueError(f"splits must be one or more ints >= 1, got {splits!r}")
     c = _frac(cfg.c)
     unit = _unit_like(T.h)
     cells, results, w_max, r1_max = [], {}, 0, 0

@@ -138,6 +138,15 @@ def test_splits_must_be_positive():
         boundedness_report(one_piece(2, 1), C1, splits=(1, 0))
 
 
+@pytest.mark.parametrize("splits", [(), (1, 2.0), (Fraction(1),)])
+def test_splits_must_be_nonempty_ints(splits):
+    # with no cell, every operator would read "contraction": 2 f(4x) on [0, 1/4) too
+    isometry = one_piece(4, 2)
+    assert boundedness_report(isometry, C1, splits=(1,)).verdict == "unbounded"
+    with pytest.raises(ValueError, match="splits must be one or more ints >= 1"):
+        boundedness_report(isometry, C1, splits=splits)
+
+
 # --- an independent oracle of the closed form ----------------------------------
 
 

@@ -298,6 +298,21 @@ def test_usage_errors_exit_3(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["inner", "--g", QUARTER, "--f"], "step function"),
+    (["selfadjoint", "--op"], "operator"),
+    (["contraction", "--op", DILATION, "--family"], "--family"),
+    (["lemma4", "--family", '[[[0,1,0.125,0]]]', "--coeffs"], "--coeffs"),
+])
+def test_file_that_is_not_utf8_exits_3(argv, what, tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff[[0,1,0.25,0]]")
+    assert main([*argv, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: invalid {what}: 'utf-8' codec can't decode")
+
+
 @pytest.mark.parametrize("argv, code", [
     # exp(-(1/2) * 1e308 * log(3/4)) overflows double precision
     (["inner", "--f", '[[0,1e308,0.25,0]]', "--g", '[[0,1e308,0.25,0]]'], 2),

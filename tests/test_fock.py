@@ -144,6 +144,16 @@ class TestNParticle:
         with pytest.raises(DomainError, match="exceeds double precision"):
             n_particle_inner_rec(m, n, CFG)
 
+    @pytest.mark.parametrize("n_max,message", [
+        (5, "need at least 5 moments, got 2"), (-1, "n must be nonnegative")])
+    def test_table_rejects_n_max_out_of_range_in_both_backends(self, n_max, message):
+        # the checks live in the table itself, so no backend returns a short
+        # tuple or raises IndexError where the other raises ValueError
+        for f, cfg in [(chi(0, 1, exact(1, 4)), CFG_EXACT), (chi(0, 1, 0.25 + 0j), CFG)]:
+            m = moments(f, f, 2)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                n_particle_table(m, n_max, cfg)
+
     @pytest.mark.parametrize("cfg", [CFG_EXACT, FockConfig(c=Fraction(3, 2)), CFG])
     def test_table_matches_recursion(self, cfg):
         rng = random.Random(3)

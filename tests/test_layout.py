@@ -1,5 +1,6 @@
-"""No test module imports another, ``quantization`` imports no numpy, and
-every public name of ``quadfock`` is imported and listed once.
+"""No test module imports another, ``quantization`` imports no numpy,
+every public name of ``quadfock`` is imported and listed once, and ``cli``
+reads ``--mode`` and loads JSON in one place each.
 
 A reference implementation that two modules compare against lives in
 ``tests/_reference.py``; importing it from a test module would tie one
@@ -47,3 +48,28 @@ def test_public_names_resolve():
     assert names == sorted(set(names))
     assert sorted(imported) == names
     assert all(hasattr(quadfock, name) for name in names)
+
+
+def enclosing_functions(tree, match) -> list:
+    """The top-level function, or "<module>", around each node match accepts."""
+    return [getattr(top, "name", "<module>")
+            for top in tree.body for node in ast.walk(top) if match(node)]
+
+
+def cli_tree():
+    path = Path(__file__).parent.parent / "src" / "quadfock" / "cli.py"
+    return ast.parse(path.read_text(), str(path))
+
+
+def test_cli_reads_mode_once():
+    # the backend is decided in main, and every subcommand reads args.exact
+    assert enclosing_functions(cli_tree(), lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "mode"
+        and isinstance(node.value, ast.Name) and node.value.id == "args")) == ["main"]
+
+
+def test_cli_loads_json_in_one_parse_path():
+    # every JSON argument goes through _parse, which names what it rejects
+    assert enclosing_functions(cli_tree(), lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_load_json")) == ["_parse"]
