@@ -144,7 +144,7 @@ def cmd_nparticle(args) -> tuple[dict, bool]:
 def cmd_selfadjoint(args) -> tuple[dict, bool]:
     cfg = _cfg(args)
     op = _parse_operator(args.op, args.exact)
-    struct = check_selfadjoint_structure(op, tol=0.0 if args.exact else 1e-12)
+    struct = check_selfadjoint_structure(op)
     doc = struct.to_dict()
     family = _resolve_family(args, random.Random(args.seed))
     if family:

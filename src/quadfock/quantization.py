@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, NonInjectiveError
 from .fock import (FockConfig, _inside_radius, _Signature, exp_vector_exists,
                    gram_matrix, gram_min_eig, moments, n_particle_table)
 from .scalars import ExactComplex, _conj_times, _frac, _parts, _rat
@@ -33,7 +33,6 @@ from .stepfn import (
     is_measure_preserving,
     map_compose,
     map_invert,
-    step_allclose,
     value_signature,
 )
 
@@ -217,35 +216,32 @@ class SelfAdjointReport(_Report):
         object.__setattr__(self, "verdict", self.hermitian and self.weight_bounded)
 
 
-def check_selfadjoint_structure(T: QuadOperator, tol: float = 0.0) -> SelfAdjointReport:
-    """The exact Hermitian test, on T_1 and T_2 built on supp h, the one set
-    where T reads phi; and, exactly where possible, phi involutive on E,
-    phi(E) inside E, phi measure preserving, ||h||_inf <= 1 and
-    conj(h) = h o phi on E.  These presume supp h = E: for h = 0, Gamma_2(T)
-    is Hermitian while ``involutive`` may fail."""
+def check_selfadjoint_structure(T: QuadOperator) -> SelfAdjointReport:
+    """Every verdict read exactly off T on supp h, the one set where T reads
+    phi, with a float h read as the dyadic rational it is: the Hermitian test
+    on T_1 and T_2, and phi involutive, phi(supp h) inside supp h, phi measure
+    preserving, ||h||_inf <= 1 and conj(h) = h o phi.  For h = 0 all hold."""
+    T = _exact(QuadOperator(T.h.support(), T.h, T.phi))
     witness = {"k": 0, "cell": None}
-    for k, h in ((1, T.h), (2, T.h * T.h)):
-        cell = _adjoint_difference(QuadOperator(T.h.support(), h, T.phi), tol)
+    for k, T_k in ((1, T), (2, QuadOperator(T.E, T.h * T.h, T.phi))):
+        cell = _adjoint_difference(T_k)
         if cell:
             witness = {"k": k, "cell": cell}
             break
 
-    mp = is_measure_preserving(T.phi, T.E, tol)
+    mp = is_measure_preserving(T.phi, T.E)
     involutive = False
     if mp.maps_into:
         phi2 = map_compose(T.phi, T.phi)
         involutive = phi2.is_identity() and phi2.domain().contains_set(T.E)
 
-    # an exact |h|^2 is a Fraction, and its comparison with a float is exact
-    weight_bounded = T.h.sup_norm_sq() <= 1 + tol
-    # h o phi vanishes off E = dom phi
-    weight_symmetric = step_allclose(T.h.conj(), compose(T.h, T.phi), tol)
-
+    # h o phi vanishes off E = dom phi; both sides are in canonical form
+    weight_symmetric = T.h.conj() == compose(T.h, T.phi)
     return SelfAdjointReport(witness, involutive, mp.maps_into, mp.ok,
-                             weight_bounded, weight_symmetric)
+                             T.h.sup_norm_sq() <= 1, weight_symmetric)
 
 
-def _adjoint_difference(T: QuadOperator, tol: float) -> Optional[tuple]:
+def _adjoint_difference(T: QuadOperator) -> Optional[tuple]:
     """The first cell where T differs from its L^2 adjoint, or None: an
     overlap of piece images, where T* sums two branches (h is nonzero on dom
     phi), else one where the weights differ (``_first_difference``), else the maps."""
@@ -254,7 +250,13 @@ def _adjoint_difference(T: QuadOperator, tol: float) -> Optional[tuple]:
         return overlap
     S = adjoint_operator(T)
     maps = ([(p.left, p.right, (p.slope, p.intercept)) for p in op.phi.pieces] for op in (T, S))
-    return _first_difference(T.h.segments, S.h.segments, tol) or _first_difference(*maps)
+    return _first_difference(T.h.segments, S.h.segments) or _first_difference(*maps)
+
+
+def _exact(T: QuadOperator) -> QuadOperator:
+    """T with each float value of h read as the dyadic rational it is."""
+    h = StepFunction(tuple((l, r, ExactComplex.of(v)) for l, r, v in T.h.segments))
+    return QuadOperator(T.E, h, T.phi)
 
 
 @dataclass(frozen=True)
@@ -263,26 +265,29 @@ class SelfAdjointNumericReport(_Report):
     nothing: ``hermitian_defect`` = max |M_ij - conj(M_ji)| with
     M_ij = <Psi(T f_i), Psi(f_j)>, ``adjoint_defect`` = max |M_ij -
     conj(<Psi(T* f_j), Psi(f_i)>)|, the counter-example gap for the dilation
-    even on one function, and ``defect``, the larger."""
+    even on one function, None on a fold; and ``defect``, the larger."""
 
     hermitian_defect: float
-    adjoint_defect: float
+    adjoint_defect: Optional[float]
     defect: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "defect", max(self.hermitian_defect, self.adjoint_defect))
+        object.__setattr__(self, "defect", max(self.hermitian_defect, self.adjoint_defect or 0.0))
 
 
 def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
                               cfg: FockConfig) -> SelfAdjointNumericReport:
-    """The defects over a family: signatures of (T f_i, f_j) and (T* f_j, f_i)."""
+    """The defects over a family: signatures of (T f_i, f_j), (T* f_j, f_i) unless T folds."""
     tf = [apply_operator(T, f) for f in family]
     for i, (f, g) in enumerate(zip(family, tf)):
         if not (exp_vector_exists(f) and exp_vector_exists(g)):
             raise DomainError(f"family member {i} or its image is inadmissible")
 
-    T_star = adjoint_operator(T)
-    tsf = [apply_operator(T_star, f) for f in family]
+    try:
+        T_star = adjoint_operator(T)
+    except NonInjectiveError:  # a fold: T* sums over its branches
+        T_star = None
+    tsf = [apply_operator(T_star, f) for f in family] if T_star else []
     for j, g in enumerate(tsf):
         if not exp_vector_exists(g):
             raise DomainError(f"adjoint image of member {j} is inadmissible")
@@ -293,9 +298,10 @@ def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
     for i in n:
         for j in n:
             herm = max(herm, abs(M[i][j] - M[j][i].conjugate()))
-            rhs = _Signature(value_signature(tsf[j], family[i])).closed(cfg)
-            adj = max(adj, abs(M[i][j] - rhs.conjugate()))
-    return SelfAdjointNumericReport(herm, adj)
+            if T_star:
+                rhs = _Signature(value_signature(tsf[j], family[i])).closed(cfg)
+                adj = max(adj, abs(M[i][j] - rhs.conjugate()))
+    return SelfAdjointNumericReport(herm, adj if T_star else None)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +451,12 @@ class BoundednessReport(_Report):
     ``cells`` lists, per cell of phi(E): the cell [l, r), ``r1`` (the L^2
     ratio ||T chi_I||^2 / |I|), ``sup_r`` = max_{1<=k<=K} r_k with its
     ``argmax_k``, ``h_sup_sq`` = ||h||_inf^2 on its preimage, and ``agrees``:
-    whether the library's ``n_particle_table`` gives the closed-form r_k,
-    exactly on exact weights and within tol on float ones.  Every reported
-    number is the exact closed form.  ``lower_bound`` <= ||Gamma_2(T)||^2 is
-    the largest r_k over the cells and k <= K, at ``witness`` (cell, k);
-    cell None and k = 0 is the vacuum, whose r_0 = 1.
+    whether the library's ``n_particle_table`` gives the closed-form r_k.
+    A float h is read as the dyadic rational it is, so every reported number
+    is the exact closed form, and ``agrees`` is exact, in either backend.
+    ``lower_bound`` <= ||Gamma_2(T)||^2 is the largest r_k over the cells and
+    k <= K, at ``witness`` (cell, k); cell None and k = 0 is the vacuum,
+    whose r_0 = 1.
     """
 
     verdict: str  # "contraction" or "unbounded"
@@ -487,15 +494,14 @@ def boundedness_report(T: QuadOperator, cfg: FockConfig,
     """
     if not splits or not all(isinstance(m, int) and m >= 1 for m in splits):
         raise ValueError(f"splits must be one or more ints >= 1, got {splits!r}")
-    c = _frac(cfg.c)
-    unit = _unit_like(T.h)
+    T, c, one = _exact(T), _frac(cfg.c), ExactComplex.of(1)
     cells, results, w_max, r1_max = [], {}, 0, 0
     best = (_frac(1), None, 0)  # (r, cell, k): the vacuum unless some r_k exceeds 1
     for l, r, pieces in _cells(T, splits):
         key = (r - l, tuple(pieces))  # all that r_k(I) depends on
         if key not in results:
             want = _closed_ratios(pieces, c * (r - l) / 2)
-            chi = StepFunction.indicator(l, r, unit)
+            chi = StepFunction.indicator(l, r, one)
             results[key] = want, _table_agrees(apply_operator(T, chi), chi, want, cfg)
         want, agrees = results[key]
         k = max(range(_K), key=want.__getitem__) + 1
@@ -562,20 +568,13 @@ def _closed_ratios(pieces: list, beta: Fraction) -> list:
 
 def _table_agrees(tf: StepFunction, f: StepFunction, want: list, cfg: FockConfig) -> bool:
     """Whether ``n_particle_table`` gives a_k(tf, tf) / a_k(f, f) = want[k - 1]
-    for k = 1..K: exactly on exact values, within cfg.tol relative to
-    max(1, r_k) on floats."""
+    for k = 1..K, exactly: tf and f have exact values."""
     if tf.is_zero():
         return not any(want)
     num, den = (n_particle_table(moments(g, g, _K), _K, cfg)[1:] for g in (tf, f))
-    if type(num[0]) is ExactComplex:  # a_k = (a + b i) / d as ints; a > 0 for f
-        return all(xb == 0 and xa * yd * r.denominator == ya * xd * r.numerator
-                   for (xa, xb, xd), (ya, _, yd), r in zip(map(_parts, num), map(_parts, den), want))
-    tol = _frac(cfg.tol)
-    for x, y, r in zip(num, den, want):
-        g = x.real / y.real if y.real else math.nan
-        if not (math.isfinite(g) and abs(_frac(g) - r) <= tol * max(1, r)):
-            return False
-    return True
+    # a_k = (a + b i) / d as ints; a > 0 for f
+    return all(xb == 0 and xa * yd * r.denominator == ya * xd * r.numerator
+               for (xa, xb, xd), (ya, _, yd), r in zip(map(_parts, num), map(_parts, den), want))
 
 
 # ---------------------------------------------------------------------------

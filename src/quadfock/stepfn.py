@@ -571,15 +571,14 @@ class MeasurePreservingReport:
         return self.injective and self.unit_slopes and self.maps_into
 
 
-def is_measure_preserving(phi: PiecewiseAffineMap, e: IntervalSet,
-                          tol: float = 0.0) -> MeasurePreservingReport:
+def is_measure_preserving(phi: PiecewiseAffineMap, e: IntervalSet) -> MeasurePreservingReport:
     """Check that phi restricted to e preserves Lebesgue measure into e.
 
     For a piecewise-affine map this means: no ``_images_overlap`` (injective
-    up to null overlap), |slope| = 1 on every piece meeting e, and phi(e)
-    inside e.  The slopes are compared exactly, so tol == 0 asks for |slope| = 1.
+    up to null overlap), |slope| = 1 exactly on every piece meeting e, and
+    phi(e) inside e.
     """
     phi_e = phi.restrict(e)
-    unit = all(abs(abs(p.slope) - 1) <= tol for p in phi_e.pieces)
+    unit = all(abs(p.slope) == 1 for p in phi_e.pieces)
     into = e.contains_set(phi_e.image())
     return MeasurePreservingReport(_images_overlap(phi_e) is None, unit, into)

@@ -43,17 +43,22 @@ CS = ["1", "0.5", "0.4285714285714286"]
 NS = [0, 1, 2, 8, 16, 24]
 
 # every report's to_dict that has a CLI route: selfadjoint (structure and
-# numeric) on three operators, contraction (boundedness and L2), counterexample,
+# numeric) on five operators, contraction (boundedness and L2), counterexample,
 # lemma4, and nparticle with the as_printed ratios
 REFLECTION = '{"E": [[0,1]], "h": [[0,1,0.9,0]], "phi": [[0,1,-1,1]]}'
 DILATION = '{"E": [[-8,8]], "h": [[-8,8,1,0]], "phi": [[-8,8,2,0]]}'
 WEIGHT_2 = '{"E": [[0,1]], "h": [[0,1,2,0]], "phi": [[0,1,-1,1]]}'
+# T = T* on L^2, and Gamma_2(T) is not Hermitian; and a fold, whose T* is
+# no weighted composition, so its adjoint defect is null
+SWAP = ('{"E": [[0,3]], "h": [[0,1,0.5,0.5],[1,3,0.25,-0.25]], '
+        '"phi": [[0,1,2,1],[1,3,0.5,-0.5]]}')
+FOLD = '{"E": [[-1,1]], "h": [[-1,1,0.25,0]], "phi": [[-1,0,-1,0],[0,1,1,0]]}'
 # small values, so the weight-2 reflection keeps the images admissible
 FAMILY = '[[[0,0.5,0.125,0.0625]],[[0.25,1,-0.1875,0.03125]],[[0.5,0.75,0.0625,-0.125]]]'
 COEFFS = '[[1,0],[0.5,-0.25],[-0.75,0.5]]'
 REPORTS = [
     *(["selfadjoint", "--op", op, *family]
-      for op in (REFLECTION, DILATION, WEIGHT_2)
+      for op in (REFLECTION, DILATION, WEIGHT_2, SWAP, FOLD)
       for family in ([], ["--random", "3"], ["--family", FAMILY])),
     ["contraction", "--op", DILATION, "--random", "4"],
     ["contraction", "--op", DILATION, "--family", FAMILY],

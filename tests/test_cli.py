@@ -91,6 +91,11 @@ SWAP = ('{"E": [[0,3]], "h": [[0,1,0.5,0.5],[1,3,0.25,-0.25]], '
         '"phi": [[0,1,2,1],[1,3,0.5,-0.5]]}')
 # [-1, 0) folds onto [0, 1), where phi is the identity
 FOLD = '{"E": [[-1,1]], "h": [[-1,1,0.25,0]], "phi": [[-1,0,-1,0],[0,1,1,0]]}'
+# near misses that only an exact test tells from the reflection: |h|^2 =
+# (1 + 2^-45)^2, and phi with slope -(1 + 1e-13) and intercept 1 + 1e-13
+NEAR_UNIT_WEIGHT = REFLECTION.replace("0.9", "1.0000000000000284")
+NEAR_REFLECTION = ('{"E": [[0,1]], "h": [[0,1,0.5,0]], '
+                   '"phi": [[0,1,-1.0000000000001,1.0000000000001]]}')
 SMALL_FAMILY = '[[[0,0.5,0.125,0.0625]],[[0.25,1,-0.1875,0.03125]]]'
 
 
@@ -114,12 +119,35 @@ class TestSelfAdjoint:
             run_cli(["--mode", mode, "selfadjoint", "--op", op, *family], capsys)
             for mode in ("exact", "float"))
         assert exact_code == float_code == code
-        if op == FOLD and family:
-            # the numeric block's adjoint raises on a fold: no document
-            assert exact is flt is None
-            return
         assert exact["witness"]["k"] == k and exact["hermitian"] is (k == 0)
         assert json_mismatch(exact, flt) is None
+
+    @pytest.mark.parametrize("op", [REFLECTION, DILATION, WEIGHT_2, SWAP, FOLD,
+                                    NEAR_UNIT_WEIGHT, NEAR_REFLECTION, TINY_SLOPE])
+    def test_one_exact_verdict_in_both_modes(self, op, capsys):
+        # a float weight is the dyadic rational it is, so both backends decide
+        # selfadjoint and the boundedness block on the same exact operator
+        runs = {mode: (main(["--mode", mode, "selfadjoint", "--op", op]), capsys.readouterr().out)
+                for mode in ("float", "exact")}
+        assert runs["float"] == runs["exact"]
+        assert runs["float"][1]
+        codes, blocks = {}, {}
+        for mode in ("float", "exact"):
+            codes[mode], doc = run_cli(
+                ["--mode", mode, "contraction", "--op", op, "--family", SMALL_FAMILY], capsys)
+            blocks[mode] = doc and doc["boundedness"]
+        assert codes["float"] == codes["exact"]
+        assert blocks["float"] == blocks["exact"]
+        assert (codes["float"] == 2) == (blocks["float"] is None)
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_a_fold_with_a_family_prints_its_witness(self, mode, capsys):
+        # T* of a fold sums two branches: the adjoint defect is null
+        code, doc = run_cli(["--mode", mode, "selfadjoint", "--op", FOLD, "--random", "3"], capsys)
+        assert code == 1
+        assert doc["witness"] == {"k": 1, "cell": [0.0, 1.0]}
+        assert doc["numeric"]["adjoint_defect"] is None
+        assert doc["numeric"]["defect"] == doc["numeric"]["hermitian_defect"]
 
     def test_reflection_passes(self, capsys):
         code, doc = run_cli(["selfadjoint", "--op", REFLECTION], capsys)
@@ -334,7 +362,6 @@ def test_file_that_is_not_utf8_exits_3(argv, what, tmp_path, capsys):
     (["contraction", "--op", REFLECTION, "--family", "[[[0,1,1e308,0]]]"], 2),
     (["--mode", "exact", "contraction", "--op", REFLECTION, "--family", "[[[0,1,1e308,0]]]"], 2),
     # the inverse slope 1e310 is beyond the doubles, for the float adjoint
-    (["selfadjoint", "--op", TINY_SLOPE], 2),
     (["selfadjoint", "--op", TINY_SLOPE, "--random", "1"], 2),
 ])
 def test_overflow_is_reported_not_raised(argv, code, capsys):

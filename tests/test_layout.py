@@ -1,6 +1,7 @@
 """No test module imports another, ``quantization`` imports no numpy,
-every public name of ``quadfock`` is imported and listed once, and ``cli``
-reads ``--mode`` and loads JSON in one place each.
+every public name of ``quadfock`` is imported and listed once, ``cli``
+reads ``--mode`` and loads JSON in one place each, and ``cli`` hands no
+tolerance to ``quantization``, whose verdicts are exact.
 
 A reference implementation that two modules compare against lives in
 ``tests/_reference.py``; importing it from a test module would tie one
@@ -73,3 +74,15 @@ def test_cli_loads_json_in_one_parse_path():
     assert enclosing_functions(cli_tree(), lambda node: (
         isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == "_load_json")) == ["_parse"]
+
+
+def test_cli_passes_no_tol_to_quantization():
+    # a verdict of quantization is one exact answer, the same in both modes
+    tree = cli_tree()
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "quantization"
+             for alias in node.names}
+    assert names
+    assert enclosing_functions(tree, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in names and any(kw.arg == "tol" for kw in node.keywords))) == []

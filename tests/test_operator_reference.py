@@ -3,10 +3,11 @@
 
 ``apply_operator`` used to restrict its result to E again, ``adjoint_operator``
 built its weight piece by piece (compose, scale, add), and
-``check_selfadjoint_structure`` recomputed phi(E) <= E, restricted the pulled
-back weight to E and compared |slope| through ``float``.  The current code
-must give ``==`` results on every operator below, in both scalar backends:
-the operators, and the five structural conditions of the report.
+``check_selfadjoint_structure`` recomputed phi(S) <= S on S = supp h,
+restricted the pulled back weight to S and compared |slope| through
+``float``.  The current code must give ``==`` results on every operator
+below, in both scalar backends: the operators, and the five structural
+conditions of the report, which read h exactly in both.
 """
 
 import random
@@ -31,7 +32,6 @@ from quadfock import (
 )
 from quadfock.families import random_family, random_injective_operator, reflection_operator
 from quadfock.scalars import ExactComplex
-from quadfock.stepfn import step_allclose
 
 
 def ref_apply(T, f):
@@ -59,27 +59,25 @@ def structure(rep):
     return {name: getattr(rep, name) for name in STRUCTURE}
 
 
-def ref_structure(T, tol=0.0):
-    phi_e = T.phi.restrict(T.E)
-    maps_into = T.E.contains_set(phi_e.image())
+def ref_structure(T):
+    """The five conditions on S = supp h, with h read exactly."""
+    h = StepFunction.from_segments([(l, r, ExactComplex.of(v)) for l, r, v in T.h.segments])
+    S = h.support()
+    phi_s = T.phi.restrict(S)
+    maps_into = S.contains_set(phi_s.image())
     involutive = False
     if maps_into:
-        phi2 = map_compose(phi_e, phi_e)
-        involutive = phi2.is_identity() and phi2.domain().contains_set(T.E)
+        phi2 = map_compose(phi_s, phi_s)
+        involutive = phi2.is_identity() and phi2.domain().contains_set(S)
     try:
-        map_invert(phi_e)
+        map_invert(phi_s)
         injective = True
     except NonInjectiveError:
         injective = False
-    unit = all(abs(float(abs(p.slope)) - 1.0) <= tol for p in phi_e.pieces)
-    sup_sq = T.h.sup_norm_sq()
-    if isinstance(sup_sq, Fraction):
-        bounded = sup_sq <= 1
-    else:
-        bounded = float(sup_sq) <= 1 + tol
-    symmetric = step_allclose(T.h.conj(), restrict(compose(T.h, phi_e), T.E), tol)
+    unit = all(float(abs(p.slope)) == 1.0 for p in phi_s.pieces)
+    symmetric = h.conj() == restrict(compose(h, phi_s), S)
     return dict(zip(STRUCTURE, (involutive, maps_into, injective and unit and maps_into,
-                                bounded, symmetric)))
+                                h.sup_norm_sq() <= 1, symmetric)))
 
 
 def named_operators(exact):
@@ -95,12 +93,12 @@ def random_operators(exact, count=200, seed=9):
     return [random_injective_operator(rng, exact=exact) for _ in range(count)]
 
 
-def assert_matches_reference(T, family, tol):
+def assert_matches_reference(T, family):
     T_star, ref_star = adjoint_operator(T), ref_adjoint(T)
     assert T_star == ref_star
     assert adjoint_operator(T_star) == ref_adjoint(ref_star)
     for op in (T, T_star):
-        assert structure(check_selfadjoint_structure(op, tol)) == ref_structure(op, tol)
+        assert structure(check_selfadjoint_structure(op)) == ref_structure(op)
         for f in family:
             assert apply_operator(op, f) == ref_apply(op, f)
 
@@ -109,16 +107,14 @@ def assert_matches_reference(T, family, tol):
 def test_named_operators_match_reference(exact):
     family = random_family(random.Random(4), 6, exact=exact)
     for T in named_operators(exact):
-        for tol in (0.0, 1e-12):
-            assert_matches_reference(T, family, tol)
+        assert_matches_reference(T, family)
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_random_operators_match_reference(exact):
     family = random_family(random.Random(5), 3, exact=exact, span=8)
-    tol = 0.0 if exact else 1e-12
     for T in random_operators(exact):
-        assert_matches_reference(T, family, tol)
+        assert_matches_reference(T, family)
 
 
 def test_float_adjoint_weight_keeps_every_bit():
@@ -143,18 +139,16 @@ def test_slope_below_one_by_1e_minus_20_is_not_measure_preserving():
     assert rep.maps_into
     assert not rep.measure_preserving and not rep.verdict
     assert ref_structure(T)["measure_preserving"]  # the old rounding
-    assert check_selfadjoint_structure(T, tol=1e-12).measure_preserving
 
 
-def test_exact_weight_bound_takes_the_tolerance():
-    # an exact |h|^2 just above 1 fails at tol 0 and passes within tol,
-    # as a float |h|^2 does
+def test_weight_bound_is_exact_in_both_backends():
+    # |h|^2 just above 1 fails, exact or float, and |h| = 1 passes
     E = IntervalSet.from_intervals([(0, 1)])
     phi = PiecewiseAffineMap.from_pieces([(0, 1, -1, 1)])
     for one in (ExactComplex.of(1), 1.0 + 0j):
         T = QuadOperator(E, E.indicator(one * (1 + Fraction(1, 2 ** 45))), phi)
         assert not check_selfadjoint_structure(T).weight_bounded
-        assert check_selfadjoint_structure(T, tol=1e-12).weight_bounded
+        assert check_selfadjoint_structure(QuadOperator(E, E.indicator(one), phi)).verdict
 
 
 # --- weights with several segments per piece ----------------------------------------
@@ -193,12 +187,11 @@ def piecewise_weight_operators(exact, value=None):
 @pytest.mark.parametrize("exact", [False, True])
 def test_weights_of_several_segments_per_piece_match_reference(exact):
     family = random_family(random.Random(6), 3, exact=exact, span=8)
-    tol = 0.0 if exact else 1e-12
     ops = piecewise_weight_operators(exact)
     assert len(ops) == 32
     for T in ops:
         assert len(T.h.segments) > len(T.phi.pieces)
-        assert_matches_reference(T, family, tol)
+        assert_matches_reference(T, family)
 
 
 def test_float_weights_of_several_segments_per_piece_keep_every_bit():

@@ -243,6 +243,11 @@ def a_symmetric(T, pairs):
                for f, g in pairs)
 
 
+def structural(rep):
+    """The structural conditions of a report, less the weight bound."""
+    return rep.involutive and rep.maps_into and rep.measure_preserving and rep.weight_symmetric
+
+
 def slope_one_class():
     """Every T on the unit cells [0, 1) and [1, 2) whose map sends cell k to
     cell pi(k) by a translation or a reflection, with a weight from
@@ -273,14 +278,26 @@ class TestHermitian:
             pairs = [(random_cells(rng, 0, 2), random_cells(rng, 0, 2)) for _ in range(6)]
             assert rep.hermitian == a_symmetric(T, pairs), T
             seen.add(rep.witness["k"])
-            # the structural conditions, less the weight bound, say the same
-            # wherever h is not 0
-            if not T.h.is_zero():
-                assert rep.hermitian == (rep.involutive and rep.maps_into and
-                                         rep.measure_preserving and rep.weight_symmetric)
+            # the structural conditions, less the weight bound, say the same,
+            # h = 0 on a cell or on both included: they read T on supp h
+            assert rep.hermitian == structural(rep), T
         # with |phi'| = 1, T_1 = T_1* forces T_2 = T_2*: k = 2 needs a slope
         # other than +-1, as in the swap below
         assert seen == {0, 1}
+
+    def test_structure_agrees_on_weights_cut_to_one_segment(self):
+        # each draw as it is and with h cut to its first segment, so that
+        # supp h is smaller than E wherever E has two intervals
+        rng = random.Random(7)
+        cut = 0
+        for _ in range(400):
+            T = random_injective_operator(rng, exact=True)
+            T_cut = QuadOperator(T.E, StepFunction(T.h.segments[:1]), T.phi)
+            cut += T_cut.h != T.h
+            for op in (T, T_cut):
+                rep = check_selfadjoint_structure(op)
+                assert rep.hermitian == structural(rep), op
+        assert cut > 100
 
     def test_random_injective_operators(self):
         # where the test says Hermitian, the a_n agree on random pairs; where
@@ -333,20 +350,21 @@ class TestHermitian:
         assert not rep.measure_preserving and not rep.verdict
 
     def test_a_fold_off_supp_h_does_not_count(self):
-        # h vanishes on [-1, 0), so T reads phi on [0, 1) only, the identity
+        # h vanishes on [-1, 0), so T, and every condition, reads phi on
+        # [0, 1) only, the identity
         h = StepFunction.indicator(0, 1, ExactComplex.of(0.25))
         T = QuadOperator(IntervalSet.from_intervals([(-1, 1)]), h,
                          PiecewiseAffineMap.from_json(FOLD["phi"]))
         rep = check_selfadjoint_structure(T)
         assert rep.hermitian and rep.verdict
-        assert not rep.measure_preserving
+        assert structural(rep)
 
     def test_zero_weight_is_hermitian_whatever_phi(self):
-        # T = 0; the structural conditions read phi on all of E and fail
+        # T = 0 reads phi nowhere, so every structural condition holds
         T = dilation_operator(2, ExactComplex.of(1))
         rep = check_selfadjoint_structure(QuadOperator(T.E, StepFunction.zero(), T.phi))
         assert rep.hermitian and rep.verdict
-        assert not rep.involutive
+        assert structural(rep) and rep.weight_bounded
 
 
 class TestSelfAdjointNumeric:
