@@ -361,6 +361,8 @@ def test_file_that_is_not_utf8_exits_3(argv, what, tmp_path, capsys):
     # ||f||_2 of a value 1e308 is beyond the doubles
     (["contraction", "--op", REFLECTION, "--family", "[[[0,1,1e308,0]]]"], 2),
     (["--mode", "exact", "contraction", "--op", REFLECTION, "--family", "[[[0,1,1e308,0]]]"], 2),
+    # |h|^2 over the slope 1e-310 is 2.5e309: exact, but printed as a double
+    (["contraction", "--op", TINY_SLOPE, "--family", "[[[0,1,0.125,0]]]"], 2),
     # the inverse slope 1e310 is beyond the doubles, for the float adjoint
     (["selfadjoint", "--op", TINY_SLOPE, "--random", "1"], 2),
 ])
