@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .errors import DomainError, NonInjectiveError
 from .fock import (FockConfig, _inside_radius, _Signature, exp_vector_exists,
                    gram_matrix, gram_min_eig, moments, n_particle_table)
-from .scalars import ExactComplex, _conj_times, _frac, _parts, _rat
+from .scalars import ExactComplex, _affine_inverse, _conj_times, _frac, _parts, _quotient, _rat
 from .stepfn import (
     IntervalSet,
     PiecewiseAffineMap,
@@ -28,7 +28,7 @@ from .stepfn import (
     _covers,
     _first_difference,
     _images_overlap,
-    _pull_back,
+    _sweep,
     compose,
     is_measure_preserving,
     map_compose,
@@ -78,31 +78,30 @@ def apply_operator(T: QuadOperator, f: StepFunction) -> StepFunction:
 
 
 def adjoint_operator(T: QuadOperator) -> QuadOperator:
-    """Exact L^2 adjoint by change of variables.
-
-    (T* g)(y) = |(phi^-1)'(y)| * conj(h)(phi^-1(y)) * g(phi^-1(y)), so the
-    adjoint is again a weighted-composition operator, with map phi^-1 and
-    weight (conj(h) o phi^-1) * |(phi^-1)'|.  The weight is built in one pass
-    over (piece p of phi^-1, segment of h): the segment pulled back through p
-    carries conj(v) * |slope of p|, the slope a float unless h is exact, and
-    the segments are put in canonical form once.  An exact weight is
-    computed on the ints of v and the slope and reduced once.  Requires phi
-    injective on E.
-    """
+    """Exact L^2 adjoint by change of variables: (T* g)(y) =
+    |(phi^-1)'(y)| * conj(h)(phi^-1(y)) * g(phi^-1(y)), with map phi^-1 and
+    weight conj(v) / |slope of p| (``_adjoint_weight``) on the image of each
+    of T's ``_atoms`` (x0, x1, p, v) with v != 0, in canonical form once.
+    Requires phi injective on E: ``map_invert`` raises a NonInjectiveError."""
     phi_inv = map_invert(T.phi)
-    exact = any(isinstance(v, ExactComplex) for _, _, v in T.h.segments)
-    segs = []
-    for p in phi_inv.pieces:
-        try:
-            slope = abs(p.slope) if exact else float(abs(p.slope))
-        except OverflowError:  # the inverse of a float slope below 2^-1024
-            raise DomainError("a slope of phi^-1 exceeds double precision") from None
-        for l, r, v in T.h.segments:
-            span = _pull_back(p, l, r)
-            if span:
-                w = _conj_times(v, slope) if type(v) is ExactComplex else v.conjugate() * slope
-                segs.append((*span, w))
+    segs = [(*sorted((p(x0), p(x1))), _adjoint_weight(v, p)) for x0, x1, p, v in _atoms(T) if v]
     return QuadOperator(phi_inv.domain(), StepFunction(_canonical_segments(segs)), phi_inv)
+
+
+def _atoms(T: QuadOperator) -> list:
+    """[(x0, x1, p, v)]: the pieces p of phi cut at h's breakpoints, in order,
+    with h = v on [x0, x1), and v = 0 where a piece meets a gap of h.  Every
+    cell has its piece: supp h lies in E = dom phi."""
+    return _sweep([(p.left, p.right, p) for p in T.phi.pieces], T.h.segments)
+
+
+def _adjoint_weight(v, p):
+    """conj(v) / |slope of p|: on the ints of an exact v, else by the double of |1 / slope|."""
+    s = _quotient(p.slope.denominator, abs(p.slope.numerator))
+    try:
+        return _conj_times(v, s) if type(v) is ExactComplex else v.conjugate() * float(s)
+    except OverflowError:  # the inverse of a float slope below 2^-1024
+        raise DomainError("a slope of phi^-1 exceeds double precision") from None
 
 
 def dilation_operator(radius, one=1.0) -> QuadOperator:
@@ -222,12 +221,7 @@ def check_selfadjoint_structure(T: QuadOperator) -> SelfAdjointReport:
     on T_1 and T_2, and phi involutive, phi(supp h) inside supp h, phi measure
     preserving, ||h||_inf <= 1 and conj(h) = h o phi.  For h = 0 all hold."""
     T = _exact(QuadOperator(T.h.support(), T.h, T.phi))
-    witness = {"k": 0, "cell": None}
-    for k, T_k in ((1, T), (2, QuadOperator(T.E, T.h * T.h, T.phi))):
-        cell = _adjoint_difference(T_k)
-        if cell:
-            witness = {"k": k, "cell": cell}
-            break
+    witness = _adjoint_difference(T.phi, _atoms(T))
 
     mp = is_measure_preserving(T.phi, T.E)
     involutive = False
@@ -241,16 +235,25 @@ def check_selfadjoint_structure(T: QuadOperator) -> SelfAdjointReport:
                              T.h.sup_norm_sq() <= 1, weight_symmetric)
 
 
-def _adjoint_difference(T: QuadOperator) -> Optional[tuple]:
-    """The first cell where T differs from its L^2 adjoint, or None: an
-    overlap of piece images, where T* sums two branches (h is nonzero on dom
-    phi), else one where the weights differ (``_first_difference``), else the maps."""
-    overlap = _images_overlap(T.phi)
+def _adjoint_difference(phi: PiecewiseAffineMap, atoms: list) -> dict:
+    """{k, cell}: the first T_k = h^k (. o phi), k in (1, 2), unequal to its
+    L^2 adjoint, and the first cell where it is, off T's ``_atoms`` on supp h;
+    k = 0 and cell None if none.  An overlap of piece images, where T* sums two
+    branches, is a k = 1 cell; else the weights v^k on each atom and
+    conj(v^k) / |slope| on its image decide, else phi and phi^-1, for all k."""
+    overlap = _images_overlap(phi)
     if overlap:
-        return overlap
-    S = adjoint_operator(T)
-    maps = ([(p.left, p.right, (p.slope, p.intercept)) for p in op.phi.pieces] for op in (T, S))
-    return _first_difference(T.h.segments, S.h.segments) or _first_difference(*maps)
+        return {"k": 1, "cell": overlap}
+    maps = _first_difference(
+        [(p.left, p.right, (p.slope, p.intercept)) for p in phi.pieces],
+        [(l, r, _affine_inverse(p.slope, p.intercept)) for l, r, p in phi._images])
+    for k in (1, 2):
+        w = [(x0, x1, v ** k) for x0, x1, _, v in atoms]
+        w_star = [(*sorted((p(x0), p(x1))), _adjoint_weight(v ** k, p)) for x0, x1, p, v in atoms]
+        cell = _first_difference(_canonical_segments(w), _canonical_segments(w_star)) or maps
+        if cell:
+            return {"k": k, "cell": cell}
+    return {"k": 0, "cell": None}
 
 
 def _exact(T: QuadOperator) -> QuadOperator:
@@ -518,14 +521,10 @@ def boundedness_report(T: QuadOperator, cfg: FockConfig,
 
 def _cells(T: QuadOperator, splits: Sequence[int]) -> list:
     """[(l, r, [(s_p, w_p), ...])]: the cells of ``boundedness_report``, each
-    with the |slope| s_p and the exact |h|^2 = w_p of its preimage pieces."""
-    atoms = []  # (image l, image r, |slope|, |h|^2) of each piece cut at h's breakpoints
-    breaks = T.h.breakpoints()
-    for p in T.phi.pieces:
-        xs = [p.left, *(x for x in breaks if p.left < x < p.right), p.right]
-        for x0, x1 in zip(xs, xs[1:]):
-            v = next((v for l, r, v in T.h.segments if l <= x0 and x1 <= r), 0)
-            atoms.append((*sorted((p(x0), p(x1))), abs(p.slope), _frac(ExactComplex.of(v).abs_sq())))
+    with the |slope| s_p and the exact |h|^2 = w_p of its preimage pieces,
+    read off the images of T's ``_atoms``, those with w_p = 0 included."""
+    atoms = [(*sorted((p(x0), p(x1))), abs(p.slope), _frac(ExactComplex.of(v).abs_sq()))
+             for x0, x1, p, v in _atoms(T)]
     cuts = sorted({x for l, r, _, _ in atoms for x in (l, r)})
     cells = [(l, r, [(s, w) for pl, pr, s, w in atoms if pl <= l and r <= pr])
              for l, r in zip(cuts, cuts[1:])]

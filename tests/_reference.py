@@ -1,21 +1,26 @@
-"""Parent implementations that more than one test module compares against.
+"""Parent implementations, and inputs, that test modules compare against.
 
 Each is the loop an optimised path replaced, kept as the oracle of the
 differential tests: the float series and its inputs, the parsing of a
 segment list, the b recursion that the float and the exact kernel
-share, the dominating sum of the series bound, and the ``_Rat`` and
+share, the dominating sum of the series bound, the ``_Rat`` and
 ``ExactComplex`` arithmetic that the int kernels of ``stepfn`` and
-``quantization`` replaced.  Not a test module: no test module imports
-another.
+``quantization`` replaced, and the three ways ``quantization`` pulled h
+through the pieces of phi before one atom list did.  Not a test module:
+no test module imports another.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
-from quadfock import FockConfig, StepFunction
+from quadfock import FockConfig, IntervalSet, PiecewiseAffineMap, QuadOperator, StepFunction
+from quadfock.errors import DomainError
 from quadfock.fock import _up
-from quadfock.scalars import _frac, _rat
+from quadfock.scalars import ExactComplex, _conj_times, _frac, _rat
+from quadfock.stepfn import (_canonical_segments, _first_difference, _images_overlap,
+                             _pull_back, map_invert)
 
 CFGS = [FockConfig(), FockConfig(c=0.5, depth=60), FockConfig(c=Fraction(3, 7))]
 SEGMENT_COUNTS = (1, 3, 32, 128)
@@ -81,6 +86,94 @@ def reference_signature_product(vf, vg):
 def reference_adjoint_weight(v, slope):
     """The weight conj(v) * |slope| of ``adjoint_operator``."""
     return v.conjugate() * slope
+
+
+# --- h pulled through the pieces of phi --------------------------------------------
+
+
+def reference_adjoint(T):
+    """``adjoint_operator`` as a pull-back of each segment of h through each
+    piece of phi^-1, weighted by conj(v) * |slope of that piece|, the slope a
+    float unless some value of h is exact."""
+    phi_inv = map_invert(T.phi)
+    exact = any(isinstance(v, ExactComplex) for _, _, v in T.h.segments)
+    segs = []
+    for p in phi_inv.pieces:
+        try:
+            slope = abs(p.slope) if exact else float(abs(p.slope))
+        except OverflowError:
+            raise DomainError("a slope of phi^-1 exceeds double precision") from None
+        for l, r, v in T.h.segments:
+            span = _pull_back(p, l, r)
+            if span:
+                w = _conj_times(v, slope) if type(v) is ExactComplex else v.conjugate() * slope
+                segs.append((*span, w))
+    return QuadOperator(phi_inv.domain(), StepFunction(_canonical_segments(segs)), phi_inv)
+
+
+def reference_adjoint_difference(T):
+    """The first cell where T differs from its adjoint, in three stages: an
+    overlap of piece images, else the first cell where the weights of T and
+    of ``reference_adjoint(T)`` differ, else the first where the maps do."""
+    overlap = _images_overlap(T.phi)
+    if overlap:
+        return overlap
+    S = reference_adjoint(T)
+    maps = ([(p.left, p.right, (p.slope, p.intercept)) for p in op.phi.pieces] for op in (T, S))
+    return _first_difference(T.h.segments, S.h.segments) or _first_difference(*maps)
+
+
+def reference_witness(T):
+    """The witness {k, cell} of ``check_selfadjoint_structure``: T on supp h
+    with h read exactly, then T_1 and T_2 = h^2 (. o phi) as operators."""
+    h = StepFunction(tuple((l, r, ExactComplex.of(v)) for l, r, v in T.h.segments))
+    T = QuadOperator(h.support(), h, T.phi)
+    for k, T_k in ((1, T), (2, QuadOperator(T.E, h * h, T.phi))):
+        cell = reference_adjoint_difference(T_k)
+        if cell:
+            return {"k": k, "cell": cell}
+    return {"k": 0, "cell": None}
+
+
+def reference_cells(T, splits):
+    """``quantization._cells`` as a scan of h for every piece and breakpoint:
+    each piece cut at h's breakpoints inside it, the value of h on each part
+    found by searching its segments."""
+    atoms = []
+    breaks = T.h.breakpoints()
+    for p in T.phi.pieces:
+        xs = [p.left, *(x for x in breaks if p.left < x < p.right), p.right]
+        for x0, x1 in zip(xs, xs[1:]):
+            v = next((v for l, r, v in T.h.segments if l <= x0 and x1 <= r), 0)
+            atoms.append((*sorted((p(x0), p(x1))), abs(p.slope),
+                          _frac(ExactComplex.of(v).abs_sq())))
+    cuts = sorted({x for l, r, _, _ in atoms for x in (l, r)})
+    cells = [(l, r, [(s, w) for pl, pr, s, w in atoms if pl <= l and r <= pr])
+             for l, r in zip(cuts, cuts[1:])]
+    out = []
+    for m in splits:
+        for l, r, pieces in cells:
+            if pieces:
+                step = (r - l) / m
+                xs = [*(l + i * step for i in range(m)), r]
+                out += [(a, b, pieces) for a, b in zip(xs, xs[1:])]
+    return out
+
+
+def slope_one_class():
+    """Every T on the unit cells [0, 1) and [1, 2) whose map sends cell k to
+    cell pi(k) by a translation or a reflection, with a weight from
+    {1, -1, i, 2, 1/2, 0} on each cell: 8 maps times 36 weights."""
+    values = [ExactComplex.of(v) for v in (1, -1, 1j, 2, 0.5, 0)]
+    E = IntervalSet.from_intervals([(0, 2)])
+    for pi in ((0, 1), (1, 0)):
+        for signs in itertools.product((1, -1), repeat=2):
+            phi = PiecewiseAffineMap.from_pieces(
+                (k, k + 1, s, pi[k] - k if s == 1 else pi[k] + k + 1)
+                for k, s in enumerate(signs))
+            for w in itertools.product(values, repeat=2):
+                h = StepFunction.from_segments((k, k + 1, w[k]) for k in range(2))
+                yield QuadOperator(E, h, phi)
 
 
 # --- moments, the b recursion and the float series ----------------------------

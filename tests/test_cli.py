@@ -490,10 +490,11 @@ def test_one_value_signature_per_pair(command, sweeps, mode, capsys, monkeypatch
 
 @pytest.mark.parametrize("run, counts", [
     # the reflection is given with dom phi = E = supp h, so its one restrict
-    # is is_measure_preserving's; its three inverses are the adjoints of T and
-    # of h^2 (. o phi) in the exact test, and the numeric block's adjoint
+    # is is_measure_preserving's; the exact test reads T_1 and T_2 off one
+    # atom list and inverts no map, so the one inverse is the numeric block's
+    # adjoint
     (lambda: main(["selfadjoint", "--op", REFLECTION, "--random", "3"]),
-     {"map_invert": 3, "restrict": 1}),
+     {"map_invert": 1, "restrict": 1}),
     (acceptance.criterion_10, {"restrict": 0}),
     # one sweep for the exact moments and one for the float routes, per pair
     (acceptance.criterion_2, {"value_signature": 100}),

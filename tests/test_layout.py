@@ -1,7 +1,8 @@
 """No test module imports another, ``quantization`` imports no numpy,
 every public name of ``quadfock`` is imported and listed once, ``cli``
-reads ``--mode`` and loads JSON in one place each, and ``cli`` hands no
-tolerance to ``quantization``, whose verdicts are exact.
+reads ``--mode`` and loads JSON in one place each, ``cli`` hands no
+tolerance to ``quantization``, whose verdicts are exact, and
+``quantization`` pulls h through phi in one place.
 
 A reference implementation that two modules compare against lives in
 ``tests/_reference.py``; importing it from a test module would tie one
@@ -86,3 +87,40 @@ def test_cli_passes_no_tol_to_quantization():
     assert enclosing_functions(tree, lambda node: (
         isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id in names and any(kw.arg == "tol" for kw in node.keywords))) == []
+
+
+def quantization_tree():
+    path = Path(__file__).parent.parent / "src" / "quadfock" / "quantization.py"
+    return ast.parse(path.read_text(), str(path))
+
+
+def called(tree, root) -> set:
+    """Every name that root calls, and that the top-level functions it calls
+    call, at any depth."""
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), [root]
+    while todo:
+        for node in ast.walk(bodies[todo.pop()]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id not in seen:
+                seen.add(node.func.id)
+                if node.func.id in bodies:
+                    todo.append(node.func.id)
+    return seen
+
+
+def test_quantization_pulls_h_through_phi_once():
+    # one atom list: the adjoint, the Hermitian test and the boundedness
+    # cells read _atoms, the two verdicts build no adjoint operator, and the
+    # Hermitian test inverts no map
+    tree = quantization_tree()
+    assert enclosing_functions(tree, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_sweep")) == ["_atoms"]
+    assert "_pull_back" not in {alias.name for node in ast.walk(tree)
+                                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for verdict in ("adjoint_operator", "check_selfadjoint_structure", "boundedness_report"):
+        assert "_atoms" in called(tree, verdict)
+    for verdict in ("check_selfadjoint_structure", "boundedness_report"):
+        assert "adjoint_operator" not in called(tree, verdict)
+    assert "map_invert" not in called(tree, "check_selfadjoint_structure")

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -36,6 +35,8 @@ from quadfock.families import (
     reflection_operator,
 )
 from quadfock.scalars import ExactComplex
+
+from _reference import slope_one_class
 
 CFG = FockConfig()
 CFG_EXACT = FockConfig(c=Fraction(1))
@@ -246,22 +247,6 @@ def a_symmetric(T, pairs):
 def structural(rep):
     """The structural conditions of a report, less the weight bound."""
     return rep.involutive and rep.maps_into and rep.measure_preserving and rep.weight_symmetric
-
-
-def slope_one_class():
-    """Every T on the unit cells [0, 1) and [1, 2) whose map sends cell k to
-    cell pi(k) by a translation or a reflection, with a weight from
-    {1, -1, i, 2, 1/2, 0} on each cell: 8 maps times 36 weights."""
-    values = [ExactComplex.of(v) for v in (1, -1, 1j, 2, 0.5, 0)]
-    E = IntervalSet.from_intervals([(0, 2)])
-    for pi in ((0, 1), (1, 0)):
-        for signs in itertools.product((1, -1), repeat=2):
-            phi = PiecewiseAffineMap.from_pieces(
-                (k, k + 1, s, pi[k] - k if s == 1 else pi[k] + k + 1)
-                for k, s in enumerate(signs))
-            for w in itertools.product(values, repeat=2):
-                h = StepFunction.from_segments((k, k + 1, w[k]) for k in range(2))
-                yield QuadOperator(E, h, phi)
 
 
 class TestHermitian:
