@@ -364,14 +364,6 @@ class IntervalSet:
                 out.append((l, r))
         return IntervalSet(tuple(out))
 
-    def measure(self) -> Fraction:
-        return sum((r - l for l, r in self.intervals), _frac(0))
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.from_intervals(
-            (l, r) for l, r, x, y in _sweep(self._segments(), other._segments())
-            if x and y)
-
     def _segments(self) -> list[tuple]:
         return [(l, r, True) for l, r in self.intervals]
 

@@ -1,13 +1,20 @@
-"""Parent implementations, and inputs, that test modules compare against.
+"""The oracles of the differential tests, one per quantity, and the inputs
+that more than one test module draws.
 
-Each is the loop an optimised path replaced, kept as the oracle of the
-differential tests: the float series and its inputs, the parsing of a
-segment list, the b recursion that the float and the exact kernel
-share, the dominating sum of the series bound, the ``_Rat`` and
-``ExactComplex`` arithmetic that the int kernels of ``stepfn`` and
-``quantization`` replaced, and the three ways ``quantization`` pulled h
-through the pieces of phi before one atom list did.  Not a test module:
-no test module imports another.
+Each oracle computes its quantity by a route of its own, apart from the code
+it checks:
+- the parse of a segment list;
+- the cells of two sorted segment lists, down to the objects of their ends,
+  and what is read off them: the value signature, ``restrict`` and
+  ``PiecewiseAffineMap.restrict``;
+- the affine arithmetic by ``_Rat`` and ``ExactComplex`` operators: a
+  pull-back, a x + b, conj(vf) vg and conj(v) |slope|;
+- the adjoint of an operator, on that arithmetic alone;
+- the witness of the Hermitian test, from operators T_1, T_2 and their
+  adjoints, and the boundedness cells, as a scan of h for every piece of phi;
+- the moments, the b recursion, a_n, the dominating sums and the float
+  series, and the closed form at mpmath's precision.
+Not a test module: no test module imports another.
 """
 
 import itertools
@@ -15,12 +22,12 @@ import math
 import random
 from fractions import Fraction
 
-from quadfock import FockConfig, IntervalSet, PiecewiseAffineMap, QuadOperator, StepFunction
-from quadfock.errors import DomainError
+from quadfock import (FockConfig, IntervalSet, NonInjectiveError, PiecewiseAffineMap,
+                      QuadOperator, StepFunction, dilation_operator)
+from quadfock.families import random_injective_operator, reflection_operator
 from quadfock.fock import _up
-from quadfock.scalars import ExactComplex, _conj_times, _frac, _rat
-from quadfock.stepfn import (_canonical_segments, _first_difference, _images_overlap,
-                             _pull_back, map_invert)
+from quadfock.scalars import ExactComplex, _frac, _new, _rat
+from quadfock.stepfn import _first_difference, _images_overlap
 
 CFGS = [FockConfig(), FockConfig(c=0.5, depth=60), FockConfig(c=Fraction(3, 7))]
 SEGMENT_COUNTS = (1, 3, 32, 128)
@@ -61,6 +68,68 @@ def reference_from_segments(segments):
     return StepFunction(reference_canonical(norm))
 
 
+# --- the cells of two segment lists, and what is read off them --------------------
+
+
+def reference_sweep(a, b):
+    """The cells (l, r, va, vb) of two sorted lists of disjoint (l, r, v)
+    segments, 0 for a side with no segment there, each cell derived from
+    both current segments; its ends are the segments' own objects."""
+    na, nb = len(a), len(b)
+    i = j = 0
+    x = min(a[0][0], b[0][0]) if na and nb else None  # right end of the last cell
+    while i < na and j < nb:
+        (al, ar, av), (bl, br, bv) = a[i], b[j]
+        lo = al if al < bl else bl
+        if lo < x:
+            lo = x
+        in_a, in_b = al <= lo, bl <= lo
+        x = ar if in_a else al
+        y = br if in_b else bl
+        if y < x:
+            x = y
+        yield (lo, x, av if in_a else 0, bv if in_b else 0)
+        if in_a and ar == x:
+            i += 1
+        if in_b and br == x:
+            j += 1
+    # one side is exhausted; the last cell may have cut into the other's segment
+    from_a = i < na
+    for l, r, v in (a[i:] if from_a else b[j:]):
+        if x is not None and l < x:
+            l = x
+        yield (l, r, v, 0) if from_a else (l, r, 0, v)
+
+
+def reference_signature(f, g):
+    """u = conj(vf) vg -> the length carrying it, keyed in the order of the cells."""
+    sig = {}
+    for l, r, vf, vg in reference_sweep(f.segments, g.segments):
+        if vf != 0 and vg != 0:
+            u = reference_signature_product(vf, vg)
+            length = sig.get(u)
+            sig[u] = r - l if length is None else length + (r - l)
+    return sig
+
+
+def interval_segments(e):
+    """The intervals of an ``IntervalSet`` as segments of value True."""
+    return [(l, r, True) for l, r in e.intervals]
+
+
+def reference_restrict(f, e):
+    return StepFunction(reference_canonical(
+        (l, r, v) for l, r, v, inside in reference_sweep(f.segments, interval_segments(e))
+        if v and inside))
+
+
+def reference_map_restrict(phi, e):
+    pieces = [(p.left, p.right, p) for p in phi.pieces]
+    return PiecewiseAffineMap.from_pieces(
+        (l, r, p.slope, p.intercept)
+        for l, r, p, inside in reference_sweep(pieces, interval_segments(e)) if p and inside)
+
+
 # --- the piecewise-affine and operator arithmetic --------------------------------
 
 
@@ -88,27 +157,33 @@ def reference_adjoint_weight(v, slope):
     return v.conjugate() * slope
 
 
-# --- h pulled through the pieces of phi --------------------------------------------
-
-
 def reference_adjoint(T):
-    """``adjoint_operator`` as a pull-back of each segment of h through each
-    piece of phi^-1, weighted by conj(v) * |slope of that piece|, the slope a
-    float unless some value of h is exact."""
-    phi_inv = map_invert(T.phi)
+    """``adjoint_operator`` on the arithmetic above: phi^-1 maps the image of
+    each piece x -> a x + b back by y -> y / a - b / a, and each segment
+    (l, r, v) of h pulled back through it carries conj(v) * |1 / a|, the
+    slope a float unless some value of h is exact.  A NonInjectiveError
+    where two piece images overlap."""
+    pieces = []
+    for p in T.phi.pieces:
+        il, ir = sorted((reference_affine_call(p, p.left), reference_affine_call(p, p.right)))
+        inv = 1 / p.slope
+        pieces.append((il, ir, inv, -p.intercept * inv))
+    try:
+        phi_inv = PiecewiseAffineMap.from_pieces(pieces)
+    except ValueError:  # the inverse's pieces overlap where the images do
+        raise NonInjectiveError("piece images overlap") from None
     exact = any(isinstance(v, ExactComplex) for _, _, v in T.h.segments)
     segs = []
     for p in phi_inv.pieces:
-        try:
-            slope = abs(p.slope) if exact else float(abs(p.slope))
-        except OverflowError:
-            raise DomainError("a slope of phi^-1 exceeds double precision") from None
+        slope = abs(p.slope) if exact else float(abs(p.slope))
         for l, r, v in T.h.segments:
-            span = _pull_back(p, l, r)
-            if span:
-                w = _conj_times(v, slope) if type(v) is ExactComplex else v.conjugate() * slope
-                segs.append((*span, w))
-    return QuadOperator(phi_inv.domain(), StepFunction(_canonical_segments(segs)), phi_inv)
+            lo, hi = reference_pull_back(p, l, r)
+            if lo < hi:
+                segs.append((lo, hi, reference_adjoint_weight(v, slope)))
+    return QuadOperator(phi_inv.domain(), StepFunction(reference_canonical(segs)), phi_inv)
+
+
+# --- h pulled through the pieces of phi --------------------------------------------
 
 
 def reference_adjoint_difference(T):
@@ -135,7 +210,7 @@ def reference_witness(T):
     return {"k": 0, "cell": None}
 
 
-def reference_cells(T, splits):
+def reference_boundedness_cells(T, splits):
     """``quantization._cells`` as a scan of h for every piece and breakpoint:
     each piece cut at h's breakpoints inside it, the value of h on each part
     found by searching its segments."""
@@ -160,6 +235,9 @@ def reference_cells(T, splits):
     return out
 
 
+# --- operators ------------------------------------------------------------------------
+
+
 def slope_one_class():
     """Every T on the unit cells [0, 1) and [1, 2) whose map sends cell k to
     cell pi(k) by a translation or a reflection, with a weight from
@@ -176,10 +254,102 @@ def slope_one_class():
                 yield QuadOperator(E, h, phi)
 
 
+def in_backend(T, exact):
+    """T with the values of h as ExactComplex or as complex."""
+    value = ExactComplex.of if exact else complex
+    return QuadOperator(T.E, StepFunction(tuple((l, r, value(v)) for l, r, v in T.h.segments)),
+                        T.phi)
+
+
+def named_operators(exact):
+    """The dilation and the reflections with h = 0.9 and h = 2."""
+    one = ExactComplex.of(1) if exact else 1.0 + 0j
+    weight = Fraction if exact else float
+    return [dilation_operator(Fraction(2), one),
+            reflection_operator(weight("0.9"), exact=exact),
+            reflection_operator(weight(2), exact=exact)]
+
+
+def random_operators(exact, count=200, seed=9):
+    rng = random.Random(seed)
+    return [random_injective_operator(rng, exact=exact) for _ in range(count)]
+
+
+HALF_SLOPES = [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2)]
+
+
+def piecewise_weight_operators(exact, value=None):
+    """Two touching pieces [0, 2) and [2, 4) of slopes +-1/2 and +-3/2, their
+    images touching or a gap apart, and a weight on E = [0, 4) of several
+    segments per piece, one of them running across x = 2 and two touching
+    ones of equal value; ``value(a, b)`` makes a weight value from two ints."""
+    if value is None:
+        value = (lambda a, b: ExactComplex(Fraction(a, 16), Fraction(b, 16))) if exact \
+            else (lambda a, b: complex(a / 16, b / 16))
+    rng = random.Random(15)
+    ops = []
+    for a1 in HALF_SLOPES:
+        for a2 in HALF_SLOPES:
+            for gap in (0, Fraction(1, 3)):
+                lo1, hi1 = sorted((a1 * 0, a1 * 2))
+                # piece 2's image starts where piece 1's ends, or a gap later
+                b2 = hi1 + gap - min(a2 * 2, a2 * 4)
+                phi = PiecewiseAffineMap.from_pieces([(0, 2, a1, 0), (2, 4, a2, b2)])
+                cuts = [0, Fraction(1, 2), Fraction(5, 4), Fraction(3, 2), Fraction(5, 2),
+                        3, Fraction(7, 2), 4]
+                vals = [value(rng.randint(-8, 8) or 5, rng.randint(-8, 8)) for _ in cuts[1:]]
+                vals[4] = vals[3]  # [3/2, 5/2) and [5/2, 3) touch with equal value
+                segs = [(l, r, v) for l, r, v in zip(cuts, cuts[1:], vals)
+                        if (l, r) != (Fraction(5, 4), Fraction(3, 2))]  # a hole in piece 1
+                E = IntervalSet.from_intervals([(0, 4)])
+                ops.append(QuadOperator(E, StepFunction.from_segments(segs), phi))
+    return ops
+
+
+GAPPY_SLOPES = [_rat(n, d) for n, d in [(1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2), (-1, 2),
+                                        (3, 2), (-3, 2), (1, 3), (-5, 4)]]
+
+
+def gappy_operator(rng, exact):
+    """1 to 3 pieces with integer ends in [-8, 8], their images free to
+    overlap; each interval of E cut at up to three points k/4, and h = v/8
+    on each part with probability 3/4, so h has gaps inside the pieces."""
+    n = rng.randrange(1, 4)
+    cuts = sorted(rng.sample(range(-8, 9), 2 * n))
+    phi = PiecewiseAffineMap.from_pieces(
+        (cuts[2 * i], cuts[2 * i + 1], rng.choice(GAPPY_SLOPES), rng.randrange(-4, 5))
+        for i in range(n))
+    segs = []
+    for l, r in phi.domain().intervals:
+        ends = sorted({4 * l.numerator, 4 * r.numerator,
+                       *(rng.randrange(4 * l.numerator, 4 * r.numerator + 1) for _ in range(3))})
+        for a, b in zip(ends, ends[1:]):
+            re, im = rng.randrange(-8, 9), rng.randrange(-8, 9)
+            if rng.random() < 0.75 and (re or im):
+                v = _new(re, im, 8) if exact else complex(re / 8, im / 8)
+                segs.append((_rat(a, 4), _rat(b, 4), v))
+    return QuadOperator(phi.domain(), StepFunction.from_segments(segs), phi)
+
+
+def atom_operators(exact):
+    """The 288 operators of the slope-one class; 400 seeded injective draws,
+    each also with h cut to its first segment; 300 ``gappy_operator``s."""
+    ops = [in_backend(T, exact) for T in slope_one_class()]
+    rng = random.Random(7)
+    for _ in range(400):
+        T = random_injective_operator(rng, exact=exact)
+        ops += [T, QuadOperator(T.E, StepFunction(T.h.segments[:1]), T.phi)]
+    rng = random.Random(34)
+    ops += [gappy_operator(rng, exact) for _ in range(300)]
+    return ops
+
+
 # --- moments, the b recursion and the float series ----------------------------
 
 
 def reference_moments(sig, K):
+    """m_1..m_K of a signature, m_k = sum of L_u u^k, each term the one before
+    times u, in key order: the float kernel's order, which the bit checks need."""
     us, terms = list(sig), list(sig.values())
     entries = []
     for _ in range(K):
@@ -202,6 +372,12 @@ def reference_b(w, n, c):
             acc = acc + w[k] * b[nn - k - 1]
         b.append((c / nn) * acc)
     return b
+
+
+def reference_a(m, n, c):
+    """a_0..a_n = (k!)^2 b_k of the moments m_1..m_n."""
+    b = reference_b(reference_weights(m[:n]), n, c)
+    return [math.factorial(k) ** 2 * bk for k, bk in enumerate(b)]
 
 
 def reference_dominating_tail(x, beta, N):
@@ -241,6 +417,28 @@ def reference_series(sig, cfg, fixed=False):
         if tail <= cfg.tol:
             break
     return sum(terms[:N + 1], 0j), tail, N
+
+
+# --- the closed form at high precision ----------------------------------------------
+
+
+def mp_number(x, mp):
+    """x as an mpmath number: a rational exactly, an ExactComplex part by part."""
+    if isinstance(x, ExactComplex):
+        return mp.mpc(mp_number(x.re, mp), mp_number(x.im, mp))
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpc(x) if isinstance(x, complex) else mp.mpf(x)
+
+
+def mp_closed(mp, f, g, c, t=1):
+    """<Psi(sqrt(t) f), Psi(sqrt(t) g)> = exp(-c/2 * sum over the reference
+    cells of |I| log(1 - 4 t conj(vf) vg)), each value read exactly and every
+    operation at mp's precision."""
+    total = mp.fsum((mp_number(r, mp) - mp_number(l, mp))
+                    * mp.log(1 - 4 * t * mp.conj(mp_number(vf, mp)) * mp_number(vg, mp))
+                    for l, r, vf, vg in reference_sweep(f.segments, g.segments) if vf and vg)
+    return mp.exp(-mp_number(c, mp) / 2 * total)
 
 
 # --- float pairs ---------------------------------------------------------------

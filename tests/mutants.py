@@ -11,7 +11,9 @@ every named node id there, unmutated, where all must pass.  Then, one
 mutant at a time, it makes a fresh copy, replaces ``old`` by ``new``
 there, runs ``python -m pytest -q -p no:cacheprovider <node ids>`` and
 prints ``killed`` or ``SURVIVED``.  It exits 1 if any mutant survives.
-pytest does not collect this file; it runs by hand, one subprocess at a time.
+Only ``src/`` and ``tests/`` are copied, so a named test may not import
+``perfbench``.  pytest does not collect this file; it runs by hand, one
+subprocess at a time.
 """
 
 import os
@@ -44,10 +46,10 @@ MUTANTS = [
      ["tests/test_quantization.py::TestHermitian::test_self_adjoint_swap_whose_quantization_is_not_hermitian"]),
     ("hermitian-no-map-comparison", "src/quadfock/quantization.py",
      "_canonical_segments(w_star)) or maps", "_canonical_segments(w_star))",
-     ["tests/test_atoms.py::test_atoms_give_the_parent_witness_adjoint_and_cells"]),
+     ["tests/test_atoms.py::test_atoms_give_the_reference_witness_and_cells"]),
     ("hermitian-no-overlap-test", "src/quadfock/quantization.py",
      "overlap = _images_overlap(phi)", "overlap = None",
-     ["tests/test_atoms.py::test_atoms_give_the_parent_witness_adjoint_and_cells",
+     ["tests/test_atoms.py::test_atoms_give_the_reference_witness_and_cells",
       "tests/test_quantization.py::TestHermitian::test_a_fold_is_a_witness_not_an_error"]),
     ("hermitian-T2-weighted-h", "src/quadfock/quantization.py",
      "w = [(x0, x1, v ** k) for x0, x1, _, v in atoms]\n"
@@ -59,12 +61,12 @@ MUTANTS = [
     # today's code: the Hermitian test reads T's atoms on E instead of supp h
     ("hermitian-on-E", "src/quadfock/quantization.py",
      "T = _exact(QuadOperator(T.h.support(), T.h, T.phi))", "T = _exact(T)",
-     ["tests/test_atoms.py::test_atoms_give_the_parent_witness_adjoint_and_cells",
+     ["tests/test_atoms.py::test_atoms_give_the_reference_witness_and_cells",
       "tests/test_quantization.py::TestHermitian::test_a_fold_off_supp_h_does_not_count"]),
     ("hermitian-weights-not-canonical", "src/quadfock/quantization.py",
      "_first_difference(_canonical_segments(w), _canonical_segments(w_star))",
      "_first_difference(w, sorted(w_star, key=lambda s: s[0]))",
-     ["tests/test_atoms.py::test_atoms_give_the_parent_witness_adjoint_and_cells"]),
+     ["tests/test_atoms.py::test_atoms_give_the_reference_witness_and_cells"]),
     ("exact-reads-float-h", "src/quadfock/quantization.py",
      "h = StepFunction(tuple((l, r, ExactComplex.of(v)) for l, r, v in T.h.segments))", "h = T.h",
      ["tests/test_atoms.py::test_boundedness_cells_are_the_parent_scans",
@@ -72,15 +74,14 @@ MUTANTS = [
     # --- the adjoint and the boundedness cells -------------------------------------------
     ("adjoint-weight-times-slope", "src/quadfock/quantization.py",
      "s = _quotient(p.slope.denominator, abs(p.slope.numerator))", "s = abs(p.slope)",
-     ["tests/test_atoms.py::test_atoms_give_the_parent_witness_adjoint_and_cells",
-      "tests/test_int_kernels.py::test_adjoint_operator_matches_reference",
-      "tests/test_operator_reference.py::test_float_adjoint_weight_keeps_every_bit"]),
+     ["tests/test_int_kernels.py::test_adjoint_operator_matches_reference",
+      "tests/test_atoms.py::test_a_gap_of_h_inside_a_piece_is_a_zero_atom"]),
     ("cells-drop-zero-atoms", "src/quadfock/quantization.py",
      "_frac(ExactComplex.of(v).abs_sq()))\n"
      "             for x0, x1, p, v in _atoms(T)]",
      "_frac(ExactComplex.of(v).abs_sq()))\n"
      "             for x0, x1, p, v in _atoms(T) if v]",
-     ["tests/test_atoms.py::test_atoms_give_the_parent_witness_adjoint_and_cells",
+     ["tests/test_atoms.py::test_atoms_give_the_reference_witness_and_cells",
       "tests/test_atoms.py::test_boundedness_cells_are_the_parent_scans"]),
     # --- the numeric cross-check ---------------------------------------------------------
     ("numeric-fold-not-caught", "src/quadfock/quantization.py",
@@ -119,13 +120,12 @@ MUTANTS = [
      "_quotient(-b._numerator * ad, b._denominator * an)",
      "_quotient(b._numerator * ad, b._denominator * an)",
      ["tests/test_int_kernels.py::test_affine_inverse_matches_reference",
-      "tests/test_int_kernels.py::test_adjoint_operator_matches_reference",
-      "tests/test_operator_reference.py::test_float_adjoint_weight_keeps_every_bit"]),
+      "tests/test_int_kernels.py::test_adjoint_operator_matches_reference"]),
     ("affine-lost-factor", "src/quadfock/scalars.py",
      "a._numerator * x._numerator * bd + b._numerator * ad * xd",
      "a._numerator * x._numerator + b._numerator * ad * xd",
      ["tests/test_int_kernels.py::test_affine_call_matches_reference",
-      "tests/test_operator_reference.py::test_float_weights_of_several_segments_per_piece_keep_every_bit"]),
+      "tests/test_int_kernels.py::test_adjoint_operator_matches_reference"]),
     ("images-unsorted", "src/quadfock/stepfn.py",
      "return sorted(((*p.image(), p) for p in self.pieces), key=itemgetter(0))",
      "return [(*p.image(), p) for p in self.pieces]",
@@ -135,7 +135,8 @@ MUTANTS = [
      "            return False",
      "        if i == n:\n"
      "            return True",
-     ["tests/test_draw_reference.py::test_contains_set_matches_intersection"]),
+     ["tests/test_draw_reference.py::test_contains_set_matches_intersection",
+      "tests/test_draw_reference.py::test_operator_check_listed_cases"]),
     ("quarter-grid-longer", "src/quadfock/families.py",
      "range(4 * span + 1)", "range(4 * span + 2)",
      ["tests/test_draw_reference.py::test_draws_match_reference"]),
@@ -145,15 +146,16 @@ MUTANTS = [
      "                    if not in_a:\n"
      "                        x = bl",
      "                    eb = br",
-     ["tests/test_sweep_reference.py::test_sweep_gives_the_reference_cells"]),
+     ["tests/test_sweep_reference.py::test_sweep_listed_cases",
+      "tests/test_sweep_reference.py::test_sweep_gives_the_reference_cells"]),
     ("restrict-ignores-e", "src/quadfock/stepfn.py",
      "if v and inside))", "if v))",
      ["tests/test_sweep_reference.py::test_pair_readers_match_the_reference",
-      "tests/test_kernel.py::test_intersect_and_restrict_match_double_loop"]),
+      "tests/test_stepfn.py::TestIntervalSet::test_restrict"]),
     ("map-restrict-ignores-e", "src/quadfock/stepfn.py",
      "if p and inside)", "if p)",
      ["tests/test_sweep_reference.py::test_map_restrict_matches_the_reference",
-      "tests/test_kernel.py::test_intersect_and_restrict_match_double_loop"]),
+      "tests/test_int_kernels.py::test_operator_restricts_a_memoized_map_to_E"]),
     ("signature-lengths-not-summed", "src/quadfock/stepfn.py",
      "sig[u] = r - l if length is None else length + (r - l)", "sig[u] = r - l",
      ["tests/test_sweep_reference.py::test_pair_readers_match_the_reference",

@@ -1,26 +1,21 @@
-"""One list of atoms against the parent's three routes through h and phi.
+"""One list of atoms against the scans of h for every piece of phi.
 
 ``quantization._atoms`` cuts the pieces of phi at the breakpoints of h and
 gives each part the value of h on it, 0 where a piece meets a gap of h.
-``adjoint_operator``, the exact Hermitian test and the boundedness cells
-read that one list.  Before, each pulled h through phi on its own; those
-routes are kept in ``tests/_reference.py``.  Every result must be the
-parent's, byte for byte (``repr``), in both scalar backends, on:
-- the 288 operators of the slope-one class;
-- 400 seeded injective draws, each also with h cut to its first segment;
-- seeded maps of 1 to 3 pieces whose images may overlap, with h of several
-  segments and gaps.
-Then the two edge cases of the atoms are pinned with exact values.
+The exact Hermitian test and the boundedness cells read that one list.  The
+witness of the Hermitian test is checked against ``reference_witness``,
+which builds T_1, T_2 and their adjoints as operators, and the cells against
+``reference_boundedness_cells``, a scan of h for every piece and breakpoint,
+``repr`` for ``repr``, in both scalar backends, on ``atom_operators``.  Then
+the two edge cases of the atoms are pinned with exact values.
 """
 
-import random
 from fractions import Fraction
 
 import pytest
 
 from quadfock import (
     FockConfig,
-    NonInjectiveError,
     PiecewiseAffineMap,
     QuadOperator,
     StepFunction,
@@ -29,88 +24,37 @@ from quadfock import (
     check_selfadjoint_structure,
     quantization,
 )
-from quadfock.families import random_injective_operator
 from quadfock.quantization import _atoms, _cells, _exact
-from quadfock.scalars import ExactComplex, _new, _rat
+from quadfock.scalars import ExactComplex, _rat
 from quadfock.stepfn import _images_overlap
 
-from _reference import (reference_adjoint, reference_cells, reference_witness,
-                        slope_one_class)
+from _reference import atom_operators, reference_boundedness_cells, reference_witness
 
 CFG = FockConfig(c=Fraction(1))
 SPLITS = (1, 2)
-SLOPES = [_rat(n, d) for n, d in [(1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2), (-1, 2),
-                                  (3, 2), (-3, 2), (1, 3), (-5, 4)]]
-
-
-def in_backend(T, exact):
-    """T with the values of h as ExactComplex or as complex."""
-    value = ExactComplex.of if exact else complex
-    return QuadOperator(T.E, StepFunction(tuple((l, r, value(v)) for l, r, v in T.h.segments)),
-                        T.phi)
-
-
-def gappy_operator(rng, exact):
-    """1 to 3 pieces with integer ends in [-8, 8], their images free to
-    overlap; each interval of E cut at up to three points k/4, and h = v/8
-    on each part with probability 3/4, so h has gaps inside the pieces."""
-    n = rng.randrange(1, 4)
-    cuts = sorted(rng.sample(range(-8, 9), 2 * n))
-    phi = PiecewiseAffineMap.from_pieces(
-        (cuts[2 * i], cuts[2 * i + 1], rng.choice(SLOPES), rng.randrange(-4, 5))
-        for i in range(n))
-    segs = []
-    for l, r in phi.domain().intervals:
-        ends = sorted({4 * l.numerator, 4 * r.numerator,
-                       *(rng.randrange(4 * l.numerator, 4 * r.numerator + 1) for _ in range(3))})
-        for a, b in zip(ends, ends[1:]):
-            re, im = rng.randrange(-8, 9), rng.randrange(-8, 9)
-            if rng.random() < 0.75 and (re or im):
-                v = _new(re, im, 8) if exact else complex(re / 8, im / 8)
-                segs.append((_rat(a, 4), _rat(b, 4), v))
-    return QuadOperator(phi.domain(), StepFunction.from_segments(segs), phi)
-
-
-def operators(exact):
-    ops = [in_backend(T, exact) for T in slope_one_class()]
-    rng = random.Random(7)
-    for _ in range(400):
-        T = random_injective_operator(rng, exact=exact)
-        ops += [T, QuadOperator(T.E, StepFunction(T.h.segments[:1]), T.phi)]
-    rng = random.Random(34)
-    ops += [gappy_operator(rng, exact) for _ in range(300)]
-    return ops
-
-
-def adjoint_repr(adjoint, T):
-    try:
-        S = adjoint(T)
-    except NonInjectiveError:
-        return "NonInjectiveError"
-    return repr((S.E, S.h, S.phi))
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-def test_atoms_give_the_parent_witness_adjoint_and_cells(exact):
-    ops = operators(exact)
+def test_atoms_give_the_reference_witness_and_cells(exact):
+    ops = atom_operators(exact)
     folds = sum(bool(_images_overlap(T.phi)) for T in ops)
     gaps = sum(any(not v for *_, v in _atoms(T)) for T in ops)
     assert folds > 50 and gaps > 200
     for T in ops:
         assert repr(check_selfadjoint_structure(T).witness) == repr(reference_witness(T)), T
-        assert adjoint_repr(adjoint_operator, T) == adjoint_repr(reference_adjoint, T), T
         # the exact T that boundedness_report hands to _cells
         T_exact = _exact(T)
-        assert repr(_cells(T_exact, SPLITS)) == repr(reference_cells(T_exact, SPLITS)), T
+        assert repr(_cells(T_exact, SPLITS)) == \
+            repr(reference_boundedness_cells(T_exact, SPLITS)), T
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_boundedness_cells_are_the_parent_scans(exact, monkeypatch):
     # the whole report on every seventh operator: the cells decide it
-    for T in operators(exact)[::7]:
+    for T in atom_operators(exact)[::7]:
         got = boundedness_report(T, CFG, splits=SPLITS).cells
         with monkeypatch.context() as m:
-            m.setattr(quantization, "_cells", reference_cells)
+            m.setattr(quantization, "_cells", reference_boundedness_cells)
             want = boundedness_report(T, CFG, splits=SPLITS).cells
         assert repr(got) == repr(want), T
 

@@ -522,14 +522,13 @@ def test_operator_and_pair_work(run, counts, capsys, monkeypatch):
 
 
 def test_adjoint_pairing_draws_and_checks_without_rat_arithmetic(monkeypatch):
-    # the operator invariant compares interval ends; the draws build their
-    # ends and values from the rng's ints (400 intersects, 800 measures and,
-    # for these 100 draws, 796 divisions before).  The pull-backs, the map
+    # the draws build their ends and values from the rng's ints (796
+    # divisions for these 100 draws before).  The pull-backs, the map
     # inverses, the signature products and the adjoint weights work on ints:
     # criterion 10 made 1640 subtractions, 1558 divisions and 222 conjugates
     # before; the 82 subtractions left are the cell lengths of the signatures.
     # The draws add nothing to any count.
-    calls = {"intersect": 0, "measure": 0, "_Rat - x": 0, "_Rat / x": 0, "conjugate": 0}
+    calls = {"_Rat - x": 0, "_Rat / x": 0, "conjugate": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -537,23 +536,17 @@ def test_adjoint_pairing_draws_and_checks_without_rat_arithmetic(monkeypatch):
             return fn(*args)
         return counted
 
-    monkeypatch.setattr(stepfn.IntervalSet, "intersect",
-                        counting("intersect", stepfn.IntervalSet.intersect))
-    monkeypatch.setattr(stepfn.IntervalSet, "measure",
-                        counting("measure", stepfn.IntervalSet.measure))
     monkeypatch.setattr(scalars._Rat, "__sub__", counting("_Rat - x", scalars._Rat.__sub__))
     monkeypatch.setattr(scalars._Rat, "__truediv__",
                         counting("_Rat / x", scalars._Rat.__truediv__))
     monkeypatch.setattr(scalars.ExactComplex, "conjugate",
                         counting("conjugate", scalars.ExactComplex.conjugate))
     assert acceptance.criterion_10()["passed"]
-    assert calls == {"intersect": 0, "measure": 0, "_Rat - x": 82, "_Rat / x": 0,
-                     "conjugate": 0}
+    assert calls == {"_Rat - x": 82, "_Rat / x": 0, "conjugate": 0}
     rng = random.Random(0)
     for _ in range(100):
         families.random_step_function(rng, exact=True)
-    assert calls == {"intersect": 0, "measure": 0, "_Rat - x": 82, "_Rat / x": 0,
-                     "conjugate": 0}
+    assert calls == {"_Rat - x": 82, "_Rat / x": 0, "conjugate": 0}
 
 
 def test_float_inner_reads_each_sup_norm_once(capsys, monkeypatch):

@@ -1,10 +1,11 @@
-"""Reference tests for the containment test and the seeded draws.
+"""The containment test and the seeded draws against their references.
 
 ``IntervalSet.contains_set`` and ``QuadOperator``'s invariant check are one
-two-pointer pass over interval ends; they used to intersect the two sets and
-compare measures.  ``random_step_function`` and ``random_injective_operator``
-build their ends and values from the rng's ints; they used to divide ``_Rat``
-numbers.  The old code is kept here as the reference: the new code must give
+two-pointer pass over interval ends; ``ref_contains`` reads containment off
+``reference_sweep``'s cells instead: no cell lies in the inner set alone.
+``random_step_function`` and ``random_injective_operator`` build their ends
+and values from the rng's ints; ``ref_step_function`` and
+``ref_injective_operator`` divide ``_Rat`` numbers.  The new code must give
 the same answers, the same exceptions and the same objects, down to their
 types and internal ints.
 """
@@ -23,13 +24,14 @@ from quadfock.fock import _Signature, exp_inner_series
 from quadfock.scalars import ExactComplex, _frac, _Rat
 from quadfock.stepfn import _images_overlap, value_signature
 
-from _reference import CFGS, PAIRS, reference_series
+from _reference import CFGS, PAIRS, interval_segments, reference_series, reference_sweep
 
 # --- references --------------------------------------------------------------
 
 
 def ref_contains(outer: IntervalSet, inner: IntervalSet) -> bool:
-    return inner.intersect(outer).measure() == inner.measure()
+    cells = reference_sweep(interval_segments(inner), interval_segments(outer))
+    return not any(x and not y for _, _, x, y in cells)
 
 
 def ref_operator_check(E, h, phi):

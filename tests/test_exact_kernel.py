@@ -3,9 +3,11 @@
 In exact mode ``fock`` scales a pair's value signature once, u = (a + b i)/D
 and L_u = l_u / Lambda, and runs the moments, the recursion and the
 partition sum on Gaussian integers, with one reduction per result.  The
-references below are the generic ``ExactComplex`` loops that kernel
-replaces: every moment, weight, product and sum is one scalar operation.
-Every result must be ``==`` to the reference, in every c and n tried.
+references are generic ``ExactComplex`` loops, where every moment, weight,
+product and sum is one scalar operation: the moments and a_n of
+``_reference.py``, and below, the partition terms and sums.  The partition
+sums of several n at once are checked against a loop of their own for each
+n.  Every result must be ``==`` to the reference, in every c and n tried.
 """
 
 import math
@@ -35,24 +37,13 @@ from quadfock.scalars import ExactComplex
 from quadfock.scalars import _new
 from quadfock.stepfn import value_signature
 
-from _reference import reference_b, reference_weights
+from _reference import reference_a, reference_moments, reference_signature
 
 C_VALUES = [Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(1, 10 ** 13)]
 MODES = ("corrected", "as_printed")
 
 
 # --- references --------------------------------------------------------------
-
-
-def reference_moments(f, g, K):
-    """m_k = sum over the signature of L_u * u^k, one scalar operation each."""
-    sig = value_signature(f, g)
-    return [sum((length * u ** k for u, length in sig.items()), 0) for k in range(1, K + 1)]
-
-
-def reference_a(entries, n, c):
-    b = reference_b(reference_weights(entries[:n]), n, c)
-    return [math.factorial(k) ** 2 * bk for k, bk in enumerate(b)]
 
 
 def reference_partition_terms(entries, n, c, mode):
@@ -119,7 +110,7 @@ def test_exact_routes_match_reference(seed, c, n):
     f, g = exact_pair(seed)
     K = max(n, 1)
     m = moments(f, g, K)
-    entries = reference_moments(f, g, K)
+    entries = reference_moments(reference_signature(f, g), K)
     assert list(m.entries) == entries
     assert all(type(a) is type(b) for a, b in zip(m.entries, entries))
     check_all(m, entries, n, c)
@@ -128,7 +119,7 @@ def test_exact_routes_match_reference(seed, c, n):
 def test_n24_matches_reference():
     f, g = exact_pair(24)
     m = moments(f, g, 24)
-    entries = reference_moments(f, g, 24)
+    entries = reference_moments(reference_signature(f, g), 24)
     c = Fraction(3, 7)
     cfg = FockConfig(c=c)
     a24 = reference_a(entries, 24, c)[24]
@@ -154,7 +145,7 @@ def test_one_value_signature():
     g = StepFunction.indicator(0, 1, ExactComplex(Fraction(2, 9), Fraction(1, 11)))
     assert len(value_signature(f, g)) == 1
     m = moments(f, g, 10)
-    entries = reference_moments(f, g, 10)
+    entries = reference_moments(reference_signature(f, g), 10)
     for c in C_VALUES:
         check_all(m, entries, 10, c)
 
@@ -185,7 +176,7 @@ def test_c_beyond_the_doubles():
     c = Fraction(1, 10 ** 400)
     f, g = exact_pair(7)
     m = moments(f, g, 6)
-    entries = reference_moments(f, g, 6)
+    entries = reference_moments(reference_signature(f, g), 6)
     check_all(m, entries, 6, c)
 
 

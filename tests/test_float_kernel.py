@@ -1,14 +1,13 @@
 """Differential tests of the float pair path.
 
 A float pair is parsed, swept and read off its value signature with each
-length turned into a double once.  The references, here and in
-``_reference.py``, are the loops that path replaces: every breakpoint
-converted through one gcd before any check, every length accumulated as
-``0 + length``, every moment term a ``Fraction``-by-complex product, every
-recursion sum ``acc = acc + w b`` and the total length a ``sum`` of
-rationals.  Every float must come out ``==`` to the reference and with the
-same ``repr``, which also pins signed zeros; every bad input must raise the
-same exception with the same message.
+length turned into a double once.  Its references are in ``_reference.py``:
+the parse (every breakpoint converted through one gcd before any check),
+the value signature, the moments as repeated products, the b recursion as
+``acc = acc + w b``, the dominating sums and the float series.  Every float
+must come out ``==`` to the reference and with the same ``repr``, which also
+pins signed zeros; every bad input must raise the same exception with the
+same message.
 """
 
 import itertools
@@ -19,14 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadfock import FockConfig, StepFunction, moments, n_particle_table
+from quadfock import StepFunction, moments, n_particle_table
 from quadfock.fock import _dominating_tails, _Signature
 from quadfock.scalars import ExactComplex, _frac, _Rat
-from quadfock.stepfn import refine, value_signature
+from quadfock.stepfn import value_signature
 
-from _reference import (CFGS, PAIRS, reference_b, reference_dominating_sum,
-                        reference_dominating_tail, reference_from_segments, reference_moments, reference_series,
-                        reference_weights)
+from _reference import (CFGS, PAIRS, reference_a, reference_dominating_sum,
+                        reference_dominating_tail, reference_from_segments, reference_moments,
+                        reference_series, reference_signature)
 
 N_PARTICLES = 8
 
@@ -45,20 +44,6 @@ def reference_from_json(data, exact=False):
             v = ExactComplex(re, im)
         segs.append((l, r, v))
     return reference_from_segments(segs)
-
-
-def reference_signature(f, g):
-    sig = {}
-    for l, r, vf, vg in refine(f, g):
-        if vf != 0 and vg != 0:
-            u = vf.conjugate() * vg
-            sig[u] = sig.get(u, 0) + (r - l)
-    return sig
-
-
-def reference_table(sig, n, c):
-    b = reference_b(reference_weights(reference_moments(sig, n)), n, c)
-    return tuple(math.factorial(k) ** 2 * b[k] for k in range(n + 1))
 
 
 def outcome(fn, *args):
@@ -86,12 +71,12 @@ def test_pair_path_matches_reference(n, layout, f_segs, g_segs):
     assert sig == ref and repr(sig) == repr(ref)
     assert all(type(length) is _Rat for length in sig.values())
 
-    m = moments(f, g, N_PARTICLES)
-    assert repr(m.entries) == repr(tuple(reference_moments(ref, N_PARTICLES)))
+    m, ref_m = moments(f, g, N_PARTICLES), reference_moments(ref, N_PARTICLES)
+    assert repr(m.entries) == repr(tuple(ref_m))
     for cfg in CFGS:
         if ref:  # disjoint supports give int moments 0, which the exact kernel takes
             table = n_particle_table(m, N_PARTICLES, cfg)
-            assert repr(table) == repr(reference_table(ref, N_PARTICLES, cfg.c))
+            assert repr(table) == repr(tuple(reference_a(ref_m, N_PARTICLES, cfg.c)))
         series = _Signature.admissible(f, g).series(cfg)
         assert series == reference_series(ref, cfg)
         assert repr(series) == repr(reference_series(ref, cfg))

@@ -1,14 +1,16 @@
-"""Reference tests for the int kernels of the exact step-function and operator
-algebra.
+"""The int kernels of the exact step-function and operator algebra, and the
+adjoint built on them, against the reference arithmetic.
 
 ``_pull_back``, ``AffinePiece.__call__``, the signature product
-conj(vf) * vg of ``value_signature`` and the weight conj(v) * |slope| of
+conj(vf) * vg of ``value_signature`` and the weight conj(v) / |slope| of
 ``adjoint_operator`` compute each result on the ints of their operands and
-reduce it once; they used to chain ``_Rat`` and ``ExactComplex`` operators.
-The old code is kept in ``_reference.py``: the new code must give the same
-results, down to their types and internal ints.  Two differences are pinned
-here: an empty pull-back is None, and a pull-back of ``Fraction`` ends is
-made of ``_Rat``.
+reduce it once.  Their references in ``_reference.py`` chain ``_Rat`` and
+``ExactComplex`` operators: each kernel must give the same results, down to
+their types and internal ints.  Two differences are pinned here: an empty
+pull-back is None, and a pull-back of ``Fraction`` ends is made of ``_Rat``.
+``adjoint_operator`` must give ``reference_adjoint``'s operator, built on
+that arithmetic alone, on every operator input of the tests in both scalar
+backends, float weights bit for bit.
 """
 
 import random
@@ -17,13 +19,15 @@ from itertools import product
 
 import pytest
 
-from quadfock import (IntervalSet, PiecewiseAffineMap, QuadOperator, StepFunction,
-                      adjoint_operator)
+from quadfock import (IntervalSet, NonInjectiveError, PiecewiseAffineMap, QuadOperator,
+                      StepFunction, adjoint_operator)
+from quadfock.families import random_injective_operator
 from quadfock.scalars import ExactComplex, _affine_inverse, _conj_times, _new, _Rat, _rat
-from quadfock.stepfn import (AffinePiece, _canonical_segments, _images_overlap, _pull_back,
-                             value_signature)
+from quadfock.stepfn import AffinePiece, _images_overlap, _pull_back, value_signature
 
-from _reference import (reference_adjoint_weight, reference_affine_call, reference_pull_back,
+from _reference import (atom_operators, named_operators, piecewise_weight_operators,
+                        random_operators, reference_adjoint, reference_adjoint_weight,
+                        reference_affine_call, reference_pull_back, reference_signature,
                         reference_signature_product)
 
 SLOPES = [_rat(n, d) for n, d in [(1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2), (-1, 2),
@@ -160,16 +164,9 @@ def test_value_signature_matches_reference_products():
         f, g = (StepFunction.from_segments(
             [(_rat(s[2 * i], 3), _rat(s[2 * i + 1], 3), rng.choice(values)) for i in range(3)])
             for s in segs)
-        sig = value_signature(f, g)
-        want = {}
-        for l, r, vf in f.segments:
-            for gl, gr, vg in g.segments:
-                lo, hi = max(l, gl), min(r, gr)
-                if lo < hi:
-                    u = reference_signature_product(vf, vg)
-                    want[u] = want.get(u, 0) + (hi - lo)
-        assert sig == want
-        assert sorted(map(exact_key, sig)) == sorted(map(exact_key, want))
+        sig, want = value_signature(f, g), reference_signature(f, g)
+        assert list(sig.items()) == list(want.items())
+        assert list(map(exact_key, sig)) == list(map(exact_key, want))
 
 
 def test_adjoint_weight_matches_reference():
@@ -179,38 +176,14 @@ def test_adjoint_weight_matches_reference():
             exact_key(reference_adjoint_weight(v, s))
 
 
-def reference_adjoint(T):
-    """``adjoint_operator`` by the reference arithmetic throughout."""
-    pieces = []
-    for p in T.phi.pieces:
-        il, ir = sorted((reference_affine_call(p, p.left), reference_affine_call(p, p.right)))
-        inv = 1 / p.slope
-        pieces.append((il, ir, inv, -p.intercept * inv))
-    phi_inv = PiecewiseAffineMap.from_pieces(pieces)
-    exact = any(isinstance(v, ExactComplex) for _, _, v in T.h.segments)
-    segs = []
-    for p in phi_inv.pieces:
-        slope = abs(p.slope) if exact else float(abs(p.slope))
-        for l, r, v in T.h.segments:
-            lo, hi = reference_pull_back(p, l, r)
-            if lo < hi:
-                segs.append((lo, hi, reference_adjoint_weight(v, slope)))
-    return phi_inv, StepFunction(_canonical_segments(segs))
-
-
-def operator_key(phi, h):
-    pieces = [rat_key(x) for p in phi.pieces for x in (p.left, p.right, p.slope, p.intercept)]
-    segs = [(rat_key(l), rat_key(r), exact_key(v) if type(v) is ExactComplex else repr(v))
-            for l, r, v in h.segments]
-    return pieces, segs
-
-
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-def test_adjoint_operator_matches_reference(exact):
+def kernel_operators(exact):
+    """150 maps of two pieces with the slopes and intercepts above, ends k/3
+    and no overlapping images; h a segment or two on each interval of E, of
+    non-dyadic values."""
     rng = random.Random(31)
     values = exact_values()
-    checked = 0
-    while checked < 150:
+    ops = []
+    while len(ops) < 150:
         cuts = sorted(rng.sample(range(-12, 13), 4))
         phi = PiecewiseAffineMap.from_pieces(
             (_rat(cuts[2 * i], 3), _rat(cuts[2 * i + 1], 3), rng.choice(SLOPES),
@@ -218,19 +191,50 @@ def test_adjoint_operator_matches_reference(exact):
         if _images_overlap(phi):
             continue
         E = phi.domain()
-        # h: a segment or two on each interval of E, non-dyadic values
         segs = []
         for l, r in E.intervals:
             mid = (l + r) / 2
             segs += [(l, mid, rng.choice(values)), (mid, r, rng.choice(values))]
         if not exact:
             segs = [(l, r, complex(v)) for l, r, v in segs]
-        T = QuadOperator(E, StepFunction.from_segments(segs), phi)
-        S = adjoint_operator(T)
-        phi_inv, h = reference_adjoint(T)
-        assert operator_key(S.phi, S.h) == operator_key(phi_inv, h)
-        assert S.E == phi_inv.domain()
-        checked += 1
+        ops.append(QuadOperator(E, StepFunction.from_segments(segs), phi))
+    return ops
+
+
+def non_dyadic_operators():
+    """Float weights whose products with the inverse slopes round: 50 seeded
+    draws with h = v / 3 + 0.1 i, and the piecewise weights at a / 3 + 0.1 + b i / 7."""
+    rng = random.Random(11)
+    ops = []
+    for _ in range(50):
+        T = random_injective_operator(rng)
+        h = StepFunction(tuple((l, r, v / 3 + 0.1j) for l, r, v in T.h.segments))
+        ops.append(QuadOperator(T.E, h, T.phi))
+    return ops + piecewise_weight_operators(False, lambda a, b: complex(a / 3 + 0.1, b / 7))
+
+
+def adjoint_or_fold(adjoint, T):
+    try:
+        return adjoint(T)
+    except NonInjectiveError:
+        return NonInjectiveError
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_adjoint_operator_matches_reference(exact):
+    ops = [*named_operators(exact), *random_operators(exact), *piecewise_weight_operators(exact)]
+    ops += [adjoint_operator(T) for T in ops]
+    ops += [*kernel_operators(exact), *atom_operators(exact)]
+    if not exact:
+        ops += non_dyadic_operators()
+    folds = 0
+    for T in ops:
+        got, want = adjoint_or_fold(adjoint_operator, T), adjoint_or_fold(reference_adjoint, T)
+        # == compares the ints of an exact value; repr the types of the ends
+        # and every bit of a float, the sign of a zero included
+        assert got == want and repr(got) == repr(want), T
+        folds += got is NonInjectiveError
+    assert folds > 50
 
 
 # --- the memos of a map -------------------------------------------------------------

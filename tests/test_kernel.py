@@ -1,8 +1,11 @@
-"""Reference tests for the value-signature kernel of ``stepfn``.
+"""Every pairwise Fock quantity read off ``value_signature``, against
+``reference_sweep``'s cells and a 50-digit oracle.
 
-``refine``, ``IntervalSet.intersect`` and ``restrict`` are linear sweeps,
-and every pairwise Fock quantity is read off ``value_signature``.  The
-references here are the direct quadratic constructions they replace.
+The exact moments must be ``reference_moments`` of
+``reference_signature``, the signature's total length the overlap of the
+supports, and the exact and float backends agree bit for bit on dyadic
+inputs.  The closed form, the counter-example and the series tail bound are
+checked against mpmath at 50 digits on the reference cells.
 """
 
 import cmath
@@ -17,39 +20,20 @@ from hypothesis import strategies as st
 from quadfock import (
     FockConfig,
     UnconvergedError,
-    IntervalSet,
-    PiecewiseAffineMap,
     StepFunction,
     counterexample_report,
     exp_inner_closed,
     inner,
     moments,
     n_particle_table,
-    restrict,
 )
 from quadfock.families import random_family
 from quadfock.fock import _Signature
 from quadfock.scalars import ExactComplex
-from quadfock.stepfn import refine, value_signature
+from quadfock.stepfn import value_signature
 
-
-def value_at(f: StepFunction, x):
-    """The value of f at x by a linear scan of its segments."""
-    for l, r, v in f.segments:
-        if l <= x < r:
-            return v
-    return 0
-
-
-def reference_cells(f: StepFunction, g: StepFunction) -> list:
-    """Cells between consecutive breakpoints of f or g where one is nonzero."""
-    pts = sorted(set(f.breakpoints()) | set(g.breakpoints()))
-    cells = []
-    for l, r in zip(pts, pts[1:]):
-        vf, vg = value_at(f, l), value_at(g, l)
-        if vf != 0 or vg != 0:
-            cells.append((l, r, vf, vg))
-    return cells
+from _reference import (mp_closed, mp_number, reference_moments, reference_signature,
+                        reference_sweep)
 
 
 def ec(re, im=0):
@@ -87,57 +71,24 @@ NESTED = (StepFunction.from_segments([(0, 1, ec(Fraction(1, 4))),
 ZERO = (StepFunction.zero(), chi(0, 1, ec(Fraction(1, 4))))
 
 
-@given(step_functions(), step_functions())
-@example(*DISJOINT)
-@example(*TOUCHING)
-@example(*NESTED)
-@example(*ZERO)
-@example(StepFunction.zero(), StepFunction.zero())
-def test_refine_matches_value_at_scan(f, g):
-    assert list(refine(f, g)) == reference_cells(f, g)
-    assert list(refine(g, f)) == reference_cells(g, f)
-
-
 @given(step_functions(), step_functions(), st.integers(1, 6))
 @example(*DISJOINT, 3)
 @example(*NESTED, 5)
 @example(*ZERO, 2)
 @settings(max_examples=60)
 def test_exact_moments_match_cell_sum(f, g, K):
-    m = moments(f, g, K)
-    for k in range(1, K + 1):
-        expected = 0
-        for l, r, vf, vg in reference_cells(f, g):
-            if vf != 0 and vg != 0:
-                expected = expected + (r - l) * ((vf ** k).conjugate() * vg ** k)
-        assert m[k] == expected
-        assert type(m[k]) is type(expected)
+    entries = moments(f, g, K).entries
+    want = reference_moments(reference_signature(f, g), K)
+    assert list(entries) == want
+    assert list(map(type, entries)) == list(map(type, want))
 
 
 @given(step_functions(), step_functions())
 @example(*NESTED)
 @example(*ZERO)
 def test_signature_total_length_is_overlap(f, g):
-    overlap = f.support().intersect(g.support()).measure()
+    overlap = sum(r - l for l, r, vf, vg in reference_sweep(f.segments, g.segments) if vf and vg)
     assert sum(value_signature(f, g).values()) == overlap
-
-
-def _intersect_reference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return IntervalSet.from_intervals(
-        (max(al, bl), min(ar, br)) for al, ar in a.intervals for bl, br in b.intervals)
-
-
-@given(step_functions(), step_functions())
-@example(*TOUCHING)
-@example(*ZERO)
-def test_intersect_and_restrict_match_double_loop(f, g):
-    e = g.support()
-    assert f.support().intersect(e) == _intersect_reference(f.support(), e)
-    segs = [(max(l, el), min(r, er), v)
-            for l, r, v in f.segments for el, er in e.intervals if max(l, el) < min(r, er)]
-    assert restrict(f, e) == StepFunction.from_segments(segs)
-    phi = PiecewiseAffineMap.from_pieces([(l, r, -1, 7) for l, r, _ in f.segments])
-    assert phi.restrict(e).domain() == _intersect_reference(phi.domain(), e)
 
 
 def as_float(f: StepFunction) -> StepFunction:
@@ -181,21 +132,6 @@ def test_exact_and_float_backends_are_bit_identical_on_dyadic_inputs(f, g):
 C_VALUES = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
 
 
-def _mp_closed(mpmath, f, g, c):
-    """exp(-(c/2) * sum over cells of L * log(1 - 4 conj(f) g)), 50 digits."""
-    def mpc(v):
-        v = ExactComplex.of(v)
-        return mpmath.mpc(mpmath.mpf(v.re.numerator) / v.re.denominator,
-                          mpmath.mpf(v.im.numerator) / v.im.denominator)
-
-    total = mpmath.mpc(0)
-    for l, r, vf, vg in reference_cells(f, g):
-        if vf != 0 and vg != 0:
-            u = mpc(vf).conjugate() * mpc(vg)
-            total += mpmath.mpf((r - l).numerator) / (r - l).denominator * mpmath.log(1 - 4 * u)
-    return mpmath.exp(-mpmath.mpf(c.numerator) / c.denominator / 2 * total)
-
-
 @pytest.mark.parametrize("c", C_VALUES)
 def test_closed_form_against_mpmath(c):
     mpmath = pytest.importorskip("mpmath")
@@ -204,7 +140,7 @@ def test_closed_form_against_mpmath(c):
     for _ in range(10):
         f, g = random_family(rng, 2, max_abs=0.45)
         with mpmath.workdps(50):
-            want = complex(_mp_closed(mpmath, f, g, c))
+            want = complex(mp_closed(mpmath, f, g, c))
         assert cmath.isclose(exp_inner_closed(f, g, cfg), want, rel_tol=1e-13), (f, g)
 
 
@@ -220,12 +156,6 @@ def test_counterexample_against_mpmath(c):
     assert cmath.isclose(rep.lhs, complex(lhs), rel_tol=1e-14)
     assert cmath.isclose(rep.rhs, complex(rhs), rel_tol=1e-14)
     assert rep.gap == pytest.approx(gap, rel=1e-9)
-
-
-def _mp(mpmath, v):
-    v = ExactComplex.of(v)
-    return mpmath.mpc(mpmath.mpf(v.re.numerator) / v.re.denominator,
-                      mpmath.mpf(v.im.numerator) / v.im.denominator)
 
 
 # the probe whose tail the old bound (1 - x)^(-beta) - partial cancelled to 0.0
@@ -260,15 +190,15 @@ def test_series_tail_bound_is_an_upper_bound(f, g, c, N):
         except UnconvergedError:  # only when the bound is infinite
             results[backend] = (None, math.inf)
     with mpmath.workdps(50):
-        closed = _mp_closed(mpmath, f, g, c)
-        true_tail = abs(closed - mpmath.fsum(_mp(mpmath, bn) for bn in b))
+        closed = mp_closed(mpmath, f, g, c)
+        true_tail = abs(closed - mpmath.fsum(mp_number(bn, mpmath) for bn in b))
         slack = mpmath.mpf(10) ** -45 * max(1, abs(closed))
         for _, tail in results.values():
             assert tail >= true_tail - slack
             assert tail > 0 or f.is_zero() or g.is_zero()
         value, tail = results["exact"]
         if value is not None:
-            assert abs(closed - _mp(mpmath, value)) <= tail + slack
+            assert abs(closed - mp_number(value, mpmath)) <= tail + slack
 
 
 def _adjacent_pair(rng, n):

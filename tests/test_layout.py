@@ -2,7 +2,9 @@
 every public name of ``quadfock`` is imported and listed once, ``cli``
 reads ``--mode`` and loads JSON in one place each, ``cli`` hands no
 tolerance to ``quantization``, whose verdicts are exact, and
-``quantization`` pulls h through phi in one place.
+``quantization`` pulls h through phi in one place.  Each reference is
+defined in one file, and every entry of the mutant list in
+``tests/mutants.py`` still applies to the tree and names tests that exist.
 
 A reference implementation that two modules compare against lives in
 ``tests/_reference.py``; importing it from a test module would tie one
@@ -10,9 +12,18 @@ module's collection to the other's inputs and names.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import quadfock
+
+TESTS = Path(__file__).parent
+
+
+@cache
+def parsed(path: Path) -> ast.Module:
+    """The tree of a file, parsed once for all the tests below."""
+    return ast.parse(path.read_text(), str(path))
 
 
 def imported_modules(tree) -> list:
@@ -27,8 +38,8 @@ def imported_modules(tree) -> list:
 
 def test_no_test_module_imports_another():
     found = [f"{path.name}:{line} imports {name}"
-             for path in sorted(Path(__file__).parent.glob("test_*.py"))
-             for line, name in imported_modules(ast.parse(path.read_text(), str(path)))
+             for path in sorted(TESTS.glob("test_*.py"))
+             for line, name in imported_modules(parsed(path))
              if name.split(".")[0].startswith("test_")]
     assert found == []
 
@@ -124,3 +135,32 @@ def test_quantization_pulls_h_through_phi_once():
     for verdict in ("check_selfadjoint_structure", "boundedness_report"):
         assert "adjoint_operator" not in called(tree, verdict)
     assert "map_invert" not in called(tree, "check_selfadjoint_structure")
+
+
+def test_each_reference_is_defined_once():
+    # one oracle per quantity: a ref_ or reference_ name in two files is two
+    files = {}
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(parsed(path)):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith(("ref_", "reference_")):
+                files.setdefault(node.name, set()).add(path.name)
+    assert {name: found for name, found in files.items() if len(found) > 1} == {}
+
+
+def test_mutant_list_applies_and_names_existing_tests():
+    # the runner is by hand; this keeps its list in step with src and tests
+    (mutants,) = [node.value for node in parsed(TESTS / "mutants.py").body
+                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "MUTANTS"]
+    entries = ast.literal_eval(mutants)
+    assert len({name for name, *_ in entries}) == len(entries)
+    for name, file, old, new, node_ids in entries:
+        assert (TESTS.parent / file).read_text().count(old) == 1, name
+        assert new != old and node_ids, name
+        for node_id in node_ids:
+            test_file, *names = node_id.split("[")[0].split("::")
+            body = parsed(TESTS.parent / test_file).body
+            for cls in names[:-1]:  # the classes around the test function
+                body = next((node.body for node in body
+                             if isinstance(node, ast.ClassDef) and node.name == cls), [])
+            assert any(isinstance(node, ast.FunctionDef) and node.name == names[-1]
+                       for node in body), (name, node_id)

@@ -1,13 +1,12 @@
-"""Reference implementations of the operator layer, as it was before the
-``QuadOperator`` invariant supp(h) <= E <= dom(phi) was trusted.
+"""``apply_operator`` and the five structural conditions of
+``check_selfadjoint_structure`` against direct constructions.
 
-``apply_operator`` used to restrict its result to E again, ``adjoint_operator``
-built its weight piece by piece (compose, scale, add), and
-``check_selfadjoint_structure`` recomputed phi(S) <= S on S = supp h,
-restricted the pulled back weight to S and compared |slope| through
-``float``.  The current code must give ``==`` results on every operator
-below, in both scalar backends: the operators, and the five structural
-conditions of the report, which read h exactly in both.
+``ref_apply`` restricts h (f o phi) to E again, and ``ref_structure``
+recomputes phi(S) <= S on S = supp h, restricts the pulled back weight to S
+and compares |slope| through ``float``.  The current code must give ``==``
+results on every operator below and on its adjoint, in both scalar
+backends; the structural conditions read h exactly in both.  The adjoint
+itself is checked in ``test_int_kernels.py``.
 """
 
 import random
@@ -25,29 +24,18 @@ from quadfock import (
     apply_operator,
     check_selfadjoint_structure,
     compose,
-    dilation_operator,
     map_compose,
     map_invert,
     restrict,
 )
-from quadfock.families import random_family, random_injective_operator, reflection_operator
+from quadfock.families import random_family
 from quadfock.scalars import ExactComplex
+
+from _reference import named_operators, piecewise_weight_operators, random_operators
 
 
 def ref_apply(T, f):
     return restrict(T.h * compose(f, T.phi), T.E)
-
-
-def ref_adjoint(T):
-    phi_inv = map_invert(T.phi.restrict(T.E))
-    weight = StepFunction.zero()
-    h_conj = T.h.conj()
-    exact = any(isinstance(v, ExactComplex) for _, _, v in T.h.segments)
-    for p in phi_inv.pieces:
-        w = abs(p.slope)
-        piece = compose(h_conj, PiecewiseAffineMap((p,)))
-        weight = weight + piece.scale(w if exact else float(w))
-    return QuadOperator(phi_inv.domain(), weight, phi_inv)
 
 
 STRUCTURE = ("involutive", "maps_into", "measure_preserving", "weight_bounded",
@@ -80,24 +68,8 @@ def ref_structure(T):
                                 h.sup_norm_sq() <= 1, symmetric)))
 
 
-def named_operators(exact):
-    one = ExactComplex.of(1) if exact else 1.0 + 0j
-    weight = Fraction if exact else float
-    return [dilation_operator(Fraction(2), one),
-            reflection_operator(weight("0.9"), exact=exact),
-            reflection_operator(weight(2), exact=exact)]
-
-
-def random_operators(exact, count=200, seed=9):
-    rng = random.Random(seed)
-    return [random_injective_operator(rng, exact=exact) for _ in range(count)]
-
-
 def assert_matches_reference(T, family):
-    T_star, ref_star = adjoint_operator(T), ref_adjoint(T)
-    assert T_star == ref_star
-    assert adjoint_operator(T_star) == ref_adjoint(ref_star)
-    for op in (T, T_star):
+    for op in (T, adjoint_operator(T)):
         assert structure(check_selfadjoint_structure(op)) == ref_structure(op)
         for f in family:
             assert apply_operator(op, f) == ref_apply(op, f)
@@ -115,19 +87,6 @@ def test_random_operators_match_reference(exact):
     family = random_family(random.Random(5), 3, exact=exact, span=8)
     for T in random_operators(exact):
         assert_matches_reference(T, family)
-
-
-def test_float_adjoint_weight_keeps_every_bit():
-    # weights at non-dyadic values: the slope factor stays a float
-    rng = random.Random(11)
-    for _ in range(50):
-        T = random_injective_operator(rng)
-        h = StepFunction(tuple((l, r, v / 3 + 0.1j) for l, r, v in T.h.segments))
-        T = QuadOperator(T.E, h, T.phi)
-        got, want = adjoint_operator(T).h.segments, ref_adjoint(T).h.segments
-        assert [(l, r) for l, r, _ in got] == [(l, r) for l, r, _ in want]
-        for (_, _, a), (_, _, b) in zip(got, want):
-            assert a.real.hex() == b.real.hex() and a.imag.hex() == b.imag.hex()
 
 
 def test_slope_below_one_by_1e_minus_20_is_not_measure_preserving():
@@ -151,39 +110,6 @@ def test_weight_bound_is_exact_in_both_backends():
         assert check_selfadjoint_structure(QuadOperator(E, E.indicator(one), phi)).verdict
 
 
-# --- weights with several segments per piece ----------------------------------------
-
-HALF_SLOPES = [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2)]
-
-
-def piecewise_weight_operators(exact, value=None):
-    """Two touching pieces [0, 2) and [2, 4) of slopes +-1/2 and +-3/2, their
-    images touching or a gap apart, and a weight on E = [0, 4) of several
-    segments per piece, one of them running across x = 2 and two touching
-    ones of equal value; ``value(a, b)`` makes a weight value from two ints."""
-    if value is None:
-        value = (lambda a, b: ExactComplex(Fraction(a, 16), Fraction(b, 16))) if exact \
-            else (lambda a, b: complex(a / 16, b / 16))
-    rng = random.Random(15)
-    ops = []
-    for a1 in HALF_SLOPES:
-        for a2 in HALF_SLOPES:
-            for gap in (0, Fraction(1, 3)):
-                lo1, hi1 = sorted((a1 * 0, a1 * 2))
-                # piece 2's image starts where piece 1's ends, or a gap later
-                b2 = hi1 + gap - min(a2 * 2, a2 * 4)
-                phi = PiecewiseAffineMap.from_pieces([(0, 2, a1, 0), (2, 4, a2, b2)])
-                cuts = [0, Fraction(1, 2), Fraction(5, 4), Fraction(3, 2), Fraction(5, 2),
-                        3, Fraction(7, 2), 4]
-                vals = [value(rng.randint(-8, 8) or 5, rng.randint(-8, 8)) for _ in cuts[1:]]
-                vals[4] = vals[3]  # [3/2, 5/2) and [5/2, 3) touch with equal value
-                segs = [(l, r, v) for l, r, v in zip(cuts, cuts[1:], vals)
-                        if (l, r) != (Fraction(5, 4), Fraction(3, 2))]  # a hole in piece 1
-                E = IntervalSet.from_intervals([(0, 4)])
-                ops.append(QuadOperator(E, StepFunction.from_segments(segs), phi))
-    return ops
-
-
 @pytest.mark.parametrize("exact", [False, True])
 def test_weights_of_several_segments_per_piece_match_reference(exact):
     family = random_family(random.Random(6), 3, exact=exact, span=8)
@@ -192,13 +118,3 @@ def test_weights_of_several_segments_per_piece_match_reference(exact):
     for T in ops:
         assert len(T.h.segments) > len(T.phi.pieces)
         assert_matches_reference(T, family)
-
-
-def test_float_weights_of_several_segments_per_piece_keep_every_bit():
-    # non-dyadic values times the slopes 2 and 2/3 of the inverse pieces
-    ops = piecewise_weight_operators(False, lambda a, b: complex(a / 3 + 0.1, b / 7))
-    for T in ops:
-        got, want = adjoint_operator(T).h.segments, ref_adjoint(T).h.segments
-        assert [(l, r) for l, r, _ in got] == [(l, r) for l, r, _ in want]
-        for (_, _, a), (_, _, b) in zip(got, want):
-            assert a.real.hex() == b.real.hex() and a.imag.hex() == b.imag.hex()

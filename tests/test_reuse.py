@@ -41,6 +41,8 @@ from quadfock import (
 from quadfock.families import random_family, random_injective_operator, reflection_operator
 from quadfock.scalars import ExactComplex
 
+from _reference import mp_closed, mp_number
+
 CFG = {"exact": FockConfig(c=Fraction(1)), "float": FockConfig()}
 
 
@@ -85,32 +87,12 @@ def reference_selfadjoint_numeric(T, family, cfg):
     return SelfAdjointNumericReport(herm, adj)
 
 
-def mp_number(x, mp):
-    """x as an mpmath number: a rational exactly, an ExactComplex part by part."""
-    if isinstance(x, ExactComplex):
-        return mp.mpc(mp_number(x.re, mp), mp_number(x.im, mp))
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpc(x) if isinstance(x, complex) else mp.mpf(x)
-
-
 def mp_gram_form(family, coeffs, c, mp):
     """q(t) = sum conj(a_i) a_j <Psi(sqrt(t) f_i), Psi(sqrt(t) f_j)> from the
-    closed form exp(-c/2 integral of log(1 - 4 t conj(f_i) f_j)), its
-    integral summed over every pair of overlapping segments."""
+    closed form of each pair."""
     alpha = [mp.mpc(complex(a)) for a in coeffs]
-    segs = [[(mp_number(l, mp), mp_number(r, mp), mp_number(v, mp)) for l, r, v in f.segments]
-            for f in family]
-
-    def q(t):
-        total = 0
-        for a, fi in zip(alpha, segs):
-            for b, fj in zip(alpha, segs):
-                log = sum((max(0, min(r1, r2) - max(l1, l2)) * mp.log(1 - 4 * t * mp.conj(v1) * v2)
-                           for l1, r1, v1 in fi for l2, r2, v2 in fj), mp.mpf(0))
-                total += mp.conj(a) * b * mp.exp(-mp_number(c, mp) / 2 * log)
-        return total
-    return q
+    return lambda t: sum(mp.conj(a) * b * mp_closed(mp, fi, fj, c, t)
+                         for a, fi in zip(alpha, family) for b, fj in zip(alpha, family))
 
 
 def outcome(fn, *args):

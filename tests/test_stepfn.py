@@ -160,7 +160,6 @@ class TestIntervalSet:
         small = IntervalSet.from_intervals([(1, 2), (5, 6)])
         assert big.contains_set(small)
         assert not small.contains_set(big)
-        assert small.measure() == 2
 
     def test_restrict(self):
         f = chi(0, 4, 2 + 0j)
