@@ -120,12 +120,14 @@ MUTANTS = [
      "_quotient(-b._numerator * ad, b._denominator * an)",
      "_quotient(b._numerator * ad, b._denominator * an)",
      ["tests/test_int_kernels.py::test_affine_inverse_matches_reference",
-      "tests/test_int_kernels.py::test_adjoint_operator_matches_reference"]),
+      "tests/test_int_kernels.py::test_adjoint_operator_matches_reference",
+      "tests/test_operator_reference.py::test_float_adjoint_weight_keeps_every_bit"]),
     ("affine-lost-factor", "src/quadfock/scalars.py",
      "a._numerator * x._numerator * bd + b._numerator * ad * xd",
      "a._numerator * x._numerator + b._numerator * ad * xd",
      ["tests/test_int_kernels.py::test_affine_call_matches_reference",
-      "tests/test_int_kernels.py::test_adjoint_operator_matches_reference"]),
+      "tests/test_int_kernels.py::test_adjoint_operator_matches_reference",
+      "tests/test_operator_reference.py::test_float_weights_of_several_segments_per_piece_keep_every_bit"]),
     ("images-unsorted", "src/quadfock/stepfn.py",
      "return sorted(((*p.image(), p) for p in self.pieces), key=itemgetter(0))",
      "return [(*p.image(), p) for p in self.pieces]",
@@ -151,11 +153,13 @@ MUTANTS = [
     ("restrict-ignores-e", "src/quadfock/stepfn.py",
      "if v and inside))", "if v))",
      ["tests/test_sweep_reference.py::test_pair_readers_match_the_reference",
-      "tests/test_stepfn.py::TestIntervalSet::test_restrict"]),
+      "tests/test_stepfn.py::TestIntervalSet::test_restrict",
+      "tests/test_kernel.py::test_intersect_and_restrict_match_double_loop"]),
     ("map-restrict-ignores-e", "src/quadfock/stepfn.py",
      "if p and inside)", "if p)",
      ["tests/test_sweep_reference.py::test_map_restrict_matches_the_reference",
-      "tests/test_int_kernels.py::test_operator_restricts_a_memoized_map_to_E"]),
+      "tests/test_int_kernels.py::test_operator_restricts_a_memoized_map_to_E",
+      "tests/test_kernel.py::test_intersect_and_restrict_match_double_loop"]),
     ("signature-lengths-not-summed", "src/quadfock/stepfn.py",
      "sig[u] = r - l if length is None else length + (r - l)", "sig[u] = r - l",
      ["tests/test_sweep_reference.py::test_pair_readers_match_the_reference",

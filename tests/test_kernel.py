@@ -1,11 +1,13 @@
 """Every pairwise Fock quantity read off ``value_signature``, against
 ``reference_sweep``'s cells and a 50-digit oracle.
 
-The exact moments must be ``reference_moments`` of
-``reference_signature``, the signature's total length the overlap of the
-supports, and the exact and float backends agree bit for bit on dyadic
-inputs.  The closed form, the counter-example and the series tail bound are
-checked against mpmath at 50 digits on the reference cells.
+``refine`` must give the reference cells, ``restrict`` and
+``PiecewiseAffineMap.restrict`` what their references read off those cells,
+the exact moments ``reference_moments`` of ``reference_signature``, the
+signature's total length the overlap of the supports, and the exact and
+float backends agree bit for bit on dyadic inputs.  The closed form, the
+counter-example and the series tail bound are checked against mpmath at 50
+digits on the reference cells.
 """
 
 import cmath
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from quadfock import (
     FockConfig,
+    PiecewiseAffineMap,
     UnconvergedError,
     StepFunction,
     counterexample_report,
@@ -26,14 +29,15 @@ from quadfock import (
     inner,
     moments,
     n_particle_table,
+    restrict,
 )
 from quadfock.families import random_family
 from quadfock.fock import _Signature
 from quadfock.scalars import ExactComplex
-from quadfock.stepfn import value_signature
+from quadfock.stepfn import refine, value_signature
 
-from _reference import (mp_closed, mp_number, reference_moments, reference_signature,
-                        reference_sweep)
+from _reference import (mp_closed, mp_number, reference_map_restrict, reference_moments,
+                        reference_restrict, reference_signature, reference_sweep)
 
 
 def ec(re, im=0):
@@ -71,6 +75,19 @@ NESTED = (StepFunction.from_segments([(0, 1, ec(Fraction(1, 4))),
 ZERO = (StepFunction.zero(), chi(0, 1, ec(Fraction(1, 4))))
 
 
+@given(step_functions(), step_functions())
+@example(*DISJOINT)
+@example(*TOUCHING)
+@example(*NESTED)
+@example(*ZERO)
+@example(StepFunction.zero(), StepFunction.zero())
+def test_refine_matches_value_at_scan(f, g):
+    # the cells where f or g is nonzero, each with their values at its left
+    # end: the one reference sweep of the two segment lists
+    assert list(refine(f, g)) == list(reference_sweep(f.segments, g.segments))
+    assert list(refine(g, f)) == list(reference_sweep(g.segments, f.segments))
+
+
 @given(step_functions(), step_functions(), st.integers(1, 6))
 @example(*DISJOINT, 3)
 @example(*NESTED, 5)
@@ -89,6 +106,17 @@ def test_exact_moments_match_cell_sum(f, g, K):
 def test_signature_total_length_is_overlap(f, g):
     overlap = sum(r - l for l, r, vf, vg in reference_sweep(f.segments, g.segments) if vf and vg)
     assert sum(value_signature(f, g).values()) == overlap
+
+
+@given(step_functions(), step_functions())
+@example(*TOUCHING)
+@example(*ZERO)
+def test_intersect_and_restrict_match_double_loop(f, g):
+    # f and a map of one piece per segment of f, cut to the support of g
+    e = g.support()
+    assert restrict(f, e) == reference_restrict(f, e)
+    phi = PiecewiseAffineMap.from_pieces([(l, r, -1, 7) for l, r, _ in f.segments])
+    assert phi.restrict(e) == reference_map_restrict(phi, e)
 
 
 def as_float(f: StepFunction) -> StepFunction:

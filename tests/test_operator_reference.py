@@ -6,7 +6,9 @@ recomputes phi(S) <= S on S = supp h, restricts the pulled back weight to S
 and compares |slope| through ``float``.  The current code must give ``==``
 results on every operator below and on its adjoint, in both scalar
 backends; the structural conditions read h exactly in both.  The adjoint
-itself is checked in ``test_int_kernels.py``.
+itself is checked against ``reference_adjoint`` in ``test_int_kernels.py``;
+the float weights whose products with the inverse slopes round are checked
+here, bit for bit.
 """
 
 import random
@@ -28,10 +30,11 @@ from quadfock import (
     map_invert,
     restrict,
 )
-from quadfock.families import random_family
+from quadfock.families import random_family, random_injective_operator
 from quadfock.scalars import ExactComplex
 
-from _reference import named_operators, piecewise_weight_operators, random_operators
+from _reference import (named_operators, piecewise_weight_operators, random_operators,
+                        reference_adjoint)
 
 
 def ref_apply(T, f):
@@ -89,6 +92,21 @@ def test_random_operators_match_reference(exact):
         assert_matches_reference(T, family)
 
 
+def assert_adjoint_keeps_every_bit(T):
+    got, want = adjoint_operator(T), reference_adjoint(T)
+    # repr shows every bit of a float, the sign of a zero included
+    assert got == want and repr(got) == repr(want), T
+
+
+def test_float_adjoint_weight_keeps_every_bit():
+    # weights at non-dyadic values: the slope factor stays a float
+    rng = random.Random(11)
+    for _ in range(50):
+        T = random_injective_operator(rng)
+        h = StepFunction(tuple((l, r, v / 3 + 0.1j) for l, r, v in T.h.segments))
+        assert_adjoint_keeps_every_bit(QuadOperator(T.E, h, T.phi))
+
+
 def test_slope_below_one_by_1e_minus_20_is_not_measure_preserving():
     # the parent compared |slope| through float, where 1 - 1e-20 rounds to 1
     E = IntervalSet.from_intervals([(0, 1)])
@@ -118,3 +136,11 @@ def test_weights_of_several_segments_per_piece_match_reference(exact):
     for T in ops:
         assert len(T.h.segments) > len(T.phi.pieces)
         assert_matches_reference(T, family)
+
+
+def test_float_weights_of_several_segments_per_piece_keep_every_bit():
+    # non-dyadic values times the slopes 2 and 2/3 of the inverse pieces
+    ops = piecewise_weight_operators(False, lambda a, b: complex(a / 3 + 0.1, b / 7))
+    assert len(ops) == 32
+    for T in ops:
+        assert_adjoint_keeps_every_bit(T)
