@@ -4,9 +4,10 @@ An operator here is the normal form  T(f) = chi_E * h * (f o phi)  with a
 support set E, a bounded weight h and a piecewise-affine map phi.  The
 module provides the exact L^2 adjoint, matrix elements of the induced map
 on exponential vectors, an exact test of whether Gamma_2(T) is Hermitian,
-the exact boundedness of Gamma_2(T), one cell at a time, and the dilation
-counter-example showing that quantizing the adjoint differs from the
-adjoint of the quantization.
+whose overlap test and phi/phi^-1 comparison also give the report's three
+conditions on phi, the exact boundedness of Gamma_2(T), one cell at a time,
+and the dilation counter-example showing that quantizing the adjoint
+differs from the adjoint of the quantization.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .stepfn import (
     _images_overlap,
     _sweep,
     compose,
-    is_measure_preserving,
-    map_compose,
     map_invert,
     value_signature,
 )
@@ -219,34 +218,30 @@ def check_selfadjoint_structure(T: QuadOperator) -> SelfAdjointReport:
     """Every verdict read exactly off T on supp h, the one set where T reads
     phi, with a float h read as the dyadic rational it is: the Hermitian test
     on T_1 and T_2, and phi involutive, phi(supp h) inside supp h, phi measure
-    preserving, ||h||_inf <= 1 and conj(h) = h o phi.  For h = 0 all hold."""
+    preserving, ||h||_inf <= 1 and conj(h) = h o phi.  For h = 0 all hold.
+    The three on phi are read off the witness's two tests of phi: the
+    overlap scan and, with no overlap (``_sweep`` needs disjoint input), the
+    first cell where phi and phi^-1 differ."""
     T = _exact(QuadOperator(T.h.support(), T.h, T.phi))
-    witness = _adjoint_difference(T.phi, _atoms(T))
-
-    mp = is_measure_preserving(T.phi, T.E)
-    involutive = False
-    if mp.maps_into:
-        phi2 = map_compose(T.phi, T.phi)
-        involutive = phi2.is_identity() and phi2.domain().contains_set(T.E)
-
+    overlap = _images_overlap(T.phi)
+    maps = overlap or _first_difference(
+        [(p.left, p.right, (p.slope, p.intercept)) for p in T.phi.pieces],
+        [(l, r, _affine_inverse(p.slope, p.intercept)) for l, r, p in T.phi._images])
+    witness = {"k": 1, "cell": overlap} if overlap else _adjoint_difference(_atoms(T), maps)
+    maps_into = T.E.contains_set(T.phi.image())
+    unit = all(abs(p.slope) == 1 for p in T.phi.pieces)
     # h o phi vanishes off E = dom phi; both sides are in canonical form
     weight_symmetric = T.h.conj() == compose(T.h, T.phi)
-    return SelfAdjointReport(witness, involutive, mp.maps_into, mp.ok,
+    return SelfAdjointReport(witness, not maps, maps_into, not overlap and unit and maps_into,
                              T.h.sup_norm_sq() <= 1, weight_symmetric)
 
 
-def _adjoint_difference(phi: PiecewiseAffineMap, atoms: list) -> dict:
+def _adjoint_difference(atoms: list, maps: Optional[tuple]) -> dict:
     """{k, cell}: the first T_k = h^k (. o phi), k in (1, 2), unequal to its
-    L^2 adjoint, and the first cell where it is, off T's ``_atoms`` on supp h;
-    k = 0 and cell None if none.  An overlap of piece images, where T* sums two
-    branches, is a k = 1 cell; else the weights v^k on each atom and
-    conj(v^k) / |slope| on its image decide, else phi and phi^-1, for all k."""
-    overlap = _images_overlap(phi)
-    if overlap:
-        return {"k": 1, "cell": overlap}
-    maps = _first_difference(
-        [(p.left, p.right, (p.slope, p.intercept)) for p in phi.pieces],
-        [(l, r, _affine_inverse(p.slope, p.intercept)) for l, r, p in phi._images])
+    L^2 adjoint, and the first cell where it is, off T's ``_atoms`` on supp h,
+    for a phi whose piece images do not overlap; k = 0 and cell None if none.
+    The weights v^k on each atom and conj(v^k) / |slope| on its image decide,
+    else ``maps``, the first cell where phi and phi^-1 differ, for all k."""
     for k in (1, 2):
         w = [(x0, x1, v ** k) for x0, x1, _, v in atoms]
         w_star = [(*sorted((p(x0), p(x1))), _adjoint_weight(v ** k, p)) for x0, x1, p, v in atoms]

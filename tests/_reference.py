@@ -12,6 +12,8 @@ it checks:
 - the adjoint of an operator, on that arithmetic alone;
 - the witness of the Hermitian test, from operators T_1, T_2 and their
   adjoints, and the boundedness cells, as a scan of h for every piece of phi;
+- the five structural conditions of the self-adjointness report, phi's
+  three by ``map_compose`` and ``map_invert`` on phi restricted to supp h;
 - the moments, the b recursion, a_n, the dominating sums and the float
   series, and the closed form at mpmath's precision.
 Not a test module: no test module imports another.
@@ -23,7 +25,8 @@ import random
 from fractions import Fraction
 
 from quadfock import (FockConfig, IntervalSet, NonInjectiveError, PiecewiseAffineMap,
-                      QuadOperator, StepFunction, dilation_operator)
+                      QuadOperator, StepFunction, compose, dilation_operator, map_compose,
+                      map_invert, restrict)
 from quadfock.families import random_injective_operator, reflection_operator
 from quadfock.fock import _up
 from quadfock.scalars import ExactComplex, _frac, _new, _rat
@@ -233,6 +236,39 @@ def reference_boundedness_cells(T, splits):
                 xs = [*(l + i * step for i in range(m)), r]
                 out += [(a, b, pieces) for a, b in zip(xs, xs[1:])]
     return out
+
+
+STRUCTURE = ("involutive", "maps_into", "measure_preserving", "weight_bounded",
+             "weight_symmetric")
+
+
+def structure(rep):
+    """The five structural conditions of a ``SelfAdjointReport``."""
+    return {name: getattr(rep, name) for name in STRUCTURE}
+
+
+def reference_structure(T):
+    """The five conditions on S = supp h, with h read exactly: phi(S) <= S
+    recomputed, phi o phi built by ``map_compose``, injectivity by
+    ``map_invert``, |slope| compared through ``float`` and the pulled back
+    weight restricted to S."""
+    h = StepFunction.from_segments([(l, r, ExactComplex.of(v)) for l, r, v in T.h.segments])
+    S = h.support()
+    phi_s = T.phi.restrict(S)
+    maps_into = S.contains_set(phi_s.image())
+    involutive = False
+    if maps_into:
+        phi2 = map_compose(phi_s, phi_s)
+        involutive = phi2.is_identity() and phi2.domain().contains_set(S)
+    try:
+        map_invert(phi_s)
+        injective = True
+    except NonInjectiveError:
+        injective = False
+    unit = all(float(abs(p.slope)) == 1.0 for p in phi_s.pieces)
+    symmetric = h.conj() == restrict(compose(h, phi_s), S)
+    return dict(zip(STRUCTURE, (involutive, maps_into, injective and unit and maps_into,
+                                h.sup_norm_sq() <= 1, symmetric)))
 
 
 # --- operators ------------------------------------------------------------------------

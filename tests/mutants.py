@@ -6,14 +6,14 @@ and the mutant is killed when every named node id has a failing test.
 
     PYTHONPATH=src python tests/mutants.py [id ...]
 
-copies ``src/`` and ``tests/`` into a fresh temporary directory and runs
-every named node id there, unmutated, where all must pass.  Then, one
-mutant at a time, it makes a fresh copy, replaces ``old`` by ``new``
-there, runs ``python -m pytest -q -p no:cacheprovider <node ids>`` and
-prints ``killed`` or ``SURVIVED``.  It exits 1 if any mutant survives.
-Only ``src/`` and ``tests/`` are copied, so a named test may not import
-``perfbench``.  pytest does not collect this file; it runs by hand, one
-subprocess at a time.
+copies ``src/``, ``tests/`` and ``perfbench/`` into a fresh temporary
+directory and runs every named node id there, unmutated, where all must
+pass.  Then, one mutant at a time, it makes a fresh copy, replaces ``old``
+by ``new`` there, runs ``python -m pytest -q -p no:cacheprovider <node
+ids>`` and prints ``killed`` or ``SURVIVED``.  It exits 1 if any mutant
+survives.  ``perfbench/`` is copied because some tests read it, such as
+``tests/test_tracing_targets.py``; no mutant changes it.  pytest does not
+collect this file; it runs by hand, one subprocess at a time.
 """
 
 import os
@@ -48,7 +48,7 @@ MUTANTS = [
      "_canonical_segments(w_star)) or maps", "_canonical_segments(w_star))",
      ["tests/test_atoms.py::test_atoms_give_the_reference_witness_and_cells"]),
     ("hermitian-no-overlap-test", "src/quadfock/quantization.py",
-     "overlap = _images_overlap(phi)", "overlap = None",
+     "overlap = _images_overlap(T.phi)", "overlap = None",
      ["tests/test_atoms.py::test_atoms_give_the_reference_witness_and_cells",
       "tests/test_quantization.py::TestHermitian::test_a_fold_is_a_witness_not_an_error"]),
     ("hermitian-T2-weighted-h", "src/quadfock/quantization.py",
@@ -71,6 +71,23 @@ MUTANTS = [
      "h = StepFunction(tuple((l, r, ExactComplex.of(v)) for l, r, v in T.h.segments))", "h = T.h",
      ["tests/test_atoms.py::test_boundedness_cells_are_the_parent_scans",
       "tests/test_boundedness.py::test_float_weights_give_the_same_report"]),
+    # --- the three conditions on phi, read off the witness's two tests of phi ----------
+    # (dropping the "overlap or" guard before the phi/phi^-1 comparison changes
+    # no value: it keeps _sweep's input disjoint, so it is not listed)
+    ("preserving-ignores-overlap", "src/quadfock/quantization.py",
+     "not overlap and unit and maps_into", "unit and maps_into",
+     ["tests/test_quantization.py::TestHermitian::test_a_fold_is_a_witness_not_an_error",
+      "tests/test_golden.py::test_output_matches_recorded_output"]),
+    ("involutive-as-maps-into", "src/quadfock/quantization.py",
+     "SelfAdjointReport(witness, not maps, maps_into,",
+     "SelfAdjointReport(witness, maps_into, maps_into,",
+     ["tests/test_atoms.py::test_atoms_give_the_reference_witness_and_cells",
+      "tests/test_operator_reference.py::test_random_operators_match_reference",
+      "tests/test_quantization.py::TestHermitian::test_agrees_with_a_n_symmetry_on_the_slope_one_class"]),
+    ("unit-slope-through-float", "src/quadfock/quantization.py",
+     "unit = all(abs(p.slope) == 1 for p in T.phi.pieces)",
+     "unit = all(float(abs(p.slope)) == 1 for p in T.phi.pieces)",
+     ["tests/test_operator_reference.py::test_slope_below_one_by_1e_minus_20_is_not_measure_preserving"]),
     # --- the adjoint and the boundedness cells -------------------------------------------
     ("adjoint-weight-times-slope", "src/quadfock/quantization.py",
      "s = _quotient(p.slope.denominator, abs(p.slope.numerator))", "s = abs(p.slope)",
@@ -182,11 +199,11 @@ def key(node_id: str) -> str:
 
 def run(node_ids: list, file=None, old=None, new=None) -> tuple:
     """pytest's return code and the keys of its FAILED and ERROR lines, on
-    ``node_ids`` in a fresh copy of src/ and tests/ with ``old`` replaced by
-    ``new`` in ``file``."""
+    ``node_ids`` in a fresh copy of src/, tests/ and perfbench/ with ``old``
+    replaced by ``new`` in ``file``."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for d in ("src", "tests"):
+        for d in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / d, tmp / d, ignore=shutil.ignore_patterns("__pycache__"))
         if file:
             (tmp / file).write_text((tmp / file).read_text().replace(old, new))

@@ -4,7 +4,8 @@
 gives each part the value of h on it, 0 where a piece meets a gap of h.
 The exact Hermitian test and the boundedness cells read that one list.  The
 witness of the Hermitian test is checked against ``reference_witness``,
-which builds T_1, T_2 and their adjoints as operators, and the cells against
+which builds T_1, T_2 and their adjoints as operators, the five structural
+conditions beside it against ``reference_structure``, and the cells against
 ``reference_boundedness_cells``, a scan of h for every piece and breakpoint,
 ``repr`` for ``repr``, in both scalar backends, on ``atom_operators``.  Then
 the two edge cases of the atoms are pinned with exact values.
@@ -28,7 +29,8 @@ from quadfock.quantization import _atoms, _cells, _exact
 from quadfock.scalars import ExactComplex, _rat
 from quadfock.stepfn import _images_overlap
 
-from _reference import atom_operators, reference_boundedness_cells, reference_witness
+from _reference import (atom_operators, reference_boundedness_cells, reference_structure,
+                        reference_witness, structure)
 
 CFG = FockConfig(c=Fraction(1))
 SPLITS = (1, 2)
@@ -41,7 +43,9 @@ def test_atoms_give_the_reference_witness_and_cells(exact):
     gaps = sum(any(not v for *_, v in _atoms(T)) for T in ops)
     assert folds > 50 and gaps > 200
     for T in ops:
-        assert repr(check_selfadjoint_structure(T).witness) == repr(reference_witness(T)), T
+        rep = check_selfadjoint_structure(T)
+        assert repr(rep.witness) == repr(reference_witness(T)), T
+        assert structure(rep) == reference_structure(T), T
         # the exact T that boundedness_report hands to _cells
         T_exact = _exact(T)
         assert repr(_cells(T_exact, SPLITS)) == \

@@ -1,4 +1,3 @@
-import importlib.util
 import io
 import json
 import random
@@ -6,7 +5,6 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -99,28 +97,19 @@ NEAR_REFLECTION = ('{"E": [[0,1]], "h": [[0,1,0.5,0]], '
 SMALL_FAMILY = '[[[0,0.5,0.125,0.0625]],[[0.25,1,-0.1875,0.03125]]]'
 
 
-def load_workloads():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestSelfAdjoint:
     @pytest.mark.parametrize("op, code, k", [
         (REFLECTION, 0, 0), (DILATION, 1, 1), (WEIGHT_2, 1, 0), (SWAP, 1, 2), (FOLD, 1, 1)])
     @pytest.mark.parametrize("family", [[], ["--family", SMALL_FAMILY]])
     def test_backends_agree(self, op, code, k, family, capsys):
-        # by the rule of the benchmark's families workload
-        json_mismatch = load_workloads().json_mismatch
+        # selfadjoint prints the same document in both modes, byte for byte
         (exact_code, exact), (float_code, flt) = (
-            run_cli(["--mode", mode, "selfadjoint", "--op", op, *family], capsys)
+            (main(["--mode", mode, "selfadjoint", "--op", op, *family]), capsys.readouterr().out)
             for mode in ("exact", "float"))
         assert exact_code == float_code == code
-        assert exact["witness"]["k"] == k and exact["hermitian"] is (k == 0)
-        assert json_mismatch(exact, flt) is None
+        assert exact == flt
+        doc = json.loads(exact)
+        assert doc["witness"]["k"] == k and doc["hermitian"] is (k == 0)
 
     @pytest.mark.parametrize("op", [REFLECTION, DILATION, WEIGHT_2, SWAP, FOLD,
                                     NEAR_UNIT_WEIGHT, NEAR_REFLECTION, TINY_SLOPE])
@@ -489,12 +478,13 @@ def test_one_value_signature_per_pair(command, sweeps, mode, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("run, counts", [
-    # the reflection is given with dom phi = E = supp h, so its one restrict
-    # is is_measure_preserving's; the exact test reads T_1 and T_2 off one
+    # the reflection is given with dom phi = E = supp h, so no restrict is
+    # made: the three phi conditions are read off the witness's overlap test
+    # and phi/phi^-1 comparison; the exact test reads T_1 and T_2 off one
     # atom list and inverts no map, so the one inverse is the numeric block's
     # adjoint
     (lambda: main(["selfadjoint", "--op", REFLECTION, "--random", "3"]),
-     {"map_invert": 1, "restrict": 1}),
+     {"map_invert": 1, "restrict": 0}),
     (acceptance.criterion_10, {"restrict": 0}),
     # one sweep for the exact moments and one for the float routes, per pair
     (acceptance.criterion_2, {"value_signature": 100}),

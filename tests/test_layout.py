@@ -1,10 +1,11 @@
 """No test module imports another, ``quantization`` imports no numpy,
 every public name of ``quadfock`` is imported and listed once, ``cli``
 reads ``--mode`` and loads JSON in one place each, ``cli`` hands no
-tolerance to ``quantization``, whose verdicts are exact, and
-``quantization`` pulls h through phi in one place.  Each reference is
-defined in one file, and every entry of the mutant list in
-``tests/mutants.py`` still applies to the tree and names tests that exist.
+tolerance to ``quantization``, whose verdicts are exact, ``quantization``
+pulls h through phi in one place, and its self-adjointness report reads
+phi's shape once.  Each reference is defined in one file, and every entry
+of the mutant list in ``tests/mutants.py`` still applies to the tree and
+names tests that exist.
 
 A reference implementation that two modules compare against lives in
 ``tests/_reference.py``; importing it from a test module would tie one
@@ -135,6 +136,18 @@ def test_quantization_pulls_h_through_phi_once():
     for verdict in ("check_selfadjoint_structure", "boundedness_report"):
         assert "adjoint_operator" not in called(tree, verdict)
     assert "map_invert" not in called(tree, "check_selfadjoint_structure")
+
+
+def test_quantization_decides_phis_shape_once():
+    # the three phi conditions are read off the witness's one overlap scan
+    # and its phi/phi^-1 comparison, not rebuilt from phi o phi
+    tree = quantization_tree()
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"map_compose", "is_measure_preserving"}
+    assert enclosing_functions(tree, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_images_overlap")) == ["check_selfadjoint_structure"]
 
 
 def test_each_reference_is_defined_once():

@@ -1,14 +1,14 @@
 """``apply_operator`` and the five structural conditions of
 ``check_selfadjoint_structure`` against direct constructions.
 
-``ref_apply`` restricts h (f o phi) to E again, and ``ref_structure``
-recomputes phi(S) <= S on S = supp h, restricts the pulled back weight to S
-and compares |slope| through ``float``.  The current code must give ``==``
-results on every operator below and on its adjoint, in both scalar
-backends; the structural conditions read h exactly in both.  The adjoint
-itself is checked against ``reference_adjoint`` in ``test_int_kernels.py``;
-the float weights whose products with the inverse slopes round are checked
-here, bit for bit.
+``ref_apply`` restricts h (f o phi) to E again, and ``_reference``'s
+``reference_structure`` recomputes phi(S) <= S on S = supp h, builds
+phi o phi, restricts the pulled back weight to S and compares |slope|
+through ``float``.  The current code must give ``==`` results on every
+operator below and on its adjoint, in both scalar backends; the structural
+conditions read h exactly in both.  The adjoint itself is checked against
+``reference_adjoint`` in ``test_int_kernels.py``; the float weights whose
+products with the inverse slopes round are checked here, bit for bit.
 """
 
 import random
@@ -18,7 +18,6 @@ import pytest
 
 from quadfock import (
     IntervalSet,
-    NonInjectiveError,
     PiecewiseAffineMap,
     QuadOperator,
     StepFunction,
@@ -26,54 +25,22 @@ from quadfock import (
     apply_operator,
     check_selfadjoint_structure,
     compose,
-    map_compose,
-    map_invert,
     restrict,
 )
 from quadfock.families import random_family, random_injective_operator
 from quadfock.scalars import ExactComplex
 
 from _reference import (named_operators, piecewise_weight_operators, random_operators,
-                        reference_adjoint)
+                        reference_adjoint, reference_structure, structure)
 
 
 def ref_apply(T, f):
     return restrict(T.h * compose(f, T.phi), T.E)
 
 
-STRUCTURE = ("involutive", "maps_into", "measure_preserving", "weight_bounded",
-             "weight_symmetric")
-
-
-def structure(rep):
-    """The five structural conditions of a ``SelfAdjointReport``."""
-    return {name: getattr(rep, name) for name in STRUCTURE}
-
-
-def ref_structure(T):
-    """The five conditions on S = supp h, with h read exactly."""
-    h = StepFunction.from_segments([(l, r, ExactComplex.of(v)) for l, r, v in T.h.segments])
-    S = h.support()
-    phi_s = T.phi.restrict(S)
-    maps_into = S.contains_set(phi_s.image())
-    involutive = False
-    if maps_into:
-        phi2 = map_compose(phi_s, phi_s)
-        involutive = phi2.is_identity() and phi2.domain().contains_set(S)
-    try:
-        map_invert(phi_s)
-        injective = True
-    except NonInjectiveError:
-        injective = False
-    unit = all(float(abs(p.slope)) == 1.0 for p in phi_s.pieces)
-    symmetric = h.conj() == restrict(compose(h, phi_s), S)
-    return dict(zip(STRUCTURE, (involutive, maps_into, injective and unit and maps_into,
-                                h.sup_norm_sq() <= 1, symmetric)))
-
-
 def assert_matches_reference(T, family):
     for op in (T, adjoint_operator(T)):
-        assert structure(check_selfadjoint_structure(op)) == ref_structure(op)
+        assert structure(check_selfadjoint_structure(op)) == reference_structure(op)
         for f in family:
             assert apply_operator(op, f) == ref_apply(op, f)
 
@@ -115,7 +82,7 @@ def test_slope_below_one_by_1e_minus_20_is_not_measure_preserving():
     rep = check_selfadjoint_structure(T)
     assert rep.maps_into
     assert not rep.measure_preserving and not rep.verdict
-    assert ref_structure(T)["measure_preserving"]  # the old rounding
+    assert reference_structure(T)["measure_preserving"]  # the old rounding
 
 
 def test_weight_bound_is_exact_in_both_backends():

@@ -3,9 +3,11 @@
 ``Tracer.install`` replaces ``owner.__dict__[attr]`` for each entry of
 ``SPANS``, ``COUNTED`` and ``GENERATORS``, where the owner is the quadfock
 module or, for a ``Class.attr`` entry, the class.  A name deleted from
-quadfock but still listed there breaks only ``perfbench/run.py --trace 1``;
-this test reads the lists from the file and resolves each entry the same
-way, without installing anything.
+quadfock but still listed there raises a ``KeyError`` in ``Tracer._replace``,
+which reads ``owner.__dict__[attr]``: it breaks ``perfbench/run.py --trace 1``
+and every test of ``perfbench/test_trace.py`` that installs a tracer.  This
+test reads the lists from the file and resolves each entry the same way,
+without installing anything, so it names the missing entry.
 """
 
 import importlib
