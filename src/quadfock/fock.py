@@ -9,13 +9,15 @@ built once per call and every quantity is read off it: a Gram matrix sweeps
 only the pairs i <= j, because the signature of (g, f) is that of (f, g)
 with conjugated keys, and fills the rest by Hermitian symmetry.
 
-The lengths in a signature are exact.  A float route leaves exact
-arithmetic where each value and length becomes a double, once per
-signature, in ``_Signature.doubles``: the float moments, the closed form
-and the series read the same doubles.  A signature scales its lengths
-once, L_u = l_u / Lambda with Lambda the common denominator; its exact
-moments and its exact series read the same l_u, and the series takes its
-total length as one integer sum over Lambda.
+The lengths in a signature are exact ints on one grid per pair,
+L_u = l_u / Lambda with Lambda the lcm of the pair's end denominators.  A
+float route leaves exact arithmetic where each value and length becomes a
+double, once per signature, in ``_Signature.doubles``: a length by one int
+division, correctly rounded.  The float moments, the closed form and the
+series read the same doubles.  The exact moments and the exact series read
+the same l_u, reduced by one lazy gcd with Lambda to the lcm of the reduced
+lengths' denominators, and the series takes its total length as one
+integer sum over Lambda.
 
 The series stops at the first depth N up to ``FockConfig.depth`` whose
 rigorous tail bound is at most ``FockConfig.tol``: one pass of the
@@ -159,17 +161,18 @@ def _gaussian_sums(us: list, terms: list) -> Iterator[tuple]:
 
 
 class _Signature:
-    """``sig`` maps each value u of conj(f) * g to the length L_u carrying it;
+    """The (Lambda, sig) of ``value_signature``: ``sig`` maps each value u of
+    conj(f) * g to the int l_u with L_u = l_u / Lambda the length carrying it;
     ``exact`` is true for a nonempty ``sig`` of ExactComplex values; ``zero``
     is whether f or g is zero, which an empty ``sig`` alone does not tell
-    from disjoint supports.  It scales its lengths and converts its values
+    from disjoint supports.  It reduces its lengths and converts its values
     and lengths to doubles once each, at the first call that reads them."""
 
-    __slots__ = ("sig", "exact", "zero", "_lengths", "_doubles")
+    __slots__ = ("lam", "sig", "exact", "zero", "_lengths", "_doubles")
 
-    def __init__(self, sig: dict, zero: bool = False):
-        self.sig = sig
-        self.exact = bool(sig) and all(type(u) is ExactComplex for u in sig)
+    def __init__(self, signature: tuple[int, dict], zero: bool = False):
+        self.lam, self.sig = signature
+        self.exact = bool(self.sig) and all(type(u) is ExactComplex for u in self.sig)
         self.zero = zero
         self._lengths = self._doubles = None
 
@@ -189,20 +192,22 @@ class _Signature:
 
     def scaled_lengths(self) -> tuple[int, list]:
         """(Lambda, [l_u]) with L_u = l_u / Lambda and Lambda the lcm of the
-        lengths' denominators, computed once per signature."""
+        lengths' denominators, computed once per signature: the grid's
+        Lambda and l_u divided by their one gcd, since the lcm of the reduced
+        denominators l_u / Lambda is Lambda / gcd(Lambda, l_1, ..., l_m)."""
         if self._lengths is None:
-            lengths = self.sig.values()
-            lam = math.lcm(*(length.denominator for length in lengths))
-            self._lengths = lam, [length.numerator * (lam // length.denominator)
-                                  for length in lengths]
+            lam, ls = self.lam, list(self.sig.values())
+            g = math.gcd(lam, *ls)
+            self._lengths = (lam // g, [l // g for l in ls]) if g != 1 else (lam, ls)
         return self._lengths
 
     def doubles(self) -> tuple[list, list]:
         """([complex u], [float L_u]) in the order of ``sig``, computed once per
         signature: the float moments, the closed form and the series read them."""
         if self._doubles is None:
-            try:
-                lengths = list(map(float, self.sig.values()))
+            lam = self.lam
+            try:  # an int true division is correctly rounded: the double of L_u
+                lengths = [length / lam for length in self.sig.values()]
             except OverflowError:  # the difference of two breakpoints can leave the doubles
                 raise DomainError("a length exceeds double precision") from None
             self._doubles = list(map(complex, self.sig)), lengths
@@ -282,10 +287,10 @@ class _Signature:
             raise DomainError("max|u| >= 1/4; series does not converge")
         if self.zero:
             return (1.0 + 0.0j, 0.0, 0)
-        lam, ls = self.scaled_lengths()
-        c = _frac(cfg.c)  # beta = c S / 2, S = sum(ls) / Lambda the overlap length
+        c = _frac(cfg.c)  # beta = c S / 2, S = sum(l_u) / Lambda the overlap length
         try:
-            beta = _up(float(_rat(c.numerator * sum(ls), 2 * c.denominator * lam)))
+            beta = _up(float(_rat(c.numerator * sum(self.sig.values()),
+                                  2 * c.denominator * self.lam)))
         except OverflowError:  # an exact c, or the overlap, beyond the doubles
             raise DomainError("beta = c S / 2 exceeds double precision") from None
         # rho is |complex(u)| of one u: the parts of an exact u are rounded to
@@ -516,7 +521,8 @@ def partition_terms(m: MomentSequence, n: int, cfg: FockConfig,
             cq = c_powers.get(q)
             if cq is None:  # c^q as a lean rational when c is exact
                 cq = c_powers[q] = _frac(c ** q) if isinstance(c, Fraction) else c ** q
-            term = coef * cq
+            # a float c^q takes the double of coef, as Fraction's float fallback does
+            term = (float(coef) if type(cq) is float else coef) * cq
             for j, ij in items:
                 mj = powers.get((j, ij))
                 if mj is None:

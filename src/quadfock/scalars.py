@@ -29,15 +29,18 @@ from numbers import Rational
 
 
 def _frac(x) -> "_Rat":
-    """x as a ``_Rat``: from an int, a float (exactly) or any rational."""
+    """x as a ``_Rat``: from a float (exactly), an int or any rational.  A
+    float is tested first: JSON input's fractional numbers are floats."""
+    if type(x) is float:  # as_integer_ratio() is in lowest terms: no gcd
+        q = object.__new__(_Rat)
+        q._numerator, q._denominator = x.as_integer_ratio()
+        return q
     if type(x) is _Rat:
         return x
     if type(x) is int:
         return _rat(x, 1)
-    if isinstance(x, float):  # as_integer_ratio() is in lowest terms: no gcd
-        q = object.__new__(_Rat)
-        q._numerator, q._denominator = x.as_integer_ratio()
-        return q
+    if isinstance(x, float):
+        return _frac(float(x))
     if isinstance(x, Rational):
         return _rat(int(x.numerator), int(x.denominator))
     raise TypeError(f"cannot convert {x!r} to Fraction")

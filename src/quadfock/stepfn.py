@@ -10,8 +10,10 @@ order ends by ``_Rat.__lt__``'s two products of ints, inline; a pull-back,
 an affine image, a map inverse and a signature value are the int kernels
 of ``scalars``, which reduce each result once.  Only the *values* of a step
 function choose between the exact and the float scalar backend.  A float
-breakpoint is read exactly, once; a float route leaves exact arithmetic
-only in ``fock``, where each length becomes a double once.
+breakpoint is read exactly, once.  A value signature holds int lengths on
+one grid per pair, so a float route leaves exact arithmetic only in
+``fock``, where each length becomes a double by one int division, and
+where the exact scaled form is reduced by one lazy gcd.
 
 Intervals are half-open ``[l, r)`` throughout.  All statements the library
 verifies are almost-everywhere statements, so endpoint membership never
@@ -32,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import NonInjectiveError
 from .scalars import (ExactComplex, _affine, _affine_inverse, _affine_preimage, _conj_times,
-                      _frac, _Rat, abs_sq_value)
+                      _frac, _rat, _Rat, abs_sq_value)
 
 Segment = tuple[Fraction, Fraction, object]  # (left, right, value)
 
@@ -78,23 +80,28 @@ class StepFunction:
     def from_segments(segments: Iterable[tuple]) -> "StepFunction":
         """The canonical form of (l, r, value) segments given in any order.
 
-        Every end is converted to a ``_Rat`` first, in the order given, so one
-        that ``_frac`` rejects raises before any other check; the checks, the
-        sort and the merge then compare the ends as given.  A segment that
-        starts where the one before it ended, given as a number of the same
-        type, reuses that end's ``_Rat``: ``_frac`` accepts or rejects a
-        number by its type, and a NaN equals nothing."""
+        One pass converts every end to a ``_Rat``, in the order given, notes
+        the first empty or inverted interval and drops the zero values; the
+        interval raises after the pass, so an end that ``_frac`` rejects
+        raises first, wherever it stands.  The check, the sort and the merge
+        compare the ends as given.  A segment that starts where the one
+        before it ended, given as a number of the same type, reuses that
+        end's ``_Rat``: ``_frac`` accepts or rejects a number by its type, and
+        a NaN equals nothing."""
         segs = []
+        empty = None  # the first empty or inverted interval, converted
         pr, R = math.nan, None  # the previous right end, given and converted
         for l, r, v in segments:
             L = R if type(l) is type(pr) and l == pr else _frac(l)
             R = _frac(r)
-            segs.append((l, r, v, L, R))
+            if l >= r and empty is None:
+                empty = L, R
+            if v != 0:
+                segs.append((l, r, v, L, R))
             pr = r
-        for l, r, _, L, R in segs:
-            if l >= r:
-                raise ValueError(f"empty or inverted interval [{float(L)}, {float(R)})")
-        return StepFunction(_sorted_merged([s for s in segs if s[2] != 0]))
+        if empty is not None:
+            raise ValueError(f"empty or inverted interval [{float(empty[0])}, {float(empty[1])})")
+        return StepFunction(_sorted_merged(segs))
 
     @staticmethod
     def zero() -> "StepFunction":
@@ -205,11 +212,13 @@ def _sweep(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:
     test for a tie when b's is not the smaller, and, for each side that
     leaves a segment, an equality test for whether its next one starts there.
 
-    The ends are ``_Rat``, and the ordering comparison is ``_Rat.__lt__``'s,
-    inline on their int pairs.  The cells' ends are the segments' own objects.  A cell
-    ends at a's next end when the two are equal; it starts at the end of the
-    cell before it while a side goes on across that point, else at the left
-    end of the segment that starts there, b's when both do.
+    The ends are ``_Rat``, and both tests are ``_Rat``'s, inline on their
+    int pairs: ``__lt__``'s two products, and equality of the pairs, exact
+    by the normal form, after an ``is`` test, which touching segments pass
+    since they share one end object.  The cells' ends are the segments' own
+    objects.  A cell ends at a's next end when the two are equal; it starts
+    at the end of the cell before it while a side goes on across that point,
+    else at the left end of the segment that starts there, b's when both do.
     """
     cells: list[tuple] = []
     append = cells.append
@@ -234,7 +243,8 @@ def _sweep(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:
                 if j == nb:
                     break
                 bl, br, bv = b[j]
-                if bl == x:
+                if bl is x or (bl._numerator == x._numerator
+                               and bl._denominator == x._denominator):
                     eb = br
                     if not in_a:
                         x = bl
@@ -245,14 +255,16 @@ def _sweep(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:
             if in_a or in_b:
                 append((x, ea, av if in_a else 0, bv if in_b else 0))
             x = ea
-            both = eb == ea
+            both = eb is ea or (eb._numerator == ea._numerator
+                                 and eb._denominator == ea._denominator)
             if not in_a:
                 in_a, ea = True, ar
             else:
                 i += 1
                 if i < na:
                     al, ar, av = a[i]
-                    if al == x:
+                    if al is x or (al._numerator == x._numerator
+                                   and al._denominator == x._denominator):
                         ea = ar
                         if both or not in_b:
                             x = al
@@ -265,7 +277,8 @@ def _sweep(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:
                     j += 1
                     if j < nb:
                         bl, br, bv = b[j]
-                        if bl == x:
+                        if bl is x or (bl._numerator == x._numerator
+                                       and bl._denominator == x._denominator):
                             eb, x = br, bl
                         else:
                             in_b, eb = False, bl
@@ -293,34 +306,55 @@ def refine(f: StepFunction, g: StepFunction) -> list[tuple[Fraction, Fraction, o
     return _sweep(f.segments, g.segments)
 
 
-def value_signature(f: StepFunction, g: StepFunction) -> dict:
-    """Map u = conj(f) * g -> total length carrying u, over the set where
-    both f and g are nonzero.
+def value_signature(f: StepFunction, g: StepFunction) -> tuple[int, dict]:
+    """(Lambda, {u: l_u}): each value u = conj(f) * g over the set where both
+    f and g are nonzero, and the length L_u = l_u / Lambda carrying it.
 
     This is the one object every pairwise Fock-space quantity reads:
     ``inner``, the moments m_k = sum L u^k, the log integral
     sum L log(1 - 4 t u), the overlap length sum L.  It is invariant under
     any measure-preserving rearrangement, so equal signatures certify
-    equality of all of them exactly.  An exact u is computed on the ints of
-    vf and vg and reduced once.
+    equality of all of them exactly.  The lengths lie on one integer grid:
+    Lambda is the lcm of the denominators of the pair's ends (a power of two
+    for float input), taken at the first cell that carries a u, and 1 where
+    none does; a cell [l, r) adds the int (r - l) * Lambda to its u, with no
+    rational made per cell.  An exact u is computed on the ints of vf and vg
+    and reduced once.
     """
+    lam = None
     sig: dict = {}
+    get = sig.get
     for l, r, vf, vg in refine(f, g):
         if vf and vg:
+            if lam is None:
+                lam = 1
+                for e0, e1, _ in f.segments + g.segments:
+                    lam = math.lcm(lam, e0._denominator, e1._denominator)
             if type(vf) is type(vg) is ExactComplex:
                 u = _conj_times(vf, vg)
             else:
                 u = vf.conjugate() * vg
-            length = sig.get(u)
-            sig[u] = r - l if length is None else length + (r - l)
-    return sig
+            sig[u] = get(u, 0) + (r._numerator * (lam // r._denominator)
+                                  - l._numerator * (lam // l._denominator))
+    return (1 if lam is None else lam), sig
 
 
 def inner(f: StepFunction, g: StepFunction):
-    """Exact L^2 pairing  integral of conj(f) * g, conjugate-linear in f."""
+    """Exact L^2 pairing  integral of conj(f) * g, conjugate-linear in f.
+
+    A complex u is weighted by the double l_u / Lambda, one correctly
+    rounded int division, which is the double of its length; any other u by
+    its length as a ``_Rat``, which an ``ExactComplex`` takes by its own
+    ``__mul__``."""
+    lam, sig = value_signature(f, g)
     total = 0
-    for u, length in value_signature(f, g).items():
-        total = total + length * u
+    for u, length in sig.items():
+        if type(u) is complex:
+            total = total + complex(length / lam) * u
+        elif type(u) is ExactComplex:
+            total = total + u * _rat(length, lam)
+        else:
+            total = total + _rat(length, lam) * u
     return total
 
 

@@ -6,7 +6,8 @@ it checks:
 - the parse of a segment list;
 - the cells of two sorted segment lists, down to the objects of their ends,
   and what is read off them: the value signature, ``restrict`` and
-  ``PiecewiseAffineMap.restrict``;
+  ``PiecewiseAffineMap.restrict``, and a signature's lengths on their
+  coarsest common grid;
 - the affine arithmetic by ``_Rat`` and ``ExactComplex`` operators: a
   pull-back, a x + b, conj(vf) vg and conj(v) |slope|;
 - the adjoint of an operator, on that arithmetic alone;
@@ -113,6 +114,21 @@ def reference_signature(f, g):
             length = sig.get(u)
             sig[u] = r - l if length is None else length + (r - l)
     return sig
+
+
+def reference_grid(sig):
+    """A signature {u: L_u} on its coarsest common grid: (Lambda, {u: l_u}),
+    L_u = l_u / Lambda and Lambda the lcm of the reduced lengths'
+    denominators; the form ``_Signature.scaled_lengths`` reduces to."""
+    lam = math.lcm(*(length.denominator for length in sig.values()))
+    return lam, {u: length.numerator * (lam // length.denominator) for u, length in sig.items()}
+
+
+def grid_lengths(signature):
+    """The (Lambda, {u: l_u}) of ``value_signature`` as {u: l_u / Lambda},
+    each length a ``_Rat``, to compare with ``reference_signature``."""
+    lam, sig = signature
+    return {u: _rat(length, lam) for u, length in sig.items()}
 
 
 def interval_segments(e):
@@ -290,6 +306,22 @@ def slope_one_class():
                 yield QuadOperator(E, h, phi)
 
 
+def unit_folds():
+    """Every T on the unit cells [0, 1) and [1, 2) whose map sends both cells
+    onto one of them by a translation or a reflection each, with h nonzero on
+    both: folds whose slopes are all +-1 and whose image lies in supp h, so
+    only their overlap keeps them from being measure preserving.  8 maps
+    times 3 weights."""
+    E = IntervalSet.from_intervals([(0, 2)])
+    for t in (0, 1):
+        for signs in itertools.product((1, -1), repeat=2):
+            phi = PiecewiseAffineMap.from_pieces(
+                (k, k + 1, s, t - k if s == 1 else t + k + 1) for k, s in enumerate(signs))
+            for w in ((1, 1), (1, -1), (1j, 2)):
+                h = StepFunction.from_segments((k, k + 1, ExactComplex.of(w[k])) for k in range(2))
+                yield QuadOperator(E, h, phi)
+
+
 def in_backend(T, exact):
     """T with the values of h as ExactComplex or as complex."""
     value = ExactComplex.of if exact else complex
@@ -368,9 +400,10 @@ def gappy_operator(rng, exact):
 
 
 def atom_operators(exact):
-    """The 288 operators of the slope-one class; 400 seeded injective draws,
-    each also with h cut to its first segment; 300 ``gappy_operator``s."""
-    ops = [in_backend(T, exact) for T in slope_one_class()]
+    """The 288 operators of the slope-one class and the 24 ``unit_folds``;
+    400 seeded injective draws, each also with h cut to its first segment;
+    300 ``gappy_operator``s."""
+    ops = [in_backend(T, exact) for T in itertools.chain(slope_one_class(), unit_folds())]
     rng = random.Random(7)
     for _ in range(400):
         T = random_injective_operator(rng, exact=exact)

@@ -76,7 +76,8 @@ MUTANTS = [
     # no value: it keeps _sweep's input disjoint, so it is not listed)
     ("preserving-ignores-overlap", "src/quadfock/quantization.py",
      "not overlap and unit and maps_into", "unit and maps_into",
-     ["tests/test_quantization.py::TestHermitian::test_a_fold_is_a_witness_not_an_error",
+     ["tests/test_atoms.py::test_atoms_give_the_reference_witness_and_cells",
+      "tests/test_quantization.py::TestHermitian::test_a_fold_is_a_witness_not_an_error",
       "tests/test_golden.py::test_output_matches_recorded_output"]),
     ("involutive-as-maps-into", "src/quadfock/quantization.py",
      "SelfAdjointReport(witness, not maps, maps_into,",
@@ -177,10 +178,26 @@ MUTANTS = [
      ["tests/test_sweep_reference.py::test_map_restrict_matches_the_reference",
       "tests/test_int_kernels.py::test_operator_restricts_a_memoized_map_to_E",
       "tests/test_kernel.py::test_intersect_and_restrict_match_double_loop"]),
+    # a touching segment of b whose left end equals, but is not, x
+    ("sweep-equality-as-is", "src/quadfock/stepfn.py",
+     "                if bl is x or (bl._numerator == x._numerator\n"
+     "                               and bl._denominator == x._denominator):",
+     "                if bl is x:",
+     ["tests/test_sweep_reference.py::test_sweep_listed_cases",
+      "tests/test_sweep_reference.py::test_sweep_gives_the_reference_cells"]),
+    ("signature-length-wrong-denominator", "src/quadfock/stepfn.py",
+     "- l._numerator * (lam // l._denominator)", "- l._numerator * (lam // r._denominator)",
+     ["tests/test_sweep_reference.py::test_grid_signature_matches_the_reference",
+      "tests/test_sweep_reference.py::test_grid_signature_of_the_float_pairs",
+      "tests/test_float_kernel.py::test_pair_path_matches_reference"]),
     ("signature-lengths-not-summed", "src/quadfock/stepfn.py",
-     "sig[u] = r - l if length is None else length + (r - l)", "sig[u] = r - l",
+     "sig[u] = get(u, 0) + (r._numerator", "sig[u] = (r._numerator",
      ["tests/test_sweep_reference.py::test_pair_readers_match_the_reference",
       "tests/test_float_kernel.py::test_pair_path_matches_reference"]),
+    ("scaled-lengths-not-reduced", "src/quadfock/fock.py",
+     "g = math.gcd(lam, *ls)", "g = 1",
+     ["tests/test_sweep_reference.py::test_grid_signature_matches_the_reference",
+      "tests/test_exact_kernel.py::test_exact_series_scales_the_lengths_once"]),
     ("float-moments-reversed-sum", "src/quadfock/fock.py",
      "yield sum(terms, 0)", "yield sum(reversed(terms), 0)",
      ["tests/test_float_kernel.py::test_pair_path_matches_reference"]),
@@ -188,6 +205,9 @@ MUTANTS = [
      "entries.append(_new(re, im, den))", "entries.append(_new(re, -im, den))",
      ["tests/test_exact_kernel.py::test_exact_routes_match_reference",
       "tests/test_kernel.py::test_exact_moments_match_cell_sum"]),
+    ("partition-float-coefficient-on-exact", "src/quadfock/fock.py",
+     "term = (float(coef) if type(cq) is float else coef) * cq", "term = float(coef) * cq",
+     ["tests/test_exact_kernel.py::test_exact_routes_match_reference"]),
 ]
 
 

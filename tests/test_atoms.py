@@ -42,14 +42,18 @@ def test_atoms_give_the_reference_witness_and_cells(exact):
     folds = sum(bool(_images_overlap(T.phi)) for T in ops)
     gaps = sum(any(not v for *_, v in _atoms(T)) for T in ops)
     assert folds > 50 and gaps > 200
+    unit_folds = 0  # every |slope| 1 and the image in supp h: only the overlap parts them
     for T in ops:
         rep = check_selfadjoint_structure(T)
         assert repr(rep.witness) == repr(reference_witness(T)), T
         assert structure(rep) == reference_structure(T), T
+        unit_folds += bool(rep.maps_into and _images_overlap(T.phi)
+                           and all(abs(p.slope) == 1 for p in T.phi.pieces))
         # the exact T that boundedness_report hands to _cells
         T_exact = _exact(T)
         assert repr(_cells(T_exact, SPLITS)) == \
             repr(reference_boundedness_cells(T_exact, SPLITS)), T
+    assert unit_folds >= 24
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])

@@ -516,8 +516,8 @@ def test_adjoint_pairing_draws_and_checks_without_rat_arithmetic(monkeypatch):
     # divisions for these 100 draws before).  The pull-backs, the map
     # inverses, the signature products and the adjoint weights work on ints:
     # criterion 10 made 1640 subtractions, 1558 divisions and 222 conjugates
-    # before; the 82 subtractions left are the cell lengths of the signatures.
-    # The draws add nothing to any count.
+    # before.  The signatures' cell lengths are ints on one grid per pair (82
+    # subtractions before).  The draws add nothing to any count.
     calls = {"_Rat - x": 0, "_Rat / x": 0, "conjugate": 0}
 
     def counting(name, fn):
@@ -532,11 +532,11 @@ def test_adjoint_pairing_draws_and_checks_without_rat_arithmetic(monkeypatch):
     monkeypatch.setattr(scalars.ExactComplex, "conjugate",
                         counting("conjugate", scalars.ExactComplex.conjugate))
     assert acceptance.criterion_10()["passed"]
-    assert calls == {"_Rat - x": 82, "_Rat / x": 0, "conjugate": 0}
+    assert calls == {"_Rat - x": 0, "_Rat / x": 0, "conjugate": 0}
     rng = random.Random(0)
     for _ in range(100):
         families.random_step_function(rng, exact=True)
-    assert calls == {"_Rat - x": 82, "_Rat / x": 0, "conjugate": 0}
+    assert calls == {"_Rat - x": 0, "_Rat / x": 0, "conjugate": 0}
 
 
 def test_float_inner_reads_each_sup_norm_once(capsys, monkeypatch):
@@ -606,6 +606,29 @@ def test_float_inner_converts_each_end_once_and_merges_once(capsys, monkeypatch)
     assert code == 0 and doc["agree"] is True
     assert (calls["_frac"], calls["refine"]) == (66, 1)
     assert calls["ordering"] <= 306 // 2
+
+
+def test_float_inner_makes_no_rat_sum_or_difference(capsys, monkeypatch):
+    # the cell lengths of the signature are ints on one grid per pair, and a
+    # double length is one int division: no _Rat + or - (before: one
+    # subtraction per cell and one addition per repeated u)
+    rng = random.Random(34)
+    f_json, g_json = _steps_json(rng, 32), _steps_json(rng, 32)
+    f, g = (stepfn.StepFunction.from_json(json.loads(text)) for text in (f_json, g_json))
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(scalars._Rat, name, counting(name, getattr(scalars._Rat, name)))
+    code, doc = run_cli(["inner", "--f", f_json, "--g", g_json], capsys)
+    assert code == 0 and doc["agree"] is True
+    assert type(stepfn.inner(f, g)) is complex
+    assert calls == []
 
 
 def test_largest_depth_runs(capsys):

@@ -22,9 +22,10 @@ from quadfock import (FockConfig, IntervalSet, PiecewiseAffineMap, QuadOperator,
 from quadfock.families import random_injective_operator, random_step_function
 from quadfock.fock import _Signature, exp_inner_series
 from quadfock.scalars import ExactComplex, _frac, _Rat
-from quadfock.stepfn import _images_overlap, value_signature
+from quadfock.stepfn import _images_overlap
 
-from _reference import CFGS, PAIRS, interval_segments, reference_series, reference_sweep
+from _reference import (CFGS, PAIRS, interval_segments, reference_series, reference_signature,
+                        reference_sweep)
 
 # --- references --------------------------------------------------------------
 
@@ -254,7 +255,7 @@ def test_series_reads_the_admissibility_sup_norms(f_segs, g_segs):
     # the sup norms only test admissibility; the tail reads rho = max|u| off
     # the signature, as the reference does, and matches it in every bit
     f, g = StepFunction.from_segments(f_segs), StepFunction.from_segments(g_segs)
-    sig = value_signature(f, g)
+    sig = reference_signature(f, g)
     for cfg, fixed in [*((cfg, False) for cfg in CFGS), (SHALLOW, True)]:
         ref = reference_series(sig, cfg, fixed)
         try:

@@ -143,7 +143,7 @@ def test_one_value_signature():
     v = ExactComplex(Fraction(1, 3), Fraction(-1, 5))
     f = StepFunction.indicator(Fraction(1, 7), Fraction(9, 7), v)
     g = StepFunction.indicator(0, 1, ExactComplex(Fraction(2, 9), Fraction(1, 11)))
-    assert len(value_signature(f, g)) == 1
+    assert len(value_signature(f, g)[1]) == 1
     m = moments(f, g, 10)
     entries = reference_moments(reference_signature(f, g), 10)
     for c in C_VALUES:
@@ -259,7 +259,7 @@ def test_partition_sums_match_the_per_n_loop(seed, c, disjoint):
     f, g = disjoint_pair(seed) if disjoint else exact_pair(seed)
     m = moments(f, g, 12)
     if disjoint:
-        assert not value_signature(f, g) and m._scaled is None
+        assert not value_signature(f, g)[1] and m._scaled is None
     ns = list(range(13))
     check_partition_sums(m, ns, c)
     # the same entries without their scaled form: _exact scales them with D = 1
@@ -298,25 +298,34 @@ def test_partition_sums_of_float_moments_are_none():
 
 
 def test_exact_series_scales_the_lengths_once(monkeypatch):
-    # lengths 1/3 and 2/3 carry u = 1/64 and 1/128: the lcm over the length
-    # denominators (3, 3) is told apart from the one over the value denominators
-    third = Fraction(1, 3)
-    f = StepFunction.from_segments([(0, third, ExactComplex(Fraction(1, 4), 0)),
-                                    (third, 1, ExactComplex(Fraction(1, 8), 0))])
-    g = StepFunction.indicator(0, 1, ExactComplex(Fraction(1, 16), 0))
-    length_dens = tuple(length.denominator for length in value_signature(f, g).values())
-    calls = []
+    # g's end -1/6 puts the pair on the grid Lambda = 6, where the cells
+    # [0, 1/2) and [1/2, 1) carry u = 1/64 and 1/128 with l_u = 3 each.  The
+    # series reduces the grid by one gcd(6, 3, 3), to Lambda = 2, the lcm of
+    # the reduced lengths' denominators; it took that lcm over the lengths'
+    # denominators before, after a _Rat per cell.  The one lcm left is over
+    # the value denominators.
+    half = Fraction(1, 2)
+    f = StepFunction.from_segments([(0, half, ExactComplex(Fraction(1, 4), 0)),
+                                    (half, 1, ExactComplex(Fraction(1, 8), 0))])
+    g = StepFunction.indicator(Fraction(-1, 6), 1, ExactComplex(Fraction(1, 16), 0))
+    assert value_signature(f, g) == (6, {ExactComplex(Fraction(1, 64), 0): 3,
+                                         ExactComplex(Fraction(1, 128), 0): 3})
+    calls = {"gcd": [], "lcm": []}
 
     class CountingMath:
         def __getattr__(self, name):
             return getattr(math, name)
 
         @staticmethod
+        def gcd(*args):
+            calls["gcd"].append(args)
+            return math.gcd(*args)
+
+        @staticmethod
         def lcm(*args):
-            calls.append(args)
+            calls["lcm"].append(args)
             return math.lcm(*args)
 
     monkeypatch.setattr(fock, "math", CountingMath())
     exp_inner_series(f, g, FockConfig(c=Fraction(1)))
-    assert length_dens == (3, 3)
-    assert calls.count(length_dens) == 1
+    assert calls == {"gcd": [(6, 3, 3)], "lcm": [(64, 128)]}

@@ -105,7 +105,8 @@ def test_exact_moments_match_cell_sum(f, g, K):
 @example(*ZERO)
 def test_signature_total_length_is_overlap(f, g):
     overlap = sum(r - l for l, r, vf, vg in reference_sweep(f.segments, g.segments) if vf and vg)
-    assert sum(value_signature(f, g).values()) == overlap
+    lam, sig = value_signature(f, g)
+    assert Fraction(sum(sig.values()), lam) == overlap
 
 
 @given(step_functions(), step_functions())
@@ -246,13 +247,13 @@ def test_adaptive_series_is_within_its_tail_of_the_closed_form(seed):
     the closed form of its own signature, taken to 40 digits."""
     mpmath = pytest.importorskip("mpmath")
     f, g = _adjacent_pair(random.Random(f"oracle:{seed}"), 32)
-    sig = value_signature(f, g)
+    lam, sig = value_signature(f, g)
     for c in (Fraction(1, 2), Fraction(1), Fraction(3)):
         for tol in (1e-6, 1e-10, 1e-13):
             value, tail, _ = _Signature.admissible(f, g).series(
                 FockConfig(c=float(c), depth=400, tol=tol))
             with mpmath.workdps(40):
-                total = mpmath.fsum(mpmath.mpf(L.numerator) / L.denominator
+                total = mpmath.fsum(mpmath.mpf(L) / lam
                                     * mpmath.log(1 - 4 * mpmath.mpc(u)) for u, L in sig.items())
                 closed = mpmath.exp(-mpmath.mpf(c.numerator) / c.denominator / 2 * total)
                 assert abs(closed - mpmath.mpc(value)) <= tail

@@ -4,7 +4,9 @@
 ``reference_sweep``, down to the ``_Rat`` objects of their ends; the value
 signature, ``restrict`` and ``PiecewiseAffineMap.restrict`` must give what
 ``reference_signature``, ``reference_restrict`` and
-``reference_map_restrict`` read off those cells.
+``reference_map_restrict`` read off those cells.  The signature's int
+lengths on its pair's grid must give the reference's lengths, and its
+reduced grid ``reference_grid``'s lcm of their denominators.
 ``StepFunction.from_segments``, which reuses the ``_Rat`` of an end shared
 by two consecutive segments, must give ``reference_from_segments``'
 canonical segments and exceptions.
@@ -19,10 +21,12 @@ from hypothesis import strategies as st
 
 from quadfock import PiecewiseAffineMap, StepFunction
 from quadfock.scalars import ExactComplex, _rat, _Rat
+from quadfock.fock import _Signature
 from quadfock.stepfn import _sweep, restrict, value_signature
 
-from _reference import (reference_from_segments, reference_map_restrict, reference_restrict,
-                        reference_signature, reference_sweep)
+from _reference import (PAIRS, grid_lengths, reference_from_segments, reference_grid,
+                        reference_map_restrict, reference_restrict, reference_signature,
+                        reference_sweep)
 
 # --- inputs ------------------------------------------------------------------
 
@@ -62,7 +66,8 @@ def _pair(a, b):
 SHARED = [_rat(k, 4) for k in range(4)]
 # (a, b): nested segments, equal right ends, equal left ends, a gap on both
 # sides at once, one side empty, identical inputs, a shared end met by both,
-# and touching segments of b whose common end is two equal objects, in a gap of a
+# touching segments of b whose common end is two equal objects, in a gap of a,
+# and the same under a segment of a
 CASES = [
     ([(_rat(0, 1), _rat(6, 1), EXACT[0])], [(_rat(1, 1), _rat(2, 1), EXACT[1]),
                                              (_rat(3, 1), _rat(4, 1), EXACT[2])]),
@@ -78,6 +83,8 @@ CASES = [
     ([(SHARED[0], SHARED[1], EXACT[0]), (_rat(1, 4), SHARED[3], EXACT[1])],
      [(SHARED[0], _rat(1, 4), EXACT[2]), (SHARED[1], SHARED[2], EXACT[3])]),
     ([(_rat(3, 1), _rat(4, 1), EXACT[0])], [(_rat(0, 1), _rat(1, 1), EXACT[1]),
+                                             (_rat(1, 1), _rat(2, 1), EXACT[2])]),
+    ([(_rat(0, 1), _rat(3, 1), EXACT[0])], [(_rat(0, 1), _rat(1, 1), EXACT[1]),
                                              (_rat(1, 1), _rat(2, 1), EXACT[2])]),
 ]
 
@@ -115,11 +122,55 @@ def test_sweep_listed_cases(a, b):
 def test_pair_readers_match_the_reference(pair):
     f, g = _pair(*pair)
     for x, y in ((f, g), (g, f), (f, f)):
-        sig = value_signature(x, y)
+        sig = grid_lengths(value_signature(x, y))
         # the key order fixes the order of the float sums over a signature
         assert list(sig.items()) == list(reference_signature(x, y).items())
         support = y.support()
         assert restrict(x, support) == reference_restrict(x, support)
+
+
+# lengths 1/3 and 2/3: a grid Lambda = 3 that no gcd reduces
+THIRDS = ([(_rat(0, 1), _rat(1, 3), EXACT[0]), (_rat(1, 3), _rat(1, 1), EXACT[1])],
+          [(_rat(0, 1), _rat(1, 1), EXACT[2])])
+
+
+def in_floats(segs):
+    return [(l, r, complex(v)) for l, r, v in segs]
+
+
+def assert_grid_signature(f, g):
+    """``value_signature``'s ints against ``reference_signature``, and its
+    lazily reduced grid against the lcm of the reduced ``_Rat`` lengths."""
+    signature = value_signature(f, g)
+    lam, sig = signature
+    ref = reference_signature(f, g)
+    ends = [e for l, r, _ in f.segments + g.segments for e in (l, r)]
+    assert lam == (math.lcm(*(e.denominator for e in ends)) if sig else 1)
+    assert type(lam) is int and all(type(length) is int for length in sig.values())
+    assert list(grid_lengths(signature).items()) == list(ref.items())
+    ref_lam, ref_lengths = reference_grid(ref)
+    assert _Signature(signature).scaled_lengths() == (ref_lam, list(ref_lengths.values()))
+
+
+@given(same_backend_lists)
+@example(THIRDS)
+@example((in_floats(THIRDS[0]), in_floats(THIRDS[1])))
+@example(CASES[8])
+@settings(max_examples=200)
+def test_grid_signature_matches_the_reference(pair):
+    f, g = _pair(*pair)
+    for x, y in ((f, g), (g, f), (f, f)):
+        assert_grid_signature(x, y)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_grid_signature_of_the_float_pairs(exact):
+    for _, _, f_segs, g_segs in PAIRS:
+        if exact:
+            f_segs, g_segs = ([(l, r, ExactComplex.of(v)) for l, r, v in segs]
+                              for segs in (f_segs, g_segs))
+        assert_grid_signature(StepFunction.from_segments(f_segs),
+                              StepFunction.from_segments(g_segs))
 
 
 @given(segment_lists(), segment_lists())
@@ -170,11 +221,13 @@ def test_shared_end_changes_type(left, right):
     [(0, 2, 0.25), (1, 3, 0.125)],
     [(1, 2, 0.25), (0, 1, 0.25), (2, 3, 0.125)],
     [(0, 1, 0.25), (1, "2", 0.25)],
+    [(2, 1, 0.25), (3, "4", 0.25)],
     [(0, 1.0, 0.25), (1 + 0j, 2, 0.25)],
     [(0, 1, 0.25), (1, 2, 0.25)],
     [],
 ], ids=["nan right", "nan shared", "nan left", "inf shared", "-inf", "inf zero value",
-        "empty", "inverted", "overlapping", "unsorted", "string", "complex", "merged", "none"])
+        "empty", "inverted", "overlapping", "unsorted", "string",
+        "inverted before a string", "complex", "merged", "none"])
 def test_from_segments_listed_cases(segs):
     assert outcome(StepFunction.from_segments, segs) == outcome(reference_from_segments, segs)
 
