@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .errors import DomainError, NonInjectiveError
 from .fock import (FockConfig, _inside_radius, _Signature, exp_vector_exists,
                    gram_matrix, gram_min_eig, moments, n_particle_table)
-from .scalars import ExactComplex, _affine_inverse, _conj_times, _frac, _parts, _quotient, _rat
+from .scalars import ExactComplex, _affine_inverse, _conj_times, _frac, _quotient, _rat
 from .stepfn import (
     IntervalSet,
     PiecewiseAffineMap,
@@ -561,14 +561,12 @@ def _closed_ratios(pieces: list, beta: Fraction) -> list:
 
 
 def _table_agrees(tf: StepFunction, f: StepFunction, want: list, cfg: FockConfig) -> bool:
-    """Whether ``n_particle_table`` gives a_k(tf, tf) / a_k(f, f) = want[k - 1]
-    for k = 1..K, exactly: tf and f have exact values."""
+    """Whether ``n_particle_table`` gives a_k(tf, tf) = a_k(f, f) * want[k - 1]
+    for k = 1..K, exactly: tf and f have exact values, and a_k(f, f) > 0."""
     if tf.is_zero():
         return not any(want)
     num, den = (n_particle_table(moments(g, g, _K), _K, cfg)[1:] for g in (tf, f))
-    # a_k = (a + b i) / d as ints; a > 0 for f
-    return all(xb == 0 and xa * yd * r.denominator == ya * xd * r.numerator
-               for (xa, xb, xd), (ya, _, yd), r in zip(map(_parts, num), map(_parts, den), want))
+    return all(x == y * r for x, y, r in zip(num, den, want))
 
 
 # ---------------------------------------------------------------------------

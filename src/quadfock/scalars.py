@@ -13,7 +13,7 @@ Library code stays generic by calling ``conjugate()``, which every numeric
 type has, and ``abs_sq_value`` below instead of touching the concrete type.
 
 Breakpoints, slopes and lengths are ``_Rat``: a ``Fraction`` subclass with
-the same normal form, whose arithmetic and comparisons with another
+the same normal form, whose ``==``, ``<`` and arithmetic with another
 ``_Rat`` or an ``int`` work on the int pairs directly.  The hot kernels of
 ``stepfn`` and ``quantization`` go one step further: they compute a result
 on the ints of their operands and reduce it once: ``_conj_times`` and the
@@ -72,10 +72,11 @@ class _Rat(Fraction):
 
     It keeps ``Fraction``'s normal form (denominator > 0, gcd 1), so it is
     equal to, and hashes like, the ``Fraction`` of the same value.  When the
-    other operand is a ``_Rat`` or an ``int``, the comparisons and
-    ``+ - * /`` work on the int pairs and return a ``_Rat``; any other
+    other operand is a ``_Rat`` or an ``int``, ``==`` and ``<`` compare the
+    int pairs and ``+ - * /`` work on them and return a ``_Rat``; any other
     operand goes to ``Fraction``'s own method.  ``!=`` is the negation of
-    ``__eq__``, as for every type without its own ``__ne__``.
+    ``__eq__``, as for every type without its own ``__ne__``; ``<=``, ``>``,
+    ``>=`` and ``bool`` are ``Fraction``'s, which return the same bools.
     """
 
     __slots__ = ()
@@ -94,27 +95,6 @@ class _Rat(Fraction):
         if type(b) is int:
             return a._numerator < b * a._denominator
         return Fraction.__lt__(a, b)
-
-    def __le__(a, b):
-        if type(b) is _Rat:
-            return a._numerator * b._denominator <= b._numerator * a._denominator
-        if type(b) is int:
-            return a._numerator <= b * a._denominator
-        return Fraction.__le__(a, b)
-
-    def __gt__(a, b):
-        if type(b) is _Rat:
-            return a._numerator * b._denominator > b._numerator * a._denominator
-        if type(b) is int:
-            return a._numerator > b * a._denominator
-        return Fraction.__gt__(a, b)
-
-    def __ge__(a, b):
-        if type(b) is _Rat:
-            return a._numerator * b._denominator >= b._numerator * a._denominator
-        if type(b) is int:
-            return a._numerator >= b * a._denominator
-        return Fraction.__ge__(a, b)
 
     # The reflected methods see an int on the left, never a _Rat.
 
@@ -177,9 +157,6 @@ class _Rat(Fraction):
 
     def __abs__(a):
         return a if a._numerator >= 0 else _rat(-a._numerator, a._denominator)
-
-    def __bool__(a):
-        return a._numerator != 0
 
     def __float__(a):
         return a._numerator / a._denominator

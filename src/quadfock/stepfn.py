@@ -344,30 +344,29 @@ def inner(f: StepFunction, g: StepFunction):
 
     A complex u is weighted by the double l_u / Lambda, one correctly
     rounded int division, which is the double of its length; any other u by
-    its length as a ``_Rat``, which an ``ExactComplex`` takes by its own
-    ``__mul__``."""
+    its length as a ``_Rat``: an ``ExactComplex`` takes it by its own
+    ``__mul__``, a real u by ``_Rat``'s reflected product, which gives the
+    value and type of the product in the other order."""
     lam, sig = value_signature(f, g)
     total = 0
     for u, length in sig.items():
         if type(u) is complex:
             total = total + complex(length / lam) * u
-        elif type(u) is ExactComplex:
-            total = total + u * _rat(length, lam)
         else:
-            total = total + _rat(length, lam) * u
+            total = total + u * _rat(length, lam)
     return total
 
 
 def step_allclose(f: StepFunction, g: StepFunction, tol: float) -> bool:
     """Pointwise a.e. closeness within tol (exact equality when tol == 0)."""
-    return _first_difference(f.segments, g.segments, tol) is None
+    return not any((va != vb) if tol == 0 else abs(complex(va) - complex(vb)) > tol
+                   for _, _, va, vb in _sweep(f.segments, g.segments))
 
 
-def _first_difference(a: Sequence[tuple], b: Sequence[tuple], tol: float = 0.0) -> Optional[tuple]:
-    """The first cell (l, r) of ``_sweep(a, b)`` whose two values differ, by
-    more than tol, or at all when tol == 0; None where no cell does."""
+def _first_difference(a: Sequence[tuple], b: Sequence[tuple]) -> Optional[tuple]:
+    """The first cell (l, r) of ``_sweep(a, b)`` whose values differ, or None."""
     for l, r, va, vb in _sweep(a, b):
-        if (va != vb) if tol == 0 else abs(complex(va) - complex(vb)) > tol:
+        if va != vb:
             return l, r
     return None
 
@@ -422,8 +421,8 @@ def _covers(outer: Sequence[tuple], inner: Iterable[tuple]) -> bool:
 
     Two intervals of ``outer`` are a positive gap apart, so this holds iff
     each [l, r) lies inside a single one of them: one two-pointer pass that
-    only compares ends, ``_Rat`` all, by ``_Rat.__lt__``'s and
-    ``__le__``'s products of their int pairs, inline."""
+    only compares ends, ``_Rat`` all, by ``<`` and ``<=`` on products of
+    their int pairs, inline."""
     i, n = 0, len(outer)
     for item in inner:
         l, r = item[0], item[1]
@@ -521,9 +520,6 @@ class PiecewiseAffineMap:
         return PiecewiseAffineMap.from_pieces(
             (l, r, p.slope, p.intercept)
             for l, r, p, inside in _sweep(pieces, e._segments()) if p and inside)
-
-    def is_identity(self) -> bool:
-        return all(p.slope == 1 and p.intercept == 0 for p in self.pieces)
 
     def to_json(self) -> list[list[float]]:
         return [[float(p.left), float(p.right), float(p.slope), float(p.intercept)]

@@ -275,7 +275,8 @@ def reference_structure(T):
     involutive = False
     if maps_into:
         phi2 = map_compose(phi_s, phi_s)
-        involutive = phi2.is_identity() and phi2.domain().contains_set(S)
+        involutive = (all(p.slope == 1 and p.intercept == 0 for p in phi2.pieces)
+                      and phi2.domain().contains_set(S))
     try:
         map_invert(phi_s)
         injective = True

@@ -208,6 +208,80 @@ MUTANTS = [
     ("partition-float-coefficient-on-exact", "src/quadfock/fock.py",
      "term = (float(coef) if type(cq) is float else coef) * cq", "term = float(coef) * cq",
      ["tests/test_exact_kernel.py::test_exact_routes_match_reference"]),
+    # --- the exact boundedness cells and the pairing of real values --------------------
+    ("table-agrees-drops-ratio", "src/quadfock/quantization.py",
+     "return all(x == y * r for x, y, r in zip(num, den, want))",
+     "return all(x == y for x, y, r in zip(num, den, want))",
+     ["tests/test_boundedness.py::test_roadmap_probes",
+      "tests/test_boundedness.py::test_seeded_draws_match_their_ratios"]),
+    ("inner-drops-length", "src/quadfock/stepfn.py",
+     "total = total + u * _rat(length, lam)", "total = total + u",
+     ["tests/test_stepfn.py::TestInner::test_real_values"]),
+    ("allclose-tol-as-zero", "src/quadfock/stepfn.py",
+     "abs(complex(va) - complex(vb)) > tol", "abs(complex(va) - complex(vb)) > 0",
+     ["tests/test_stepfn.py::test_step_allclose"]),
+    ("allclose-exact-through-complex", "src/quadfock/stepfn.py",
+     "(va != vb) if tol == 0 else", "(complex(va) != complex(vb)) if tol == 0 else",
+     ["tests/test_stepfn.py::test_step_allclose"]),
+    # --- guards and paths that only their own tests run -------------------------------
+    ("sub-adds", "src/quadfock/stepfn.py",
+     "return self + other.scale(-1)", "return self + other",
+     ["tests/test_stepfn.py::TestAlgebra::test_sub"]),
+    ("sup-norm-overflow-as-zero", "src/quadfock/stepfn.py",
+     "            return math.inf", "            return 0.0",
+     ["tests/test_stepfn.py::TestAlgebra::test_sup_norm_of_an_exact_value_beyond_the_doubles"]),
+    ("frac-float-subclass-truncated", "src/quadfock/scalars.py",
+     "return _frac(float(x))", "return _rat(int(x), 1)",
+     ["tests/test_rational.py::test_frac_converts_exactly"]),
+    ("piece-zero-slope-accepted", "src/quadfock/stepfn.py",
+     "            if not a:\n", "            if False:\n",
+     ["tests/test_cli.py::test_usage_errors_exit_3"]),
+    ("piece-empty-domain-accepted", "src/quadfock/stepfn.py",
+     "            if l >= r:\n", "            if l > r:\n",
+     ["tests/test_cli.py::test_usage_errors_exit_3"]),
+    ("cli-unreadable-path-escapes", "src/quadfock/cli.py",
+     "        except OSError as exc:\n            raise CliInputError(f\"cannot read",
+     "        except ValueError as exc:\n            raise CliInputError(f\"cannot read",
+     ["tests/test_cli.py::test_usage_errors_exit_3"]),
+    ("moment-index-zero", "src/quadfock/fock.py",
+     "if not 1 <= k <= len(self.entries):", "if not 0 <= k <= len(self.entries):",
+     ["tests/test_fock.py::TestMoments::test_index_and_depth_out_of_range"]),
+    ("moments-depth-zero", "src/quadfock/fock.py",
+     "    if K < 1:\n", "    if K < 0:\n",
+     ["tests/test_fock.py::TestMoments::test_index_and_depth_out_of_range"]),
+    ("partition-sum-negative-n", "src/quadfock/fock.py",
+     "    if n < 0:\n        raise ValueError(\"n must be nonnegative\")\n    if n == 0:",
+     "    if n < -1:\n        raise ValueError(\"n must be nonnegative\")\n    if n == 0:",
+     ["tests/test_fock.py::TestNParticle::test_partition_sum_rejects_n_out_of_range"]),
+    ("partition-sum-short-moments", "src/quadfock/fock.py",
+     "    if len(m) < n:\n", "    if len(m) < n - 3:\n",
+     ["tests/test_fock.py::TestNParticle::test_partition_sum_rejects_n_out_of_range"]),
+    ("partition-table-past-the-cap", "src/quadfock/fock.py",
+     "    if n > MAX_PARTICLES:\n        raise ValueError(f\"n must be at most {MAX_PARTICLES}\")\n"
+     "    num = ",
+     "    if n > MAX_PARTICLES + 1:\n        raise ValueError(f\"n must be at most {MAX_PARTICLES}\")\n"
+     "    num = ",
+     ["tests/test_fock.py::TestNParticle::test_partition_sum_rejects_n_out_of_range"]),
+    ("b-sequence-raises-value-error", "src/quadfock/fock.py",
+     'raise DomainError("a recursion term exceeds', 'raise ValueError("a recursion term exceeds',
+     ["tests/test_fock.py::test_exact_c_beyond_the_doubles"]),
+    ("scaled-region-boundary-admitted", "src/quadfock/fock.py",
+     "g.sup_norm() >= 0.25:", "g.sup_norm() > 0.25:",
+     ["tests/test_fock.py::TestExpVectors::test_scaled_closed_form_outside_the_region"]),
+    ("powers-from-one", "src/quadfock/quantization.py",
+     "    if M < 2:\n", "    if M < 1:\n",
+     ["tests/test_quantization.py::TestHomomorphismPowers::test_needs_two_powers"]),
+    ("lemma4-longer-coeffs-accepted", "src/quadfock/quantization.py",
+     "if len(family) != len(coeffs):", "if len(family) > len(coeffs):",
+     ["tests/test_quantization.py::TestDerivativeCheck::test_family_and_coeffs_of_unequal_length"]),
+    ("lemma4-overflow-escapes", "src/quadfock/quantization.py",
+     "except OverflowError:  # a float c or a float norm",
+     "except ZeroDivisionError:  # a float c or a float norm",
+     ["tests/test_quantization.py::TestDerivativeCheck::test_float_c_beyond_the_doubles"]),
+    ("numeric-adjoint-image-unchecked", "src/quadfock/quantization.py",
+     "        if not exp_vector_exists(g):\n            raise DomainError(f\"adjoint image",
+     "        if False:\n            raise DomainError(f\"adjoint image",
+     ["tests/test_quantization.py::TestSelfAdjointNumeric::test_member_or_image_beyond_the_radius"]),
 ]
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -306,6 +307,12 @@ class TestContractionAndLemma4:
     ["nparticle", "--f", QUARTER, "--g", QUARTER, "--n", "0", "--formula", "as_printed"],
     ["--mode", "exact", "nparticle", "--f", QUARTER, "--g", QUARTER, "--n", "0",
      "--formula", "as_printed"],
+    # "invalid operator: piece slope must be nonzero", "... positive length"
+    ["selfadjoint", "--op", '{"E": [[0,1]], "h": [[0,1,0.5,0]], "phi": [[0,1,0,1]]}'],
+    ["selfadjoint", "--op",
+     '{"E": [[0,1]], "h": [[0,1,0.5,0]], "phi": [[0,1,-1,1],[1,1,1,0]]}'],
+    # a path that cannot be read as a file: "cannot read ..."
+    ["inner", "--f", os.path.dirname(__file__), "--g", QUARTER],
 ])
 def test_usage_errors_exit_3(argv, capsys):
     code = main(argv)

@@ -28,7 +28,7 @@ from quadfock import (
 )
 from quadfock.cli import main
 from quadfock.families import random_family
-from quadfock.fock import _partition_table, _Signature
+from quadfock.fock import MAX_PARTICLES, _partition_table, _Signature
 from quadfock.scalars import ExactComplex, _Rat
 
 CFG = FockConfig()
@@ -58,6 +58,15 @@ class TestMoments:
     def test_disjoint_supports(self):
         m = moments(chi(0, 1, 1 + 0j), chi(2, 3, 1 + 0j), 3)
         assert all(m[k] == 0 for k in range(1, 4))
+
+    def test_index_and_depth_out_of_range(self):
+        f = chi(0, 1, 0.25 + 0j)
+        m = moments(f, f, 2)
+        for k in (0, 3):
+            with pytest.raises(IndexError, match=f"^moment index {k} out of range 1..2$"):
+                m[k]
+        with pytest.raises(ValueError, match="^K must be >= 1$"):
+            moments(f, f, 0)
 
     def test_cauchy_schwarz_bound(self):
         rng = random.Random(11)
@@ -153,6 +162,14 @@ class TestNParticle:
             m = moments(f, f, 2)
             with pytest.raises(ValueError, match=f"^{message}$"):
                 n_particle_table(m, n_max, cfg)
+
+    @pytest.mark.parametrize("n,K,message", [
+        (-1, 2, "n must be nonnegative"), (5, 2, "need at least 5 moments, got 2"),
+        (MAX_PARTICLES + 1, MAX_PARTICLES + 1, f"n must be at most {MAX_PARTICLES}")])
+    def test_partition_sum_rejects_n_out_of_range(self, n, K, message):
+        f = chi(0, 1, exact(1, 4))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            n_particle_inner_partition(moments(f, f, K), n, CFG_EXACT)
 
     @pytest.mark.parametrize("cfg", [CFG_EXACT, FockConfig(c=Fraction(3, 2)), CFG])
     def test_table_matches_recursion(self, cfg):
@@ -296,6 +313,14 @@ class TestExpVectors:
         bad = chi(0, 1, 0.6 + 0j)
         with pytest.raises(DomainError):
             exp_inner_closed(bad, chi(0, 1, 0.1 + 0j), CFG)
+
+    def test_scaled_closed_form_outside_the_region(self):
+        # |t| sup|f| sup|g| < 1/4 with sup|f|^2 = 1/16 is |t| < 4
+        f = chi(0, 1, 0.25 + 0j)
+        assert exp_inner_closed_scaled(f, f, -3.9, CFG) == pytest.approx((1 + 3.9 / 4) ** -0.5)
+        for t in (4, -4.5):
+            with pytest.raises(DomainError, match=f"^scale t = {t} leaves the admissible region$"):
+                exp_inner_closed_scaled(f, f, t, CFG)
 
     def test_conjugate_symmetry(self):
         f = chi(0, 1, 0.2 + 0.2j)
@@ -542,10 +567,15 @@ class TestLengthsBeyondTheDoubles:
             rep.to_dict()
 
 
-@pytest.mark.parametrize("route", [exp_inner_closed, exp_inner_series])
+def n_particle_table_to_2(f, g, cfg):
+    return n_particle_table(moments(f, g, 2), 2, cfg)
+
+
+@pytest.mark.parametrize("route", [exp_inner_closed, exp_inner_series, n_particle_table_to_2])
 def test_exact_c_beyond_the_doubles(route):
     # an exact c is valid at any size, but the float routes read it as a
-    # double: the closed form in its exponent, the series in c / n
+    # double: the closed form in its exponent, the series in beta = c S / 2
+    # and the float n-particle table in c / n
     f = chi(0, 1, 0.25 + 0j)
     with pytest.raises(DomainError, match="exceeds double precision"):
         route(f, f, FockConfig(c=Fraction(10 ** 400)))

@@ -144,6 +144,10 @@ class TestHomomorphismPowers:
         rhs = apply_operator(T_star, g) ** 2   # (1/4) g^2(./2)
         assert lhs == rhs.scale(2)
 
+    def test_needs_two_powers(self):
+        with pytest.raises(ValueError, match="^M must be >= 2$"):
+            check_homomorphism_powers(identity_operator(0, 1), chi(0, 1, 0.25 + 0j), 1)
+
     def test_identity_operator_powers_agree(self):
         T = identity_operator(0, 3)
         f = StepFunction.from_segments([(0, 1, 1j), (2, 3, 2 + 0j)])
@@ -372,6 +376,18 @@ class TestSelfAdjointNumeric:
         rep = check_selfadjoint_numeric(T, [chi(0, 1, 0.25 + 0j)], CFG)
         assert rep.defect == 0.0
 
+    @pytest.mark.parametrize("v, message", [
+        (0.6, "family member 0 or its image is inadmissible"),
+        (0.3, "adjoint image of member 0 is inadmissible")])
+    def test_member_or_image_beyond_the_radius(self, v, message):
+        # phi(x) = x / 2 on [0, 2), h = 0.9: at v = 0.3, T f = 0.27 on [0, 2)
+        # is inside the radius, T* f = 0.9 * 2 * 0.3 = 0.54 on [0, 1/2) is not
+        e = IntervalSet.from_intervals([(0, 2)])
+        phi = PiecewiseAffineMap.from_pieces([(0, 2, Fraction(1, 2), 0)])
+        T = QuadOperator(e, e.indicator(0.9 + 0j), phi)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            check_selfadjoint_numeric(T, [chi(0, 1, v + 0j)], CFG)
+
 
 class TestDerivativeCheck:
     def test_single_function_hand_value(self):
@@ -400,6 +416,17 @@ class TestDerivativeCheck:
         rep = lemma4_derivative_check([f, f.scale(-1)], [1.0, 1.0], CFG)
         assert rep.expected == 0.0
         assert rep.derivative == 0.0
+
+    def test_family_and_coeffs_of_unequal_length(self):
+        with pytest.raises(ValueError, match="^family and coeffs must have equal length$"):
+            lemma4_derivative_check([chi(0, 1, 0.25 + 0j)], [1.0, 1.0], CFG)
+
+    def test_float_c_beyond_the_doubles(self):
+        # a zero family first reads c as a double in the norm; a nonzero
+        # float family raises earlier, in the n-particle table's c / n
+        zero = StepFunction.zero()
+        with pytest.raises(DomainError, match="exceeds double precision"):
+            lemma4_derivative_check([zero, zero], [1.0, 1.0], FockConfig(c=Fraction(10 ** 400)))
 
 
 class TestContraction:

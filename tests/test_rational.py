@@ -10,6 +10,7 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -120,6 +121,7 @@ def test_unary_operators_match_fraction(q):
 
 
 @given(st.one_of(ints, fractions_, floats, rats))
+@example(np.float64(0.1))  # a float subclass
 def test_frac_converts_exactly(x):
     q = _frac(x)
     assert_normal(q)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from quadfock import (
     map_invert,
     restrict,
 )
-from quadfock.scalars import ExactComplex
+from quadfock.scalars import ExactComplex, _Rat
+from quadfock.stepfn import step_allclose
 
 
 def chi(l, r, v=1.0 + 0j):
@@ -54,6 +56,34 @@ class TestAlgebra:
         assert f.sup_norm() == 5.0
         assert f.l2_norm_sq() == 2 * 25 + 1
 
+    def test_sup_norm_of_an_exact_value_beyond_the_doubles(self):
+        assert chi(0, 1, ExactComplex(10 ** 400, 0)).sup_norm() == math.inf
+
+    def test_sub(self):
+        f = StepFunction.from_segments([(0, 2, 1 + 1j), (3, 4, 0.5 + 0j)])
+        assert f - chi(1, 3, 1j) == StepFunction.from_segments(
+            [(0, 1, 1 + 1j), (1, 2, 1 + 0j), (2, 3, -1j), (3, 4, 0.5 + 0j)])
+        assert (f - f).is_zero()
+
+
+EXACT_QUARTER = ExactComplex(Fraction(1, 4), 0)
+
+
+@pytest.mark.parametrize("f, g, tol, close", [
+    (chi(0, 2, 0.25 + 0j), chi(0, 2, 0.25 + 0j), 0, True),
+    # equal as doubles, unequal exactly
+    (chi(0, 2, EXACT_QUARTER), chi(0, 2, EXACT_QUARTER + Fraction(1, 10 ** 30)), 0, False),
+    (chi(0, 2, 0.25 + 0j), chi(0, 1, 0.25 + 0j), 0, False),
+    (chi(0, 2, 0.25 + 0j), chi(0, 2, 0.2501 + 0j), 1e-3, True),
+    (chi(0, 2, 0.25 + 0j), chi(1, 2, 0.26 + 0j) + chi(0, 1, 0.25 + 0j), 1e-3, False),
+    # where one side is zero, the other side's value is the difference
+    (chi(0, 2, 0.25 + 0j), chi(0, 2, 0.25 + 0j) + chi(2, 3, 1e-4j), 1e-3, True),
+    (chi(0, 2, 0.25 + 0j), chi(0, 1, 0.25 + 0j), 1e-3, False),
+])
+def test_step_allclose(f, g, tol, close):
+    assert step_allclose(f, g, tol) is close
+    assert step_allclose(g, f, tol) is close
+
 
 class TestInner:
     def test_unit_indicator(self):
@@ -71,6 +101,18 @@ class TestInner:
         f = chi(0, 2, ExactComplex(Fraction(1), Fraction(1)))
         g = chi(1, 3, ExactComplex(Fraction(1), Fraction(0)))
         assert inner(f, g) == ExactComplex(Fraction(1), Fraction(-1))
+
+    @pytest.mark.parametrize("v, want, kind", [
+        (3, Fraction(45, 2), _Rat),
+        (Fraction(1, 3), Fraction(5, 18), Fraction),
+        (0.3, 0.3 * 0.3 * 0.5 + 0.3 * 0.6 * 1.0, float),
+    ])
+    def test_real_values(self, v, want, kind):
+        # u = v^2 on [1/2, 1) and u = 2 v^2 on [1, 2)
+        f = chi(0, 2, v)
+        g = StepFunction.from_segments([(Fraction(1, 2), 1, v), (1, 3, 2 * v)])
+        got = inner(f, g)
+        assert type(got) is kind and got == want
 
 
 class TestCompose:
@@ -102,7 +144,8 @@ class TestCompose:
 class TestMaps:
     def test_reflection_is_involutive(self):
         phi = PiecewiseAffineMap.from_pieces([(0, 1, -1, 1)])
-        assert map_compose(phi, phi).is_identity()
+        unit = IntervalSet.from_intervals([(0, 1)])
+        assert map_compose(phi, phi) == PiecewiseAffineMap.identity(unit)
 
     def test_invert_dilation(self):
         phi = PiecewiseAffineMap.from_pieces([(0, 1, 2, 0)])
