@@ -4,8 +4,8 @@ All generation is driven by ``random.Random(seed)`` and rational-valued so
 the same seed yields the same functions in both scalar backends: the exact
 values are small dyadic rationals, the float values are their (exact)
 binary representations.  Every end and value is built straight from the
-ints the rng returns, with no ``_Rat`` division: an end k/4 is read from
-one tuple of ``_Rat`` per span, built on first use (``_grid``), an
+ints the rng returns, with no ``Fraction`` division: an end k/4 is read
+from one tuple of ``Fraction`` per span, built on first use (``_grid``), an
 operator's integer ends and intercepts from one table (``_INTS``), and a
 value (a + b i)/d is ``_new(a, b, d)`` or ``complex(a / d, b / d)``.  An int in
 [a, b] is drawn as ``rng.randrange(a, b + 1)``, which is what
@@ -54,7 +54,7 @@ def random_step_function(rng: random.Random, max_abs: float = 0.3,
 
 @cache
 def _grid(span: int) -> tuple:
-    """The ends k/4, k = 0..4 span, as ``_Rat``."""
+    """The ends k/4, k = 0..4 span, as ``Fraction``."""
     return tuple(_rat(k, 4) for k in range(4 * span + 1))
 
 

@@ -5,37 +5,37 @@ Two interchangeable scalar types flow through the step-function algebra:
 * ``ExactComplex`` -- a Gaussian rational, used when identities must hold
   with zero tolerance.  It is stored as three ints ``(a, b, d)`` meaning
   ``(a + b*i) / d``, with ``d > 0`` and ``gcd(a, b, d) == 1``, so every
-  value has exactly one representation and ``==`` and ``hash`` compare the
-  ints directly.
+  value has exactly one representation and ``==`` compares the ints
+  directly.  It equals a float or complex whose parts are its own, read
+  exactly, and hashes like every number it equals.
 * Python ``complex`` -- the double-precision backend.
 
 Library code stays generic by calling ``conjugate()``, which every numeric
 type has, and ``abs_sq_value`` below instead of touching the concrete type.
 
-Breakpoints, slopes and lengths are ``_Rat``: a ``Fraction`` subclass with
-the same normal form, whose ``==``, ``<`` and arithmetic with another
-``_Rat`` or an ``int`` work on the int pairs directly.  The hot kernels of
-``stepfn`` and ``quantization`` go one step further: they compute a result
-on the ints of their operands and reduce it once: ``_conj_times`` and the
-affine kernels ``_affine``, ``_affine_inverse`` and ``_affine_preimage``
-below, each built on ``_rat``, ``_quotient`` or ``_new``.
+Breakpoints, slopes and lengths are plain ``Fraction``s in lowest terms.
+The hot kernels of ``stepfn`` and ``quantization`` compute a result on the
+ints ``_numerator`` and ``_denominator`` of their operands and reduce it
+once: ``_conj_times`` and the affine kernels ``_affine``, ``_affine_inverse``
+and ``_affine_preimage`` below, each built on ``_rat``, ``_quotient`` or
+``_new``, which make the ``Fraction`` without its constructor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from numbers import Rational
 
 
-def _frac(x) -> "_Rat":
-    """x as a ``_Rat``: from a float (exactly), an int or any rational.  A
-    float is tested first: JSON input's fractional numbers are floats."""
+def _frac(x) -> Fraction:
+    """x as a ``Fraction``: from a float (exactly), an int or any rational.
+    A float is tested first: JSON input's fractional numbers are floats."""
     if type(x) is float:  # as_integer_ratio() is in lowest terms: no gcd
-        q = object.__new__(_Rat)
+        q = object.__new__(Fraction)
         q._numerator, q._denominator = x.as_integer_ratio()
         return q
-    if type(x) is _Rat:
+    if type(x) is Fraction:
         return x
     if type(x) is int:
         return _rat(x, 1)
@@ -46,120 +46,25 @@ def _frac(x) -> "_Rat":
     raise TypeError(f"cannot convert {x!r} to Fraction")
 
 
-def _rat(n: int, d: int) -> "_Rat":
+def _rat(n: int, d: int) -> Fraction:
     """n / d for d > 0, reduced by one gcd."""
     g = gcd(n, d)
     if g != 1:
         n //= g
         d //= g
-    q = object.__new__(_Rat)
+    q = object.__new__(Fraction)
     q._numerator = n
     q._denominator = d
     return q
 
 
-def _quotient(n: int, d: int) -> "_Rat":
+def _quotient(n: int, d: int) -> Fraction:
     """n / d for any int d."""
     if d < 0:
         n, d = -n, -d
     elif not d:
         raise ZeroDivisionError(f"Fraction({n}, 0)")
     return _rat(n, d)
-
-
-class _Rat(Fraction):
-    """A ``Fraction`` with int fast paths, for breakpoints and lengths.
-
-    It keeps ``Fraction``'s normal form (denominator > 0, gcd 1), so it is
-    equal to, and hashes like, the ``Fraction`` of the same value.  When the
-    other operand is a ``_Rat`` or an ``int``, ``==`` and ``<`` compare the
-    int pairs and ``+ - * /`` work on them and return a ``_Rat``; any other
-    operand goes to ``Fraction``'s own method.  ``!=`` is the negation of
-    ``__eq__``, as for every type without its own ``__ne__``; ``<=``, ``>``,
-    ``>=`` and ``bool`` are ``Fraction``'s, which return the same bools.
-    """
-
-    __slots__ = ()
-    __hash__ = Fraction.__hash__
-
-    def __eq__(a, b):
-        if type(b) is _Rat:
-            return a._numerator == b._numerator and a._denominator == b._denominator
-        if type(b) is int:
-            return a._denominator == 1 and a._numerator == b
-        return Fraction.__eq__(a, b)
-
-    def __lt__(a, b):
-        if type(b) is _Rat:
-            return a._numerator * b._denominator < b._numerator * a._denominator
-        if type(b) is int:
-            return a._numerator < b * a._denominator
-        return Fraction.__lt__(a, b)
-
-    # The reflected methods see an int on the left, never a _Rat.
-
-    def __add__(a, b):
-        if type(b) is _Rat:
-            da, db = a._denominator, b._denominator
-            if da == db:
-                return _rat(a._numerator + b._numerator, da)
-            return _rat(a._numerator * db + b._numerator * da, da * db)
-        if type(b) is int:
-            return _rat(a._numerator + b * a._denominator, a._denominator)
-        return Fraction.__add__(a, b)
-
-    def __radd__(a, b):
-        if type(b) is int:
-            return _rat(b * a._denominator + a._numerator, a._denominator)
-        return Fraction.__radd__(a, b)
-
-    def __sub__(a, b):
-        if type(b) is _Rat:
-            da, db = a._denominator, b._denominator
-            if da == db:
-                return _rat(a._numerator - b._numerator, da)
-            return _rat(a._numerator * db - b._numerator * da, da * db)
-        if type(b) is int:
-            return _rat(a._numerator - b * a._denominator, a._denominator)
-        return Fraction.__sub__(a, b)
-
-    def __rsub__(a, b):
-        if type(b) is int:
-            return _rat(b * a._denominator - a._numerator, a._denominator)
-        return Fraction.__rsub__(a, b)
-
-    def __mul__(a, b):
-        if type(b) is _Rat:
-            return _rat(a._numerator * b._numerator, a._denominator * b._denominator)
-        if type(b) is int:
-            return _rat(a._numerator * b, a._denominator)
-        return Fraction.__mul__(a, b)
-
-    def __rmul__(a, b):
-        if type(b) is int:
-            return _rat(b * a._numerator, a._denominator)
-        return Fraction.__rmul__(a, b)
-
-    def __truediv__(a, b):
-        if type(b) is _Rat:
-            return _quotient(a._numerator * b._denominator, a._denominator * b._numerator)
-        if type(b) is int:
-            return _quotient(a._numerator, a._denominator * b)
-        return Fraction.__truediv__(a, b)
-
-    def __rtruediv__(a, b):
-        if type(b) is int:
-            return _quotient(b * a._denominator, a._numerator)
-        return Fraction.__rtruediv__(a, b)
-
-    def __neg__(a):
-        return _rat(-a._numerator, a._denominator)
-
-    def __abs__(a):
-        return a if a._numerator >= 0 else _rat(-a._numerator, a._denominator)
-
-    def __float__(a):
-        return a._numerator / a._denominator
 
 
 def _new(a: int, b: int, d: int) -> "ExactComplex":
@@ -177,7 +82,7 @@ def _new(a: int, b: int, d: int) -> "ExactComplex":
 
 
 def _conj_times(x: "ExactComplex", y) -> "ExactComplex":
-    """conj(x) * y for an ``ExactComplex`` or ``_Rat`` y, reduced by one gcd."""
+    """conj(x) * y for an ``ExactComplex`` or ``Fraction`` y, reduced by one gcd."""
     xa, xb = x._a, x._b
     if type(y) is ExactComplex:
         a, b = y._a, y._b
@@ -186,23 +91,23 @@ def _conj_times(x: "ExactComplex", y) -> "ExactComplex":
     return _new(xa * n, -xb * n, x._d * y._denominator)
 
 
-# --- the affine kernels of ``stepfn``: x -> a x + b, all ``_Rat`` -----------------
+# --- the affine kernels of ``stepfn``: x -> a x + b, all ``Fraction`` -------------
 
 
-def _affine(a: "_Rat", x: "_Rat", b: "_Rat") -> "_Rat":
+def _affine(a: Fraction, x: Fraction, b: Fraction) -> Fraction:
     """a * x + b, reduced by one gcd."""
     ad, xd, bd = a._denominator, x._denominator, b._denominator
     return _rat(a._numerator * x._numerator * bd + b._numerator * ad * xd, ad * xd * bd)
 
 
-def _affine_inverse(a: "_Rat", b: "_Rat") -> tuple["_Rat", "_Rat"]:
+def _affine_inverse(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
     """(1 / a, -b / a): the coefficients of the inverse of x -> a x + b, a != 0."""
     an, ad = a._numerator, a._denominator
     return _quotient(ad, an), _quotient(-b._numerator * ad, b._denominator * an)
 
 
-def _affine_preimage(a: "_Rat", b: "_Rat", l: "_Rat", r: "_Rat",
-                     left: "_Rat", right: "_Rat") -> "tuple[_Rat, _Rat] | None":
+def _affine_preimage(a: Fraction, b: Fraction, l: Fraction, r: Fraction,
+                     left: Fraction, right: Fraction) -> "tuple[Fraction, Fraction] | None":
     """The x in [left, right) with a x + b in [l, r), for a != 0 and l < r,
     as (lo, hi) with lo < hi; None where that set is null.
 
@@ -233,7 +138,7 @@ def _parts(x):
     """(a, b, d) of an ExactComplex, int or rational; None if not exact."""
     if type(x) is ExactComplex:
         return x._a, x._b, x._d
-    if type(x) is _Rat:
+    if type(x) is Fraction:
         return x._numerator, 0, x._denominator
     if isinstance(x, int):
         return x, 0, 1
@@ -329,12 +234,20 @@ class ExactComplex:
         if isinstance(other, int) or isinstance(other, Rational):
             return (self._b == 0 and self._a == other.numerator
                     and self._d == other.denominator)
-        if isinstance(other, (float, complex)):
-            return complex(self) == complex(other)
+        if isinstance(other, (float, complex)):  # each part read exactly
+            re, im = other.real, other.imag
+            return isfinite(re) and isfinite(im) and self == ExactComplex(re, im)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._a, self._b, self._d))
+        """The hash of an equal int, ``Fraction``, float or complex."""
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return hash(_rat(a, d))
+        try:
+            return hash(complex(self))
+        except OverflowError:  # a part beyond the doubles: no float equals it
+            return hash((a, b, d))
 
     def __repr__(self) -> str:
         return f"ExactComplex({self.re!s}, {self.im!s})"

@@ -3,17 +3,16 @@
 Every function here is piecewise constant with compact support and every
 map is affine on finitely many intervals, so all the integrals appearing
 in the inner-product formulas evaluate in closed form.  Breakpoints,
-affine coefficients and lengths are always exact rationals, of the lean
-``Fraction`` subclass ``scalars._Rat``: it compares and adds on its int
-pairs without ``Fraction``'s generic dispatch.  ``_sweep`` and ``_covers``
-order ends by ``_Rat.__lt__``'s two products of ints, inline; a pull-back,
-an affine image, a map inverse and a signature value are the int kernels
-of ``scalars``, which reduce each result once.  Only the *values* of a step
-function choose between the exact and the float scalar backend.  A float
-breakpoint is read exactly, once.  A value signature holds int lengths on
-one grid per pair, so a float route leaves exact arithmetic only in
-``fock``, where each length becomes a double by one int division, and
-where the exact scaled form is reduced by one lazy gcd.
+affine coefficients and lengths are always exact ``Fraction``s in lowest
+terms.  ``_sweep`` and ``_covers`` order ends by two products of their int
+pairs, inline; a pull-back, an affine image, a map inverse and a signature
+value are the int kernels of ``scalars``, which reduce each result once.
+Only the *values* of a step function choose between the exact and the
+float scalar backend.  A float breakpoint is read exactly, once.  A value
+signature holds int lengths on one grid per pair, so a float route leaves
+exact arithmetic only in ``fock``, where each length becomes a double by
+one int division, and where the exact scaled form is reduced by one lazy
+gcd.
 
 Intervals are half-open ``[l, r)`` throughout.  All statements the library
 verifies are almost-everywhere statements, so endpoint membership never
@@ -34,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import NonInjectiveError
 from .scalars import (ExactComplex, _affine, _affine_inverse, _affine_preimage, _conj_times,
-                      _frac, _rat, _Rat, abs_sq_value)
+                      _frac, _rat, abs_sq_value)
 
 Segment = tuple[Fraction, Fraction, object]  # (left, right, value)
 
@@ -46,10 +45,11 @@ def _canonical_segments(segments: Iterable[Segment]) -> tuple[Segment, ...]:
 
 def _sorted_merged(segs: list) -> tuple[Segment, ...]:
     """The canonical form of nonempty, nonzero segments (l, r, v, L, R), each
-    end given both as a number l, r and as its ``_Rat`` L, R.
+    end given both as a number l, r and as its ``Fraction`` L, R.
 
     They are sorted and merged on the numbers, which Python compares exactly
-    across int, float and ``Fraction``, and kept as (L, R, v)."""
+    across int, float and ``Fraction``, as ``ExactComplex`` compares with a
+    float or complex, and kept as (L, R, v)."""
     segs.sort(key=itemgetter(0))
     out: list[Segment] = []
     for l, r, v, L, R in segs:
@@ -80,14 +80,14 @@ class StepFunction:
     def from_segments(segments: Iterable[tuple]) -> "StepFunction":
         """The canonical form of (l, r, value) segments given in any order.
 
-        One pass converts every end to a ``_Rat``, in the order given, notes
-        the first empty or inverted interval and drops the zero values; the
-        interval raises after the pass, so an end that ``_frac`` rejects
-        raises first, wherever it stands.  The check, the sort and the merge
-        compare the ends as given.  A segment that starts where the one
-        before it ended, given as a number of the same type, reuses that
-        end's ``_Rat``: ``_frac`` accepts or rejects a number by its type, and
-        a NaN equals nothing."""
+        One pass converts every end to a ``Fraction``, in the order given,
+        notes the first empty or inverted interval and drops the zero
+        values; the interval raises after the pass, so an end that ``_frac``
+        rejects raises first, wherever it stands.  The check, the sort and
+        the merge compare the ends as given.  A segment that starts where
+        the one before it ended, given as a number of the same type, reuses
+        that end's ``Fraction``: ``_frac`` accepts or rejects a number by
+        its type, and a NaN equals nothing."""
         segs = []
         empty = None  # the first empty or inverted interval, converted
         pr, R = math.nan, None  # the previous right end, given and converted
@@ -212,9 +212,9 @@ def _sweep(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:
     test for a tie when b's is not the smaller, and, for each side that
     leaves a segment, an equality test for whether its next one starts there.
 
-    The ends are ``_Rat``, and both tests are ``_Rat``'s, inline on their
-    int pairs: ``__lt__``'s two products, and equality of the pairs, exact
-    by the normal form, after an ``is`` test, which touching segments pass
+    The ends are ``Fraction``s, and both tests are inline on their int
+    pairs: ``<`` as two products, and equality of the pairs, exact by the
+    normal form, after an ``is`` test, which touching segments pass
     since they share one end object.  The cells' ends are the segments' own
     objects.  A cell ends at a's next end when the two are equal; it starts
     at the end of the cell before it while a side goes on across that point,
@@ -344,9 +344,9 @@ def inner(f: StepFunction, g: StepFunction):
 
     A complex u is weighted by the double l_u / Lambda, one correctly
     rounded int division, which is the double of its length; any other u by
-    its length as a ``_Rat``: an ``ExactComplex`` takes it by its own
-    ``__mul__``, a real u by ``_Rat``'s reflected product, which gives the
-    value and type of the product in the other order."""
+    its length as a ``Fraction``: an ``ExactComplex`` takes it by its own
+    ``__mul__``, a real u by ``Fraction``'s reflected product, which gives
+    the value and type of the product in the other order."""
     lam, sig = value_signature(f, g)
     total = 0
     for u, length in sig.items():
@@ -421,7 +421,7 @@ def _covers(outer: Sequence[tuple], inner: Iterable[tuple]) -> bool:
 
     Two intervals of ``outer`` are a positive gap apart, so this holds iff
     each [l, r) lies inside a single one of them: one two-pointer pass that
-    only compares ends, ``_Rat`` all, by ``<`` and ``<=`` on products of
+    only compares ends, ``Fraction`` all, by ``<`` and ``<=`` on products of
     their int pairs, inline."""
     i, n = 0, len(outer)
     for item in inner:
@@ -452,7 +452,7 @@ def restrict(f: StepFunction, e: IntervalSet) -> StepFunction:
 
 @dataclass(frozen=True)
 class AffinePiece:
-    """x -> slope * x + intercept on [left, right), four ``_Rat``, as
+    """x -> slope * x + intercept on [left, right), four ``Fraction``, as
     ``PiecewiseAffineMap.from_pieces`` builds them."""
 
     left: Fraction
@@ -461,9 +461,9 @@ class AffinePiece:
     intercept: Fraction
 
     def __call__(self, x: Fraction) -> Fraction:
-        """a x + b, reduced once for a ``_Rat`` x; any other x (an int, a
-        ``Fraction``, a float) by ``Fraction``'s own rules."""
-        if type(x) is not _Rat:
+        """a x + b, reduced once for a ``Fraction`` x; any other x (an int,
+        a float) by ``Fraction``'s own rules."""
+        if type(x) is not Fraction:
             return self.slope * x + self.intercept
         return _affine(self.slope, x, self.intercept)
 
@@ -483,7 +483,7 @@ class PiecewiseAffineMap:
     def from_pieces(pieces: Iterable[tuple]) -> "PiecewiseAffineMap":
         ps = []
         for l, r, a, b in pieces:
-            if not type(l) is type(r) is type(a) is type(b) is _Rat:
+            if not type(l) is type(r) is type(a) is type(b) is Fraction:
                 l, r, a, b = _frac(l), _frac(r), _frac(a), _frac(b)
             if l >= r:
                 raise ValueError("piece domain must have positive length")
@@ -532,7 +532,7 @@ class PiecewiseAffineMap:
 
 def _pull_back(p: AffinePiece, l, r) -> Optional[tuple[Fraction, Fraction]]:
     """The x in p's domain with p(x) in [l, r), l < r, as (lo, hi) with
-    lo < hi; None where that set is null.  The ends are read as ``_Rat``."""
+    lo < hi; None where that set is null.  The ends are read as ``Fraction``."""
     return _affine_preimage(p.slope, p.intercept, _frac(l), _frac(r), p.left, p.right)
 
 

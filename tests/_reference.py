@@ -8,7 +8,7 @@ it checks:
   and what is read off them: the value signature, ``restrict`` and
   ``PiecewiseAffineMap.restrict``, and a signature's lengths on their
   coarsest common grid;
-- the affine arithmetic by ``_Rat`` and ``ExactComplex`` operators: a
+- the affine arithmetic by ``Fraction`` and ``ExactComplex`` operators: a
   pull-back, a x + b, conj(vf) vg and conj(v) |slope|;
 - the adjoint of an operator, on that arithmetic alone;
 - the witness of the Hermitian test, from operators T_1, T_2 and their
@@ -126,7 +126,7 @@ def reference_grid(sig):
 
 def grid_lengths(signature):
     """The (Lambda, {u: l_u}) of ``value_signature`` as {u: l_u / Lambda},
-    each length a ``_Rat``, to compare with ``reference_signature``."""
+    each length a ``Fraction``, to compare with ``reference_signature``."""
     lam, sig = signature
     return {u: _rat(length, lam) for u, length in sig.items()}
 
@@ -153,7 +153,7 @@ def reference_map_restrict(phi, e):
 
 
 def reference_pull_back(p, l, r):
-    """``stepfn._pull_back`` by ``_Rat`` arithmetic: (lo, hi), empty unless lo < hi."""
+    """``stepfn._pull_back`` by ``Fraction`` arithmetic: (lo, hi), empty unless lo < hi."""
     x0 = (l - p.intercept) / p.slope
     x1 = (r - p.intercept) / p.slope
     if x1 < x0:

@@ -230,6 +230,17 @@ MUTANTS = [
     ("sup-norm-overflow-as-zero", "src/quadfock/stepfn.py",
      "            return math.inf", "            return 0.0",
      ["tests/test_stepfn.py::TestAlgebra::test_sup_norm_of_an_exact_value_beyond_the_doubles"]),
+    ("rat-skips-gcd", "src/quadfock/scalars.py",
+     "    g = gcd(n, d)\n", "    g = 1\n",
+     ["tests/test_rational.py::test_rat_and_quotient_give_fractions_normal_form"]),
+    ("exact-eq-float-through-complex", "src/quadfock/scalars.py",
+     "return isfinite(re) and isfinite(im) and self == ExactComplex(re, im)",
+     "return complex(self) == complex(other)",
+     ["tests/test_scalars.py::test_unary_and_comparisons_match_fraction_pairs"]),
+    ("exact-real-hash-as-tuple", "src/quadfock/scalars.py",
+     "            return hash(_rat(a, d))", "            return hash((a, b, d))",
+     ["tests/test_scalars.py::test_unary_and_comparisons_match_fraction_pairs",
+      "tests/test_scalars.py::test_equality_with_a_float_or_complex_is_exact"]),
     ("frac-float-subclass-truncated", "src/quadfock/scalars.py",
      "return _frac(float(x))", "return _rat(int(x), 1)",
      ["tests/test_rational.py::test_frac_converts_exactly"]),

@@ -484,6 +484,16 @@ def test_one_value_signature_per_pair(command, sweeps, mode, capsys, monkeypatch
     assert len(calls) == sweeps
 
 
+def counting(calls: dict, name: str, fn, counts=None):
+    """fn, adding one to ``calls[name]``, where calls has that key, at each
+    call that ``counts`` accepts (every call by default)."""
+    def counted(*args):
+        if name in calls and (counts is None or counts(*args)):
+            calls[name] += 1
+        return fn(*args)
+    return counted
+
+
 @pytest.mark.parametrize("run, counts", [
     # the reflection is given with dom phi = E = supp h, so no restrict is
     # made: the three phi conditions are read off the witness's overlap test
@@ -498,21 +508,13 @@ def test_one_value_signature_per_pair(command, sweeps, mode, capsys, monkeypatch
 ], ids=["selfadjoint", "criterion_10", "criterion_2"])
 def test_operator_and_pair_work(run, counts, capsys, monkeypatch):
     calls = dict.fromkeys(counts, 0)
-
-    def counting(name, fn):
-        def counted(*args):
-            if name in calls:
-                calls[name] += 1
-            return fn(*args)
-        return counted
-
-    invert = counting("map_invert", stepfn.map_invert)
+    invert = counting(calls, "map_invert", stepfn.map_invert)
     monkeypatch.setattr(stepfn, "map_invert", invert)
     monkeypatch.setattr(quantization, "map_invert", invert)
     monkeypatch.setattr(stepfn.PiecewiseAffineMap, "restrict",
-                        counting("restrict", stepfn.PiecewiseAffineMap.restrict))
+                        counting(calls, "restrict", stepfn.PiecewiseAffineMap.restrict))
     monkeypatch.setattr(fock, "value_signature",
-                        counting("value_signature", fock.value_signature))
+                        counting(calls, "value_signature", fock.value_signature))
     run()
     capsys.readouterr()
     assert calls == counts
@@ -525,25 +527,18 @@ def test_adjoint_pairing_draws_and_checks_without_rat_arithmetic(monkeypatch):
     # criterion 10 made 1640 subtractions, 1558 divisions and 222 conjugates
     # before.  The signatures' cell lengths are ints on one grid per pair (82
     # subtractions before).  The draws add nothing to any count.
-    calls = {"_Rat - x": 0, "_Rat / x": 0, "conjugate": 0}
-
-    def counting(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-        return counted
-
-    monkeypatch.setattr(scalars._Rat, "__sub__", counting("_Rat - x", scalars._Rat.__sub__))
-    monkeypatch.setattr(scalars._Rat, "__truediv__",
-                        counting("_Rat / x", scalars._Rat.__truediv__))
+    calls = {"Fraction - x": 0, "Fraction / x": 0, "conjugate": 0}
+    monkeypatch.setattr(Fraction, "__sub__", counting(calls, "Fraction - x", Fraction.__sub__))
+    monkeypatch.setattr(Fraction, "__truediv__",
+                        counting(calls, "Fraction / x", Fraction.__truediv__))
     monkeypatch.setattr(scalars.ExactComplex, "conjugate",
-                        counting("conjugate", scalars.ExactComplex.conjugate))
+                        counting(calls, "conjugate", scalars.ExactComplex.conjugate))
     assert acceptance.criterion_10()["passed"]
-    assert calls == {"_Rat - x": 0, "_Rat / x": 0, "conjugate": 0}
+    assert calls == {"Fraction - x": 0, "Fraction / x": 0, "conjugate": 0}
     rng = random.Random(0)
     for _ in range(100):
         families.random_step_function(rng, exact=True)
-    assert calls == {"_Rat - x": 0, "_Rat / x": 0, "conjugate": 0}
+    assert calls == {"Fraction - x": 0, "Fraction / x": 0, "conjugate": 0}
 
 
 def test_float_inner_reads_each_sup_norm_once(capsys, monkeypatch):
@@ -569,44 +564,29 @@ def _steps_json(rng, n):
 def test_float_inner_reads_each_length_as_a_double_once(capsys, monkeypatch):
     # the series halves the lengths as doubles, and its moments start from
     # doubles, so no length is divided or multiplied by a complex value
-    calls = {"_Rat / x": 0, "Fraction * complex": 0}
-
-    def counting(name, fn, only_complex):
-        def counted(a, b):
-            if not only_complex or isinstance(b, complex):
-                calls[name] += 1
-            return fn(a, b)
-        return counted
-
-    monkeypatch.setattr(scalars._Rat, "__truediv__",
-                        counting("_Rat / x", scalars._Rat.__truediv__, False))
+    calls = {"Fraction / x": 0, "Fraction * complex": 0}
+    monkeypatch.setattr(Fraction, "__truediv__",
+                        counting(calls, "Fraction / x", Fraction.__truediv__))
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(Fraction, name,
-                            counting("Fraction * complex", getattr(Fraction, name), True))
+                            counting(calls, "Fraction * complex", getattr(Fraction, name),
+                                     lambda a, b: isinstance(b, complex)))
     rng = random.Random(32)
     code, doc = run_cli(["inner", "--f", _steps_json(rng, 32), "--g", _steps_json(rng, 32)],
                         capsys)
     assert code == 0 and doc["agree"] is True
-    assert calls == {"_Rat / x": 0, "Fraction * complex": 0}
+    assert calls == {"Fraction / x": 0, "Fraction * complex": 0}
 
 
 def test_float_inner_converts_each_end_once_and_merges_once(capsys, monkeypatch):
     # two contiguous 32-segment functions have 33 distinct ends each, and one
     # refinement makes one ordering comparison per cell (before: 128 _frac
-    # calls on ends, and 306 _Rat ordering comparisons for this pair)
+    # calls on ends, and 306 Fraction ordering comparisons for this pair)
     calls = {"_frac": 0, "refine": 0, "ordering": 0}
-
-    def counting(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-        return counted
-
-    monkeypatch.setattr(stepfn, "_frac", counting("_frac", stepfn._frac))
-    monkeypatch.setattr(stepfn, "refine", counting("refine", stepfn.refine))
+    monkeypatch.setattr(stepfn, "_frac", counting(calls, "_frac", stepfn._frac))
+    monkeypatch.setattr(stepfn, "refine", counting(calls, "refine", stepfn.refine))
     for name in ("__lt__", "__le__", "__gt__", "__ge__"):
-        monkeypatch.setattr(scalars._Rat, name,
-                            counting("ordering", getattr(scalars._Rat, name)))
+        monkeypatch.setattr(Fraction, name, counting(calls, "ordering", getattr(Fraction, name)))
     rng = random.Random(34)
     code, doc = run_cli(["inner", "--f", _steps_json(rng, 32), "--g", _steps_json(rng, 32)],
                         capsys)
@@ -617,25 +597,19 @@ def test_float_inner_converts_each_end_once_and_merges_once(capsys, monkeypatch)
 
 def test_float_inner_makes_no_rat_sum_or_difference(capsys, monkeypatch):
     # the cell lengths of the signature are ints on one grid per pair, and a
-    # double length is one int division: no _Rat + or - (before: one
+    # double length is one int division: no Fraction + or - (before: one
     # subtraction per cell and one addition per repeated u)
     rng = random.Random(34)
     f_json, g_json = _steps_json(rng, 32), _steps_json(rng, 32)
     f, g = (stepfn.StepFunction.from_json(json.loads(text)) for text in (f_json, g_json))
-    calls = []
-
-    def counting(name, fn):
-        def counted(*args):
-            calls.append(name)
-            return fn(*args)
-        return counted
-
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
-        monkeypatch.setattr(scalars._Rat, name, counting(name, getattr(scalars._Rat, name)))
+    names = ("__add__", "__radd__", "__sub__", "__rsub__")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        monkeypatch.setattr(Fraction, name, counting(calls, name, getattr(Fraction, name)))
     code, doc = run_cli(["inner", "--f", f_json, "--g", g_json], capsys)
     assert code == 0 and doc["agree"] is True
     assert type(stepfn.inner(f, g)) is complex
-    assert calls == []
+    assert calls == dict.fromkeys(names, 0)
 
 
 def test_largest_depth_runs(capsys):

@@ -5,7 +5,7 @@ two-pointer pass over interval ends; ``ref_contains`` reads containment off
 ``reference_sweep``'s cells instead: no cell lies in the inner set alone.
 ``random_step_function`` and ``random_injective_operator`` build their ends
 and values from the rng's ints; ``ref_step_function`` and
-``ref_injective_operator`` divide ``_Rat`` numbers.  The new code must give
+``ref_injective_operator`` divide ``Fraction`` numbers.  The new code must give
 the same answers, the same exceptions and the same objects, down to their
 types and internal ints.
 """
@@ -21,7 +21,7 @@ from quadfock import (FockConfig, IntervalSet, PiecewiseAffineMap, QuadOperator,
                       UnconvergedError)
 from quadfock.families import random_injective_operator, random_step_function
 from quadfock.fock import _Signature, exp_inner_series
-from quadfock.scalars import ExactComplex, _frac, _Rat
+from quadfock.scalars import ExactComplex, _frac
 from quadfock.stepfn import _images_overlap
 
 from _reference import (CFGS, PAIRS, interval_segments, reference_series, reference_signature,
@@ -211,14 +211,14 @@ def _value_key(v):
 
 
 def _step_key(f: StepFunction):
-    assert all(type(l) is _Rat and type(r) is _Rat for l, r, _ in f.segments)
+    assert all(type(l) is Fraction and type(r) is Fraction for l, r, _ in f.segments)
     return [(l, r, _value_key(v)) for l, r, v in f.segments]
 
 
 def _operator_key(T: QuadOperator):
-    assert all(type(x) is _Rat for piece in T.E.intervals for x in piece)
+    assert all(type(x) is Fraction for piece in T.E.intervals for x in piece)
     pieces = [(p.left, p.right, p.slope, p.intercept) for p in T.phi.pieces]
-    assert all(type(x) is _Rat for piece in pieces for x in piece)
+    assert all(type(x) is Fraction for piece in pieces for x in piece)
     return T.E.intervals, _step_key(T.h), pieces
 
 

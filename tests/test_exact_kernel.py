@@ -302,7 +302,7 @@ def test_exact_series_scales_the_lengths_once(monkeypatch):
     # [0, 1/2) and [1/2, 1) carry u = 1/64 and 1/128 with l_u = 3 each.  The
     # series reduces the grid by one gcd(6, 3, 3), to Lambda = 2, the lcm of
     # the reduced lengths' denominators; it took that lcm over the lengths'
-    # denominators before, after a _Rat per cell.  The one lcm left is over
+    # denominators before, after a Fraction per cell.  The one lcm left is over
     # the value denominators.
     half = Fraction(1, 2)
     f = StepFunction.from_segments([(0, half, ExactComplex(Fraction(1, 4), 0)),

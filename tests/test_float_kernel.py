@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from quadfock import StepFunction, moments, n_particle_table
 from quadfock.fock import _dominating_tails, _Signature
-from quadfock.scalars import ExactComplex, _frac, _Rat
+from quadfock.scalars import ExactComplex, _frac
 from quadfock.stepfn import value_signature
 
 from _reference import (CFGS, PAIRS, grid_lengths, reference_a, reference_dominating_sum,
@@ -111,7 +111,7 @@ def test_mixed_segments_give_the_same_step_function(segments):
     if isinstance(got, str):
         f = StepFunction.from_segments(segments)
         assert f == reference_from_segments(segments)
-        assert all(type(l) is _Rat and type(r) is _Rat for l, r, _ in f.segments)
+        assert all(type(l) is Fraction and type(r) is Fraction for l, r, _ in f.segments)
 
 
 @settings(max_examples=200, deadline=None)

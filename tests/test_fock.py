@@ -29,7 +29,7 @@ from quadfock import (
 from quadfock.cli import main
 from quadfock.families import random_family
 from quadfock.fock import MAX_PARTICLES, _partition_table, _Signature
-from quadfock.scalars import ExactComplex, _Rat
+from quadfock.scalars import ExactComplex
 
 CFG = FockConfig()
 CFG_EXACT = FockConfig(c=Fraction(1))
@@ -244,7 +244,7 @@ class TestPartitions:
             assert len(rows) == len(multis)
             for multi, (items, coef, q, scaled) in zip(multis, rows):
                 assert items == tuple(multi.items())
-                assert type(coef) is _Rat
+                assert type(coef) is Fraction
                 assert coef == partition_coefficient(multi, n, mode)
                 assert q == sum(multi.values())
                 assert scaled == den * coef

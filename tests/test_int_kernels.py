@@ -4,10 +4,10 @@ adjoint built on them, against the reference arithmetic.
 ``_pull_back``, ``AffinePiece.__call__``, the signature product
 conj(vf) * vg of ``value_signature`` and the weight conj(v) / |slope| of
 ``adjoint_operator`` compute each result on the ints of their operands and
-reduce it once.  Their references in ``_reference.py`` chain ``_Rat`` and
-``ExactComplex`` operators: each kernel must give the same results, down to
-their types and internal ints.  Two differences are pinned here: an empty
-pull-back is None, and a pull-back of ``Fraction`` ends is made of ``_Rat``.
+reduce it once.  Their references in ``_reference.py`` chain ``Fraction``
+and ``ExactComplex`` operators: each kernel must give the same results, down
+to their types and internal ints.  One difference is pinned here: an empty
+pull-back is None.
 ``adjoint_operator`` must give ``reference_adjoint``'s operator, built on
 that arithmetic alone, on every operator input of the tests in both scalar
 backends, float weights bit for bit; the float weights whose products with
@@ -22,7 +22,7 @@ import pytest
 
 from quadfock import (IntervalSet, NonInjectiveError, PiecewiseAffineMap, QuadOperator,
                       StepFunction, adjoint_operator)
-from quadfock.scalars import ExactComplex, _affine_inverse, _conj_times, _new, _Rat, _rat
+from quadfock.scalars import ExactComplex, _affine_inverse, _conj_times, _new, _rat
 from quadfock.stepfn import AffinePiece, _images_overlap, _pull_back, value_signature
 
 from _reference import (atom_operators, grid_lengths, named_operators, piecewise_weight_operators,
@@ -79,19 +79,13 @@ def test_pull_back_matches_reference():
                                for a in SLOPES[:4] + SLOPES[6:10] for b in INTERCEPTS[3:6]])
 def test_pull_back_of_int_and_fraction_ends(p):
     for l, r in [(-3, 1), (0, 2), (1, 6), (-9, -4), (4, 11)]:
-        # int ends: int - _Rat is a _Rat, so the reference's ends are too
-        got, (lo, hi) = _pull_back(p, l, r), reference_pull_back(p, l, r)
-        if lo < hi:
-            assert [rat_key(x) for x in got] == [rat_key(lo), rat_key(hi)]
-        else:
-            assert got is None
-        # Fraction ends: the reference's unclipped ends are Fraction, the kernel's _Rat
-        fl, fr = Fraction(l, 3), Fraction(r, 3)
-        got, (lo, hi) = _pull_back(p, fl, fr), reference_pull_back(p, fl, fr)
-        if lo < hi:
-            assert list(got) == [lo, hi] and all(type(x) is _Rat for x in got)
-        else:
-            assert got is None
+        # int ends, and Fraction ends made by Fraction's own constructor
+        for ends in ((l, r), (Fraction(l, 3), Fraction(r, 3))):
+            got, (lo, hi) = _pull_back(p, *ends), reference_pull_back(p, *ends)
+            if lo < hi:
+                assert [rat_key(x) for x in got] == [rat_key(lo), rat_key(hi)]
+            else:
+                assert got is None
 
 
 def test_pull_back_of_fraction_ends_is_made_of_rat():
@@ -99,7 +93,7 @@ def test_pull_back_of_fraction_ends_is_made_of_rat():
     lo, hi = reference_pull_back(p, Fraction(1, 3), Fraction(1, 2))
     assert (type(lo), type(hi)) == (Fraction, Fraction)
     assert _pull_back(p, Fraction(1, 3), Fraction(1, 2)) == (_rat(1, 4), _rat(3, 4))
-    assert all(type(x) is _Rat for x in _pull_back(p, Fraction(1, 3), Fraction(1, 2)))
+    assert all(type(x) is Fraction for x in _pull_back(p, Fraction(1, 3), Fraction(1, 2)))
 
 
 def test_pull_back_through_a_decreasing_piece_keeps_order():

@@ -5,7 +5,8 @@ tolerance to ``quantization``, whose verdicts are exact, ``quantization``
 pulls h through phi in one place, and its self-adjointness report reads
 phi's shape once.  Each reference is defined in one file, and every entry
 of the mutant list in ``tests/mutants.py`` still applies to the tree and
-names tests that exist.
+names tests that exist.  Breakpoints are plain ``Fraction``s: ``scalars``
+defines no subclass of it.
 
 A reference implementation that two modules compare against lives in
 ``tests/_reference.py``; importing it from a test module would tie one
@@ -13,10 +14,13 @@ module's collection to the other's inputs and names.
 """
 
 import ast
+import re
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 import quadfock
+from quadfock import scalars
 
 TESTS = Path(__file__).parent
 
@@ -158,6 +162,17 @@ def test_each_reference_is_defined_once():
             if isinstance(node, ast.FunctionDef) and node.name.startswith(("ref_", "reference_")):
                 files.setdefault(node.name, set()).add(path.name)
     assert {name: found for name, found in files.items() if len(found) > 1} == {}
+
+
+def test_breakpoints_are_plain_fractions():
+    # one rational type, which the kernels build in Fraction's normal form:
+    # no subclass of Fraction, and no file names the one that was deleted
+    assert [name for name, value in vars(scalars).items() if isinstance(value, type)
+            and issubclass(value, Fraction) and value is not Fraction] == []
+    src = Path(scalars.__file__).parent
+    assert [path.name for path in sorted([*src.glob("*.py"), *TESTS.glob("*.py")])
+            if path.name != Path(__file__).name
+            and re.search(r"\b_Rat\b", path.read_text())] == []
 
 
 def test_mutant_list_applies_and_names_existing_tests():

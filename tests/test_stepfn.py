@@ -15,7 +15,7 @@ from quadfock import (
     map_invert,
     restrict,
 )
-from quadfock.scalars import ExactComplex, _Rat
+from quadfock.scalars import ExactComplex
 from quadfock.stepfn import step_allclose
 
 
@@ -103,7 +103,7 @@ class TestInner:
         assert inner(f, g) == ExactComplex(Fraction(1), Fraction(-1))
 
     @pytest.mark.parametrize("v, want, kind", [
-        (3, Fraction(45, 2), _Rat),
+        (3, Fraction(45, 2), Fraction),
         (Fraction(1, 3), Fraction(5, 18), Fraction),
         (0.3, 0.3 * 0.3 * 0.5 + 0.3 * 0.6 * 1.0, float),
     ])

@@ -1,13 +1,13 @@
 """The two primitives under every pair against their references.
 
 ``_sweep``, the one merge of two segment lists' ends, must give the cells of
-``reference_sweep``, down to the ``_Rat`` objects of their ends; the value
+``reference_sweep``, down to the ``Fraction`` objects of their ends; the value
 signature, ``restrict`` and ``PiecewiseAffineMap.restrict`` must give what
 ``reference_signature``, ``reference_restrict`` and
 ``reference_map_restrict`` read off those cells.  The signature's int
 lengths on its pair's grid must give the reference's lengths, and its
 reduced grid ``reference_grid``'s lcm of their denominators.
-``StepFunction.from_segments``, which reuses the ``_Rat`` of an end shared
+``StepFunction.from_segments``, which reuses the ``Fraction`` of an end shared
 by two consecutive segments, must give ``reference_from_segments``'
 canonical segments and exceptions.
 """
@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadfock import PiecewiseAffineMap, StepFunction
-from quadfock.scalars import ExactComplex, _rat, _Rat
+from quadfock.scalars import ExactComplex, _rat
 from quadfock.fock import _Signature
 from quadfock.stepfn import _sweep, restrict, value_signature
 
@@ -38,7 +38,7 @@ VALUES = EXACT + FLOAT
 @st.composite
 def segment_lists(draw, values=VALUES, max_segments=6):
     """Sorted disjoint (l, r, v) on the grid k/4 in [0, 6]: segments may
-    touch or leave gaps.  A touching pair shares its end as one ``_Rat``
+    touch or leave gaps.  A touching pair shares its end as one ``Fraction``
     object or as two equal ones."""
     n = draw(st.integers(0, max_segments))
     cuts = draw(st.lists(st.integers(0, 24), min_size=n + 1, max_size=n + 1,
@@ -140,7 +140,7 @@ def in_floats(segs):
 
 def assert_grid_signature(f, g):
     """``value_signature``'s ints against ``reference_signature``, and its
-    lazily reduced grid against the lcm of the reduced ``_Rat`` lengths."""
+    lazily reduced grid against the lcm of the reduced ``Fraction`` lengths."""
     signature = value_signature(f, g)
     lam, sig = signature
     ref = reference_signature(f, g)
@@ -192,7 +192,7 @@ def outcome(build, segments):
         f = build(segments)
     except Exception as exc:  # compared with the reference's exception below
         return type(exc), str(exc)
-    assert all(type(l) is _Rat and type(r) is _Rat for l, r, _ in f.segments)
+    assert all(type(l) is Fraction and type(r) is Fraction for l, r, _ in f.segments)
     return f.segments
 
 
@@ -244,7 +244,7 @@ def test_from_segments_matches_the_reference(segs):
 @settings(max_examples=200)
 def test_contiguous_inputs_match_the_reference(cuts, ends):
     # contiguous segments whose shared ends come as any mix of number types
-    typed = [type(e)(k) if not isinstance(e, _Rat) else _rat(k, 1) for k, e in zip(cuts, ends)]
+    typed = [type(e)(k) for k, e in zip(cuts, ends)]
     segs = [(l, r, complex(k, 1) / 8) for k, (l, r) in enumerate(zip(typed, typed[1:]))]
     assert outcome(StepFunction.from_segments, segs) == outcome(reference_from_segments, segs)
 
