@@ -72,8 +72,6 @@ from itertools import chain, islice
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from .errors import DomainError, NotHermitianError, UnconvergedError
 from .scalars import ExactComplex, _frac, _new, _parts, _rat
 from .stepfn import StepFunction, value_signature
@@ -679,6 +677,8 @@ def gram_matrix(family: Sequence[StepFunction], cfg: FockConfig) -> np.ndarray:
     bad = [i for i, f in enumerate(family) if not exp_vector_exists(f)]
     if bad:
         raise DomainError(f"sup norm >= 1/2 at indices {bad}")
+    import numpy as np  # here, so that no other route loads numpy
+
     n = len(family)
     G = np.empty((n, n), dtype=complex)
     for i in range(n):
@@ -691,6 +691,8 @@ def gram_matrix(family: Sequence[StepFunction], cfg: FockConfig) -> np.ndarray:
 
 def gram_min_eig(G: np.ndarray, tol: float = 1e-10) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
+    import numpy as np
+
     defect = float(np.max(np.abs(G - G.conj().T)))
     if defect > tol:
         raise NotHermitianError(f"Hermitian defect {defect:.3e} exceeds tol {tol:.3e}")

@@ -6,17 +6,35 @@ and the mutant is killed when every named node id has a failing test.
 
     PYTHONPATH=src python tests/mutants.py [id ...]
 
-copies ``src/``, ``tests/`` and ``perfbench/`` into a fresh temporary
-directory and runs every named node id there, unmutated, where all must
-pass.  Then, one mutant at a time, it makes a fresh copy, replaces ``old``
-by ``new`` there, runs ``python -m pytest -q -p no:cacheprovider <node
-ids>`` and prints ``killed`` or ``SURVIVED``.  It exits 1 if any mutant
-survives.  ``perfbench/`` is copied because some tests read it, such as
-``tests/test_tracing_targets.py``; no mutant changes it.  pytest does not
-collect this file; it runs by hand, one subprocess at a time.
+copies ``src/``, ``tests/``, ``perfbench/`` and ``pyproject.toml`` once, into
+a snapshot in a temporary directory, and runs every named node id there,
+unmutated, where all must pass.  Then, one mutant at a time, it copies the
+snapshot, replaces ``old`` by ``new`` in the copy, runs ``python -m pytest
+-q -p no:cacheprovider --hypothesis-seed=0 <node ids>`` and prints
+``killed`` or ``SURVIVED``.  It exits 1 if any mutant survives.  Every run
+judges the snapshot, so a file edited in the checkout while a run is under
+way changes nothing.  ``perfbench/`` is copied because some tests read it,
+such as ``tests/test_tracing_targets.py``; no mutant changes it.
+
+    PYTHONPATH=src python tests/mutants.py --matrix [id ...]
+
+runs the whole suite instead: once unmutated under ``tests/uncovered.py
+--lines``, which records the lines of ``src/quadfock`` that each test
+function executes, then once per mutant.  It prints every test function
+that fails under each mutant, and then each merge candidate: a test
+function T for which another function S of the same file executes every
+line that T executes and fails under every mutant that T fails under.
+``*`` marks a T that README.md, ROADMAP.md, CHANGES.md or this list names.
+A test function is one key for all the cases of a parametrized test.
+
+pytest does not collect this file; it runs by hand, one subprocess at a
+time, with the fixed hypothesis seed ``SEED``, so a second run of either
+mode prints the same lines.
 """
 
+import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -24,6 +42,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 0
+# fails under every mutant, since the mutated text no longer holds ``old``
+LIST_CHECK = "test_layout.py::test_mutant_list_applies_and_names_existing_tests"
 
 MUTANTS = [
     # --- the counter-example's moment witness ------------------------------------------
@@ -223,6 +244,31 @@ MUTANTS = [
     ("allclose-exact-through-complex", "src/quadfock/stepfn.py",
      "(va != vb) if tol == 0 else", "(complex(va) != complex(vb)) if tol == 0 else",
      ["tests/test_stepfn.py::test_step_allclose"]),
+    # --- the criteria's failure branches, each made a no-op ----------------------------
+    ("criterion-2-exact-failure-ignored", "src/quadfock/acceptance.py",
+     "            exact_ok = False\n", "            pass\n",
+     ["tests/test_acceptance.py::test_a_criterion_fails_where_its_check_fails[c2-exact]"]),
+    ("criterion-2-float-failure-ignored", "src/quadfock/acceptance.py",
+     "            float_ok = False\n", "            pass\n",
+     ["tests/test_acceptance.py::test_a_criterion_fails_where_its_check_fails[c2-float]"]),
+    ("criterion-3-failure-ignored", "src/quadfock/acceptance.py",
+     "if printed / corrected != expected:\n                ok = False",
+     "if printed / corrected != expected:\n                pass",
+     ["tests/test_acceptance.py::test_a_criterion_fails_where_its_check_fails[c3]"]),
+    ("criterion-6-zero-combination-read", "src/quadfock/acceptance.py",
+     "continue  # a zero combination", "pass  # a zero combination",
+     ["tests/test_acceptance.py::test_a_criterion_fails_where_its_check_fails[c6-zero]"]),
+    ("criterion-6-failure-ignored", "src/quadfock/acceptance.py",
+     "if rep.rel_error > 1e-6:\n            ok = False",
+     "if rep.rel_error > 1e-6:\n            pass",
+     ["tests/test_acceptance.py::test_a_criterion_fails_where_its_check_fails[c6-rel-error]"]),
+    ("criterion-8-acceptance-as-rejection", "src/quadfock/acceptance.py",
+     "            fn(*args)\n            return False",
+     "            fn(*args)\n            return True",
+     ["tests/test_acceptance.py::test_a_criterion_fails_where_its_check_fails[c8]"]),
+    ("criterion-10-failure-ignored", "src/quadfock/acceptance.py",
+     "if lhs != rhs:\n            ok = False", "if lhs != rhs:\n            pass",
+     ["tests/test_acceptance.py::test_a_criterion_fails_where_its_check_fails[c10]"]),
     # --- guards and paths that only their own tests run -------------------------------
     ("sub-adds", "src/quadfock/stepfn.py",
      "return self + other.scale(-1)", "return self + other",
@@ -302,18 +348,30 @@ def key(node_id: str) -> str:
     return Path(file).name + sep + name
 
 
-def run(node_ids: list, file=None, old=None, new=None) -> tuple:
+def function(node_id: str) -> str:
+    """The key of a node id's test function, one for all its parametrized cases."""
+    return key(node_id).split("[", 1)[0]
+
+
+def snapshot(dest: Path) -> Path:
+    """``dest`` holding a copy of the checkout's src/, tests/, perfbench/ and
+    pyproject.toml, the files a test run reads."""
+    for d in ("src", "tests", "perfbench"):
+        shutil.copytree(ROOT / d, dest / d, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", dest)
+    return dest
+
+
+def run(tree: Path, args: list, file=None, old=None, new=None) -> tuple:
     """pytest's return code and the keys of its FAILED and ERROR lines, on
-    ``node_ids`` in a fresh copy of src/, tests/ and perfbench/ with ``old``
-    replaced by ``new`` in ``file``."""
+    ``args`` in a copy of ``tree`` with ``old`` replaced by ``new`` in ``file``."""
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        for d in ("src", "tests", "perfbench"):
-            shutil.copytree(ROOT / d, tmp / d, ignore=shutil.ignore_patterns("__pycache__"))
+        tmp = shutil.copytree(tree, Path(tmp) / "tree")
         if file:
             (tmp / file).write_text((tmp / file).read_text().replace(old, new))
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *node_ids],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"--hypothesis-seed={SEED}", *args],
             cwd=tmp, env=dict(os.environ, PYTHONPATH=str(tmp / "src")),
             capture_output=True, text=True)
     return done.returncode, [key(line.split(" ", 1)[1].split(" - ")[0])
@@ -328,25 +386,72 @@ def fails(node_id: str, failed: list) -> bool:
                for k in failed)
 
 
-def main(names: list) -> int:
-    by_name = {m[0]: m for m in MUTANTS}
-    mutants = [by_name[name] for name in names] if names else MUTANTS
-    for name, file, old, new, node_ids in mutants:
-        count = (ROOT / file).read_text().count(old)
-        if count != 1 or new == old or not node_ids:
-            raise SystemExit(f"{name}: old occurs {count} times, or new == old, or no node ids")
-    code, failed = run(sorted({n for m in mutants for n in m[4]}))
+def check(tree: Path, mutants: list) -> int:
+    """Each mutant's named node ids on ``tree``: 0 when every mutant is killed."""
+    code, failed = run(tree, sorted({n for m in mutants for n in m[4]}))
     if code:
         raise SystemExit("on the unmutated tree pytest exits %d; failing: %s" % (code, failed))
     survived = 0
     for name, file, old, new, node_ids in mutants:
-        _, failed = run(node_ids, file, old, new)
+        _, failed = run(tree, node_ids, file, old, new)
         alive = [n for n in node_ids if not fails(n, failed)]
         survived += bool(alive)
         print(f"{name:32} " + ("SURVIVED, passing: " + " ".join(alive) if alive else "killed"),
               flush=True)
     print(f"{len(mutants)} mutants: {len(mutants) - survived} killed, {survived} survived")
     return 1 if survived else 0
+
+
+def matrix(tree: Path, mutants: list) -> int:
+    """The whole suite on ``tree`` once per mutant, and the merge candidates."""
+    named = "".join((ROOT / doc).read_text() for doc in ("README.md", "ROADMAP.md", "CHANGES.md"))
+    named += " ".join(n for m in MUTANTS for n in m[4])
+    out = tree.parent / "lines.json"
+    done = subprocess.run([sys.executable, str(tree / "tests" / "uncovered.py"),
+                           "--lines", str(out)], cwd=tree, capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit("on the unmutated tree uncovered.py exits %d:\n%s"
+                         % (done.returncode, done.stdout[-2000:]))
+    lines = {t: set(v) for t, v in json.loads(out.read_text()).items()}
+    kills = {t: set() for t in lines}
+    for name, file, old, new, _ in mutants:
+        _, failed = run(tree, [], file, old, new)
+        # a file that fails to collect fails every test function in it
+        hit = {t for k in failed for t in lines
+               if t == function(k) or t.startswith(k + "::")} - {LIST_CHECK}
+        for t in hit:
+            kills[t].add(name)
+        print(f"{name:32} {len(hit):3} failing: " + " ".join(sorted(hit)), flush=True)
+    print(f"{sum(bool(k) for k in kills.values())} of {len(kills)} test functions "
+          f"kill at least one mutant")
+    count = 0
+    for t in sorted(kills):
+        if not kills[t]:
+            continue
+        covers = [s for s in sorted(kills) if s != t and s.split("::")[0] == t.split("::")[0]
+                  and lines[t] <= lines[s] and kills[t] <= kills[s]]
+        if covers:
+            count += 1
+            mark = "*" if re.search(rf"\b{t.rsplit('::', 1)[1]}\b", named) else " "
+            print(f"candidate {mark} {t} <= " + " ".join(covers))
+    print(f"{count} merge candidates")
+    return 0
+
+
+def main(args: list) -> int:
+    mode = check
+    if args[:1] == ["--matrix"]:
+        mode, args = matrix, args[1:]
+    by_name = {m[0]: m for m in MUTANTS}
+    mutants = [by_name[name] for name in args] if args else MUTANTS
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = snapshot(Path(tmp) / "tree")
+        for name, file, old, new, node_ids in mutants:
+            count = (tree / file).read_text().count(old)
+            if count != 1 or new == old or not node_ids:
+                raise SystemExit(f"{name}: old occurs {count} times, or new == old, "
+                                 "or no node ids")
+        return mode(tree, mutants)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import quadfock.fock as fock
-from quadfock.acceptance import criterion_2, run_all
+from quadfock.acceptance import run_all
 from quadfock.families import random_injective_operator, random_step_function
 from quadfock.stepfn import StepFunction
 
@@ -47,27 +47,18 @@ def test_operator_weight_draws_are_canonical(exact):
 
 def test_run_all_makes_no_from_segments_call_from_families(monkeypatch):
     original = StepFunction.from_segments
-    callers = []
+    callers, built = [], []
 
     def from_segments(segments):
         callers.append(sys._getframe(1).f_globals["__name__"])
         return original(segments)
 
+    powers = fock._gaussian_powers
     monkeypatch.setattr(StepFunction, "from_segments", staticmethod(from_segments))
-    assert run_all()["passed"]
+    monkeypatch.setattr(fock, "_gaussian_powers", lambda N, n: built.append(n) or powers(N, n))
+    doc = run_all()
+    assert doc["passed"]
     assert callers  # the guard sees the calls made elsewhere
     assert "quadfock.families" not in callers
-
-
-def test_criterion_2_builds_one_power_table_per_pair(monkeypatch):
-    original = fock._gaussian_powers
-    built = []
-
-    def gaussian_powers(N, n):
-        built.append(n)
-        return original(N, n)
-
-    monkeypatch.setattr(fock, "_gaussian_powers", gaussian_powers)
-    result = criterion_2()
-    assert result["passed"]
-    assert built == [8] * result["details"]["pairs"]
+    # one power table per pair of criterion 2, and none elsewhere
+    assert built == [8] * doc["criteria"][1]["details"]["pairs"]

@@ -111,6 +111,7 @@ class TestSelfAdjoint:
         assert exact == flt
         doc = json.loads(exact)
         assert doc["witness"]["k"] == k and doc["hermitian"] is (k == 0)
+        assert doc["verdict"] is (code == 0)
 
     @pytest.mark.parametrize("op", [REFLECTION, DILATION, WEIGHT_2, SWAP, FOLD,
                                     NEAR_UNIT_WEIGHT, NEAR_REFLECTION, TINY_SLOPE])
@@ -139,11 +140,6 @@ class TestSelfAdjoint:
         assert doc["numeric"]["adjoint_defect"] is None
         assert doc["numeric"]["defect"] == doc["numeric"]["hermitian_defect"]
 
-    def test_reflection_passes(self, capsys):
-        code, doc = run_cli(["selfadjoint", "--op", REFLECTION], capsys)
-        assert code == 0
-        assert doc["verdict"] is True
-
     def test_dilation_fails(self, capsys):
         code, doc = run_cli(["selfadjoint", "--op", DILATION, "--random", "2"],
                             capsys)
@@ -159,13 +155,10 @@ CANCEL = '[[0,0.25,0.25,0],[0.25,0.5,0,0.25]]'
 
 
 class TestCounterexample:
-    def test_default_gap(self, capsys):
-        code, doc = run_cli(["counterexample"], capsys)
-        assert code == 0
-        assert doc["pass"] is True
-        assert doc["gap"] == pytest.approx(5.525e-3, rel=1e-3)
-
     def test_c_flag(self, capsys):
+        code, doc = run_cli(["counterexample"], capsys)
+        assert code == 0 and doc["pass"] is True
+        assert doc["gap"] == pytest.approx(5.525e-3, rel=1e-3)
         code, doc = run_cli(["--c", "2", "counterexample"], capsys)
         assert code == 0
         assert doc["lhs"][0] == pytest.approx(0.75 ** -0.5)
@@ -393,31 +386,20 @@ def test_exact_c_below_the_rounding_grid_stays_positive(command, capsys):
             assert exact[key] == pytest.approx(flt[key], rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("given", [["--f", '[[0,1,0.3,0]]'], ["--g", '[[0,2,0.125,0.0625]]']])
-def test_counterexample_default_input_follows_the_mode(given, capsys):
-    # a missing --f or --g is the default (1/4) chi_[0,1) in the backend of the other
-    default = ["--f" if given[0] == "--g" else "--g", QUARTER]
-    for mode in ("exact", "float"):
+@pytest.mark.parametrize("given", [["--f", '[[0,1,0.3,0]]'], ["--g", '[[0,2,0.125,0.0625]]'], []])
+def test_counterexample_default_input_follows_the_mode(given, capsys, monkeypatch):
+    # a missing --f or --g is the default (1/4) chi_[0,1) in the backend of the
+    # other, or of the mode where both are missing
+    default = [arg for flag in ("--f", "--g") if flag not in given for arg in (flag, QUARTER)]
+    received = []
+    monkeypatch.setattr(cli, "counterexample_report",
+                        lambda cfg, f, g: received.append((f, g)) or counterexample_report(cfg, f, g))
+    for mode, scalar in (("exact", ExactComplex), ("float", complex)):
         one = run_cli(["--mode", mode, "counterexample", *given], capsys)
         both = run_cli(["--mode", mode, "counterexample", *given, *default], capsys)
         assert one == both
         assert one[1] is not None
-
-
-@pytest.mark.parametrize("mode, scalar", [("exact", ExactComplex), ("float", complex)])
-def test_counterexample_default_inputs_take_the_mode_backend(mode, scalar, capsys,
-                                                             monkeypatch):
-    received = []
-
-    def report(cfg, f, g):
-        received.extend((f, g))
-        return counterexample_report(cfg, f, g)
-
-    monkeypatch.setattr(cli, "counterexample_report", report)
-    code, _ = run_cli(["--mode", mode, "counterexample"], capsys)
-    assert code == 0
-    assert len(received) == 2
-    assert all(type(v) is scalar for h in received for _, _, v in h.segments)
+        assert all(type(v) is scalar for h in received[-2] for _, _, v in h.segments)
 
 
 # --- one parser per process ---------------------------------------------------
@@ -636,6 +618,18 @@ def test_tail_bound_is_positive(capsys):
                          "--g", '[[0,1,0.01,0]]'], capsys)
     assert code == 0
     assert doc["tail_bound"] > 0 and doc["depth"] < 60
+
+
+def test_inner_and_nparticle_load_no_numpy():
+    # numpy is imported inside fock's Gram functions, which of the
+    # subcommands only verify-all reaches
+    code = ("import contextlib, io, sys\nfrom quadfock.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['inner', '--f', '{QUARTER}', '--g', '{QUARTER}']) == 0\n"
+            f"    assert main(['nparticle', '--f', '{QUARTER}', '--g', '{QUARTER}', '--n', '3']) == 0\n"
+            "assert 'numpy' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestDeterminism:

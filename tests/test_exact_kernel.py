@@ -105,6 +105,7 @@ def check_all(m, entries, n, c):
 @given(st.integers(0, 10 ** 6), st.sampled_from(C_VALUES), st.integers(0, 16))
 @example(0, Fraction(3, 7), 16)
 @example(1, Fraction(1, 10 ** 13), 12)
+@example(7, Fraction(1, 10 ** 400), 6)  # float(c) is 0.0, but c is positive
 @settings(max_examples=40, deadline=None)
 def test_exact_routes_match_reference(seed, c, n):
     f, g = exact_pair(seed)
@@ -150,15 +151,6 @@ def test_one_value_signature():
         check_all(m, entries, 10, c)
 
 
-def test_hand_built_sequence_with_unrelated_denominators():
-    entries = [ExactComplex(Fraction(1, 3), Fraction(2, 7)), Fraction(5, 11), 2,
-               ExactComplex(Fraction(-1, 13), 0), ExactComplex(0, Fraction(9, 17)),
-               Fraction(-4, 1001), 0, ExactComplex(Fraction(1, 2 ** 60), Fraction(-3, 19))]
-    m = MomentSequence(tuple(entries))
-    for c in C_VALUES:
-        check_all(m, entries, 8, c)
-
-
 def test_float_path_is_the_generic_loop():
     f, g = exact_pair(5)
     ff = StepFunction.from_json(f.to_json())
@@ -169,15 +161,6 @@ def test_float_path_is_the_generic_loop():
         assert n_particle_inner_rec(m, 10, cfg) == reference_a(m.entries, 10, c)[10]
         assert n_particle_inner_partition(m, 10, cfg) == \
             reference_partition(m.entries, 10, c, "corrected")
-
-
-def test_c_beyond_the_doubles():
-    # float(c) is 0.0, but c is positive: FockConfig accepts it
-    c = Fraction(1, 10 ** 400)
-    f, g = exact_pair(7)
-    m = moments(f, g, 6)
-    entries = reference_moments(reference_signature(f, g), 6)
-    check_all(m, entries, 6, c)
 
 
 def test_float_c_on_exact_values_is_read_exactly():
@@ -281,6 +264,8 @@ def test_partition_sums_of_a_hand_built_sequence():
                Fraction(7, 3), ExactComplex(Fraction(-2, 9), Fraction(1, 4)), 1,
                ExactComplex(0, Fraction(-5, 6))]
     m = MomentSequence(tuple(entries))
+    for c in C_VALUES:  # every route at n = 8, on unrelated denominators
+        check_all(m, entries, 8, c)
     for c in SUM_C_VALUES:
         check_partition_sums(m, list(range(13)), c)
         cfg = FockConfig(c=c)
