@@ -16,12 +16,12 @@ from .families import random_family, random_injective_operator, reflection_opera
 from .fock import (
     FockConfig,
     _Signature,
+    _gram_minors,
     _partition_sums,
     exp_inner_closed,
     exp_inner_series,
     exp_vector_exists,
     gram_matrix,
-    gram_min_eig,
     moments,
     n_particle_table,
     partition_coefficient,
@@ -260,19 +260,25 @@ def criterion_8() -> dict:
 
 
 def criterion_9(seed: int = 9) -> dict:
-    """Gram matrices of 4 distinct admissible functions are positive definite."""
+    """Gram matrices of 4 distinct admissible functions are positive definite:
+    an exact family's truncation G_N, G_N <= G, has positive leading minors
+    at the first N up to GRAM_DEPTH, with no float and no threshold."""
     draws = 20
     cfg = FockConfig()
     rng = random.Random(seed)
-    worst = float("inf")
-    for _ in range(draws):
-        fam = random_family(rng, 4, max_abs=0.45)
-        worst = min(worst, gram_min_eig(gram_matrix(fam, cfg)))
+    depths, failures = [], []
+    for draw in range(draws):
+        for N, _, minors in _gram_minors(random_family(rng, 4, max_abs=0.45, exact=True), cfg):
+            if minors[-1] > 0:
+                break
+        else:
+            failures.append({"draw": draw, "leading_minor": len(minors)})
+        depths.append(N)
     return {
         "id": 9,
         "name": "linear independence at finite scale",
-        "passed": worst > 1e-14,
-        "details": {"worst_min_eig": worst, "draws": draws},
+        "passed": not failures,
+        "details": {"depths": depths, "failures": failures, "draws": draws},
     }
 
 

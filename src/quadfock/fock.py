@@ -81,6 +81,7 @@ ADMISSIBLE_SUP_SQ = Fraction(1, 4)  # existence radius: sup norm < 1/2
 
 MAX_DEPTH = 2000  # moments and the series recursion hold and loop over every term
 MAX_PARTICLES = 40  # the partition sum holds a table of all p(n) terms: 37338 at n = 40
+GRAM_DEPTH = 8  # the largest truncation N of an exact Gram certificate
 
 
 def _inside_radius(sup_sq) -> bool:
@@ -254,15 +255,22 @@ class _Signature:
                 pass
         raise DomainError(f"closed form exp({exponent}) overflows double precision")
 
+    def _exact_terms(self, c) -> Iterator[tuple[int, int, int]]:
+        """b_1, b_2, ... of an exact (or empty) signature as (re, im, q) with
+        b_n = (re + im i) / q = B_n / (n! (D E)^n), one moment and one
+        recursion step per term."""
+        D, N = self._gaussian_moments()
+        c = _frac(c)
+        E = c.denominator * self.scaled_lengths()[0]
+        q = 1
+        for n, (re, im) in enumerate(_scaled_b(N, E, c.numerator), 1):
+            q *= n * D * E
+            yield re, im, q
+
     def _terms(self, c) -> Iterator[complex]:
         """b_1, b_2, ... as doubles, one moment and one recursion step per term."""
         if self.exact:
-            D, N = self._gaussian_moments()
-            c = _frac(c)
-            E = c.denominator * self.scaled_lengths()[0]
-            q = 1
-            for n, (re, im) in enumerate(_scaled_b(N, E, c.numerator), 1):
-                q *= n * D * E  # b_n = B_n / (n! (D E)^n), correctly rounded by one division
+            for re, im, q in self._exact_terms(c):  # correctly rounded by one division
                 try:
                     yield complex(re / q, im / q)
                 except OverflowError:  # an exact b_n beyond the doubles
@@ -687,6 +695,46 @@ def gram_matrix(family: Sequence[StepFunction], cfg: FockConfig) -> np.ndarray:
             G[j, i] = z.conjugate()
             G[i, j] = z  # after the conjugate, so the diagonal keeps z
     return G
+
+
+def _gram_minors(family: Sequence[StepFunction], cfg: FockConfig) -> Iterator[tuple]:
+    """(N, den, minors) for N = 1..GRAM_DEPTH on an exact family: the leading
+    principal minors of the Gaussian integer matrix den * G_N, up to the first
+    that is not positive, where G_N = sum_{n<=N} A_n / (n!)^2 <= G since each
+    A_n = [a_n(f_i, f_j)] is a Gram matrix in H_n: positive minors certify G > 0.
+    Each pair i <= j adds one term b_n = a_n / (n!)^2 of its recursion per N."""
+    if not all(map(exp_vector_exists, family)):
+        raise DomainError("sup norm >= 1/2 in the family")
+    n = len(family)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    terms = [_Signature(value_signature(family[i], family[j]))._exact_terms(cfg.c)
+             for i, j in pairs]
+    sums = [(1, 0, 1)] * len(pairs)  # b_0 = 1, as (re, im, q)
+    for N in range(1, GRAM_DEPTH + 1):
+        # b_N = (re + im i) / q_N, and q_N is a multiple of q_{N-1}
+        sums = [(re * (q // r) + br, im * (q // r) + bi, q)
+                for (re, im, r), (br, bi, q) in zip(sums, map(next, terms))]
+        den = math.lcm(*(q for _, _, q in sums))
+        M = [[None] * n for _ in range(n)]
+        for (i, j), (re, im, q) in zip(pairs, sums):
+            s = den // q
+            M[i][j], M[j][i] = (re * s, im * s), (re * s, -im * s)  # the diagonal is real
+        # fraction-free (Bareiss) elimination: after step k, M[k+1][k+1] is the
+        # leading minor of order k + 2, and each division by the last pivot is exact
+        minors, prev = [], 1
+        for k in range(n):
+            p = M[k][k][0]  # real, as every principal minor of a Hermitian matrix is
+            minors.append(p)
+            if p <= 0:
+                break
+            for i in range(k + 1, n):
+                ar, ai = M[i][k]
+                for j in range(k + 1, n):
+                    (br, bi), (cr, ci) = M[k][j], M[i][j]
+                    M[i][j] = ((p * cr - ar * br + ai * bi) // prev,
+                               (p * ci - ar * bi - ai * br) // prev)
+            prev = p
+        yield N, den, minors
 
 
 def gram_min_eig(G: np.ndarray, tol: float = 1e-10) -> float:

@@ -244,6 +244,18 @@ MUTANTS = [
     ("allclose-exact-through-complex", "src/quadfock/stepfn.py",
      "(va != vb) if tol == 0 else", "(complex(va) != complex(vb)) if tol == 0 else",
      ["tests/test_stepfn.py::test_step_allclose"]),
+    # --- the exact Gram certificate of criterion 9 -----------------------------------
+    ("gram-zero-minor-accepted", "src/quadfock/fock.py",
+     "if p <= 0:", "if p < 0:",
+     ["tests/test_fock.py::TestGramCertificate::test_rotated_quarters_first_certify_at_depth_3",
+      "tests/test_fock.py::TestGramCertificate::test_a_repeated_member_never_certifies"]),
+    # b_n = a_n / (n!)^2 read as a_n / n!: the terms lose one n! of their weight
+    ("gram-weight-dropped", "src/quadfock/fock.py",
+     "q *= n * D * E", "q *= D * E",
+     ["tests/test_fock.py::TestGramCertificate::test_rotated_quarters_first_certify_at_depth_3"]),
+    ("gram-lower-triangle-unconjugated", "src/quadfock/fock.py",
+     "(re * s, im * s), (re * s, -im * s)", "(re * s, im * s), (re * s, im * s)",
+     ["tests/test_fock.py::TestGramCertificate::test_rotated_quarters_first_certify_at_depth_3"]),
     # --- the criteria's failure branches, each made a no-op ----------------------------
     ("criterion-2-exact-failure-ignored", "src/quadfock/acceptance.py",
      "            exact_ok = False\n", "            pass\n",
@@ -266,6 +278,9 @@ MUTANTS = [
      "            fn(*args)\n            return False",
      "            fn(*args)\n            return True",
      ["tests/test_acceptance.py::test_a_criterion_fails_where_its_check_fails[c8]"]),
+    ("criterion-9-failure-ignored", "src/quadfock/acceptance.py",
+     "            failures.append(", "            (",
+     ["tests/test_acceptance.py::test_a_criterion_fails_where_its_check_fails[c9]"]),
     ("criterion-10-failure-ignored", "src/quadfock/acceptance.py",
      "if lhs != rhs:\n            ok = False", "if lhs != rhs:\n            pass",
      ["tests/test_acceptance.py::test_a_criterion_fails_where_its_check_fails[c10]"]),

@@ -620,13 +620,26 @@ def test_tail_bound_is_positive(capsys):
     assert doc["tail_bound"] > 0 and doc["depth"] < 60
 
 
-def test_inner_and_nparticle_load_no_numpy():
-    # numpy is imported inside fock's Gram functions, which of the
-    # subcommands only verify-all reaches
+# one argv per subcommand; numpy is imported only inside fock's float Gram
+# helpers, which no subcommand reaches
+NUMPY_FREE = [
+    ["inner", "--f", QUARTER, "--g", QUARTER],
+    ["nparticle", "--f", QUARTER, "--g", QUARTER, "--n", "3"],
+    ["selfadjoint", "--op", REFLECTION, "--random", "2"],
+    ["counterexample"],
+    ["contraction", "--op", DILATION, "--random", "2"],
+    ["lemma4", "--random", "2"],
+    ["verify-all"],
+]
+
+
+def test_no_subcommand_loads_numpy():
+    assert {argv[0] for argv in NUMPY_FREE} == set(COMMANDS) - {"bogus"} | {"verify-all"}
     code = ("import contextlib, io, sys\nfrom quadfock.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main(['inner', '--f', '{QUARTER}', '--g', '{QUARTER}']) == 0\n"
-            f"    assert main(['nparticle', '--f', '{QUARTER}', '--g', '{QUARTER}', '--n', '3']) == 0\n"
+            f"    for argv in {NUMPY_FREE!r}:\n"
+            "        for mode in ('float', 'exact'):\n"
+            "            assert main(['--mode', mode, *argv]) == 0, argv\n"
             "assert 'numpy' not in sys.modules\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

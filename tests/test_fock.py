@@ -28,7 +28,7 @@ from quadfock import (
 )
 from quadfock.cli import main
 from quadfock.families import random_family
-from quadfock.fock import MAX_PARTICLES, _partition_table, _Signature
+from quadfock.fock import GRAM_DEPTH, MAX_PARTICLES, _gram_minors, _partition_table, _Signature
 from quadfock.scalars import ExactComplex
 
 CFG = FockConfig()
@@ -529,6 +529,72 @@ class TestGram:
         G = np.array([[1, 1j], [1j, 1]], dtype=complex)
         with pytest.raises(NotHermitianError):
             gram_min_eig(G)
+
+
+def reference_pivots(family, N):
+    """The LDL pivots of G_N = sum_{n<=N} A_n / (n!)^2, every entry from its own
+    n-particle table, up to the first pivot that is not positive."""
+    G = [[sum((ExactComplex.of(a) * Fraction(1, math.factorial(k) ** 2)
+               for k, a in enumerate(n_particle_table(moments(f, g, N), N, CFG))),
+              ExactComplex.of(0)) for g in family] for f in family]
+    pivots = []
+    for k in range(len(family)):
+        d = G[k][k].re
+        pivots.append(d)
+        if d <= 0:
+            break
+        for i in range(k + 1, len(family)):
+            ell = G[i][k] * (1 / d)
+            for j in range(k + 1, len(family)):
+                G[i][j] = G[i][j] - ell * G[k][j]
+    return pivots
+
+
+def certificate(family):
+    """[(N, pivots)] of ``_gram_minors`` up to the first N that certifies,
+    each pivot read off two consecutive minors of den * G_N."""
+    out = []
+    for N, den, minors in _gram_minors(family, CFG):
+        out.append((N, [Fraction(m, den * p) for m, p in zip(minors, [1, *minors])]))
+        if minors[-1] > 0:
+            break
+    return out
+
+
+class TestGramCertificate:
+    ROTATED = [chi(0, 1, exact(1, 4)).scale(ExactComplex.of(z)) for z in (1, -1, 1j, -1j)]
+
+    def test_rotated_quarters_first_certify_at_depth_3(self):
+        # {f, -f, i f, -i f}, f = chi[0,1)/4: A_1 and A_2 have a null vector, A_3 none
+        got = certificate(self.ROTATED)
+        assert got == [(1, [Fraction(9, 8), Fraction(4, 9), 0]),
+                       (2, [Fraction(147, 128), Fraction(131, 294), Fraction(12, 131), 0]),
+                       (3, [Fraction(1181, 1024), Fraction(17423, 37792),
+                            Fraction(3847, 34846), Fraction(240, 3847)])]
+        assert [pivots for _, pivots in got] == [reference_pivots(self.ROTATED, N) for N in (1, 2, 3)]
+
+    def test_a_repeated_member_never_certifies(self):
+        f, g, h = random_family(random.Random(4), 3, max_abs=0.45, exact=True)
+        got = certificate([f, g, f, h])
+        assert [N for N, _ in got] == list(range(1, GRAM_DEPTH + 1))
+        assert all(pivots[-1] == 0 and len(pivots) == 3 for _, pivots in got)
+
+    @pytest.mark.parametrize("seed, size", [(9, 4), (0, 2), (1, 3), (2, 5), (3, 6)])
+    def test_certified_where_the_float_gram_is_positive_definite(self, seed, size):
+        # seed 9, size 4 draws criterion 9's families; both backends read one stream
+        draws = 20 if seed == 9 else 5
+        exact_rng, float_rng = random.Random(seed), random.Random(seed)
+        for _ in range(draws):
+            fam = random_family(exact_rng, size, max_abs=0.45, exact=True)
+            got = certificate(fam)
+            certified = got[-1][1][-1] > 0
+            assert certified == (gram_min_eig(gram_matrix(
+                random_family(float_rng, size, max_abs=0.45), CFG)) > 0)
+            assert got[-1][1] == reference_pivots(fam, got[-1][0])
+
+    def test_an_inadmissible_member_is_rejected(self):
+        with pytest.raises(DomainError):
+            next(_gram_minors([chi(0, 1, exact(1, 2))], CFG))
 
 
 class TestLengthsBeyondTheDoubles:
