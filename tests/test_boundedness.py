@@ -31,6 +31,8 @@ from quadfock.cli import main
 from quadfock.families import random_family, random_injective_operator
 from quadfock.scalars import ExactComplex
 
+from _golden import DILATION
+
 C1 = FockConfig(c=Fraction(1))
 K = 8
 
@@ -256,7 +258,6 @@ def test_sampled_gram_domination_of_the_dilation():
 
 # --- the contraction subcommand ------------------------------------------------
 
-DILATION = '{"E": [[-8,8]], "h": [[-8,8,1,0]], "phi": [[-8,8,2,0]]}'
 ISOMETRY = '{"E": [[0,0.25]], "h": [[0,0.25,2,0]], "phi": [[0,0.25,4,0]]}'
 
 
@@ -293,9 +294,10 @@ def close(a, b, tol):
     return a == b
 
 
-@pytest.mark.parametrize("op", [DILATION, ISOMETRY,
-                                '{"E": [[-1,1]], "h": [[-1,1,0.75,0.25]], '
-                                '"phi": [[-1,0,-1,0],[0,1,1,0]]}'])
+# the isometry and a fold with a non-real weight are cases of test_cli.py's
+# TestSelfAdjoint::test_one_exact_verdict_in_both_modes, which compares the
+# same two documents
+@pytest.mark.parametrize("op", [DILATION])
 def test_cli_exact_and_float_documents_agree(op, capsys):
     family = '[[[0,0.5,0.125,0.0625]],[[0.25,1,-0.1875,0.03125]]]'
     docs = [run_cli(["--mode", mode, "contraction", "--op", op, "--family", family], capsys)

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,9 +18,9 @@ from quadfock.fock import MAX_PARTICLES
 from quadfock.quantization import counterexample_report
 from quadfock.scalars import ExactComplex
 
+from _golden import DILATION, FOLD, REFLECTION, SWAP, WEIGHT_2
+
 QUARTER = '[[0,1,0.25,0]]'
-DILATION = '{"E": [[-8,8]], "h": [[-8,8,1,0]], "phi": [[-8,8,2,0]]}'
-REFLECTION = '{"E": [[0,1]], "h": [[0,1,0.9,0]], "phi": [[0,1,-1,1]]}'
 BIG = "1" + "0" * 400
 # a segment longer than the largest double, between two breakpoints that are doubles
 LONG = '[[-1e308,1e308,0.25,0]]'
@@ -30,6 +31,17 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def agree(a, b, tol=1e-9):
+    """The same keys, strings and booleans, and every number within tol relative."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(agree(a[key], b[key], tol) for key in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(agree(x, y, tol) for x, y in zip(a, b))
+    if isinstance(a, (int, float)) and not isinstance(a, bool):
+        return abs(a - b) <= tol * max(abs(a), abs(b))
+    return a == b and type(a) is type(b)
 
 
 class TestInner:
@@ -83,19 +95,15 @@ class TestNParticle:
         assert code == 0 and doc["match"] is True
 
 
-WEIGHT_2 = REFLECTION.replace("0.9", "2")
-# x -> 2x + 1 on [0, 1) and its inverse on [1, 3): T = T* on L^2, yet
-# Gamma_2(T) is not Hermitian
-SWAP = ('{"E": [[0,3]], "h": [[0,1,0.5,0.5],[1,3,0.25,-0.25]], '
-        '"phi": [[0,1,2,1],[1,3,0.5,-0.5]]}')
-# [-1, 0) folds onto [0, 1), where phi is the identity
-FOLD = '{"E": [[-1,1]], "h": [[-1,1,0.25,0]], "phi": [[-1,0,-1,0],[0,1,1,0]]}'
 # near misses that only an exact test tells from the reflection: |h|^2 =
 # (1 + 2^-45)^2, and phi with slope -(1 + 1e-13) and intercept 1 + 1e-13
 NEAR_UNIT_WEIGHT = REFLECTION.replace("0.9", "1.0000000000000284")
 NEAR_REFLECTION = ('{"E": [[0,1]], "h": [[0,1,0.5,0]], '
                    '"phi": [[0,1,-1.0000000000001,1.0000000000001]]}')
 SMALL_FAMILY = '[[[0,0.5,0.125,0.0625]],[[0.25,1,-0.1875,0.03125]]]'
+# 2 f(4x), an L^2 isometry that is unbounded; a fold with a non-real weight
+ISOMETRY = '{"E": [[0,0.25]], "h": [[0,0.25,2,0]], "phi": [[0,0.25,4,0]]}'
+COMPLEX_FOLD = '{"E": [[-1,1]], "h": [[-1,1,0.75,0.25]], "phi": [[-1,0,-1,0],[0,1,1,0]]}'
 
 
 class TestSelfAdjoint:
@@ -114,22 +122,25 @@ class TestSelfAdjoint:
         assert doc["verdict"] is (code == 0)
 
     @pytest.mark.parametrize("op", [REFLECTION, DILATION, WEIGHT_2, SWAP, FOLD,
-                                    NEAR_UNIT_WEIGHT, NEAR_REFLECTION, TINY_SLOPE])
+                                    NEAR_UNIT_WEIGHT, NEAR_REFLECTION, TINY_SLOPE,
+                                    ISOMETRY, COMPLEX_FOLD])
     def test_one_exact_verdict_in_both_modes(self, op, capsys):
         # a float weight is the dyadic rational it is, so both backends decide
-        # selfadjoint and the boundedness block on the same exact operator
+        # selfadjoint and the boundedness block on the same exact operator;
+        # each reads the L^2 block in its own arithmetic, the same to 1e-10
         runs = {mode: (main(["--mode", mode, "selfadjoint", "--op", op]), capsys.readouterr().out)
                 for mode in ("float", "exact")}
         assert runs["float"] == runs["exact"]
         assert runs["float"][1]
-        codes, blocks = {}, {}
+        codes, docs = {}, {}
         for mode in ("float", "exact"):
-            codes[mode], doc = run_cli(
+            codes[mode], docs[mode] = run_cli(
                 ["--mode", mode, "contraction", "--op", op, "--family", SMALL_FAMILY], capsys)
-            blocks[mode] = doc and doc["boundedness"]
         assert codes["float"] == codes["exact"]
-        assert blocks["float"] == blocks["exact"]
-        assert (codes["float"] == 2) == (blocks["float"] is None)
+        assert (codes["float"] == 2) == (docs["float"] is None) == (docs["exact"] is None)
+        if docs["float"]:
+            assert docs["float"]["boundedness"] == docs["exact"]["boundedness"]
+            assert agree(docs["float"], docs["exact"], 1e-10)
 
     @pytest.mark.parametrize("mode", ["float", "exact"])
     def test_a_fold_with_a_family_prints_its_witness(self, mode, capsys):
@@ -155,14 +166,6 @@ CANCEL = '[[0,0.25,0.25,0],[0.25,0.5,0,0.25]]'
 
 
 class TestCounterexample:
-    def test_c_flag(self, capsys):
-        code, doc = run_cli(["counterexample"], capsys)
-        assert code == 0 and doc["pass"] is True
-        assert doc["gap"] == pytest.approx(5.525e-3, rel=1e-3)
-        code, doc = run_cli(["--c", "2", "counterexample"], capsys)
-        assert code == 0
-        assert doc["lhs"][0] == pytest.approx(0.75 ** -0.5)
-
     @pytest.mark.parametrize("mode", ["float", "exact"])
     @pytest.mark.parametrize("argv, k", [
         # gaps 2.7e-3, 5.2e-5, 1.0e-8 and 8.9e-4: a gap is no threshold
@@ -170,6 +173,9 @@ class TestCounterexample:
         (["--c", "0.01", "counterexample"], 2),
         (["counterexample", "--f", SMALL, "--g", SMALL], 2),
         (["counterexample", "--g", CANCEL], 3),
+        # the default pair at c = 1 and 2, gaps 5.5e-3 and 1.2e-2
+        (["counterexample"], 2),
+        (["--c", "2", "counterexample"], 2),
     ])
     def test_a_moment_witness_passes_at_any_gap(self, argv, k, mode, capsys):
         code, doc = run_cli(["--mode", mode, *argv], capsys)
@@ -194,16 +200,6 @@ class TestCounterexample:
     @pytest.mark.parametrize("c", ["0.5", "1", "2"])
     @pytest.mark.parametrize("pair", [["--f", SMALL, "--g", SMALL], ["--g", CANCEL]])
     def test_backends_agree(self, c, pair, capsys):
-        # the same keys and booleans, and every number within 1e-9 relative
-        def agree(a, b):
-            if isinstance(a, dict):
-                return a.keys() == b.keys() and all(agree(a[key], b[key]) for key in a)
-            if isinstance(a, list):
-                return len(a) == len(b) and all(map(agree, a, b))
-            if isinstance(a, bool) or a is None:
-                return a is b
-            return abs(a - b) <= 1e-9 * max(abs(a), abs(b))
-
         exact, flt = (run_cli(["--mode", mode, "--c", c, "counterexample", *pair], capsys)
                       for mode in ("exact", "float"))
         assert exact[0] == flt[0] == 0
@@ -646,13 +642,19 @@ def test_no_subcommand_loads_numpy():
 
 
 class TestDeterminism:
-    def test_identical_seeds_identical_bytes(self):
-        cmd = [sys.executable, "-m", "quadfock.cli", "--seed", "5",
-               "selfadjoint", "--op", REFLECTION, "--random", "3"]
+    def test_identical_seeds_identical_bytes(self, capsys, monkeypatch):
+        argv = ["--seed", "5", "selfadjoint", "--op", REFLECTION, "--random", "3"]
+        cmd = [sys.executable, "-m", "quadfock.cli", *argv]
         a = subprocess.run(cmd, capture_output=True, text=True)
         b = subprocess.run(cmd, capture_output=True, text=True)
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
+        # the same ``__main__`` guard, run in this process as ``-m`` runs it
+        monkeypatch.setattr(sys, "argv", ["quadfock", *argv])
+        monkeypatch.delitem(sys.modules, "quadfock.cli")
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("quadfock.cli", run_name="__main__")
+        assert done.value.code == 0 and capsys.readouterr().out == a.stdout
 
     def test_round_trip_of_inputs(self, capsys):
         # parse -> serialize -> parse is the identity on the wire format
@@ -714,7 +716,7 @@ OPTIONS = {
     "--g": STEP,
     "--n": mostly(st.integers(0, 12).map(str), ["-1", "x"]),
     "--formula": mostly(st.sampled_from(["corrected", "as_printed"]), ["bogus"]),
-    "--op": mostly(st.sampled_from([REFLECTION, DILATION, REFLECTION.replace("0.9", "2")])
+    "--op": mostly(st.sampled_from([REFLECTION, DILATION, WEIGHT_2])
                    | st.builds(operator_json, st.integers(-2, 1), st.integers(1, 3), VALUE,
                                st.sampled_from([-2, -1, 0.5, 1, 2]), st.integers(-1, 1)),
                    GARBAGE),

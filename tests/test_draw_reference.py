@@ -10,6 +10,7 @@ the same answers, the same exceptions and the same objects, down to their
 types and internal ints.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -233,6 +234,28 @@ def test_draws_match_reference(exact):
         T, ref = random_injective_operator(new, exact=exact), ref_injective_operator(old, exact=exact)
         assert T == ref and _operator_key(T) == _operator_key(ref)
         assert new.getstate() == old.getstate()  # the same rng calls
+
+
+class Overlapping:
+    """An rng whose every draw is two slope-1 pieces, [0, 1) with intercept 0
+    and [2, 3) with intercept -2, which share the image [0, 1)."""
+
+    def __init__(self):
+        self.intercepts = itertools.cycle([0, -2])
+
+    def randrange(self, start, stop):
+        return 2 if (start, stop) == (1, 3) else next(self.intercepts)
+
+    def sample(self, population, k):
+        return [0, 1, 2, 3]
+
+    def choice(self, seq):
+        return seq[0]
+
+
+def test_injective_draw_gives_up_after_200_overlaps():
+    with pytest.raises(RuntimeError, match="failed to draw an injective operator"):
+        random_injective_operator(Overlapping())
 
 
 # --- a float pair hands its sup norms to the series -----------------------------

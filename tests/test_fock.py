@@ -30,6 +30,7 @@ from quadfock.cli import main
 from quadfock.families import random_family
 from quadfock.fock import GRAM_DEPTH, MAX_PARTICLES, _gram_minors, _partition_table, _Signature
 from quadfock.scalars import ExactComplex
+from quadfock.stepfn import value_signature
 
 CFG = FockConfig()
 CFG_EXACT = FockConfig(c=Fraction(1))
@@ -313,6 +314,13 @@ class TestExpVectors:
         bad = chi(0, 1, 0.6 + 0j)
         with pytest.raises(DomainError):
             exp_inner_closed(bad, chi(0, 1, 0.1 + 0j), CFG)
+        # f = chi/2 has u = 1/4 on the boundary, which ``admissible`` rejects; a
+        # signature built past it meets the branch cut and the series guard
+        half = _Signature(value_signature(chi(0, 1, 0.5 + 0j), chi(0, 1, 0.5 + 0j)))
+        with pytest.raises(DomainError, match="branch cut"):
+            half.closed(CFG)
+        with pytest.raises(DomainError, match="does not converge"):
+            half.series(CFG)
 
     def test_scaled_closed_form_outside_the_region(self):
         # |t| sup|f| sup|g| < 1/4 with sup|f|^2 = 1/16 is |t| < 4
