@@ -9,7 +9,6 @@ Gamma_2(T), and the dilation counter-example.
 from .errors import (
     DomainError,
     NonInjectiveError,
-    NotHermitianError,
     QuadFockError,
     UnconvergedError,
 )
@@ -17,12 +16,9 @@ from .fock import (
     FockConfig,
     MomentSequence,
     exp_inner_closed,
-    exp_inner_closed_scaled,
     exp_inner_series,
     exp_vector_exists,
     gram_matrix,
-    gram_min_eig,
-    is_psd,
     moments,
     n_particle_inner_partition,
     n_particle_inner_rec,
@@ -40,8 +36,6 @@ from .quantization import (
     adjoint_operator,
     apply_operator,
     boundedness_report,
-    check_contraction_gram,
-    check_homomorphism_powers,
     check_l2_contraction,
     check_selfadjoint_numeric,
     check_selfadjoint_structure,
@@ -58,10 +52,7 @@ from .stepfn import (
     StepFunction,
     compose,
     inner,
-    is_measure_preserving,
-    map_compose,
     map_invert,
-    restrict,
 )
 
 __all__ = [
@@ -73,7 +64,6 @@ __all__ = [
     "IntervalSet",
     "MomentSequence",
     "NonInjectiveError",
-    "NotHermitianError",
     "PiecewiseAffineMap",
     "QuadFockError",
     "QuadOperator",
@@ -84,8 +74,6 @@ __all__ = [
     "adjoint_operator",
     "apply_operator",
     "boundedness_report",
-    "check_contraction_gram",
-    "check_homomorphism_powers",
     "check_l2_contraction",
     "check_selfadjoint_numeric",
     "check_selfadjoint_structure",
@@ -93,17 +81,12 @@ __all__ = [
     "counterexample_report",
     "dilation_operator",
     "exp_inner_closed",
-    "exp_inner_closed_scaled",
     "exp_inner_series",
     "exp_vector_exists",
     "gamma2_matrix_element",
     "gram_matrix",
-    "gram_min_eig",
     "inner",
-    "is_measure_preserving",
-    "is_psd",
     "lemma4_derivative_check",
-    "map_compose",
     "map_invert",
     "moments",
     "n_particle_inner_partition",
@@ -112,7 +95,6 @@ __all__ = [
     "partition_coefficient",
     "partition_terms",
     "partitions_multiplicity",
-    "restrict",
     "window_radius",
 ]
 

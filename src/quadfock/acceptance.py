@@ -21,7 +21,6 @@ from .fock import (
     exp_inner_closed,
     exp_inner_series,
     exp_vector_exists,
-    gram_matrix,
     moments,
     n_particle_table,
     partition_coefficient,
@@ -245,7 +244,7 @@ def criterion_8() -> dict:
             "exp_vector_exists_false": not exp_vector_exists(bad),
             "closed_rejects": rejected(exp_inner_closed, bad, ok_f, cfg),
             "series_rejects": rejected(exp_inner_series, bad, ok_f, cfg),
-            "gram_rejects": rejected(gram_matrix, [bad], cfg),
+            "gram_rejects": rejected(next, _gram_minors([bad], cfg)),
             "gamma2_rejects": rejected(gamma2_matrix_element, T, bad, ok_f, cfg),
         }
     accepted = (exp_vector_exists(ok_f)

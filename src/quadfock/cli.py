@@ -13,6 +13,7 @@ import cmath
 import json
 import random
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 from .acceptance import run_all
@@ -98,24 +99,23 @@ def _emit(doc: dict) -> None:
 
 
 # --- subcommands -----------------------------------------------------------
-# Each returns (document, passed); main emits the document and maps passed
-# to the exit code.
+# Each reads the backend and the config that main built, args.exact and
+# args.cfg, and returns (document, passed); main emits the document and maps
+# passed to the exit code.
 
 
 def cmd_inner(args) -> tuple[dict, bool]:
-    cfg = _cfg(args)
     f = _parse_step(args.f, args.exact)
     g = _parse_step(args.g, args.exact)
     sig = _Signature.admissible(f, g)  # one sweep of the pair for both routes
-    closed = sig.closed(cfg)
-    series, tail, depth = sig.series(cfg)
-    agree = abs(closed - series) <= max(tail, cfg.tol)
+    closed = sig.closed(args.cfg)
+    series, tail, depth = sig.series(args.cfg)
+    agree = abs(closed - series) <= max(tail, args.cfg.tol)
     return _json_value({"closed": closed, "series": series, "tail_bound": tail,
                         "depth": depth, "agree": agree}), agree
 
 
 def cmd_nparticle(args) -> tuple[dict, bool]:
-    cfg = _cfg(args)
     f = _parse_step(args.f, args.exact)
     g = _parse_step(args.g, args.exact)
     n = args.n
@@ -124,12 +124,12 @@ def cmd_nparticle(args) -> tuple[dict, bool]:
     if n == 0 and args.formula == "as_printed":
         raise CliInputError("--formula as_printed is undefined at --n 0")
     m = moments(f, g, max(n, 1))
-    rec = n_particle_inner_rec(m, n, cfg)
-    value = n_particle_inner_partition(m, n, cfg, args.formula)
+    rec = n_particle_inner_rec(m, n, args.cfg)
+    value = n_particle_inner_partition(m, n, args.cfg, args.formula)
     if args.exact:
         match = value == rec
     else:
-        match = abs(complex(value) - complex(rec)) <= cfg.tol * max(1.0, abs(complex(rec)))
+        match = abs(complex(value) - complex(rec)) <= args.cfg.tol * max(1.0, abs(complex(rec)))
     if n == 0:  # a_0 is the int 1 in both routes; it is reported as a complex number
         value = rec = 1 + 0j
     doc = {"value": value, "rec_value": rec, "match": match}
@@ -142,44 +142,40 @@ def cmd_nparticle(args) -> tuple[dict, bool]:
 
 
 def cmd_selfadjoint(args) -> tuple[dict, bool]:
-    cfg = _cfg(args)
     op = _parse_operator(args.op, args.exact)
     struct = check_selfadjoint_structure(op)
     doc = struct.to_dict()
     family = _resolve_family(args, random.Random(args.seed))
     if family:
-        doc["numeric"] = check_selfadjoint_numeric(op, family, cfg).to_dict()
+        doc["numeric"] = check_selfadjoint_numeric(op, family, args.cfg).to_dict()
     return doc, struct.verdict
 
 
 def cmd_counterexample(args) -> tuple[dict, bool]:
-    cfg = _cfg(args)
     default = "[[0, 1, 0.25, 0]]"  # (1/4) chi_[0,1), in the backend of the mode
     f = _parse_step(args.f or default, args.exact)
     g = _parse_step(args.g or default, args.exact)
-    rep = counterexample_report(cfg, f, g)
+    rep = counterexample_report(args.cfg, f, g)
     doc = rep.to_dict()
     closed_vs_series = max(abs(rep.lhs - rep.lhs_series), abs(rep.rhs - rep.rhs_series))
     # with a nonzero f some moment must part the two pairings
-    doc["pass"] = (closed_vs_series <= max(rep.lhs_tail, rep.rhs_tail, cfg.tol)
+    doc["pass"] = (closed_vs_series <= max(rep.lhs_tail, rep.rhs_tail, args.cfg.tol)
                    and (rep.moment_witness["k"] > 0 or f.is_zero()))
     return doc, doc["pass"]
 
 
 def cmd_contraction(args) -> tuple[dict, bool]:
-    cfg = _cfg(args)
     op = _parse_operator(args.op, args.exact)
     family = _resolve_family(args, random.Random(args.seed))
     if not family:
         raise CliInputError("provide --family or --random K")
-    bounded = boundedness_report(op, cfg)
+    bounded = boundedness_report(op, args.cfg)
     l2 = check_l2_contraction(op, family)
     return ({"boundedness": bounded.to_dict(), "l2": l2.to_dict()},
             bounded.verdict == "contraction" and bounded.closed_form_agrees and l2.contraction)
 
 
 def cmd_lemma4(args) -> tuple[dict, bool]:
-    cfg = _cfg(args)
     rng = random.Random(args.seed)
     family = _resolve_family(args, rng)
     if args.random:
@@ -193,7 +189,7 @@ def cmd_lemma4(args) -> tuple[dict, bool]:
         raise CliInputError("provide --family and --coeffs, or --random K")
     if len(coeffs) != len(family):
         raise CliInputError(f"{len(coeffs)} coefficients for {len(family)} functions")
-    rep = lemma4_derivative_check(family, coeffs, cfg)
+    rep = lemma4_derivative_check(family, coeffs, args.cfg)
     doc = rep.to_dict()
     doc["pass"] = rep.rel_error <= 1e-6
     return doc, doc["pass"]
@@ -301,11 +297,13 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        with redirect_stdout(sys.stderr):  # help and usage too: stdout holds only JSON
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     args.exact = args.mode == "exact"  # the backend, decided once for every subcommand
     try:
+        args.cfg = _cfg(args)  # checked for every subcommand, verify-all too
         doc, passed = args.func(args)
         _emit(doc)
         return EXIT_PASS if passed else EXIT_CHECK_FAILED

@@ -26,12 +26,11 @@ import random
 from fractions import Fraction
 
 from quadfock import (FockConfig, IntervalSet, NonInjectiveError, PiecewiseAffineMap,
-                      QuadOperator, StepFunction, compose, dilation_operator, map_compose,
-                      map_invert, restrict)
+                      QuadOperator, StepFunction, compose, dilation_operator, map_invert)
 from quadfock.families import random_injective_operator, reflection_operator
 from quadfock.fock import _up
 from quadfock.scalars import ExactComplex, _frac, _new, _rat
-from quadfock.stepfn import _first_difference, _images_overlap
+from quadfock.stepfn import _first_difference, _images_overlap, map_compose, restrict
 
 CFGS = [FockConfig(), FockConfig(c=0.5, depth=60), FockConfig(c=Fraction(3, 7))]
 SEGMENT_COUNTS = (1, 3, 32, 128)

@@ -26,9 +26,14 @@ candidate: a test function T for which another function S, of any test
 file, executes every line that T executes and fails under every mutant that
 T fails under.  An end-to-end S, which fails under more than a fifth of
 the mutants, covers nothing, and no AST check of ``test_layout.py`` is a
-candidate.  ``*`` marks a T that README.md, ROADMAP.md, CHANGES.md or this
-list names.  A test function is one key for all the cases of a
-parametrized test.
+candidate.  A T that executes no line in this process, as one that runs
+the CLI in a subprocess does, is printed as tracing no line instead of
+with its covers, since every S would cover it.  ``*`` marks a T that
+README.md, ROADMAP.md, CHANGES.md or this list names.  A test function is
+one key for all the cases of a parametrized test.  The run also writes
+``mutants-matrix.json`` in the current directory: the lines of each test
+function and the test functions that fail under each mutant, so that
+another rule can be judged on them without a rerun.
 
 pytest does not collect this file; it runs by hand, one subprocess at a
 time, with the fixed hypothesis seed ``SEED``, so a second run of either
@@ -48,6 +53,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
 # fails under every mutant, since the mutated text no longer holds ``old``
 LIST_CHECK = "test_layout.py::test_mutant_list_applies_and_names_existing_tests"
+# what --matrix measured: {"lines": {test: [file:line]}, "failing": {mutant: [test]}}
+MATRIX = "mutants-matrix.json"
 
 MUTANTS = [
     # --- the counter-example's moment witness ------------------------------------------
@@ -430,8 +437,10 @@ def matrix(tree: Path, mutants: list) -> int:
     if done.returncode:
         raise SystemExit("on the unmutated tree uncovered.py exits %d:\n%s"
                          % (done.returncode, done.stdout[-2000:]))
-    lines = {t: set(v) for t, v in json.loads(out.read_text()).items()}
+    traced = json.loads(out.read_text())
+    lines = {t: set(v) for t, v in traced.items()}
     kills = {t: set() for t in lines}
+    failing = {}
     for name, file, old, new, _ in mutants:
         _, failed = run(tree, [], file, old, new)
         # a file that fails to collect fails every test function in it
@@ -439,7 +448,9 @@ def matrix(tree: Path, mutants: list) -> int:
                if t == function(k) or t.startswith(k + "::")} - {LIST_CHECK}
         for t in hit:
             kills[t].add(name)
-        print(f"{name:32} {len(hit):3} failing: " + " ".join(sorted(hit)), flush=True)
+        failing[name] = sorted(hit)
+        print(f"{name:32} {len(hit):3} failing: " + " ".join(failing[name]), flush=True)
+    Path(MATRIX).write_text(json.dumps({"lines": traced, "failing": failing}, indent=1))
     killing = sum(bool(k) for k in kills.values())
     print(f"{killing} of {len(kills)} test functions kill at least one mutant, "
           f"{len(kills) - killing} kill none")
@@ -454,8 +465,9 @@ def matrix(tree: Path, mutants: list) -> int:
         if covers:
             count += 1
             mark = "*" if re.search(rf"\b{t.rsplit('::', 1)[1]}\b", named) else " "
-            print(f"candidate {mark} {t} <= " + " ".join(covers))
-    print(f"{count} merge candidates")
+            print(f"candidate {mark} {t} " + ("<= " + " ".join(covers) if lines[t]
+                                              else "traces no src line"))
+    print(f"{count} merge candidates; lines and failing sets in {Path(MATRIX).resolve()}")
     return 0
 
 

@@ -19,7 +19,6 @@ from quadfock import (
     StepFunction,
     apply_operator,
     boundedness_report,
-    check_contraction_gram,
     check_l2_contraction,
     dilation_operator,
     moments,
@@ -29,6 +28,7 @@ from quadfock import (
 from quadfock import acceptance
 from quadfock.cli import main
 from quadfock.families import random_family, random_injective_operator
+from quadfock.quantization import check_contraction_gram
 from quadfock.scalars import ExactComplex
 
 from _golden import DILATION

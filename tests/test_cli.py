@@ -302,6 +302,8 @@ class TestContractionAndLemma4:
      '{"E": [[0,1]], "h": [[0,1,0.5,0]], "phi": [[0,1,-1,1],[1,1,1,0]]}'],
     # a path that cannot be read as a file: "cannot read ..."
     ["inner", "--f", os.path.dirname(__file__), "--g", QUARTER],
+    # verify-all runs at its own configs, but checks the global options too
+    ["--depth", "0", "verify-all"],
 ])
 def test_usage_errors_exit_3(argv, capsys):
     code = main(argv)
@@ -773,6 +775,8 @@ def argvs(draw):
                "--g", QUARTER])
 @example(argv=["--depth", "5", "counterexample"])
 @example(argv=["lemma4", "--family", "[[]]", "--coeffs", "[[1,0]]"])
+@example(argv=["-h"])  # help goes to stderr, as usage errors do
+@example(argv=["inner", "-h"])
 def test_every_argv_keeps_the_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -9,16 +9,12 @@ import pytest
 from quadfock import (
     DomainError,
     FockConfig,
-    NotHermitianError,
     StepFunction,
     UnconvergedError,
     exp_inner_closed,
-    exp_inner_closed_scaled,
     exp_inner_series,
     exp_vector_exists,
     gram_matrix,
-    gram_min_eig,
-    is_psd,
     moments,
     n_particle_inner_partition,
     n_particle_inner_rec,
@@ -27,8 +23,10 @@ from quadfock import (
     partitions_multiplicity,
 )
 from quadfock.cli import main
+from quadfock.errors import NotHermitianError
 from quadfock.families import random_family
-from quadfock.fock import GRAM_DEPTH, MAX_PARTICLES, _gram_minors, _partition_table, _Signature
+from quadfock.fock import (GRAM_DEPTH, MAX_PARTICLES, _gram_minors, _partition_table, _Signature,
+                           exp_inner_closed_scaled, gram_min_eig, is_psd)
 from quadfock.scalars import ExactComplex
 from quadfock.stepfn import value_signature
 

@@ -21,8 +21,9 @@ import random
 
 import pytest
 
-from quadfock import check_homomorphism_powers, dilation_operator
+from quadfock import dilation_operator
 from quadfock.families import random_family, random_injective_operator, random_step_function
+from quadfock.quantization import check_homomorphism_powers
 from quadfock.stepfn import StepFunction
 
 from _golden import ARGVS, DATA, record, recorded, run

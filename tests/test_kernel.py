@@ -29,12 +29,11 @@ from quadfock import (
     inner,
     moments,
     n_particle_table,
-    restrict,
 )
 from quadfock.families import random_family
 from quadfock.fock import _Signature
 from quadfock.scalars import ExactComplex
-from quadfock.stepfn import refine, value_signature
+from quadfock.stepfn import refine, restrict, value_signature
 
 from _reference import (mp_closed, mp_number, reference_map_restrict, reference_moments,
                         reference_restrict, reference_signature, reference_sweep)

@@ -1,6 +1,8 @@
 """No test module imports another, ``quantization`` imports no numpy,
-every public name of ``quadfock`` is imported and listed once, ``cli``
-reads ``--mode`` and loads JSON in one place each, ``cli`` hands no
+every public name of ``quadfock`` is imported and listed once, every
+public function has a use in the package or is imported by the benchmark's
+sweep, which imports only public names, ``cli`` reads ``--mode``, builds
+the config and loads JSON in one place each, ``cli`` hands no
 tolerance to ``quantization``, whose verdicts are exact, ``quantization``
 pulls h through phi in one place, and its self-adjointness report reads
 phi's shape once.  Each reference is defined in one file, and every entry
@@ -14,6 +16,7 @@ module's collection to the other's inputs and names.
 """
 
 import ast
+import inspect
 import re
 from fractions import Fraction
 from functools import cache
@@ -68,6 +71,37 @@ def test_public_names_resolve():
     assert all(hasattr(quadfock, name) for name in names)
 
 
+SRC = TESTS.parent / "src" / "quadfock"
+SWEEP = TESTS.parent / "perfbench" / "sweep.py"
+
+
+def sweep_imports() -> set:
+    """The names that the benchmark's by-hand sweep imports from the package."""
+    return {alias.name for node in ast.walk(parsed(SWEEP))
+            if isinstance(node, ast.ImportFrom) and node.module == "quadfock"
+            for alias in node.names}
+
+
+def test_sweep_imports_only_public_names():
+    # a name trimmed from __all__ would break python3 perfbench/sweep.py
+    names = sweep_imports()
+    assert names
+    assert names <= set(quadfock.__all__)
+
+
+def test_every_public_function_has_a_caller():
+    # an export is something the package runs: a bare name, called or handed
+    # to a call, outside its own def (a method call such as phi.restrict(...)
+    # is another name), or an import of the benchmark's sweep
+    used = {node.id for path in sorted(SRC.glob("*.py")) for top in parsed(path).body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and node.id != getattr(top, "name", None)}
+    functions = {name for name in quadfock.__all__
+                 if inspect.isfunction(getattr(quadfock, name))}
+    assert functions - used - sweep_imports() == set()
+
+
 def enclosing_functions(tree, match) -> list:
     """The top-level function, or "<module>", around each node match accepts."""
     return [getattr(top, "name", "<module>")
@@ -84,6 +118,13 @@ def test_cli_reads_mode_once():
     assert enclosing_functions(cli_tree(), lambda node: (
         isinstance(node, ast.Attribute) and node.attr == "mode"
         and isinstance(node.value, ast.Name) and node.value.id == "args")) == ["main"]
+
+
+def test_cli_builds_the_config_once():
+    # main checks --c, --depth and --tol for every subcommand, verify-all too
+    assert enclosing_functions(cli_tree(), lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_cfg")) == ["main"]
 
 
 def test_cli_loads_json_in_one_parse_path():

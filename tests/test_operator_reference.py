@@ -25,10 +25,10 @@ from quadfock import (
     apply_operator,
     check_selfadjoint_structure,
     compose,
-    restrict,
 )
 from quadfock.families import random_family, random_injective_operator
 from quadfock.scalars import ExactComplex
+from quadfock.stepfn import restrict
 
 from _reference import (named_operators, piecewise_weight_operators, random_operators,
                         reference_adjoint, reference_structure, structure)

@@ -73,7 +73,8 @@ def test_compose_l2_mass_change_of_variables(f, phi):
     rhs = Fraction(0)
     for p in phi.pieces:
         il, ir = p.image()
-        from quadfock import IntervalSet, restrict
+        from quadfock import IntervalSet
+        from quadfock.stepfn import restrict
         masked = restrict(f, IntervalSet.from_intervals([(il, ir)]))
         rhs += masked.l2_norm_sq() / abs(p.slope)
     assert lhs == rhs

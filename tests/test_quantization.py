@@ -15,8 +15,6 @@ from quadfock import (
     adjoint_operator,
     apply_operator,
     boundedness_report,
-    check_contraction_gram,
-    check_homomorphism_powers,
     check_l2_contraction,
     check_selfadjoint_numeric,
     check_selfadjoint_structure,
@@ -34,6 +32,7 @@ from quadfock.families import (
     random_injective_operator,
     reflection_operator,
 )
+from quadfock.quantization import check_contraction_gram, check_homomorphism_powers
 from quadfock.scalars import ExactComplex
 
 from _reference import slope_one_class
@@ -111,7 +110,6 @@ class TestAdjoint:
         rng = random.Random(100 + seed)
         T = random_injective_operator(rng, exact=True)
         T2 = adjoint_operator(adjoint_operator(T))
-        from quadfock import restrict
         for _ in range(3):
             f = random_family(rng, 1, exact=True, span=6)[0]
             assert apply_operator(T2, f) == apply_operator(T, f)

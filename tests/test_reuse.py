@@ -25,13 +25,11 @@ from quadfock import (
     SelfAdjointNumericReport,
     adjoint_operator,
     apply_operator,
-    check_contraction_gram,
     check_selfadjoint_numeric,
     dilation_operator,
     exp_inner_closed,
     exp_vector_exists,
     gram_matrix,
-    gram_min_eig,
     lemma4_derivative_check,
     moments,
     partition_terms,
@@ -39,6 +37,8 @@ from quadfock import (
     window_radius,
 )
 from quadfock.families import random_family, random_injective_operator, reflection_operator
+from quadfock.fock import gram_min_eig
+from quadfock.quantization import check_contraction_gram
 from quadfock.scalars import ExactComplex
 
 from _reference import mp_closed, mp_number

@@ -10,13 +10,10 @@ from quadfock import (
     StepFunction,
     compose,
     inner,
-    is_measure_preserving,
-    map_compose,
     map_invert,
-    restrict,
 )
 from quadfock.scalars import ExactComplex
-from quadfock.stepfn import step_allclose
+from quadfock.stepfn import is_measure_preserving, map_compose, restrict, step_allclose
 
 
 def chi(l, r, v=1.0 + 0j):
