@@ -4,6 +4,11 @@ Every check is exposed as a subcommand emitting a single JSON document on
 stdout; diagnostics go to stderr.  Exit codes: 0 pass, 1 check failed,
 2 domain error, 3 usage or parse error.  JSON arguments accept inline
 text, a file path, or ``-`` for stdin.
+
+Each subcommand imports the layers it runs when it runs: ``quantization``
+where it reads an operator or builds a report, ``families`` where it draws
+a family, ``acceptance`` in ``verify-all``.  So ``inner`` and ``nparticle``
+load neither the operator layer nor the criteria.
 """
 
 from __future__ import annotations
@@ -11,14 +16,11 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import random
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
-from .acceptance import run_all
 from .errors import DomainError, QuadFockError
-from .families import random_family
 from .fock import (
     MAX_PARTICLES,
     FockConfig,
@@ -28,17 +30,8 @@ from .fock import (
     n_particle_inner_rec,
     partitions_multiplicity,
 )
-from .quantization import (
-    QuadOperator,
-    _json_value,
-    boundedness_report,
-    check_l2_contraction,
-    check_selfadjoint_numeric,
-    check_selfadjoint_structure,
-    counterexample_report,
-    lemma4_derivative_check,
-)
-from .stepfn import StepFunction
+from .scalars import _json_value
+from .stepfn import StepFunction, _json_row
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -79,7 +72,8 @@ def _parse_step(text: str, exact: bool) -> StepFunction:
     return _parse(text, "step function", lambda data: StepFunction.from_json(data, exact=exact))
 
 
-def _parse_operator(text: str, exact: bool) -> QuadOperator:
+def _parse_operator(text: str, exact: bool):
+    from .quantization import QuadOperator
     return _parse(text, "operator", lambda data: QuadOperator.from_json(data, exact=exact),
                   (KeyError, TypeError, ValueError, OverflowError))
 
@@ -142,6 +136,8 @@ def cmd_nparticle(args) -> tuple[dict, bool]:
 
 
 def cmd_selfadjoint(args) -> tuple[dict, bool]:
+    import random
+    from .quantization import check_selfadjoint_numeric, check_selfadjoint_structure
     op = _parse_operator(args.op, args.exact)
     struct = check_selfadjoint_structure(op)
     doc = struct.to_dict()
@@ -152,6 +148,7 @@ def cmd_selfadjoint(args) -> tuple[dict, bool]:
 
 
 def cmd_counterexample(args) -> tuple[dict, bool]:
+    from .quantization import counterexample_report
     default = "[[0, 1, 0.25, 0]]"  # (1/4) chi_[0,1), in the backend of the mode
     f = _parse_step(args.f or default, args.exact)
     g = _parse_step(args.g or default, args.exact)
@@ -165,6 +162,8 @@ def cmd_counterexample(args) -> tuple[dict, bool]:
 
 
 def cmd_contraction(args) -> tuple[dict, bool]:
+    import random
+    from .quantization import boundedness_report, check_l2_contraction
     op = _parse_operator(args.op, args.exact)
     family = _resolve_family(args, random.Random(args.seed))
     if not family:
@@ -176,13 +175,16 @@ def cmd_contraction(args) -> tuple[dict, bool]:
 
 
 def cmd_lemma4(args) -> tuple[dict, bool]:
+    import random
+    from .quantization import lemma4_derivative_check
     rng = random.Random(args.seed)
     family = _resolve_family(args, rng)
     if args.random:
         coeffs = [complex(rng.uniform(0.4, 1.0), rng.uniform(-0.5, 0.5))
                   for _ in range(args.random)]
     elif family and args.coeffs:
-        coeffs = _parse(args.coeffs, "--coeffs", lambda data: [complex(re, im) for re, im in data])
+        coeffs = _parse(args.coeffs, "--coeffs",
+                        lambda data: [complex(re, im) for re, im in map(_json_row, data)])
         if not all(map(cmath.isfinite, coeffs)):
             raise CliInputError("invalid --coeffs: non-finite coefficient")
     else:
@@ -196,12 +198,14 @@ def cmd_lemma4(args) -> tuple[dict, bool]:
 
 
 def cmd_verify_all(args) -> tuple[dict, bool]:
+    from .acceptance import run_all
     res = run_all(seed=args.seed)
     return _json_value(res), res["passed"]
 
 
-def _resolve_family(args, rng: random.Random):
+def _resolve_family(args, rng):
     if args.random:
+        from .families import random_family
         return random_family(rng, args.random, exact=args.exact)
     if args.family:
         return _parse(args.family, "--family", lambda data: [

@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 from .errors import DomainError, NonInjectiveError
 from .fock import (FockConfig, _inside_radius, _Signature, exp_vector_exists,
                    gram_matrix, gram_min_eig, moments, n_particle_table)
-from .scalars import ExactComplex, _affine_inverse, _conj_times, _frac, _quotient, _rat
+from .scalars import (ExactComplex, _affine_inverse, _conj_times, _frac, _json_value,
+                      _quotient, _rat)
 from .stepfn import (
     IntervalSet,
     PiecewiseAffineMap,
@@ -149,30 +150,6 @@ def _image_signature(tf: StepFunction, g: StepFunction) -> _Signature:
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
-
-
-def _json_value(v):
-    """v in JSON form: a complex or ExactComplex as [re, im], a Fraction as
-    a float, a tuple as a list, dict keys as str, a NaN or infinite float as
-    None (null); a DomainError for an exact value beyond the doubles."""
-    if isinstance(v, (complex, ExactComplex)):
-        try:
-            v = complex(v)
-        except OverflowError:  # an exact value beyond the doubles
-            raise DomainError("a result exceeds double precision") from None
-        return [_json_value(v.real), _json_value(v.imag)]
-    if isinstance(v, float):
-        return v if math.isfinite(v) else None
-    if isinstance(v, Fraction):
-        try:
-            return float(v)
-        except OverflowError:
-            raise DomainError("a result exceeds double precision") from None
-    if isinstance(v, dict):
-        return {str(k): _json_value(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_json_value(x) for x in v]
-    return v
 
 
 class _Report:

@@ -27,6 +27,8 @@ from fractions import Fraction
 from math import gcd, isfinite
 from numbers import Rational
 
+from .errors import DomainError
+
 
 def _frac(x) -> Fraction:
     """x as a ``Fraction``: from a float (exactly), an int or any rational.
@@ -260,3 +262,27 @@ def abs_sq_value(v):
     if isinstance(v, complex):
         return v.real * v.real + v.imag * v.imag
     return v * v
+
+
+def _json_value(v):
+    """v in JSON form: a complex or ExactComplex as [re, im], a Fraction as
+    a float, a tuple as a list, dict keys as str, a NaN or infinite float as
+    None (null); a DomainError for an exact value beyond the doubles."""
+    if isinstance(v, (complex, ExactComplex)):
+        try:
+            v = complex(v)
+        except OverflowError:  # an exact value beyond the doubles
+            raise DomainError("a result exceeds double precision") from None
+        return [_json_value(v.real), _json_value(v.imag)]
+    if isinstance(v, float):
+        return v if isfinite(v) else None
+    if isinstance(v, Fraction):
+        try:
+            return float(v)
+        except OverflowError:
+            raise DomainError("a result exceeds double precision") from None
+    if isinstance(v, dict):
+        return {str(k): _json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    return v

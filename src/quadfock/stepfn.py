@@ -38,6 +38,15 @@ from .scalars import (ExactComplex, _affine, _affine_inverse, _affine_preimage, 
 Segment = tuple[Fraction, Fraction, object]  # (left, right, value)
 
 
+def _json_row(item) -> tuple:
+    """A row of numbers read from JSON, as a tuple; a TypeError for a boolean,
+    which Python would read as the int 0 or 1."""
+    row = tuple(item)
+    if any(type(x) is bool for x in row):
+        raise TypeError(f"boolean in {row!r}, expected numbers")
+    return row
+
+
 def _canonical_segments(segments: Iterable[Segment]) -> tuple[Segment, ...]:
     """The canonical form of nonempty (l, r, v) segments, zero values dropped."""
     return _sorted_merged([(l, r, v, l, r) for (l, r, v) in segments if v])
@@ -189,6 +198,9 @@ class StepFunction:
         segs = []
         for item in data:
             l, r, re, im = item
+            # _json_row's test, inline: this loop reads every input of inner and nparticle
+            if type(l) is bool or type(r) is bool or type(re) is bool or type(im) is bool:
+                raise TypeError(f"boolean in segment {item!r}, expected numbers")
             # a non-finite float is unequal to itself (NaN) or infinite;
             # neither test raises for a number of another type
             if (l != l or r != r or re != re or im != im
@@ -412,7 +424,7 @@ class IntervalSet:
 
     @staticmethod
     def from_json(data: Sequence[Sequence[float]]) -> "IntervalSet":
-        return IntervalSet.from_intervals([(l, r) for l, r in data])
+        return IntervalSet.from_intervals([(l, r) for l, r in map(_json_row, data)])
 
 
 def _covers(outer: Sequence[tuple], inner: Iterable[tuple]) -> bool:
@@ -527,7 +539,7 @@ class PiecewiseAffineMap:
 
     @staticmethod
     def from_json(data: Sequence[Sequence[float]]) -> "PiecewiseAffineMap":
-        return PiecewiseAffineMap.from_pieces([tuple(item) for item in data])
+        return PiecewiseAffineMap.from_pieces(list(map(_json_row, data)))
 
 
 def _pull_back(p: AffinePiece, l, r) -> Optional[tuple[Fraction, Fraction]]:

@@ -325,6 +325,15 @@ MUTANTS = [
      "        except OSError as exc:\n            raise CliInputError(f\"cannot read",
      "        except ValueError as exc:\n            raise CliInputError(f\"cannot read",
      ["tests/test_cli.py::test_usage_errors_exit_3"]),
+    ("step-json-reads-booleans", "src/quadfock/stepfn.py",
+     "if type(l) is bool or type(r) is bool or type(re) is bool or type(im) is bool:",
+     "if False:",
+     ["tests/test_cli.py::test_usage_errors_exit_3"]),
+    ("cli-imports-quantization-eagerly", "src/quadfock/cli.py",
+     "from .scalars import _json_value\n",
+     "from .quantization import QuadOperator\nfrom .scalars import _json_value\n",
+     ["tests/test_cli.py::test_each_subcommand_loads_only_the_layers_it_runs",
+      "tests/test_layout.py::test_cli_imports_no_upper_layer_at_module_level"]),
     ("moment-index-zero", "src/quadfock/fock.py",
      "if not 1 <= k <= len(self.entries):", "if not 0 <= k <= len(self.entries):",
      ["tests/test_fock.py::TestMoments::test_index_and_depth_out_of_range"]),

@@ -304,6 +304,13 @@ class TestContractionAndLemma4:
     ["inner", "--f", os.path.dirname(__file__), "--g", QUARTER],
     # verify-all runs at its own configs, but checks the global options too
     ["--depth", "0", "verify-all"],
+    # a JSON boolean is no number, though Python reads it as the int 0 or 1
+    ["inner", "--f", '[[false,true,0.25,0]]', "--g", QUARTER],
+    ["inner", "--f", '[[0,1,true,0]]', "--g", QUARTER],
+    ["nparticle", "--f", '[[0,1,0.25,false]]', "--g", QUARTER, "--n", "2"],
+    ["lemma4", "--family", '[[[0,1,0.25,0]]]', "--coeffs", '[[true,0]]'],
+    ["selfadjoint", "--op", '{"E": [[false,true]], "h": [[0,1,0.5,0]], "phi": [[0,1,-1,1]]}'],
+    ["selfadjoint", "--op", '{"E": [[0,1]], "h": [[0,1,0.5,0]], "phi": [[0,1,-1,true]]}'],
 ])
 def test_usage_errors_exit_3(argv, capsys):
     code = main(argv)
@@ -390,7 +397,7 @@ def test_counterexample_default_input_follows_the_mode(given, capsys, monkeypatc
     # other, or of the mode where both are missing
     default = [arg for flag in ("--f", "--g") if flag not in given for arg in (flag, QUARTER)]
     received = []
-    monkeypatch.setattr(cli, "counterexample_report",
+    monkeypatch.setattr(quantization, "counterexample_report",
                         lambda cfg, f, g: received.append((f, g)) or counterexample_report(cfg, f, g))
     for mode, scalar in (("exact", ExactComplex), ("float", complex)):
         one = run_cli(["--mode", mode, "counterexample", *given], capsys)
@@ -639,6 +646,34 @@ def test_no_subcommand_loads_numpy():
             "        for mode in ('float', 'exact'):\n"
             "            assert main(['--mode', mode, *argv]) == 0, argv\n"
             "assert 'numpy' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+LAYERS = {"quadfock.quantization", "quadfock.families", "quadfock.acceptance"}
+# one argv per subcommand, with the layers of LAYERS it loads; in the order
+# of those sets, since a process keeps every module it has loaded
+LOADS = [
+    (["inner", "--f", QUARTER, "--g", QUARTER], set()),
+    (["nparticle", "--f", QUARTER, "--g", QUARTER, "--n", "3"], set()),
+    (["counterexample"], {"quadfock.quantization"}),
+    (["selfadjoint", "--op", REFLECTION, "--family", SMALL_FAMILY], {"quadfock.quantization"}),
+    (["contraction", "--op", DILATION, "--family", SMALL_FAMILY], {"quadfock.quantization"}),
+    (["lemma4", "--family", SMALL_FAMILY, "--coeffs", "[[1,0],[0.5,0]]"],
+     {"quadfock.quantization"}),
+    (["lemma4", "--random", "2"], {"quadfock.quantization", "quadfock.families"}),
+    (["verify-all"], LAYERS),
+]
+
+
+def test_each_subcommand_loads_only_the_layers_it_runs():
+    assert {argv[0] for argv, _ in LOADS} == {argv[0] for argv in NUMPY_FREE}
+    code = ("import contextlib, io, sys\nfrom quadfock.cli import main\n"
+            f"for argv, loads in {LOADS!r}:\n"
+            "    for mode in ('float', 'exact'):\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            assert main(['--mode', mode, *argv]) == 0, argv\n"
+            f"        assert {LAYERS!r} & set(sys.modules) == loads, (argv, mode)\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 

@@ -1,8 +1,9 @@
 """No test module imports another, ``quantization`` imports no numpy,
-every public name of ``quadfock`` is imported and listed once, every
-public function has a use in the package or is imported by the benchmark's
-sweep, which imports only public names, ``cli`` reads ``--mode``, builds
-the config and loads JSON in one place each, ``cli`` hands no
+every public name of ``quadfock`` is listed once, in one table with the
+module that defines it, every public function has a use in the package or
+is imported by the benchmark's sweep, which imports only public names,
+``cli`` imports no layer above ``fock`` at module level, reads ``--mode``,
+builds the config and loads JSON in one place each, ``cli`` hands no
 tolerance to ``quantization``, whose verdicts are exact, ``quantization``
 pulls h through phi in one place, and its self-adjointness report reads
 phi's shape once.  Each reference is defined in one file, and every entry
@@ -16,6 +17,7 @@ module's collection to the other's inputs and names.
 """
 
 import ast
+import importlib
 import inspect
 import re
 from fractions import Fraction
@@ -60,15 +62,18 @@ def test_quantization_imports_no_numpy():
 
 
 def test_public_names_resolve():
-    # a deleted name leaves neither a stale entry in __all__ nor a stray import
-    path = Path(quadfock.__file__)
-    imported = [alias.asname or alias.name
-                for node in ast.walk(ast.parse(path.read_text(), str(path)))
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
-    names = quadfock.__all__
-    assert names == sorted(set(names))
-    assert sorted(imported) == names
-    assert all(hasattr(quadfock, name) for name in names)
+    # a deleted name leaves no stale entry in the table of exports, each
+    # entry names the module that defines the object, and a name outside
+    # the table is no attribute of the package
+    (table,) = [node.value for node in parsed(Path(quadfock.__file__)).body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_HOME"]
+    names = [key.value for key in table.keys]
+    assert names == sorted(set(names)) == quadfock.__all__
+    for name, module in ast.literal_eval(table).items():
+        obj = getattr(importlib.import_module(f"quadfock.{module}"), name)
+        assert obj.__module__ == f"quadfock.{module}"
+        assert getattr(quadfock, name) is obj
+    assert not hasattr(quadfock, "restrict")
 
 
 SRC = TESTS.parent / "src" / "quadfock"
@@ -111,6 +116,14 @@ def enclosing_functions(tree, match) -> list:
 def cli_tree():
     path = Path(__file__).parent.parent / "src" / "quadfock" / "cli.py"
     return ast.parse(path.read_text(), str(path))
+
+
+def test_cli_imports_no_upper_layer_at_module_level():
+    # quantization, families and acceptance load in the subcommands that run
+    # them, so inner and nparticle load neither operators nor criteria
+    assert {node.module for node in cli_tree().body
+            if isinstance(node, ast.ImportFrom) and node.level} == {
+        "errors", "fock", "scalars", "stepfn"}
 
 
 def test_cli_reads_mode_once():
