@@ -1,9 +1,9 @@
 """The acceptance suite: ten desk-scale identity and property checks.
 
-Each criterion function returns a dict with ``id``, ``name``, ``passed``
-and ``details``; ``run_all`` aggregates them.  The CLI's ``verify-all``
-subcommand and the test suite both call into this module so there is a
-single source of truth for what "passing" means.
+Each criterion function returns ``(name, passed, details)``, and ``run_all``
+numbers and builds the records.  The CLI's ``verify-all`` subcommand and
+the test suite both call into this module so there is a single source of
+truth for what "passing" means.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .scalars import ExactComplex
 from .stepfn import IntervalSet, PiecewiseAffineMap, StepFunction, inner
 
 
-def criterion_1() -> dict:
+def criterion_1() -> tuple:
     """Counter-example reproduction at c = 1 with the exact default pair:
     the closed forms as doubles, and the exact moment witness k = 2."""
     f = StepFunction.indicator(0, 1, ExactComplex.of(Fraction(1, 4)))
@@ -54,23 +54,17 @@ def criterion_1() -> dict:
         "rhs_series_agrees": abs(rep.rhs - rep.rhs_series) < 1e-10,
         "moment_witness_k_is_2": rep.moment_witness["k"] == 2,
     }
-    return {
-        "id": 1,
-        "name": "counterexample reproduction",
-        "passed": all(checks.values()),
-        "details": {**checks, "lhs": rep.lhs.real, "rhs": rep.rhs.real,
-                    "gap": rep.gap},
-    }
+    return ("counterexample reproduction", all(checks.values()),
+            {**checks, "lhs": rep.lhs.real, "rhs": rep.rhs.real, "gap": rep.gap})
 
 
-def criterion_2(seed: int = 0) -> dict:
+def criterion_2(seed: int = 0) -> tuple:
     """Recursion == corrected partition sum exactly; series == closed form."""
     pairs = 50
     cfg_exact = FockConfig(c=Fraction(1))
     cfg_float = FockConfig()
     rng = random.Random(seed)
-    exact_ok = True
-    float_ok = True
+    exact_ok = float_ok = True
     worst = 0.0
     for _ in range(pairs):
         fe = random_family(rng, 1, exact=True)[0]
@@ -91,17 +85,12 @@ def criterion_2(seed: int = 0) -> dict:
         worst = max(worst, err)
         if err > max(tail, 1e-10):
             float_ok = False
-    return {
-        "id": 2,
-        "name": "formula concordance",
-        "passed": exact_ok and float_ok,
-        "details": {"recursion_equals_partition": exact_ok,
-                    "series_matches_closed": float_ok,
-                    "worst_series_error": worst, "pairs": pairs},
-    }
+    return ("formula concordance", exact_ok and float_ok,
+            {"recursion_equals_partition": exact_ok, "series_matches_closed": float_ok,
+             "worst_series_error": worst, "pairs": pairs})
 
 
-def criterion_3() -> dict:
+def criterion_3() -> tuple:
     """Per-partition as_printed/corrected ratio equals 2^(sum i_j - 1)."""
     offending = []
     ok = True
@@ -109,23 +98,18 @@ def criterion_3() -> dict:
         for multi in partitions_multiplicity(n):
             corrected = partition_coefficient(multi, n, "corrected")
             printed = partition_coefficient(multi, n, "as_printed")
-            q = sum(multi.values())
-            expected = Fraction(2) ** (q - 1)
+            expected = Fraction(2) ** (sum(multi.values()) - 1)
             if printed / corrected != expected:
                 ok = False
             if expected != 1:
                 offending.append({"n": n,
                                   "partition": {str(j): i for j, i in sorted(multi.items())},
                                   "ratio": float(expected)})
-    return {
-        "id": 3,
-        "name": "printed-formula audit",
-        "passed": ok and len(offending) > 0,
-        "details": {"ratio_law_holds": ok, "offending_partitions": offending},
-    }
+    return ("printed-formula audit", ok and len(offending) > 0,
+            {"ratio_law_holds": ok, "offending_partitions": offending})
 
 
-def criterion_4() -> dict:
+def criterion_4() -> tuple:
     """The reflection x -> 1 - x weighted 9/10, in both backends: Gamma_2(T)
     is exactly Hermitian and every structural condition holds."""
     checks = {}
@@ -136,11 +120,10 @@ def criterion_4() -> dict:
         checks[f"structure_{name}"] = (rep.involutive and rep.maps_into and rep.measure_preserving
                                        and rep.weight_bounded and rep.weight_symmetric)
         checks[f"verdict_{name}"] = rep.verdict
-    return {"id": 4, "name": "self-adjointness, if direction",
-            "passed": all(checks.values()), "details": checks}
+    return "self-adjointness, if direction", all(checks.values()), checks
 
 
-def criterion_5() -> dict:
+def criterion_5() -> tuple:
     """Two exact negative witnesses: the dilation, where T differs from T*,
     and the swap of [0, 1) and [1, 3) by x -> 2x + 1, weighted a and conj(a)/2
     with a = (1 + i)/2, where T = T* on L^2 but h^2 (. o phi) differs from
@@ -155,22 +138,16 @@ def criterion_5() -> dict:
         "dilation_witness_k_is_1": dilation.witness["k"] == 1,
         "swap_witness_k_is_2": swap.witness["k"] == 2,
     }
-    return {
-        "id": 5,
-        "name": "self-adjointness, negative witness",
-        "passed": all(checks.values()),
-        "details": {**checks, "dilation_witness": dilation.witness,
-                    "swap_witness": swap.witness},
-    }
+    return ("self-adjointness, negative witness", all(checks.values()),
+            {**checks, "dilation_witness": dilation.witness, "swap_witness": swap.witness})
 
 
-def criterion_6(seed: int = 6) -> dict:
+def criterion_6(seed: int = 6) -> tuple:
     """The derivative of the Gram form at t = 0, its exact n = 1 coefficient,
     matches 2c||sum alpha f||^2, the norm read off the step function."""
     cfg = FockConfig()
     rng = random.Random(seed)
-    worst_rel = 0.0
-    worst_ratio_dev = 0.0
+    worst_rel = worst_ratio_dev = 0.0
     ok = True
     for _ in range(20):
         k = rng.randint(1, 4)
@@ -185,17 +162,13 @@ def criterion_6(seed: int = 6) -> dict:
         if rep.rel_error > 1e-6:
             ok = False
     stated_constant_fails = worst_ratio_dev < 1e-3  # ratio to c is ~2, not ~1
-    return {
-        "id": 6,
-        "name": "derivative identity with corrected constant",
-        "passed": ok and stated_constant_fails,
-        "details": {"worst_rel_error": worst_rel,
-                    "stated_constant_off_by_factor_2": stated_constant_fails,
-                    "worst_ratio_deviation_from_2": worst_ratio_dev},
-    }
+    return ("derivative identity with corrected constant", ok and stated_constant_fails,
+            {"worst_rel_error": worst_rel,
+             "stated_constant_off_by_factor_2": stated_constant_fails,
+             "worst_ratio_deviation_from_2": worst_ratio_dev})
 
 
-def criterion_7() -> dict:
+def criterion_7() -> tuple:
     """The dilation f(2x) is a contraction of Fock space, exactly, at c = 1:
     on one window cell and on its 2 and 4 equal sub-cells, r_1 = 1/2 and
     every r_k is the closed form; the L^2 isometry 2 f(4x) is unbounded."""
@@ -213,18 +186,14 @@ def criterion_7() -> dict:
         "r_k_equals_closed_form": rep.closed_form_agrees,
         "isometry_2f4x_unbounded": control.verdict == "unbounded",
     }
-    return {
-        "id": 7,
-        "name": "contraction, exact per-cell norm",
-        "passed": all(checks.values()),
-        "details": {**checks, "cells": len(rep.cells),
-                    "sup_r": max(cell["sup_r"] for cell in rep.cells),
-                    "isometry_lower_bound": control.lower_bound,
-                    "isometry_witness_k": control.witness["k"]},
-    }
+    return ("contraction, exact per-cell norm", all(checks.values()),
+            {**checks, "cells": len(rep.cells),
+             "sup_r": max(cell["sup_r"] for cell in rep.cells),
+             "isometry_lower_bound": control.lower_bound,
+             "isometry_witness_k": control.witness["k"]})
 
 
-def criterion_8() -> dict:
+def criterion_8() -> tuple:
     """Existence radius: sup norm >= 1/2 rejected everywhere, 1/2 - 1e-9 accepted."""
     cfg = FockConfig()
     ok_f = StepFunction.indicator(0, 1, complex(0.5 - 1e-9))
@@ -249,16 +218,11 @@ def criterion_8() -> dict:
         }
     accepted = (exp_vector_exists(ok_f)
                 and isinstance(exp_inner_closed(ok_f, ok_f, cfg), complex))
-    passed = accepted and all(all(v.values()) for v in results.values())
-    return {
-        "id": 8,
-        "name": "existence radius",
-        "passed": passed,
-        "details": {**results, "near_boundary_accepted": accepted},
-    }
+    return ("existence radius", accepted and all(all(v.values()) for v in results.values()),
+            {**results, "near_boundary_accepted": accepted})
 
 
-def criterion_9(seed: int = 9) -> dict:
+def criterion_9(seed: int = 9) -> tuple:
     """Gram matrices of 4 distinct admissible functions are positive definite:
     an exact family's truncation G_N, G_N <= G, has positive leading minors
     at the first N up to GRAM_DEPTH, with no float and no threshold."""
@@ -273,15 +237,11 @@ def criterion_9(seed: int = 9) -> dict:
         else:
             failures.append({"draw": draw, "leading_minor": len(minors)})
         depths.append(N)
-    return {
-        "id": 9,
-        "name": "linear independence at finite scale",
-        "passed": not failures,
-        "details": {"depths": depths, "failures": failures, "draws": draws},
-    }
+    return ("linear independence at finite scale", not failures,
+            {"depths": depths, "failures": failures, "draws": draws})
 
 
-def criterion_10(seed: int = 10) -> dict:
+def criterion_10(seed: int = 10) -> tuple:
     """Adjoint pairing <T f, g> = <f, T* g> exactly in rational mode."""
     triples = 100
     rng = random.Random(seed)
@@ -295,12 +255,7 @@ def criterion_10(seed: int = 10) -> dict:
         rhs = inner(f, apply_operator(T_star, g))
         if lhs != rhs:
             ok = False
-    return {
-        "id": 10,
-        "name": "adjoint pairing",
-        "passed": ok,
-        "details": {"triples": triples, "all_exact": ok},
-    }
+    return "adjoint pairing", ok, {"triples": triples, "all_exact": ok}
 
 
 CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
@@ -308,14 +263,14 @@ CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_all(seed: int = 0) -> dict:
-    """Run every criterion; the ones that draw (2, 6, 9 and 10) use their own
-    fixed seeds, and ``seed`` is not used yet, so every seed gives the same
-    document."""
+    """Each criterion's record, id k for the k-th of ``CRITERIA``; the ones
+    that draw (2, 6, 9 and 10) use their own fixed seeds, and ``seed`` is
+    not used yet, so every seed gives the same document."""
     results = []
-    for fn in CRITERIA:
+    for k, fn in enumerate(CRITERIA, 1):
         try:
-            results.append(fn())
+            name, passed, details = fn()
         except Exception as exc:  # a crash is a failure, not an abort
-            results.append({"id": len(results) + 1, "name": fn.__name__,
-                            "passed": False, "details": {"error": repr(exc)}})
+            name, passed, details = fn.__name__, False, {"error": repr(exc)}
+        results.append({"id": k, "name": name, "passed": passed, "details": details})
     return {"passed": all(r["passed"] for r in results), "criteria": results}

@@ -28,10 +28,11 @@ from .fock import (
     moments,
     n_particle_inner_partition,
     n_particle_inner_rec,
+    partition_coefficient,
     partitions_multiplicity,
 )
 from .scalars import _json_value
-from .stepfn import StepFunction, _json_row
+from .stepfn import StepFunction, _json_array, _json_row
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -94,8 +95,8 @@ def _emit(doc: dict) -> None:
 
 # --- subcommands -----------------------------------------------------------
 # Each reads the backend and the config that main built, args.exact and
-# args.cfg, and returns (document, passed); main emits the document and maps
-# passed to the exit code.
+# args.cfg, and returns (document, passed); main emits the document in JSON
+# form and maps passed to the exit code.
 
 
 def cmd_inner(args) -> tuple[dict, bool]:
@@ -105,8 +106,8 @@ def cmd_inner(args) -> tuple[dict, bool]:
     closed = sig.closed(args.cfg)
     series, tail, depth = sig.series(args.cfg)
     agree = abs(closed - series) <= max(tail, args.cfg.tol)
-    return _json_value({"closed": closed, "series": series, "tail_bound": tail,
-                        "depth": depth, "agree": agree}), agree
+    return {"closed": closed, "series": series, "tail_bound": tail,
+            "depth": depth, "agree": agree}, agree
 
 
 def cmd_nparticle(args) -> tuple[dict, bool]:
@@ -130,9 +131,10 @@ def cmd_nparticle(args) -> tuple[dict, bool]:
     if args.formula == "as_printed":
         doc["partition_ratios"] = [
             {"partition": dict(sorted(multi.items())),
-             "printed_over_corrected": float(2 ** (sum(multi.values()) - 1))}
+             "printed_over_corrected": partition_coefficient(multi, n, "as_printed")
+             / partition_coefficient(multi, n, "corrected")}
             for multi in partitions_multiplicity(n)]
-    return _json_value(doc), match
+    return doc, match
 
 
 def cmd_selfadjoint(args) -> tuple[dict, bool]:
@@ -183,8 +185,8 @@ def cmd_lemma4(args) -> tuple[dict, bool]:
         coeffs = [complex(rng.uniform(0.4, 1.0), rng.uniform(-0.5, 0.5))
                   for _ in range(args.random)]
     elif family and args.coeffs:
-        coeffs = _parse(args.coeffs, "--coeffs",
-                        lambda data: [complex(re, im) for re, im in map(_json_row, data)])
+        coeffs = _parse(args.coeffs, "--coeffs", lambda data: [
+            complex(re, im) for re, im in map(_json_row, _json_array(data))])
         if not all(map(cmath.isfinite, coeffs)):
             raise CliInputError("invalid --coeffs: non-finite coefficient")
     else:
@@ -200,7 +202,7 @@ def cmd_lemma4(args) -> tuple[dict, bool]:
 def cmd_verify_all(args) -> tuple[dict, bool]:
     from .acceptance import run_all
     res = run_all(seed=args.seed)
-    return _json_value(res), res["passed"]
+    return res, res["passed"]
 
 
 def _resolve_family(args, rng):
@@ -209,7 +211,7 @@ def _resolve_family(args, rng):
         return random_family(rng, args.random, exact=args.exact)
     if args.family:
         return _parse(args.family, "--family", lambda data: [
-            StepFunction.from_json(item, exact=args.exact) for item in data])
+            StepFunction.from_json(item, exact=args.exact) for item in _json_array(data)])
     return []
 
 
@@ -309,7 +311,7 @@ def main(argv=None) -> int:
     try:
         args.cfg = _cfg(args)  # checked for every subcommand, verify-all too
         doc, passed = args.func(args)
-        _emit(doc)
+        _emit(_json_value(doc))
         return EXIT_PASS if passed else EXIT_CHECK_FAILED
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,6 +47,14 @@ def _json_row(item) -> tuple:
     return row
 
 
+def _json_array(data):
+    """data, read from JSON where an array is expected; a TypeError for an
+    object or a string, which Python would iterate as its keys or characters."""
+    if isinstance(data, (dict, str)):
+        raise TypeError(f"expected an array, got {data!r}")
+    return data
+
+
 def _canonical_segments(segments: Iterable[Segment]) -> tuple[Segment, ...]:
     """The canonical form of nonempty (l, r, v) segments, zero values dropped."""
     return _sorted_merged([(l, r, v, l, r) for (l, r, v) in segments if v])
@@ -196,7 +204,7 @@ class StepFunction:
     @staticmethod
     def from_json(data: Sequence[Sequence[float]], exact: bool = False) -> "StepFunction":
         segs = []
-        for item in data:
+        for item in _json_array(data):
             l, r, re, im = item
             # _json_row's test, inline: this loop reads every input of inner and nparticle
             if type(l) is bool or type(r) is bool or type(re) is bool or type(im) is bool:
@@ -424,7 +432,7 @@ class IntervalSet:
 
     @staticmethod
     def from_json(data: Sequence[Sequence[float]]) -> "IntervalSet":
-        return IntervalSet.from_intervals([(l, r) for l, r in map(_json_row, data)])
+        return IntervalSet.from_intervals([(l, r) for l, r in map(_json_row, _json_array(data))])
 
 
 def _covers(outer: Sequence[tuple], inner: Iterable[tuple]) -> bool:
@@ -539,7 +547,7 @@ class PiecewiseAffineMap:
 
     @staticmethod
     def from_json(data: Sequence[Sequence[float]]) -> "PiecewiseAffineMap":
-        return PiecewiseAffineMap.from_pieces(list(map(_json_row, data)))
+        return PiecewiseAffineMap.from_pieces(list(map(_json_row, _json_array(data))))
 
 
 def _pull_back(p: AffinePiece, l, r) -> Optional[tuple[Fraction, Fraction]]:

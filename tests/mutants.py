@@ -294,6 +294,9 @@ MUTANTS = [
     ("criterion-10-failure-ignored", "src/quadfock/acceptance.py",
      "if lhs != rhs:\n            ok = False", "if lhs != rhs:\n            pass",
      ["tests/test_acceptance.py::test_a_criterion_fails_where_its_check_fails[c10]"]),
+    ("run-all-ids-from-zero", "src/quadfock/acceptance.py",
+     "enumerate(CRITERIA, 1)", "enumerate(CRITERIA)",
+     ["tests/test_acceptance.py::test_run_all_numbers_the_records_in_list_order"]),
     # --- guards and paths that only their own tests run -------------------------------
     ("sub-adds", "src/quadfock/stepfn.py",
      "return self + other.scale(-1)", "return self + other",
@@ -329,6 +332,18 @@ MUTANTS = [
      "if type(l) is bool or type(r) is bool or type(re) is bool or type(im) is bool:",
      "if False:",
      ["tests/test_cli.py::test_usage_errors_exit_3"]),
+    ("step-json-reads-objects", "src/quadfock/stepfn.py",
+     "for item in _json_array(data):", "for item in data:",
+     ["tests/test_cli.py::test_usage_errors_exit_3"]),
+    ("main-emits-unconverted", "src/quadfock/cli.py",
+     "_emit(_json_value(doc))", "_emit(doc)",
+     ["tests/test_cli.py::TestInner::test_quarter_indicator",
+      "tests/test_layout.py::test_one_place_builds_each_record_and_converts_each_document"]),
+    ("nparticle-ratio-restated", "src/quadfock/cli.py",
+     'partition_coefficient(multi, n, "as_printed")\n'
+     '             / partition_coefficient(multi, n, "corrected")',
+     "float(2 ** (sum(multi.values()) - 1))",
+     ["tests/test_cli.py::TestNParticle::test_as_printed_ratios_read_the_coefficients"]),
     ("cli-imports-quantization-eagerly", "src/quadfock/cli.py",
      "from .scalars import _json_value\n",
      "from .quantization import QuadOperator\nfrom .scalars import _json_value\n",

@@ -18,11 +18,21 @@ from quadfock.stepfn import StepFunction
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=lambda fn: fn.__name__)
 def test_criterion(criterion, capsys):
-    result = criterion()
-    status = "PASS" if result["passed"] else "FAIL"
+    name, passed, details = criterion()
+    status = "PASS" if passed else "FAIL"
     with capsys.disabled():
-        print(f"[{status}] criterion {result['id']:2d}: {result['name']}")
-    assert result["passed"], result["details"]
+        print(f"[{status}] criterion {CRITERIA.index(criterion) + 1:2d}: {name}")
+    assert passed, details
+
+
+def test_run_all_numbers_the_records_in_list_order(monkeypatch):
+    # an id is a criterion's place in the list: reversed, criterion_10's
+    # record comes first, with id 1, and each keeps its own name and verdict
+    order = CRITERIA[::-1]
+    monkeypatch.setattr(acceptance, "CRITERIA", order)
+    records = acceptance.run_all()["criteria"]
+    assert [r["id"] for r in records] == list(range(1, 11))
+    assert [(r["name"], r["passed"], r["details"]) for r in records] == [fn() for fn in order]
 
 
 def test_a_crashing_criterion_fails_in_place(capsys, monkeypatch):
@@ -67,12 +77,12 @@ def _repeated_family(rng, size, **kwargs):
 ], ids=["c2-exact", "c2-float", "c3", "c6-zero", "c6-rel-error", "c8", "c9", "c10"])
 def test_a_criterion_fails_where_its_check_fails(criterion, name, value, passed, monkeypatch):
     monkeypatch.setattr(acceptance, name, value)
-    assert criterion()["passed"] is passed
+    assert criterion()[1] is passed
 
 
 def test_criterion_9_reports_each_draw_that_fails(monkeypatch):
     # every draw runs to the cap, and its second leading minor is 0
     monkeypatch.setattr(acceptance, "random_family", _repeated_family)
-    details = acceptance.criterion_9()["details"]
+    _, _, details = acceptance.criterion_9()
     assert details["depths"] == [GRAM_DEPTH] * 20
     assert details["failures"] == [{"draw": k, "leading_minor": 2} for k in range(20)]

@@ -3,13 +3,14 @@ every public name of ``quadfock`` is listed once, in one table with the
 module that defines it, every public function has a use in the package or
 is imported by the benchmark's sweep, which imports only public names,
 ``cli`` imports no layer above ``fock`` at module level, reads ``--mode``,
-builds the config and loads JSON in one place each, ``cli`` hands no
-tolerance to ``quantization``, whose verdicts are exact, ``quantization``
-pulls h through phi in one place, and its self-adjointness report reads
-phi's shape once.  Each reference is defined in one file, and every entry
-of the mutant list in ``tests/mutants.py`` still applies to the tree and
-names tests that exist.  Breakpoints are plain ``Fraction``s: ``scalars``
-defines no subclass of it.
+builds the config, loads JSON and puts a document in JSON form in one place
+each, ``acceptance`` builds every criterion's record in one place, ``cli``
+hands no tolerance to ``quantization``, whose verdicts are exact,
+``quantization`` pulls h through phi in one place, and its
+self-adjointness report reads phi's shape once.  Each reference is defined
+in one file, and every entry of the mutant list in ``tests/mutants.py``
+still applies to the tree and names tests that exist.  Breakpoints are
+plain ``Fraction``s: ``scalars`` defines no subclass of it.
 
 A reference implementation that two modules compare against lives in
 ``tests/_reference.py``; importing it from a test module would tie one
@@ -145,6 +146,17 @@ def test_cli_loads_json_in_one_parse_path():
     assert enclosing_functions(cli_tree(), lambda node: (
         isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == "_load_json")) == ["_parse"]
+
+
+def test_one_place_builds_each_record_and_converts_each_document():
+    # run_all numbers every criterion's record, and main puts every
+    # subcommand's document in JSON form
+    assert enclosing_functions(parsed(SRC / "acceptance.py"), lambda node: (
+        isinstance(node, ast.Dict) and any(isinstance(key, ast.Constant) and key.value == "id"
+                                           for key in node.keys))) == ["run_all"]
+    assert enclosing_functions(cli_tree(), lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_json_value")) == ["main"]
 
 
 def test_cli_passes_no_tol_to_quantization():
