@@ -9,6 +9,10 @@ built once per call and every quantity is read off it: a Gram matrix sweeps
 only the pairs i <= j, because the signature of (g, f) is that of (f, g)
 with conjugated keys, and fills the rest by Hermitian symmetry.
 
+A signature runs in the backend its pair's values select, by ``stepfn``'s
+rule: an empty one keeps its nonzero input's, and two zero functions take
+floats.  Only a hand-built ``MomentSequence`` is read by its entries' types.
+
 The lengths in a signature are exact ints on one grid per pair,
 L_u = l_u / Lambda with Lambda the lcm of the pair's end denominators.  A
 float route leaves exact arithmetic where each value and length becomes a
@@ -73,8 +77,8 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, NotHermitianError, UnconvergedError
-from .scalars import ExactComplex, _frac, _new, _parts, _rat
-from .stepfn import StepFunction, value_signature
+from .scalars import _frac, _new, _parts, _rat
+from .stepfn import StepFunction, _exact_values, value_signature
 from .stepfn import inner  # noqa: F401  perfbench/test_trace.py reads quadfock.fock.inner
 
 ADMISSIBLE_SUP_SQ = Fraction(1, 4)  # existence radius: sup norm < 1/2
@@ -141,7 +145,7 @@ def moments(f: StepFunction, g: StepFunction, K: int) -> MomentSequence:
     """m_k = <f^k, g^k> = sum over the value signature of L_u * u^k, k = 1..K."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    return _Signature(value_signature(f, g)).moments(K)
+    return _Signature(f, g).moments(K)
 
 
 def _power_sums(us: list, terms: list) -> Iterator:
@@ -149,7 +153,7 @@ def _power_sums(us: list, terms: list) -> Iterator:
     every term is the complex product of the previous one and its u."""
     while True:
         terms = list(map(mul, terms, us))
-        yield sum(terms, 0)
+        yield sum(terms, 0j)
 
 
 def _gaussian_sums(us: list, terms: list) -> Iterator[tuple]:
@@ -160,19 +164,19 @@ def _gaussian_sums(us: list, terms: list) -> Iterator[tuple]:
 
 
 class _Signature:
-    """The (Lambda, sig) of ``value_signature``: ``sig`` maps each value u of
-    conj(f) * g to the int l_u with L_u = l_u / Lambda the length carrying it;
-    ``exact`` is true for a nonempty ``sig`` of ExactComplex values; ``zero``
-    is whether f or g is zero, which an empty ``sig`` alone does not tell
-    from disjoint supports.  It reduces its lengths and converts its values
-    and lengths to doubles once each, at the first call that reads them."""
+    """The (Lambda, sig) of ``value_signature(f, g)``: ``sig`` maps each value
+    u of conj(f) * g to the int l_u with L_u = l_u / Lambda the length
+    carrying it; ``exact`` is whether f's and g's values select the exact
+    backend; ``zero`` is whether f or g is zero, which an empty ``sig`` alone
+    does not tell from disjoint supports.  It reduces its lengths and converts
+    its values and lengths to doubles once each, at the first call that reads them."""
 
     __slots__ = ("lam", "sig", "exact", "zero", "_lengths", "_doubles")
 
-    def __init__(self, signature: tuple[int, dict], zero: bool = False):
-        self.lam, self.sig = signature
-        self.exact = bool(self.sig) and all(type(u) is ExactComplex for u in self.sig)
-        self.zero = zero
+    def __init__(self, f: StepFunction, g: StepFunction):
+        self.lam, self.sig = value_signature(f, g)
+        self.exact = _exact_values(f, g)
+        self.zero = f.is_zero() or g.is_zero()
         self._lengths = self._doubles = None
 
     @classmethod
@@ -187,7 +191,7 @@ class _Signature:
         if bad:
             raise DomainError(f"sup norm >= 1/2 for argument(s) {bad}; "
                               "exponential vector does not exist")
-        return cls(value_signature(f, g), f.is_zero() or g.is_zero())
+        return cls(f, g)
 
     def scaled_lengths(self) -> tuple[int, list]:
         """(Lambda, [l_u]) with L_u = l_u / Lambda and Lambda the lcm of the
@@ -256,7 +260,7 @@ class _Signature:
         raise DomainError(f"closed form exp({exponent}) overflows double precision")
 
     def _exact_terms(self, c) -> Iterator[tuple[int, int, int]]:
-        """b_1, b_2, ... of an exact (or empty) signature as (re, im, q) with
+        """b_1, b_2, ... of an exact signature as (re, im, q) with
         b_n = (re + im i) / q = B_n / (n! (D E)^n), one moment and one
         recursion step per term."""
         D, N = self._gaussian_moments()
@@ -625,7 +629,7 @@ def exp_inner_closed_scaled(f: StepFunction, g: StepFunction, t: float,
     b_1 = 2c <f, g>, which ``lemma4_derivative_check`` reads exactly."""
     if abs(t) * f.sup_norm() * g.sup_norm() >= 0.25:
         raise DomainError(f"scale t = {t} leaves the admissible region")
-    return _Signature(value_signature(f, g)).closed(cfg, t)
+    return _Signature(f, g).closed(cfg, t)
 
 
 def _up(x: float) -> float:
@@ -691,7 +695,7 @@ def gram_matrix(family: Sequence[StepFunction], cfg: FockConfig) -> np.ndarray:
     G = np.empty((n, n), dtype=complex)
     for i in range(n):
         for j in range(i, n):
-            z = _Signature(value_signature(family[i], family[j])).closed(cfg)
+            z = _Signature(family[i], family[j]).closed(cfg)
             G[j, i] = z.conjugate()
             G[i, j] = z  # after the conjugate, so the diagonal keeps z
     return G
@@ -707,8 +711,7 @@ def _gram_minors(family: Sequence[StepFunction], cfg: FockConfig) -> Iterator[tu
         raise DomainError("sup norm >= 1/2 in the family")
     n = len(family)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    terms = [_Signature(value_signature(family[i], family[j]))._exact_terms(cfg.c)
-             for i, j in pairs]
+    terms = [_Signature(family[i], family[j])._exact_terms(cfg.c) for i, j in pairs]
     sums = [(1, 0, 1)] * len(pairs)  # b_0 = 1, as (re, im, q)
     for N in range(1, GRAM_DEPTH + 1):
         # b_N = (re + im i) / q_N, and q_N is a multiple of q_{N-1}

@@ -28,12 +28,12 @@ from .stepfn import (
     StepFunction,
     _canonical_segments,
     _covers,
+    _exact_values,
     _first_difference,
     _images_overlap,
     _sweep,
     compose,
     map_invert,
-    value_signature,
 )
 
 
@@ -59,10 +59,6 @@ class QuadOperator:
             raise ValueError("phi's domain must cover E")
         if domain != self.E:
             object.__setattr__(self, "phi", self.phi.restrict(self.E))
-
-    def to_json(self) -> dict:
-        return {"E": self.E.to_json(), "h": self.h.to_json(),
-                "phi": self.phi.to_json()}
 
     @staticmethod
     def from_json(data: dict, exact: bool = False) -> "QuadOperator":
@@ -268,13 +264,13 @@ def check_selfadjoint_numeric(T: QuadOperator, family: Sequence[StepFunction],
             raise DomainError(f"adjoint image of member {j} is inadmissible")
 
     n = range(len(family))
-    M = [[_Signature(value_signature(tf[i], family[j])).closed(cfg) for j in n] for i in n]
+    M = [[_Signature(tf[i], family[j]).closed(cfg) for j in n] for i in n]
     herm = adj = 0.0
     for i in n:
         for j in n:
             herm = max(herm, abs(M[i][j] - M[j][i].conjugate()))
             if T_star:
-                rhs = _Signature(value_signature(tsf[j], family[i])).closed(cfg)
+                rhs = _Signature(tsf[j], family[i]).closed(cfg)
                 adj = max(adj, abs(M[i][j] - rhs.conjugate()))
     return SelfAdjointNumericReport(herm, adj if T_star else None)
 
@@ -340,7 +336,7 @@ def lemma4_derivative_check(family: Sequence[StepFunction],
     """
     if len(family) != len(coeffs):
         raise ValueError("family and coeffs must have equal length")
-    exact = type(_unit_like(*family)) is ExactComplex
+    exact = _exact_values(*family)
     alpha = [ExactComplex.of(complex(a)) if exact else complex(a) for a in coeffs]
 
     deriv = 0
@@ -348,7 +344,8 @@ def lemma4_derivative_check(family: Sequence[StepFunction],
     for i, (a, f) in enumerate(zip(alpha, family)):
         for j in range(i, len(family)):
             b1 = n_particle_table(moments(f, family[j], 1), 1, cfg)[1]
-            term = a.conjugate() * alpha[j] * (b1 if exact else complex(b1))
+            # a pair of zero functions runs in floats, as two zero functions carry no value
+            term = a.conjugate() * alpha[j] * (ExactComplex.of(b1) if exact else complex(b1))
             deriv = deriv + (term if i == j else term + term.conjugate())
         combo = combo + f.scale(a)
     deriv = deriv.re if exact else complex(deriv).real
@@ -568,25 +565,21 @@ class CounterexampleReport(_Report):
     moment_witness: dict
 
 
-def counterexample_report(cfg: FockConfig,
-                          f: Optional[StepFunction] = None,
-                          g: Optional[StepFunction] = None) -> CounterexampleReport:
+def counterexample_report(cfg: FockConfig, f: StepFunction,
+                          g: StepFunction) -> CounterexampleReport:
     """Both pairings for the dilation, cross-checked by series, and their
     moment witness.  The right-hand side <Psi(f), Gamma_2(T*) Psi(g)> is
-    conj(<Psi(T* g), Psi(f)>), so no adjoint on Fock space is needed.  A
-    missing input is (1/4) chi_[0,1), in the backend of the other one.
+    conj(<Psi(T* g), Psi(f)>), so no adjoint on Fock space is needed.  The
+    dilation's unit weight is in the backend that the values of f and g select.
 
     a_n = c 2^(2n-1) m_n + (terms in m_1..m_(n-1)), so at any c > 0 the two
     pairings' a_n agree for every n iff their moments do.  The dilation gives
     m_k(f, T* g) = 2^(1-k) m_k(T f, g), and m_2..m_(d+1) of the d distinct
     nonzero values of (T f, g) are not all zero (Vandermonde): k <= d + 1.
     """
-    one = _unit_like(*(h for h in (f, g) if h is not None))
-    default = StepFunction.indicator(0, 1, one * Fraction(1, 4))
-    f = default if f is None else f
-    g = default if g is None else g
     if not exp_vector_exists(f):
         raise DomainError("sup norm of f >= 1/2")
+    one = ExactComplex.of(1) if _exact_values(f, g) else 1.0 + 0.0j
     T = dilation_operator(window_radius(f, g), one)
     tf, tsg = apply_operator(T, f), apply_operator(adjoint_operator(T), g)
 
@@ -612,11 +605,3 @@ def counterexample_report(cfg: FockConfig,
 
     return CounterexampleReport(lhs, rhs, abs(lhs - rhs), lhs_series, lhs_tail,
                                 rhs_series.conjugate(), rhs_tail, witness)
-
-
-def _unit_like(*fs: StepFunction):
-    for f in fs:
-        for _, _, v in f.segments:
-            if isinstance(v, ExactComplex):
-                return ExactComplex.of(1)
-    return 1.0 + 0.0j

@@ -7,8 +7,11 @@ affine coefficients and lengths are always exact ``Fraction``s in lowest
 terms.  ``_sweep`` and ``_covers`` order ends by two products of their int
 pairs, inline; a pull-back, an affine image, a map inverse and a signature
 value are the int kernels of ``scalars``, which reduce each result once.
-Only the *values* of a step function choose between the exact and the
-float scalar backend.  A float breakpoint is read exactly, once.  A value
+Only the *values* of a pair of step functions choose its scalar backend
+(``_exact_values``): exact where every value is an ``ExactComplex``, else
+float.  So an empty value signature, of disjoint supports or one zero
+function, keeps its nonzero input's backend, and two zero functions, which
+carry no value, take floats.  A float breakpoint is read exactly, once.  A value
 signature holds int lengths on one grid per pair, so a float route leaves
 exact arithmetic only in ``fock``, where each length becomes a double by
 one int division, and where the exact scaled form is reduced by one lazy
@@ -194,13 +197,6 @@ class StepFunction:
 
     # --- serialization -----------------------------------------------------
 
-    def to_json(self) -> list[list[float]]:
-        out = []
-        for l, r, v in self.segments:
-            c = complex(v)
-            out.append([float(l), float(r), c.real, c.imag])
-        return out
-
     @staticmethod
     def from_json(data: Sequence[Sequence[float]], exact: bool = False) -> "StepFunction":
         segs = []
@@ -326,6 +322,13 @@ def refine(f: StepFunction, g: StepFunction) -> list[tuple[Fraction, Fraction, o
     return _sweep(f.segments, g.segments)
 
 
+def _exact_values(*fs: StepFunction) -> bool:
+    """Whether the values of fs select the exact backend: some f has a value,
+    and every value is an ``ExactComplex``.  A float value ends the scan."""
+    return (any(f.segments for f in fs)
+            and all(type(v) is ExactComplex for f in fs for _, _, v in f.segments))
+
+
 def value_signature(f: StepFunction, g: StepFunction) -> tuple[int, dict]:
     """(Lambda, {u: l_u}): each value u = conj(f) * g over the set where both
     f and g are nonzero, and the length L_u = l_u / Lambda carrying it.
@@ -427,9 +430,6 @@ class IntervalSet:
     def indicator(self, value=1) -> StepFunction:
         return StepFunction.from_segments([(l, r, value) for l, r in self.intervals])
 
-    def to_json(self) -> list[list[float]]:
-        return [[float(l), float(r)] for l, r in self.intervals]
-
     @staticmethod
     def from_json(data: Sequence[Sequence[float]]) -> "IntervalSet":
         return IntervalSet.from_intervals([(l, r) for l, r in map(_json_row, _json_array(data))])
@@ -516,10 +516,6 @@ class PiecewiseAffineMap:
                 raise ValueError("piece domains must be pairwise disjoint")
         return PiecewiseAffineMap(tuple(ps))
 
-    @staticmethod
-    def identity(e: IntervalSet) -> "PiecewiseAffineMap":
-        return PiecewiseAffineMap.from_pieces([(l, r, 1, 0) for l, r in e.intervals])
-
     def domain(self) -> IntervalSet:
         return self._domain
 
@@ -540,10 +536,6 @@ class PiecewiseAffineMap:
         return PiecewiseAffineMap.from_pieces(
             (l, r, p.slope, p.intercept)
             for l, r, p, inside in _sweep(pieces, e._segments()) if p and inside)
-
-    def to_json(self) -> list[list[float]]:
-        return [[float(p.left), float(p.right), float(p.slope), float(p.intercept)]
-                for p in self.pieces]
 
     @staticmethod
     def from_json(data: Sequence[Sequence[float]]) -> "PiecewiseAffineMap":

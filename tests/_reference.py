@@ -16,10 +16,13 @@ it checks:
 - the five structural conditions of the self-adjointness report, phi's
   three by ``map_compose`` and ``map_invert`` on phi restricted to supp h;
 - the moments, the b recursion, a_n, the dominating sums and the float
-  series, and the closed form at mpmath's precision.
+  series, and the closed form in doubles and at mpmath's precision.
+It also writes the JSON document that ``from_json`` reads, and builds the
+float copy of an exact function and the identity map on an interval set.
 Not a test module: no test module imports another.
 """
 
+import cmath
 import itertools
 import math
 import random
@@ -416,15 +419,34 @@ def atom_operators(exact):
 # --- moments, the b recursion and the float series ----------------------------
 
 
-def reference_moments(sig, K):
+def reference_zero(*fs):
+    """0 in the backend that the values of fs select: exact where some f has
+    a value and each value is an ``ExactComplex``, else complex."""
+    values = [v for f in fs for _, _, v in f.segments]
+    return ExactComplex(0, 0) if values and all(
+        isinstance(v, ExactComplex) for v in values) else 0j
+
+
+def reference_moments(sig, K, zero):
     """m_1..m_K of a signature, m_k = sum of L_u u^k, each term the one before
-    times u, in key order: the float kernel's order, which the bit checks need."""
+    times u, in key order: the float kernel's order, which the bit checks need.
+    Each sum starts at ``zero``, the backend's zero, which an empty signature
+    returns."""
     us, terms = list(sig), list(sig.values())
     entries = []
     for _ in range(K):
         terms = [t * u for t, u in zip(terms, us)]
-        entries.append(sum(terms, 0))
+        entries.append(sum(terms, zero))
     return entries
+
+
+def reference_closed(sig, cfg):
+    """The float closed form exp(-c/2 sum L_u log(1 - 4u)) of a signature
+    {u: L_u}, summed in key order with each L_u rounded to a double once."""
+    total = 0j
+    for u, length in sig.items():
+        total += float(length) * cmath.log(1 - 4 * complex(u))
+    return cmath.exp(-float(cfg.c) / 2 * total)
 
 
 def reference_weights(m):
@@ -475,7 +497,7 @@ def reference_series(sig, cfg, fixed=False):
     else at cfg.depth, which ``fixed`` also takes.  Every b_n up to cfg.depth
     is summed first; each N then reads a prefix."""
     depth = cfg.depth
-    w = reference_moments({4 * u: length / 2 for u, length in sig.items()}, depth)
+    w = reference_moments({4 * u: length / 2 for u, length in sig.items()}, depth, 0j)
     terms = [complex(bn) for bn in reference_b(w, depth, cfg.c)]
     beta = _up(float(Fraction(cfg.c) * sum(sig.values()) / 2))
     x = _up(4.0 * max(map(abs, sig), default=0.0) * (1 + 2.0 ** -50))
@@ -541,3 +563,31 @@ def pairs():
 
 
 PAIRS = list(pairs())
+
+
+# --- the wire format, and inputs built from it --------------------------------------
+
+
+def json_doc(x):
+    """The JSON document of a ``StepFunction``, ``IntervalSet``,
+    ``PiecewiseAffineMap`` or ``QuadOperator``, every number a double: what
+    their ``from_json`` reads."""
+    if isinstance(x, StepFunction):
+        return [[float(l), float(r), complex(v).real, complex(v).imag] for l, r, v in x.segments]
+    if isinstance(x, IntervalSet):
+        return [[float(l), float(r)] for l, r in x.intervals]
+    if isinstance(x, PiecewiseAffineMap):
+        return [[float(p.left), float(p.right), float(p.slope), float(p.intercept)]
+                for p in x.pieces]
+    return {"E": json_doc(x.E), "h": json_doc(x.h), "phi": json_doc(x.phi)}
+
+
+def float_copy(f):
+    """f as the float mode reads it: its JSON document, every end and value a
+    double, parsed back with complex values."""
+    return StepFunction.from_json(json_doc(f))
+
+
+def identity_map(e):
+    """x -> x on the intervals of e."""
+    return PiecewiseAffineMap.from_pieces([(l, r, 1, 0) for l, r in e.intervals])

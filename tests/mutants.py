@@ -230,8 +230,18 @@ MUTANTS = [
      ["tests/test_sweep_reference.py::test_grid_signature_matches_the_reference",
       "tests/test_exact_kernel.py::test_exact_series_scales_the_lengths_once"]),
     ("float-moments-reversed-sum", "src/quadfock/fock.py",
-     "yield sum(terms, 0)", "yield sum(reversed(terms), 0)",
+     "yield sum(terms, 0j)", "yield sum(reversed(terms), 0j)",
      ["tests/test_float_kernel.py::test_pair_path_matches_reference"]),
+    # --- each backend closed: an empty signature keeps its inputs' backend ---------
+    ("power-sums-int-start", "src/quadfock/fock.py",
+     "yield sum(terms, 0j)", "yield sum(terms, 0)",
+     ["tests/test_kernel.py::test_each_backend_is_closed_on_every_route",
+      "tests/test_float_kernel.py::test_pair_path_matches_reference"]),
+    # an empty signature takes the float backend, as when its keys chose it
+    ("signature-backend-from-keys", "src/quadfock/fock.py",
+     "self.exact = _exact_values(f, g)", "self.exact = bool(self.sig) and _exact_values(f, g)",
+     ["tests/test_kernel.py::test_each_backend_is_closed_on_every_route",
+      "tests/test_exact_kernel.py::test_partition_sums_match_the_per_n_loop"]),
     ("exact-moments-conjugated", "src/quadfock/fock.py",
      "entries.append(_new(re, im, den))", "entries.append(_new(re, -im, den))",
      ["tests/test_exact_kernel.py::test_exact_routes_match_reference",

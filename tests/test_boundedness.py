@@ -32,6 +32,7 @@ from quadfock.quantization import check_contraction_gram
 from quadfock.scalars import ExactComplex
 
 from _golden import DILATION
+from _reference import json_doc
 
 C1 = FockConfig(c=Fraction(1))
 K = 8
@@ -219,7 +220,7 @@ def test_float_weights_give_the_same_report():
     rng = random.Random(5)
     for _ in range(20):
         exact = random_injective_operator(rng, exact=True)
-        flt = QuadOperator.from_json(exact.to_json())
+        flt = QuadOperator.from_json(json_doc(exact))
         a, b = boundedness_report(exact, C1), boundedness_report(flt, FockConfig())
         assert b.closed_form_agrees
         assert a.to_dict() == b.to_dict()

@@ -712,14 +712,6 @@ class TestDeterminism:
             runpy.run_module("quadfock.cli", run_name="__main__")
         assert done.value.code == 0 and capsys.readouterr().out == a.stdout
 
-    def test_round_trip_of_inputs(self, capsys):
-        # parse -> serialize -> parse is the identity on the wire format
-        from quadfock import StepFunction
-        data = json.loads(QUARTER)
-        f = StepFunction.from_json(data)
-        assert json.loads(json.dumps(f.to_json())) == f.to_json()
-        assert StepFunction.from_json(f.to_json()) == f
-
 
 class TestStdin:
     def test_json_from_stdin(self, capsys, monkeypatch):

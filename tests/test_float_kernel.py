@@ -4,10 +4,10 @@ A float pair is parsed, swept and read off its value signature with each
 length turned into a double once.  Its references are in ``_reference.py``:
 the parse (every breakpoint converted through one gcd before any check),
 the value signature, the moments as repeated products, the b recursion as
-``acc = acc + w b``, the dominating sums and the float series.  Every float
-must come out ``==`` to the reference and with the same ``repr``, which also
-pins signed zeros; every bad input must raise the same exception with the
-same message.
+``acc = acc + w b``, the dominating sums, the float series and the closed
+form.  Every float must come out ``==`` to the reference and with the same
+``repr``, which also pins signed zeros; every bad input must raise the same
+exception with the same message.
 """
 
 import itertools
@@ -23,9 +23,10 @@ from quadfock.fock import _dominating_tails, _Signature
 from quadfock.scalars import ExactComplex, _frac
 from quadfock.stepfn import value_signature
 
-from _reference import (CFGS, PAIRS, grid_lengths, reference_a, reference_dominating_sum,
-                        reference_dominating_tail, reference_from_segments, reference_grid,
-                        reference_moments, reference_series, reference_signature)
+from _reference import (CFGS, PAIRS, grid_lengths, reference_a, reference_closed,
+                        reference_dominating_sum, reference_dominating_tail,
+                        reference_from_segments, reference_moments, reference_series,
+                        reference_signature)
 
 N_PARTICLES = 8
 
@@ -71,17 +72,15 @@ def test_pair_path_matches_reference(n, layout, f_segs, g_segs):
     assert sig == ref and repr(sig) == repr(ref)
     assert all(type(length) is int for length in signature[1].values())
 
-    m, ref_m = moments(f, g, N_PARTICLES), reference_moments(ref, N_PARTICLES)
+    m, ref_m = moments(f, g, N_PARTICLES), reference_moments(ref, N_PARTICLES, 0j)
     assert repr(m.entries) == repr(tuple(ref_m))
     for cfg in CFGS:
-        if ref:  # disjoint supports give int moments 0, which the exact kernel takes
-            table = n_particle_table(m, N_PARTICLES, cfg)
-            assert repr(table) == repr(tuple(reference_a(ref_m, N_PARTICLES, cfg.c)))
+        table = n_particle_table(m, N_PARTICLES, cfg)
+        assert repr(table) == repr(tuple(reference_a(ref_m, N_PARTICLES, cfg.c)))
         series = _Signature.admissible(f, g).series(cfg)
         assert series == reference_series(ref, cfg)
         assert repr(series) == repr(reference_series(ref, cfg))
-        assert repr(_Signature(signature).closed(cfg)) == \
-            repr(_Signature(reference_grid(ref)).closed(cfg))
+        assert repr(_Signature(f, g).closed(cfg)) == repr(reference_closed(ref, cfg))
 
 
 # --- parsing -----------------------------------------------------------------

@@ -28,7 +28,8 @@ from quadfock.families import random_family
 from quadfock.fock import (GRAM_DEPTH, MAX_PARTICLES, _gram_minors, _partition_table, _Signature,
                            exp_inner_closed_scaled, gram_min_eig, is_psd)
 from quadfock.scalars import ExactComplex
-from quadfock.stepfn import value_signature
+
+from _reference import float_copy
 
 CFG = FockConfig()
 CFG_EXACT = FockConfig(c=Fraction(1))
@@ -314,7 +315,7 @@ class TestExpVectors:
             exp_inner_closed(bad, chi(0, 1, 0.1 + 0j), CFG)
         # f = chi/2 has u = 1/4 on the boundary, which ``admissible`` rejects; a
         # signature built past it meets the branch cut and the series guard
-        half = _Signature(value_signature(chi(0, 1, 0.5 + 0j), chi(0, 1, 0.5 + 0j)))
+        half = _Signature(chi(0, 1, 0.5 + 0j), chi(0, 1, 0.5 + 0j))
         with pytest.raises(DomainError, match="branch cut"):
             half.closed(CFG)
         with pytest.raises(DomainError, match="does not converge"):
@@ -494,7 +495,7 @@ class TestAdaptiveDepth:
         rng = random.Random(23)
         for _ in range(30):
             fe, ge = random_family(rng, 2, max_abs=0.45, exact=True)
-            ff, gf = (StepFunction.from_json(h.to_json()) for h in (fe, ge))
+            ff, gf = float_copy(fe), float_copy(ge)
             for tol in self.TOLS[:2]:
                 cfg = FockConfig(depth=300, tol=tol)
                 ve, _, ne = self.series(fe, ge, cfg)

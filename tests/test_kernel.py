@@ -4,8 +4,9 @@
 ``refine`` must give the reference cells, ``restrict`` and
 ``PiecewiseAffineMap.restrict`` what their references read off those cells,
 the exact moments ``reference_moments`` of ``reference_signature``, the
-signature's total length the overlap of the supports, and the exact and
-float backends agree bit for bit on dyadic inputs.  The closed form, the
+signature's total length the overlap of the supports, each backend closed
+on every route, and the exact and float backends agree bit for bit on
+dyadic inputs.  The closed form, the
 counter-example and the series tail bound are checked against mpmath at 50
 digits on the reference cells.
 """
@@ -25,18 +26,26 @@ from quadfock import (
     UnconvergedError,
     StepFunction,
     counterexample_report,
+    dilation_operator,
     exp_inner_closed,
+    exp_inner_series,
+    gamma2_matrix_element,
     inner,
     moments,
+    n_particle_inner_partition,
+    n_particle_inner_rec,
     n_particle_table,
+    partition_terms,
+    window_radius,
 )
 from quadfock.families import random_family
 from quadfock.fock import _Signature
 from quadfock.scalars import ExactComplex
 from quadfock.stepfn import refine, restrict, value_signature
 
-from _reference import (mp_closed, mp_number, reference_map_restrict, reference_moments,
-                        reference_restrict, reference_signature, reference_sweep)
+from _reference import (float_copy, mp_closed, mp_number, reference_map_restrict,
+                        reference_moments, reference_restrict, reference_signature,
+                        reference_sweep, reference_zero)
 
 
 def ec(re, im=0):
@@ -72,6 +81,8 @@ NESTED = (StepFunction.from_segments([(0, 1, ec(Fraction(1, 4))),
                                       (1, 3, ec(Fraction(-1, 8), Fraction(1, 16)))]),
           chi(Fraction(1, 2), 2, ec(Fraction(3, 16))))
 ZERO = (StepFunction.zero(), chi(0, 1, ec(Fraction(1, 4))))
+# disjoint supports, whose float moments were the ints 0, which the exact kernel took
+QUARTERS_APART = (chi(0, 1, ec(Fraction(1, 4))), chi(2, 3, ec(Fraction(1, 4))))
 
 
 @given(step_functions(), step_functions())
@@ -94,7 +105,7 @@ def test_refine_matches_value_at_scan(f, g):
 @settings(max_examples=60)
 def test_exact_moments_match_cell_sum(f, g, K):
     entries = moments(f, g, K).entries
-    want = reference_moments(reference_signature(f, g), K)
+    want = reference_moments(reference_signature(f, g), K, reference_zero(f, g))
     assert list(entries) == want
     assert list(map(type, entries)) == list(map(type, want))
 
@@ -119,16 +130,12 @@ def test_intersect_and_restrict_match_double_loop(f, g):
     assert phi.restrict(e) == reference_map_restrict(phi, e)
 
 
-def as_float(f: StepFunction) -> StepFunction:
-    return StepFunction.from_json(f.to_json())
-
-
 @given(step_functions(), step_functions())
 @example(*NESTED)
 @settings(max_examples=60)
 def test_exact_and_float_backends_agree_on_dyadic_inputs(f, g):
     # values k/16 with |k| <= 5 keep sup|f| < 1/2, so the closed form exists
-    ff, gf = as_float(f), as_float(g)
+    ff, gf = float_copy(f), float_copy(g)
     assert complex(inner(f, g)) == pytest.approx(inner(ff, gf), rel=1e-13, abs=1e-15)
     for a, b in zip(moments(f, g, 8).entries, moments(ff, gf, 8).entries):
         assert complex(a) == pytest.approx(b, rel=1e-12, abs=1e-15)
@@ -147,12 +154,49 @@ def test_exact_and_float_backends_are_bit_identical_on_dyadic_inputs(f, g):
     # with breakpoints k/4 and values k/16, |k| <= 5, every length, value u
     # and moment m_k (k <= 8, numerators below 2^53) is a double, so the
     # float backend rounds nothing and both reach the log with the same doubles
-    ff, gf = as_float(f), as_float(g)
+    ff, gf = float_copy(f), float_copy(g)
     exact_m, float_m = moments(f, g, 8).entries, moments(ff, gf, 8).entries
     assert [complex(a) for a in exact_m] == list(float_m)
     assert repr([complex(a) for a in exact_m]) == repr([complex(b) for b in float_m])
     assert repr(exp_inner_closed(f, g, FockConfig(c=Fraction(1)))) == \
         repr(exp_inner_closed(ff, gf, FockConfig()))
+
+
+@given(step_functions(), step_functions(),
+       st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3)]))
+@example(*QUARTERS_APART, Fraction(1))
+@example(*DISJOINT, Fraction(1, 2))
+@example(*ZERO, Fraction(3))
+@example(StepFunction.zero(), StepFunction.zero(), Fraction(1))
+@settings(max_examples=60, deadline=None)
+def test_each_backend_is_closed_on_every_route(f, g, c):
+    # the values choose the backend: exact inputs give ExactComplex and float
+    # inputs float or complex on every route with an exact kernel, disjoint or
+    # zero inputs too; the int a_0 = 1 and inner's int 0 on an empty signature
+    # are neither, and two zero functions carry no value, so they are floats.
+    # The closed form, the series and gamma2 are doubles in both backends,
+    # and the two backends agree within tol
+    n, results = 5, {}
+    for exact, x, y, cc in [(True, f, g, c), (False, float_copy(f), float_copy(g), float(c))]:
+        cfg = FockConfig(c=cc, depth=400)
+        kinds = (ExactComplex,) if exact and not (f.is_zero() and g.is_zero()) else (float, complex)
+        m = moments(x, y, n)
+        table = n_particle_table(m, n, cfg)
+        assert table[0] == 1 and type(table[0]) is int
+        scalars = [*m.entries, *table[1:]]
+        for k in range(1, n + 1):
+            scalars += [n_particle_inner_rec(m, k, cfg), n_particle_inner_partition(m, k, cfg),
+                        *(term for _, _, term in partition_terms(m, k, cfg))]
+        product = inner(x, y)
+        assert type(product) in (kinds if value_signature(x, y)[1] else (int,))
+        assert all(type(v) in kinds for v in scalars), (kinds, scalars)
+        T = dilation_operator(window_radius(x, y), ExactComplex.of(1) if exact else 1.0 + 0j)
+        doubles = [exp_inner_closed(x, y, cfg), exp_inner_series(x, y, cfg)[0],
+                   gamma2_matrix_element(T, x, y, cfg)]
+        assert all(type(v) is complex for v in doubles)
+        results[exact] = [product, *scalars, *doubles]
+    for a, b in zip(*results.values(), strict=True):
+        assert cmath.isclose(complex(a), complex(b), rel_tol=cfg.tol, abs_tol=cfg.tol)
 
 
 # --- 50-digit oracle ---------------------------------------------------------
@@ -175,7 +219,8 @@ def test_closed_form_against_mpmath(c):
 @pytest.mark.parametrize("c", C_VALUES)
 def test_counterexample_against_mpmath(c):
     mpmath = pytest.importorskip("mpmath")
-    rep = counterexample_report(FockConfig(c=float(c)))
+    quarter = chi(0, 1, 0.25 + 0j)
+    rep = counterexample_report(FockConfig(c=float(c)), quarter, quarter)
     with mpmath.workdps(50):
         cm = mpmath.mpf(c.numerator) / c.denominator
         lhs = mpmath.power(mpmath.mpf(3) / 4, -cm / 4)
@@ -210,7 +255,8 @@ def test_series_tail_bound_is_an_upper_bound(f, g, c, N):
     a = n_particle_table(moments(f, g, N), N, FockConfig(c=c))
     b = [an * Fraction(1, math.factorial(n) ** 2) for n, an in enumerate(a)]
     results = {}
-    for backend, x, y, cc in [("exact", f, g, c), ("float", as_float(f), as_float(g), float(c))]:
+    for backend, x, y, cc in [("exact", f, g, c),
+                              ("float", float_copy(f), float_copy(g), float(c))]:
         try:
             # a tol this large would stop the series at depth 1
             cfg = FockConfig(c=cc, depth=N, tol=1e300)

@@ -35,7 +35,7 @@ from quadfock.families import (
 from quadfock.quantization import check_contraction_gram, check_homomorphism_powers
 from quadfock.scalars import ExactComplex
 
-from _reference import slope_one_class
+from _reference import identity_map, slope_one_class
 
 CFG = FockConfig()
 CFG_EXACT = FockConfig(c=Fraction(1))
@@ -45,15 +45,18 @@ def chi(l, r, v=1.0 + 0j):
     return StepFunction.indicator(l, r, v)
 
 
+QUARTER = chi(0, 1, 0.25 + 0j)  # the CLI's default input, (1/4) chi_[0,1)
+
+
 def identity_operator(l, r, one=1.0 + 0j):
     e = IntervalSet.from_intervals([(l, r)])
-    return QuadOperator(e, e.indicator(one), PiecewiseAffineMap.identity(e))
+    return QuadOperator(e, e.indicator(one), identity_map(e))
 
 
 class TestApply:
     def test_zero_weight_kills_everything(self):
         e = IntervalSet.from_intervals([(0, 1)])
-        T = QuadOperator(e, StepFunction.zero(), PiecewiseAffineMap.identity(e))
+        T = QuadOperator(e, StepFunction.zero(), identity_map(e))
         assert apply_operator(T, chi(0, 1, 3 + 1j)).is_zero()
 
     def test_reflection_fixes_constants(self):
@@ -69,7 +72,7 @@ class TestApply:
     def test_construction_validates_support(self):
         e = IntervalSet.from_intervals([(0, 1)])
         with pytest.raises(ValueError):
-            QuadOperator(e, chi(0, 2), PiecewiseAffineMap.identity(e))
+            QuadOperator(e, chi(0, 2), identity_map(e))
 
 
 class TestAdjoint:
@@ -191,7 +194,7 @@ class TestSelfAdjointStructure:
 
     def test_overweight_fails_bound(self):
         e = IntervalSet.from_intervals([(0, 1)])
-        T = QuadOperator(e, chi(0, 1, 1.2 + 0j), PiecewiseAffineMap.identity(e))
+        T = QuadOperator(e, chi(0, 1, 1.2 + 0j), identity_map(e))
         rep = check_selfadjoint_structure(T)
         assert not rep.weight_bounded
         assert rep.involutive and rep.maps_into
@@ -199,7 +202,7 @@ class TestSelfAdjointStructure:
     def test_complex_weight_needs_symmetry(self):
         # constant complex weight with identity map: conj(h) != h o phi
         e = IntervalSet.from_intervals([(0, 1)])
-        T = QuadOperator(e, chi(0, 1, 0.5j), PiecewiseAffineMap.identity(e))
+        T = QuadOperator(e, chi(0, 1, 0.5j), identity_map(e))
         rep = check_selfadjoint_structure(T)
         assert not rep.weight_symmetric
 
@@ -367,7 +370,7 @@ class TestSelfAdjointNumeric:
 
     def test_zero_operator_trivial(self):
         e = IntervalSet.from_intervals([(0, 1)])
-        T = QuadOperator(e, StepFunction.zero(), PiecewiseAffineMap.identity(e))
+        T = QuadOperator(e, StepFunction.zero(), identity_map(e))
         rep = check_selfadjoint_numeric(T, [chi(0, 1, 0.25 + 0j)], CFG)
         assert rep.defect == 0.0
 
@@ -396,7 +399,9 @@ class TestDerivativeCheck:
     def test_exact_family_gives_an_exact_report(self):
         f = chi(0, Fraction(1, 3), ExactComplex(Fraction(1, 5), Fraction(1, 7)))
         g = chi(Fraction(1, 6), 1, ExactComplex(Fraction(-1, 3), 0))
-        rep = lemma4_derivative_check([f, g], [1.0, 0.5 - 0.25j], FockConfig(c=Fraction(3, 7)))
+        # the zero member's b_1 with itself is a float: two zero functions carry no value
+        rep = lemma4_derivative_check([f, g, StepFunction.zero()], [1.0, 0.5 - 0.25j, 2.0],
+                                      FockConfig(c=Fraction(3, 7)))
         assert isinstance(rep.derivative, Fraction)
         assert rep.derivative == rep.expected == 2 * rep.expected_as_stated
         assert rep.abs_error == 0 and rep.ratio_to_stated == 2
@@ -417,11 +422,12 @@ class TestDerivativeCheck:
             lemma4_derivative_check([chi(0, 1, 0.25 + 0j)], [1.0, 1.0], CFG)
 
     def test_float_c_beyond_the_doubles(self):
-        # a zero family first reads c as a double in the norm; a nonzero
-        # float family raises earlier, in the n-particle table's c / n
-        zero = StepFunction.zero()
-        with pytest.raises(DomainError, match="exceeds double precision"):
-            lemma4_derivative_check([zero, zero], [1.0, 1.0], FockConfig(c=Fraction(10 ** 400)))
+        # an empty family first reads c as a double in the norm; a float
+        # family, zero functions too, raises earlier, in the n-particle table's c / n
+        for family in ([], [StepFunction.zero()] * 2):
+            with pytest.raises(DomainError, match="exceeds double precision"):
+                lemma4_derivative_check(family, [1.0] * len(family),
+                                        FockConfig(c=Fraction(10 ** 400)))
 
 
 class TestContraction:
@@ -462,7 +468,7 @@ class TestCounterexample:
     def test_c_scaling(self):
         # the default pair: (3/4)^(-c/4) against (7/8)^(-c/2), and their series
         for c in (1.0, 2.0):
-            rep = counterexample_report(FockConfig(c=c))
+            rep = counterexample_report(FockConfig(c=c), QUARTER, QUARTER)
             lhs, rhs = 0.75 ** (-c / 4), (7 / 8) ** (-c / 2)
             assert rep.lhs == pytest.approx(lhs)
             assert rep.rhs == pytest.approx(rhs)
@@ -473,7 +479,7 @@ class TestCounterexample:
     def test_moment_witness(self):
         # m_1 = 1/32 on both sides, then m_2 = 1/512 against 1/1024; dyadic,
         # so the doubles are exact
-        rep = counterexample_report(CFG)
+        rep = counterexample_report(CFG, QUARTER, QUARTER)
         assert rep.moment_witness == {"k": 2, "lhs_m": 1 / 512, "rhs_m": 1 / 1024,
                                       "lhs_a": 5 / 128, "rhs_a": 3 / 128}
         assert all(type(v) is complex for v in list(rep.moment_witness.values())[1:])
@@ -548,7 +554,7 @@ class TestCounterexample:
         sup_norm_sq = StepFunction.sup_norm_sq
         monkeypatch.setattr(StepFunction, "sup_norm_sq",
                             lambda f: calls.append(f) or sup_norm_sq(f))
-        counterexample_report(cfg)
+        counterexample_report(cfg, QUARTER, QUARTER)
         assert len(calls) == 5
 
     @pytest.mark.parametrize("f, g, message", [
@@ -571,21 +577,16 @@ class TestCounterexample:
 def test_gamma2_inadmissible_inputs_in_order(f, g, message):
     # a weight of 2 doubles sup|f|: T f fails first where g fails too
     E = IntervalSet.from_intervals([(0, 1)])
-    T = QuadOperator(E, E.indicator(2.0 + 0j), PiecewiseAffineMap.identity(E))
+    T = QuadOperator(E, E.indicator(2.0 + 0j), identity_map(E))
     with pytest.raises(DomainError) as info:
         gamma2_matrix_element(T, f, g, CFG)
     assert str(info.value) == message
 
 
 class TestOperatorJson:
-    def test_round_trip(self):
-        T = reflection_operator(0.9)
-        assert QuadOperator.from_json(T.to_json()) == T
-
     def test_larger_domain_is_restricted(self):
         # dom phi = [-1, 2) is larger than E = [0, 1): the operator holds phi | E
         e = IntervalSet.from_intervals([(0, 1)])
         phi = PiecewiseAffineMap.from_pieces([(-1, 0, 2, 3), (0, 2, -1, 1)])
         T = QuadOperator(e, chi(0, 1, 0.9 + 0j), phi)
         assert T == reflection_operator(0.9)
-        assert QuadOperator.from_json(T.to_json()) == T

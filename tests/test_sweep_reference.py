@@ -149,7 +149,7 @@ def assert_grid_signature(f, g):
     assert type(lam) is int and all(type(length) is int for length in sig.values())
     assert list(grid_lengths(signature).items()) == list(ref.items())
     ref_lam, ref_lengths = reference_grid(ref)
-    assert _Signature(signature).scaled_lengths() == (ref_lam, list(ref_lengths.values()))
+    assert _Signature(f, g).scaled_lengths() == (ref_lam, list(ref_lengths.values()))
 
 
 @given(same_backend_lists)
